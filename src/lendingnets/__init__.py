@@ -14,6 +14,7 @@ from .analysis import (
     backward_closure,
     explore,
     honored_always_reachable,
+    is_occurrence_net,
     trace_set,
     urgent_at,
     urgent_for_done_set,
@@ -108,7 +109,6 @@ from .nets import (
     fire,
     is_correctly_labeled,
     is_honored,
-    is_occurrence_net,
     is_safe,
     marking_of_state,
     run,

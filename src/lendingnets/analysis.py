@@ -4,12 +4,18 @@ Graph nodes pair a marking with the multiset of transitions fired to reach
 it.  Keeping the fired multiset makes runs recoverable from paths and keeps
 the graph finite exactly for occurrence nets; nets that can fire a transition
 twice simply exhaust the exploration budget and report INCONCLUSIVE.
+
+One breadth-first walk over these nodes builds every graph and decides the
+occurrence-net property.  On a graph, every "all nodes can reach a target"
+check shares one stuck-node search, and urgency takes one backward closure to
+the honored nodes.  A ``budget`` counts the states a search may keep: graph
+nodes, or (node, word) pairs in ``trace_set``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .errors import FiringError, IncompleteExplorationError, NetStructureError
@@ -21,6 +27,7 @@ from .nets import (
     PlaceId,
     TransitionId,
     Verdict,
+    _check_budget,
     enabled_transitions,
     fire,
 )
@@ -109,23 +116,18 @@ class ReachGraph:
         return tuple(self._in[self.index_of(node)])
 
 
-def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
-    """Breadth-first closure of single steps from the initial marking.
-
-    Successors are expanded in sorted transition order, so repeated calls
-    enumerate identical nodes and edges.  ``complete`` is False when the node
-    budget ran out before the closure was reached.
-    """
+def _walk(net: LendingNet, budget: int, nodes: list[Node]) -> Iterator[tuple[int, TransitionId, int | None]]:
+    """Breadth-first search appending kept nodes to ``nodes`` and yielding each
+    edge as ``(src, t, dst)``; ``dst`` is None when the budget kept a new node out."""
+    _check_budget(budget)
     start = _node(net.initial_marking(), Counter())
-    nodes = [start]
+    nodes.append(start)
     index = {start: 0}
-    edges: list[tuple[int, TransitionId, int]] = []
     queue = deque([0])
-    complete = True
     while queue:
         i = queue.popleft()
         node = nodes[i]
-        marking = {p: node.tokens(p) for p in net.places}
+        marking = node.marking_dict()
         state = node.fired_multiset()
         for t in enabled_transitions(net, marking):
             nxt = fire(net, marking, t)
@@ -136,16 +138,38 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
             nstate[t] += 1
             succ = _node(nxt, nstate)
             j = index.get(succ)
-            if j is None:
-                if len(nodes) >= budget:
-                    complete = False
-                    continue
+            if j is None and len(nodes) < budget:
                 j = len(nodes)
                 index[succ] = j
                 nodes.append(succ)
                 queue.append(j)
-            edges.append((i, t, j))
-    return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete)
+            yield i, t, j
+
+
+def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
+    """Breadth-first closure of single steps from the initial marking.
+
+    Successors are expanded in sorted transition order, so repeated calls
+    enumerate identical nodes and edges.  ``complete`` is False when the node
+    budget ran out before the closure was reached.
+    """
+    nodes: list[Node] = []
+    steps = list(_walk(net, budget, nodes))
+    edges = tuple(step for step in steps if step[2] is not None)
+    return ReachGraph(net=net, nodes=tuple(nodes), edges=edges, complete=len(edges) == len(steps))
+
+
+def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Check that no reachable run fires any transition twice."""
+    nodes: list[Node] = []
+    complete = True
+    for i, t, j in _walk(net, budget, nodes):
+        if t in nodes[i].fired_set():
+            return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
+        complete = complete and j is not None
+    if not complete:
+        return Verdict.inconclusive(f"exploration budget {budget} exhausted")
+    return Verdict.holds()
 
 
 @dataclass(frozen=True)
@@ -205,6 +229,12 @@ def backward_closure(graph: ReachGraph, targets: Iterable[int]) -> set[int]:
     return reached
 
 
+def _stuck_node(graph: ReachGraph, targets: Iterable[int]) -> Node | None:
+    """First node, in exploration order, from which no target is reachable."""
+    good = backward_closure(graph, targets)
+    return next((node for i, node in enumerate(graph.nodes) if i not in good), None)
+
+
 def weakly_terminates(
     net: LendingNet,
     goal: GoalLike,
@@ -221,11 +251,9 @@ def weakly_terminates(
     if not graph.complete:
         return Verdict.inconclusive(f"exploration budget {budget} exhausted")
     goal_fn = as_goal_fn(goal)
-    targets = [i for i, node in enumerate(graph.nodes) if goal_fn(node)]
-    good = backward_closure(graph, targets)
-    for i, node in enumerate(graph.nodes):
-        if i not in good:
-            return Verdict.fails(witness=node, detail=f"no goal reachable from {node.describe()}")
+    stuck = _stuck_node(graph, [i for i, node in enumerate(graph.nodes) if goal_fn(node)])
+    if stuck is not None:
+        return Verdict.fails(witness=stuck, detail=f"no goal reachable from {stuck.describe()}")
     return Verdict.holds()
 
 
@@ -235,27 +263,27 @@ def honored_nodes(graph: ReachGraph) -> list[int]:
 
 def urgent_at(graph: ReachGraph, node: Node | int) -> frozenset[Atom]:
     """Labels of first steps from ``node`` that can still end in an honored marking."""
+    return _urgent_over(graph, [graph.index_of(node)])
+
+
+def _urgent_over(graph: ReachGraph, chosen: Iterable[int]) -> frozenset[Atom]:
+    """Labels of first steps, from any chosen node, that stay able to reach an honored node."""
     if not graph.complete:
         raise IncompleteExplorationError("urgency needs a complete reachability graph")
-    i = graph.index_of(node)
     can_honor = backward_closure(graph, honored_nodes(graph))
-    net = graph.net
-    atoms = set()
-    for t, j in graph.out_edges(i):
-        label = net.transition_labels.get(t)
-        if label is not None and j in can_honor:
-            atoms.add(label)
-    return frozenset(atoms)
+    labels = graph.net.transition_labels
+    return frozenset(
+        labels[t] for i in chosen for t, j in graph.out_edges(i) if t in labels and j in can_honor
+    )
 
 
 def honored_always_reachable(graph: ReachGraph) -> Verdict:
     """Check that every explored node can still reach an honored marking."""
     if not graph.complete:
         return Verdict.inconclusive("exploration incomplete")
-    good = backward_closure(graph, honored_nodes(graph))
-    for i, node in enumerate(graph.nodes):
-        if i not in good:
-            return Verdict.fails(witness=node, detail=f"debt can never be repaid from {node.describe()}")
+    stuck = _stuck_node(graph, honored_nodes(graph))
+    if stuck is not None:
+        return Verdict.fails(witness=stuck, detail=f"debt can never be repaid from {stuck.describe()}")
     return Verdict.holds()
 
 
@@ -268,19 +296,11 @@ def urgent_for_done_set(
     """Union of urgent_at over nodes whose fired labels equal ``done``."""
     if graph is None:
         graph = explore(net, budget)
-    if not graph.complete:
-        raise IncompleteExplorationError("urgency needs a complete reachability graph")
-    wanted = frozenset(done)
-    result: set[Atom] = set()
-    for i, node in enumerate(graph.nodes):
-        labels = frozenset(
-            net.transition_labels[t]
-            for t in node.fired_set()
-            if t in net.transition_labels
-        )
-        if labels == wanted:
-            result |= urgent_at(graph, i)
-    return frozenset(result)
+    wanted, labels = frozenset(done), net.transition_labels
+    return _urgent_over(graph, [
+        i for i, node in enumerate(graph.nodes)
+        if frozenset(labels[t] for t in node.fired_set() if t in labels) == wanted
+    ])
 
 
 def trace_set(
@@ -293,9 +313,11 @@ def trace_set(
     Returns the word set and a completeness flag; the flag drops when either
     the graph or the word enumeration hit the budget.
     """
+    _check_budget(budget)
     if graph is None:
         graph = explore(net, budget)
     complete = graph.complete
+    # A search of its own: it walks (node, word) pairs of the built graph, not the net.
     words: set[tuple[Atom, ...]] = {()}
     seen = {(0, ())}
     queue = deque([(0, ())])

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 when the command succeeds or the checked property holds, 1
-when it fails, 2 on usage, syntax, or semantic errors, 3 when a bounded
-analysis ran out of budget and the answer is unknown.
+when it fails, 2 on usage, syntax, or semantic errors (a ``--budget`` below 1
+among them), 3 when a bounded analysis ran out of budget and the answer is
+unknown, 4 on an internal error such as the logic and net sides disagreeing.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 _EXIT_BY_OUTCOME = {
     Outcome.HOLDS: EXIT_OK,
@@ -264,6 +266,9 @@ def main(argv=None) -> int:
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -12,10 +12,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .analysis import Node, ReachGraph, explore, urgent_at
+from .analysis import (
+    Node, ReachGraph, _stuck_node, explore, is_occurrence_net, urgent_for_done_set,
+)
 from .compose import oplus, widen_alphabet
-from .errors import ContractError, IncompleteExplorationError
-from .logic import Participant
+from .errors import ContractError
+from .logic import Participant, _merged_ownership
 from .nets import (
     DEFAULT_BUDGET,
     Atom,
@@ -23,7 +25,6 @@ from .nets import (
     Outcome,
     Verdict,
     is_correctly_labeled,
-    is_occurrence_net,
 )
 
 
@@ -180,13 +181,14 @@ def configuration_from_marking(cn: ContractNet, node: Node) -> frozenset[Atom]:
 def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNet:
     """Compose the nets and merge the contract data.
 
-    Participant sets must be disjoint and ownership must agree; the alphabets
-    are widened to their union before the nets are composed.
+    Participant sets must be disjoint and ownership must agree, by the same
+    merge as compose_contracts; the alphabets are widened to their union
+    before the nets are composed.
     """
     overlap = first.participants & second.participants
     if overlap:
         raise ContractError(f"participants bound twice: {sorted(overlap)}")
-    merged = _merged_ownership_maps(first, second)
+    merged = _merged_ownership(first, second)
     left, right = widen_alphabet([first.net, second.net])
     return ContractNet(
         net=oplus(left, right),
@@ -194,17 +196,6 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
         ownership=merged,
         goals=frozenset(g1 | g2 for g1 in first.goals for g2 in second.goals),
     )
-
-
-def _merged_ownership_maps(first: ContractNet, second: ContractNet) -> dict[Atom, Participant]:
-    merged = dict(first.ownership)
-    for atom, owner in second.ownership.items():
-        if merged.get(atom, owner) != owner:
-            raise ContractError(
-                f"atom {atom!r} owned by {merged[atom]!r} on one side and {owner!r} on the other"
-            )
-        merged[atom] = owner
-    return merged
 
 
 def _complete_graph(cn: ContractNet, budget: int, graph: ReachGraph | None) -> ReachGraph:
@@ -249,21 +240,18 @@ def _covers_goal(cn: ContractNet, node: Node) -> bool:
 
 
 def _all_can_reach(cn: ContractNet, graph: ReachGraph, hits: list[int], budget: int) -> Verdict:
-    from .analysis import backward_closure
-
     if not graph.complete:
         return Verdict.inconclusive(f"exploration budget {budget} exhausted")
-    good = backward_closure(graph, hits)
-    for i, node in enumerate(graph.nodes):
-        if i not in good:
-            cfg = configuration(cn, node)
-            return Verdict.fails(
-                witness=node,
-                detail=(
-                    f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: "
-                    f"{node.describe()}"
-                ),
-            )
+    stuck = _stuck_node(graph, hits)
+    if stuck is not None:
+        cfg = configuration(cn, stuck)
+        return Verdict.fails(
+            witness=stuck,
+            detail=(
+                f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: "
+                f"{stuck.describe()}"
+            ),
+        )
     return Verdict.holds()
 
 
@@ -295,17 +283,9 @@ def urgent(
     """Atoms fireable next, toward an honored marking, at any node with this done set.
 
     The union over matching nodes of urgent_at; a done set no node realizes
-    yields the empty set.
+    yields the empty set.  Done sets are fired labels, as urgent_for_done_set reads them.
     """
-    graph = _complete_graph(cn, budget, graph)
-    if not graph.complete:
-        raise IncompleteExplorationError("urgency needs a complete reachability graph")
-    wanted = frozenset(done)
-    result: set[Atom] = set()
-    for i, node in enumerate(graph.nodes):
-        if configuration(cn, node).done == wanted:
-            result |= urgent_at(graph, i)
-    return frozenset(result)
+    return urgent_for_done_set(cn.net, done, budget, graph)
 
 
 def reachable_configurations(

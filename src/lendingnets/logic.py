@@ -178,7 +178,8 @@ def admits_agreement(c: PCLContract) -> bool:
     return any(goal <= proved for goal in c.goals)
 
 
-def _merged_ownership(first: PCLContract, second: PCLContract) -> dict[Atom, Participant]:
+def _merged_ownership(first, second) -> dict[Atom, Participant]:
+    """Agreeing union of the ownership maps of two contracts or two contract nets."""
     merged = dict(first.ownership)
     for atom, owner in second.ownership.items():
         if merged.get(atom, owner) != owner:

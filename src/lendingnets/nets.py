@@ -15,7 +15,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import FiringError, NetStructureError
+from .errors import FiringError, NetStructureError, ToolkitError
 
 Atom = str
 PlaceId = str
@@ -25,6 +25,12 @@ Marking = dict[PlaceId, int]
 DEFAULT_BUDGET = 100_000
 
 _ID_FORBIDDEN = set('=#"\\')
+
+
+def _check_budget(budget: int) -> None:
+    """Reject budgets no search can use; a budget counts the states a search may keep."""
+    if budget < 1:
+        raise ToolkitError(f"budget must be at least 1, got {budget}")
 
 
 def _check_id(value: str, kind: str) -> str:
@@ -354,44 +360,20 @@ def _marking_key(marking: Mapping[PlaceId, int]) -> tuple:
     return tuple(sorted((p, n) for p, n in marking.items() if n))
 
 
-def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Check that no reachable run fires any transition twice."""
-    start = net.initial_marking()
-    seen = {(_marking_key(start), ())}
-    queue = deque([(start, Counter())])
-    expansions = 0
-    while queue:
-        marking, state = queue.popleft()
-        expansions += 1
-        if expansions > budget:
-            return Verdict.inconclusive(f"exploration budget {budget} exhausted")
-        for t in enabled_transitions(net, marking):
-            if state[t] >= 1:
-                return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
-            nxt = fire(net, marking, t)
-            nstate = state.copy()
-            nstate[t] += 1
-            key = (_marking_key(nxt), tuple(sorted(nstate.items())))
-            if key not in seen:
-                seen.add(key)
-                queue.append((nxt, nstate))
-    return Verdict.holds()
-
-
 def is_safe(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Check that no reachable marking puts two or more tokens on a place."""
+    # Searches markings, not (marking, fired) nodes: a cyclic safe net has
+    # finitely many markings but unboundedly many fired multisets.
+    _check_budget(budget)
     start = net.initial_marking()
     for p, n in start.items():
         if n > 1:
             return Verdict.fails(witness=p, detail=f"place {p!r} initially holds {n} tokens")
     seen = {_marking_key(start)}
     queue = deque([start])
-    expansions = 0
+    complete = True
     while queue:
         marking = queue.popleft()
-        expansions += 1
-        if expansions > budget:
-            return Verdict.inconclusive(f"exploration budget {budget} exhausted")
         for t in enabled_transitions(net, marking):
             nxt = fire(net, marking, t)
             over = [p for p, n in nxt.items() if n > 1]
@@ -399,9 +381,15 @@ def is_safe(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
                 p = sorted(over)[0]
                 return Verdict.fails(witness=p, detail=f"place {p!r} can hold {nxt[p]} tokens")
             key = _marking_key(nxt)
-            if key not in seen:
-                seen.add(key)
-                queue.append(nxt)
+            if key in seen:
+                continue
+            if len(seen) >= budget:
+                complete = False
+                continue
+            seen.add(key)
+            queue.append(nxt)
+    if not complete:
+        return Verdict.inconclusive(f"exploration budget {budget} exhausted")
     return Verdict.holds()
 
 

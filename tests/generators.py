@@ -131,3 +131,27 @@ def compatible_contract_pair(rng: random.Random) -> tuple[PCLContract, PCLContra
     first = random_contract(rng, atoms=("a", "b", "c", "d"), max_atoms=4, max_clauses=3, heads=("a", "b"))
     second = random_contract(rng, atoms=("c", "d", "a", "b"), max_atoms=4, max_clauses=3, heads=("c", "d"))
     return first, second
+
+
+def random_cyclic_net(rng: random.Random, prefix: str) -> LendingNet:
+    """A random_net in which some transitions put their private token back.
+
+    Those transitions can fire again in the same run, so the net is usually
+    not an occurrence net and its reachability graph may be unbounded.
+    """
+    net = random_net(rng, prefix)
+    returns = {
+        (t, f"{prefix}.m{t.rsplit('.t', 1)[1]}")
+        for t in sorted(net.transitions)
+        if rng.random() < 0.6
+    }
+    return LendingNet(
+        places=net.places,
+        transitions=net.transitions,
+        flow=net.flow | returns,
+        place_labels=net.place_labels,
+        transition_labels=net.transition_labels,
+        initial=net.initial,
+        lending=net.lending,
+        alphabet=net.alphabet,
+    )

@@ -246,3 +246,23 @@ class TestDeterminism:
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("budget", ("0", "-1"))
+    def test_budgets_below_one_exit_2(self, budget, capsys):
+        code, out, err = run(capsys, "check", "wt", TOYS, "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: budget must be at least 1, got {budget}\n"
+
+    def test_internal_errors_exit_4_with_one_line(self, monkeypatch, capsys):
+        from lendingnets import Verdict, cli
+
+        monkeypatch.setattr(cli, "agreement_via_net", lambda doc, budget: Verdict.fails())
+        code, out, err = run(capsys, "check", "agreement", TOYS)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: ")
+        assert "logic and net disagree" in err
+        assert err.count("\n") == 1

@@ -358,3 +358,14 @@ def test_contract_net_equality_is_componentwise():
         goals=frozenset({frozenset({"a", "b"})}),
     )
     assert relabeled != lending_contract_a()
+
+
+def test_net_composition_merges_ownership_like_contract_composition():
+    from lendingnets import compile_contract, compose_contracts, contract, fact
+
+    left = contract(clauses=[fact("a")], participants={"X"}, ownership={"a": "X", "d": "X"})
+    right = contract(clauses=[fact("b")], participants={"Y"}, ownership={"b": "Y", "a": "X"})
+    with pytest.raises(ContractError, match="owns"):
+        compose_contracts(left, right)
+    with pytest.raises(ContractError, match="owns"):
+        compose_contract_nets(compile_contract(left), compile_contract(right))

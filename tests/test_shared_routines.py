@@ -1,0 +1,210 @@
+"""The net side's shared routines against the separate searches they replaced.
+
+The references below are standalone searches kept as oracles: the
+occurrence-net check and the exploration loop as they were written before
+they shared one walk, and urgency at a node by a forward search per step.
+"""
+
+import random
+from collections import Counter, deque
+from itertools import combinations
+
+import pytest
+
+import lendingnets
+from lendingnets import (
+    DEFAULT_BUDGET,
+    Outcome,
+    ToolkitError,
+    Verdict,
+    compile_contract,
+    enabled_transitions,
+    explore,
+    fire,
+    is_occurrence_net,
+    is_safe,
+    trace_set,
+    urgent,
+    urgent_at,
+    urgent_for_done_set,
+    weakly_terminates,
+)
+
+from generators import random_contract, random_cyclic_net, random_net
+
+BUDGETS = (1, 2, 3, 5, 8, 40, DEFAULT_BUDGET)
+
+PUBLIC_NAMES = (
+    "Atom CompositionError Configuration ContractError ContractNet DEFAULT_BUDGET "
+    "DocumentError FiringError FiringSequence HONORED_GOAL HornClause "
+    "IncompleteExplorationError LendingNet Marking MarkingPredicate NetDocument "
+    "NetStructureError Node Outcome PCLContract PlaceId ReachGraph ToolkitError "
+    "TransitionId Verdict Violation admits_agreement agreement_reachable "
+    "agreement_via_net analysis approximates backward_closure clause_tid "
+    "combine_goals compatibility_problems compatible compile_compose_commutes "
+    "compile_contract compiler compose compose_contract_nets compose_contracts "
+    "compose_many concat configuration configuration_from_marking conjoin contract "
+    "contract_net_document contracts dedupe delivery_pid detect_kind dot enabled "
+    "enabled_transitions errors explore export_dot extend_with_facts fact fire "
+    "formats honored_always_reachable honored_done_sets interleave "
+    "is_correctly_labeled is_honored is_occurrence_net is_safe is_strategy logic "
+    "marking_of_state nets oplus parse_contract parse_net proof_traces "
+    "provable_atoms reachable_configurations run serialize_contract serialize_net "
+    "star_pid state_of subnet tag_net trace_atom_sets trace_equivalent trace_of "
+    "trace_set urgent urgent_at urgent_atoms urgent_for_done_set urgent_logic "
+    "urgent_via_net validate weakly_terminates weakly_terminates_covering "
+    "weakly_terminates_in widen_alphabet with_facts"
+).split()
+
+
+def _key(marking):
+    return tuple(sorted((p, n) for p, n in marking.items() if n))
+
+
+def reference_is_occurrence_net(net, budget=DEFAULT_BUDGET):
+    """The occurrence check as its own breadth-first search, counting expansions."""
+    start = net.initial_marking()
+    seen = {(_key(start), ())}
+    queue = deque([(start, Counter())])
+    expansions = 0
+    while queue:
+        marking, state = queue.popleft()
+        expansions += 1
+        if expansions > budget:
+            return Verdict.inconclusive(f"exploration budget {budget} exhausted")
+        for t in enabled_transitions(net, marking):
+            if state[t] >= 1:
+                return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
+            nxt = fire(net, marking, t)
+            nstate = state.copy()
+            nstate[t] += 1
+            key = (_key(nxt), tuple(sorted(nstate.items())))
+            if key not in seen:
+                seen.add(key)
+                queue.append((nxt, nstate))
+    return Verdict.holds()
+
+
+def reference_explore(net, budget):
+    """The exploration loop with full markings rebuilt place by place."""
+    start = (_key(net.initial_marking()), ())
+    nodes, index, edges = [start], {start: 0}, []
+    queue = deque([0])
+    complete = True
+    while queue:
+        i = queue.popleft()
+        marking_key, fired = nodes[i]
+        marking = {p: dict(marking_key).get(p, 0) for p in net.places}
+        for t in enabled_transitions(net, marking):
+            state = Counter(dict(fired))
+            state[t] += 1
+            succ = (_key(fire(net, marking, t)), tuple(sorted(state.items())))
+            j = index.get(succ)
+            if j is None:
+                if len(nodes) >= budget:
+                    complete = False
+                    continue
+                j = index[succ] = len(nodes)
+                nodes.append(succ)
+                queue.append(j)
+            edges.append((i, t, j))
+    return nodes, edges, complete
+
+
+def reference_urgent_at(graph, i):
+    """Labelled first steps from node ``i`` after which a forward search finds an honored node."""
+    def can_honor(j):
+        seen, queue = {j}, deque([j])
+        while queue:
+            k = queue.popleft()
+            if graph.nodes[k].honored:
+                return True
+            for _, m in graph.out_edges(k):
+                if m not in seen:
+                    seen.add(m)
+                    queue.append(m)
+        return False
+
+    labels = graph.net.transition_labels
+    return {labels[t] for t, j in graph.out_edges(i) if t in labels and can_honor(j)}
+
+
+def fired_labels(net, node):
+    return frozenset(net.transition_labels[t] for t in node.fired_set() if t in net.transition_labels)
+
+
+def sample_nets():
+    rng = random.Random(2012)
+    for i in range(60):
+        yield random_net(rng, f"o{i}")
+        yield random_cyclic_net(rng, f"c{i}")
+
+
+def label_subsets(net):
+    atoms = sorted(net.alphabet)
+    for size in range(len(atoms) + 1):
+        yield from (frozenset(c) for c in combinations(atoms, size))
+
+
+def test_cyclic_generator_yields_both_outcomes():
+    outcomes = {reference_is_occurrence_net(net).outcome for net in sample_nets()}
+    assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_occurrence_check_matches_its_standalone_search(budget):
+    for net in sample_nets():
+        assert is_occurrence_net(net, budget) == reference_is_occurrence_net(net, budget), net
+
+
+@pytest.mark.parametrize("budget", BUDGETS[:-1] + (200,))
+def test_explore_keeps_node_and_edge_order(budget):
+    for net in sample_nets():
+        graph = explore(net, budget)
+        nodes, edges, complete = reference_explore(net, budget)
+        assert [(n.marking, n.fired) for n in graph.nodes] == nodes
+        assert list(graph.edges) == edges
+        assert graph.complete is complete
+
+
+def test_urgency_over_a_done_set_is_the_union_of_urgency_at_its_nodes():
+    checked = 0
+    for net in sample_nets():
+        graph = explore(net, 200)
+        if not graph.complete:
+            continue
+        for done in label_subsets(net):
+            expected, reference = set(), set()
+            for i, node in enumerate(graph.nodes):
+                if fired_labels(net, node) == done:
+                    expected |= urgent_at(graph, i)
+                    reference |= reference_urgent_at(graph, i)
+            assert urgent_for_done_set(net, done, graph=graph) == expected == reference
+            checked += 1
+    assert checked > 300
+
+
+def test_contract_urgency_is_net_urgency_on_the_compiled_net():
+    rng = random.Random(11)
+    for _ in range(60):
+        cn = compile_contract(random_contract(rng))
+        graph = explore(cn.net)
+        for done in label_subsets(cn.net):
+            assert urgent(cn, done, graph=graph) == urgent_for_done_set(cn.net, done, graph=graph)
+            assert urgent(cn, done) == urgent_for_done_set(cn.net, done)
+
+
+@pytest.mark.parametrize("budget", (0, -1))
+def test_budgets_below_one_are_rejected_by_every_search(budget):
+    net = random_net(random.Random(3), "b")
+    for search in (explore, is_occurrence_net, is_safe, trace_set):
+        with pytest.raises(ToolkitError, match="budget must be at least 1"):
+            search(net, budget)
+    with pytest.raises(ToolkitError, match="budget must be at least 1"):
+        weakly_terminates(net, lambda node: True, budget)
+
+
+def test_every_public_name_still_imports():
+    missing = [name for name in PUBLIC_NAMES if not hasattr(lendingnets, name)]
+    assert missing == []
+    assert set(PUBLIC_NAMES) <= set(lendingnets.__all__)

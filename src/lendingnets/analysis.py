@@ -6,30 +6,40 @@ the graph finite exactly for occurrence nets; nets that can fire a transition
 twice simply exhaust the exploration budget and report INCONCLUSIVE.
 
 One breadth-first walk over these nodes builds every graph and decides the
-occurrence-net property.  On a graph, every "all nodes can reach a target"
-check shares one stuck-node search, and urgency takes one backward closure to
-the honored nodes.  A ``budget`` counts the states a search may keep: graph
-nodes, or (node, word) pairs in ``trace_set``.
+occurrence-net property.  It works on integer indices: once per call it
+sorts the places and transitions and tabulates, per transition, the indices
+of its non-lending input places (the enabledness test) and of its input and
+output places (the firing delta).  Markings and fired vectors are int
+sequences in that order.  A node is identified by its fired vector alone: by
+the state equation the marking is the initial marking plus the summed deltas
+of the fired transitions, so equal vectors mean equal nodes.  A ``Node`` with
+sparse, id-keyed fields is built only for each kept node, not per edge.
+Non-lending places cannot go negative, since they start at zero or more and
+lose tokens only to transitions that passed the enabledness test, so the walk
+checks no firing for debt on them.
+
+On a graph, every "all nodes can reach a target" check shares one stuck-node
+search, and urgency takes one backward closure to the honored nodes.  A
+``budget`` counts the states a search may keep: graph nodes, or (node, word)
+pairs in ``trace_set``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import compress
 
-from .errors import FiringError, IncompleteExplorationError, NetStructureError
+from .errors import IncompleteExplorationError, NetStructureError
 from .nets import (
     DEFAULT_BUDGET,
     Atom,
     LendingNet,
-    Outcome,
     PlaceId,
     TransitionId,
     Verdict,
     _check_budget,
-    enabled_transitions,
-    fire,
 )
 
 
@@ -45,9 +55,6 @@ class Node:
             if p == place:
                 return n
         return 0
-
-    def marking_dict(self) -> dict[PlaceId, int]:
-        return dict(self.marking)
 
     def fired_multiset(self) -> Counter:
         return Counter(dict(self.fired))
@@ -65,13 +72,6 @@ class Node:
         return f"marking [{marks}] fired [{fires}]"
 
 
-def _node(marking: Mapping[PlaceId, int], state: Counter) -> Node:
-    return Node(
-        marking=tuple(sorted((p, n) for p, n in marking.items() if n)),
-        fired=tuple(sorted(state.items())),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ReachGraph:
     """Deterministic breadth-first reachability graph of a lending net."""
@@ -81,17 +81,15 @@ class ReachGraph:
     edges: tuple[tuple[int, TransitionId, int], ...]
     complete: bool
     _index: dict = field(compare=False, repr=False, default=None)
-    _out: dict = field(compare=False, repr=False, default=None)
-    _in: dict = field(compare=False, repr=False, default=None)
+    _out: list = field(compare=False, repr=False, default=None)
+    _in: list = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
-        index = {node: i for i, node in enumerate(self.nodes)}
-        out: dict[int, list] = {i: [] for i in range(len(self.nodes))}
-        inc: dict[int, list] = {i: [] for i in range(len(self.nodes))}
+        out: list[list] = [[] for _ in self.nodes]
+        inc: list[list] = [[] for _ in self.nodes]
         for src, t, dst in self.edges:
             out[src].append((t, dst))
             inc[dst].append((t, src))
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", inc)
 
@@ -104,6 +102,9 @@ class ReachGraph:
             if not 0 <= node < len(self.nodes):
                 raise NetStructureError(f"node index {node} out of range")
             return node
+        if self._index is None:
+            # Built on the first lookup by node: most callers only ever pass indices.
+            object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.nodes)})
         try:
             return self._index[node]
         except KeyError:
@@ -116,34 +117,58 @@ class ReachGraph:
         return tuple(self._in[self.index_of(node)])
 
 
-def _walk(net: LendingNet, budget: int, nodes: list[Node]) -> Iterator[tuple[int, TransitionId, int | None]]:
+def _walk(net: LendingNet, budget: int, nodes: list[Node]) -> Iterator[tuple[int, TransitionId, int | None, int]]:
     """Breadth-first search appending kept nodes to ``nodes`` and yielding each
-    edge as ``(src, t, dst)``; ``dst`` is None when the budget kept a new node out."""
+    edge as ``(src, t, dst, n)``: ``n`` counts the earlier firings of ``t`` in
+    the run to ``src``, and ``dst`` is None when the budget kept a new node out."""
     _check_budget(budget)
-    start = _node(net.initial_marking(), Counter())
-    nodes.append(start)
-    index = {start: 0}
-    queue = deque([0])
+    places = sorted(net.places)
+    transitions = sorted(net.transitions)
+    at = {p: k for k, p in enumerate(places)}
+    steps = [
+        (
+            k,
+            t,
+            tuple(at[p] for p in net.preset(t) if p not in net.lending),
+            tuple(at[p] for p in net.preset(t)),
+            tuple(at[p] for p in net.postset(t)),
+        )
+        for k, t in enumerate(transitions)
+    ]
+
+    def keep(marking: list[int], fired: tuple[int, ...]) -> None:
+        # Through a list: tuple() of an iterator of unknown length shrinks its
+        # result in place, which fragments the heap of a long-lived process.
+        nodes.append(Node(
+            marking=tuple(list(compress(zip(places, marking), marking))),
+            fired=tuple(list(compress(zip(transitions, fired), fired))),
+        ))
+
+    marking, fired = [net.initial.get(p, 0) for p in places], (0,) * len(transitions)
+    keep(marking, fired)
+    index = {fired: 0}
+    queue = deque([(0, marking, fired)])
     while queue:
-        i = queue.popleft()
-        node = nodes[i]
-        marking = node.marking_dict()
-        state = node.fired_multiset()
-        for t in enabled_transitions(net, marking):
-            nxt = fire(net, marking, t)
-            for p, n in nxt.items():
-                if n < 0 and p not in net.lending:
-                    raise FiringError(t, p, f"place {p!r} went negative without lending")
-            nstate = state.copy()
-            nstate[t] += 1
-            succ = _node(nxt, nstate)
-            j = index.get(succ)
+        i, marking, fired = queue.popleft()
+        tokens = marking.__getitem__
+        for k, t, guard, pre, post in steps:
+            # Non-lending places lose tokens only past this guard, so never go negative.
+            if not all(map(tokens, guard)):
+                continue
+            succ_fired = list(fired)
+            succ_fired[k] += 1
+            succ_fired = tuple(succ_fired)
+            j = index.get(succ_fired)
             if j is None and len(nodes) < budget:
-                j = len(nodes)
-                index[succ] = j
-                nodes.append(succ)
-                queue.append(j)
-            yield i, t, j
+                succ = marking.copy()
+                for p in pre:
+                    succ[p] -= 1
+                for p in post:
+                    succ[p] += 1
+                j = index[succ_fired] = len(nodes)
+                keep(succ, succ_fired)
+                queue.append((j, succ, succ_fired))
+            yield i, t, j, fired[k]
 
 
 def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
@@ -154,17 +179,16 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
     budget ran out before the closure was reached.
     """
     nodes: list[Node] = []
-    steps = list(_walk(net, budget, nodes))
+    steps = [step[:3] for step in _walk(net, budget, nodes)]
     edges = tuple(step for step in steps if step[2] is not None)
     return ReachGraph(net=net, nodes=tuple(nodes), edges=edges, complete=len(edges) == len(steps))
 
 
 def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Check that no reachable run fires any transition twice."""
-    nodes: list[Node] = []
     complete = True
-    for i, t, j in _walk(net, budget, nodes):
-        if t in nodes[i].fired_set():
+    for _, t, j, earlier in _walk(net, budget, []):
+        if earlier:
             return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
         complete = complete and j is not None
     if not complete:

@@ -127,16 +127,9 @@ def widen_alphabet(nets: Iterable[LendingNet]) -> list[LendingNet]:
     return [n.with_alphabet(union) for n in nets]
 
 
-def approximates(
-    left: LendingNet,
-    right: LendingNet,
-    budget: int = DEFAULT_BUDGET,
-) -> Verdict:
-    """Trace inclusion: every observable word of ``left`` is one of ``right``."""
-    if left.alphabet != right.alphabet:
-        raise NetStructureError("trace comparison needs a shared label universe")
-    left_words, left_done = trace_set(left, budget)
-    right_words, right_done = trace_set(right, budget)
+def _included(left: tuple[frozenset, bool], right: tuple[frozenset, bool], budget: int) -> Verdict:
+    """Trace inclusion between two ``trace_set`` results: every word of ``left`` is one of ``right``."""
+    (left_words, left_done), (right_words, right_done) = left, right
     missing = left_words - right_words
     if missing and right_done:
         witness = min(missing, key=lambda w: (len(w), w))
@@ -149,14 +142,28 @@ def approximates(
     return Verdict.inconclusive(f"trace enumeration budget {budget} exhausted")
 
 
+def approximates(
+    left: LendingNet,
+    right: LendingNet,
+    budget: int = DEFAULT_BUDGET,
+) -> Verdict:
+    """Trace inclusion: every observable word of ``left`` is one of ``right``."""
+    if left.alphabet != right.alphabet:
+        raise NetStructureError("trace comparison needs a shared label universe")
+    return _included(trace_set(left, budget), trace_set(right, budget), budget)
+
+
 def trace_equivalent(
     left: LendingNet,
     right: LendingNet,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Mutual trace inclusion."""
-    forward = approximates(left, right, budget)
-    backward = approximates(right, left, budget)
+    """Mutual trace inclusion, enumerating the words of each net once."""
+    if left.alphabet != right.alphabet:
+        raise NetStructureError("trace comparison needs a shared label universe")
+    left_traces, right_traces = trace_set(left, budget), trace_set(right, budget)
+    forward = _included(left_traces, right_traces, budget)
+    backward = _included(right_traces, left_traces, budget)
     for v in (forward, backward):
         if v.outcome is Outcome.FAILS:
             return v

@@ -16,7 +16,7 @@ from .analysis import (
     Node, ReachGraph, _stuck_node, explore, is_occurrence_net, urgent_for_done_set,
 )
 from .compose import oplus, widen_alphabet
-from .errors import ContractError
+from .errors import ContractError, IncompleteExplorationError
 from .logic import Participant, _merged_ownership
 from .nets import (
     DEFAULT_BUDGET,
@@ -293,7 +293,10 @@ def reachable_configurations(
     budget: int = DEFAULT_BUDGET,
     graph: ReachGraph | None = None,
 ) -> frozenset[Configuration]:
+    """Configurations of all reachable nodes; raises when the graph is incomplete."""
     graph = _complete_graph(cn, budget, graph)
+    if not graph.complete:
+        raise IncompleteExplorationError("configurations need a complete reachability graph")
     return frozenset(configuration(cn, node) for node in graph.nodes)
 
 
@@ -302,7 +305,7 @@ def honored_done_sets(
     budget: int = DEFAULT_BUDGET,
     graph: ReachGraph | None = None,
 ) -> frozenset[frozenset[Atom]]:
-    """Done sets of all reachable honored configurations."""
+    """Done sets of all reachable honored configurations; raises when the graph is incomplete."""
     graph = _complete_graph(cn, budget, graph)
     return frozenset(
         cfg.done

@@ -155,3 +155,33 @@ def random_cyclic_net(rng: random.Random, prefix: str) -> LendingNet:
         lending=net.lending,
         alphabet=net.alphabet,
     )
+
+
+def _credit_contract(clauses: list[HornClause]) -> PCLContract:
+    atoms = sorted(frozenset().union(*(c.atoms() for c in clauses)))
+    return PCLContract(
+        clauses=frozenset(clauses),
+        participants=frozenset("P" + c.head for c in clauses),
+        ownership={a: "P" + a for a in atoms},
+        goals=frozenset({frozenset(atoms)}),
+    )
+
+
+def pairs_contract(n: int) -> PCLContract:
+    """n independent credit handshakes ``b_j ->> a_j``, ``a_j -> b_j``; 3^n graph nodes."""
+    clauses = []
+    for j in range(n):
+        clauses.append(HornClause(head=f"a{j}", body=frozenset({f"b{j}"}), contractual=True))
+        clauses.append(HornClause(head=f"b{j}", body=frozenset({f"a{j}"})))
+    return _credit_contract(clauses)
+
+
+def credit_ring(n: int, side: int | None = None) -> PCLContract:
+    """Credit ring ``x_{j+1} ->> x_j``; with ``side`` also the strict clause ``x_side -> s``."""
+    clauses = [
+        HornClause(head=f"x{j}", body=frozenset({f"x{(j + 1) % n}"}), contractual=True)
+        for j in range(n)
+    ]
+    if side is not None:
+        clauses.append(HornClause(head="s", body=frozenset({f"x{side}"})))
+    return _credit_contract(clauses)

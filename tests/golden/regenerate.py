@@ -1,0 +1,74 @@
+"""Write ``cli.json``: the expected output of ``lpn`` commands over ``samples/``.
+
+Each case records the argument vector (paths relative to the repository
+root), the exact standard output and standard error, and the exit code of
+``cli.main`` run in-process.  ``tests/test_cli_golden.py`` replays them.
+Regenerate only when a change to the output is intended:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+from lendingnets.cli import main
+
+ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = Path(__file__).resolve().parent / "cli.json"
+
+CONTRACTS = [f"samples/{name}.pcl" for name in (
+    "credit_chain", "exchange_pair", "self_credit", "toy_swap", "toy_swap_a", "toy_swap_b", "toy_swap_c",
+)]
+NETS = ["samples/handshake_credit.lpn", "samples/handshake_strict.lpn"]
+DONE_SETS = {
+    "samples/credit_chain.pcl": ("", "a", "a,b"),
+    "samples/exchange_pair.pcl": ("", "a", "a,b"),
+    "samples/self_credit.pcl": ("", "a"),
+    "samples/toy_swap.pcl": ("", "c", "a,c"),
+    "samples/toy_swap_a.pcl": ("", "b"),
+    "samples/toy_swap_b.pcl": ("", "c"),
+    "samples/toy_swap_c.pcl": ("", "a,b"),
+    "samples/handshake_credit.lpn": ("", "a", "b"),
+    "samples/handshake_strict.lpn": ("", "a", "b"),
+}
+
+
+def commands() -> list[list[str]]:
+    docs = CONTRACTS + NETS
+    cases = [["parse", f] for f in docs]
+    cases += [["compile", f, *flag] for f in CONTRACTS for flag in ([], ["--prune"])]
+    cases += [["compile", NETS[0]]]
+    cases += [
+        ["compose", "samples/toy_swap_a.pcl", "samples/toy_swap_b.pcl", "samples/toy_swap_c.pcl"],
+        ["compose", "samples/toy_swap_c.pcl", "samples/toy_swap_a.pcl"],
+        ["compose", *NETS],
+        ["compose", NETS[0], CONTRACTS[0]],
+    ]
+    cases += [["check", "wt", f] for f in docs]
+    cases += [["check", "wt", "samples/toy_swap.pcl", "--budget", "1"], ["check", "wt", NETS[0], "--budget", "0"]]
+    cases += [["check", "agreement", f, "--via", "both"] for f in CONTRACTS]
+    cases += [["check", "agreement", "samples/toy_swap.pcl", "--via", "both", "--budget", "1"]]
+    cases += [["urgent", f, "--done", done] for f in docs for done in DONE_SETS[f]]
+    cases += [["traces", f] for f in docs]
+    cases += [["traces", NETS[0], "--budget", "1"]]
+    cases += [["dot", f] for f in docs]
+    return cases
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    cases = [run(argv) for argv in commands()]
+    GOLDEN.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"wrote {len(cases)} cases to {GOLDEN.relative_to(ROOT)}")

@@ -4,18 +4,24 @@ import random
 
 import pytest
 
+import lendingnets.compose
 from lendingnets import (
     HONORED_GOAL,
     CompositionError,
+    DEFAULT_BUDGET,
     LendingNet,
     NetStructureError,
     Outcome,
+    Verdict,
     approximates,
     compatibility_problems,
     compatible,
+    compile_contract,
+    compose_contracts,
     compose_many,
     is_strategy,
     oplus,
+    subnet,
     tag_net,
     trace_equivalent,
     widen_alphabet,
@@ -31,7 +37,7 @@ from lendingnets.fixtures import (
     handshake_strict_b,
 )
 
-from generators import random_net
+from generators import compatible_contract_pair, random_net
 
 
 def giver(prefix: str, gives: str, consumer: bool = False) -> LendingNet:
@@ -253,3 +259,58 @@ class TestIsStrategy:
             (empty, HONORED_GOAL), (handshake_strict_a(), HONORED_GOAL)
         )
         assert verdict.outcome is Outcome.HOLDS
+
+
+def two_way_approximation(left, right, budget):
+    """Trace equivalence composed from two ``approximates`` calls."""
+    forward = approximates(left, right, budget)
+    backward = approximates(right, left, budget)
+    for v in (forward, backward):
+        if v.outcome is Outcome.FAILS:
+            return v
+    if forward.outcome is Outcome.HOLDS and backward.outcome is Outcome.HOLDS:
+        return Verdict.holds()
+    return Verdict.inconclusive("trace enumeration incomplete")
+
+
+def equivalence_pairs():
+    rng = random.Random(1701)
+    for _ in range(25):
+        first, second = compatible_contract_pair(rng)
+        left, right = widen_alphabet(
+            [compile_contract(first).net, compile_contract(second).net]
+        )
+        yield compile_contract(compose_contracts(first, second)).net, oplus(left, right)
+        yield left, right
+    for _ in range(25):
+        x, y = random_net(rng, "x"), random_net(rng, "y")
+        yield subnet(oplus(x, y), x.transitions), x
+        yield x, y
+
+
+@pytest.mark.parametrize("budget", (1, 3, 8, DEFAULT_BUDGET))
+def test_trace_equivalence_matches_two_approximations(budget):
+    outcomes = set()
+    for left, right in equivalence_pairs():
+        verdict = trace_equivalent(left, right, budget)
+        assert verdict == two_way_approximation(left, right, budget)
+        outcomes.add(verdict.outcome)
+    if budget == DEFAULT_BUDGET:
+        assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
+    else:
+        assert Outcome.INCONCLUSIVE in outcomes
+
+
+def test_trace_equivalence_enumerates_each_net_once(monkeypatch):
+    calls = []
+    original = lendingnets.compose.trace_set
+
+    def counted(net, budget):
+        calls.append(net)
+        return original(net, budget)
+
+    monkeypatch.setattr(lendingnets.compose, "trace_set", counted)
+    for left, right in equivalence_pairs():
+        calls.clear()
+        trace_equivalent(left, right)
+        assert calls == [left, right]

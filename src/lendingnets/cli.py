@@ -162,9 +162,7 @@ def cmd_check_wt(args) -> int:
     else:
         verdict = weakly_terminates_in(compile_contract(doc), args.budget)
     print(f"weak termination: {verdict.outcome.value}")
-    if verdict.outcome is Outcome.FAILS and verdict.detail:
-        print(f"  {verdict.detail}", file=sys.stderr)
-    if verdict.outcome is Outcome.INCONCLUSIVE and verdict.detail:
+    if verdict.outcome is not Outcome.HOLDS and verdict.detail:
         print(f"  {verdict.detail}", file=sys.stderr)
     return _verdict_exit(verdict)
 

@@ -306,7 +306,6 @@ def honored_done_sets(
     graph: ReachGraph | None = None,
 ) -> frozenset[frozenset[Atom]]:
     """Done sets of all reachable honored configurations; raises when the graph is incomplete."""
-    graph = _complete_graph(cn, budget, graph)
     return frozenset(
         cfg.done
         for cfg in reachable_configurations(cn, budget, graph)

@@ -7,14 +7,17 @@ available immediately, provided the body becomes provable once the head is
 assumed.  Proof traces record the orders in which atoms can be granted; they
 are duplicate-free words, and the rule for contractual clauses interleaves
 the head anywhere before its own justification.
+
+Provability, urgency and trace atom sets rest on one justification rule: an
+atom of a granted set needs a ``->`` clause with its body granted earlier, or
+a ``->>`` clause with its body anywhere in the set.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import ContractError
 from .nets import Atom
@@ -137,29 +140,34 @@ def contract(
     )
 
 
-def _theory(clauses: Iterable[HornClause]) -> frozenset[HornClause]:
-    return frozenset(clauses)
+def _granted(theory: Collection[HornClause]) -> frozenset[Atom]:
+    """Greatest set of atoms the justification rule accepts (argued in the README).
 
-
-@lru_cache(maxsize=None)
-def _provable(theory: frozenset[HornClause]) -> frozenset[Atom]:
-    proved: set[Atom] = set()
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(theory, key=HornClause.sort_key):
-            if c.head in proved:
-                continue
-            if not c.contractual:
-                if c.body <= proved:
-                    proved.add(c.head)
-                    changed = True
-            else:
-                assumed = theory | {fact(c.head)}
-                if c.body <= _provable(assumed):
-                    proved.add(c.head)
-                    changed = True
-    return frozenset(proved)
+    Grant every ``->>`` head on credit, close under ``->``, and withdraw each
+    credit without a ``->>`` clause whose body lies in the closure, until none
+    is withdrawn.
+    """
+    strict = [c for c in theory if not c.contractual]
+    credit = [c for c in theory if c.contractual]
+    waiting: dict[Atom, list[int]] = {}
+    for i, c in enumerate(strict):
+        for a in c.body:
+            waiting.setdefault(a, []).append(i)
+    assumed = {c.head for c in credit}
+    while True:
+        missing = [len(c.body) for c in strict]
+        granted = assumed | {c.head for c in strict if not c.body}
+        todo = list(granted)
+        while todo:
+            for i in waiting.get(todo.pop(), ()):
+                missing[i] -= 1
+                if not missing[i] and strict[i].head not in granted:
+                    granted.add(strict[i].head)
+                    todo.append(strict[i].head)
+        kept = {c.head for c in credit if c.body <= granted}
+        if kept == assumed:
+            return frozenset(granted)
+        assumed = kept
 
 
 def provable_atoms(clauses: Iterable[HornClause]) -> frozenset[Atom]:
@@ -169,7 +177,7 @@ def provable_atoms(clauses: Iterable[HornClause]) -> frozenset[Atom]:
     clause fires once its body is derivable under the added assumption of its
     own head.
     """
-    return _provable(_theory(clauses))
+    return _granted(frozenset(clauses))
 
 
 def admits_agreement(c: PCLContract) -> bool:
@@ -249,8 +257,9 @@ def interleave(left: Iterable[Atom], right: Iterable[Atom]) -> frozenset[Trace]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def _traces(theory: frozenset[HornClause]) -> frozenset[Trace]:
+def _traces(theory: frozenset[HornClause], memo: dict) -> frozenset[Trace]:
+    if theory in memo:
+        return memo[theory]
     words: set[Trace] = {()}
     changed = True
     while changed:
@@ -265,14 +274,15 @@ def _traces(theory: frozenset[HornClause]) -> frozenset[Trace]:
                             changed = True
             else:
                 assumed = theory | {fact(c.head)}
-                justified = words if assumed == theory else _traces(assumed)
+                justified = words if assumed == theory else _traces(assumed, memo)
                 for word in list(justified):
                     if c.body <= set(word):
                         for new in interleave(word, (c.head,)):
                             if new not in words:
                                 words.add(new)
                                 changed = True
-    return frozenset(words)
+    memo[theory] = frozenset(words)
+    return memo[theory]
 
 
 def proof_traces(clauses: Iterable[HornClause]) -> frozenset[Trace]:
@@ -285,30 +295,33 @@ def proof_traces(clauses: Iterable[HornClause]) -> frozenset[Trace]:
     not prefix-closed in general: an atom granted on credit forces its
     justification to show up in the same word.
     """
-    return _traces(_theory(clauses))
+    return _traces(frozenset(clauses), {})
 
 
 def trace_atom_sets(clauses: Iterable[HornClause]) -> frozenset[frozenset[Atom]]:
-    return frozenset(frozenset(w) for w in proof_traces(clauses))
+    """Atom sets of the proof traces: the granted subsets that the clauses inside them grant exactly."""
+    theory = frozenset(clauses)
+    granted = sorted(_granted(theory))
+    subsets = (frozenset(s) for n in range(len(granted) + 1) for s in itertools.combinations(granted, n))
+    return frozenset(s for s in subsets if _granted([c for c in theory if c.head in s and c.body <= s]) == s)
 
 
 def with_facts(clauses: Iterable[HornClause], atoms: Iterable[Atom]) -> frozenset[HornClause]:
-    return _theory(clauses) | {fact(a) for a in atoms}
+    return frozenset(clauses) | {fact(a) for a in atoms}
 
 
 def urgent_atoms(clauses: Iterable[HornClause], done: Iterable[Atom]) -> frozenset[Atom]:
     """Atoms that can be granted next once exactly ``done`` has been granted.
 
     Judged over the theory extended with ``done`` as facts: an atom is urgent
-    when some proof trace reaches the fired set and continues with it.
+    when some proof trace reaches the fired set and continues with it, that
+    is, when it has a ``->`` clause with its body in ``done`` or a ``->>``
+    clause with its body granted by that theory.
     """
     done = frozenset(done)
-    k = len(done)
-    out: set[Atom] = set()
-    for word in _traces(with_facts(clauses, done)):
-        if len(word) > k and set(word[:k]) == done:
-            out.add(word[k])
-    return frozenset(out)
+    theory = with_facts(clauses, done)
+    granted = _granted(theory)
+    return frozenset(c.head for c in theory if c.body <= (granted if c.contractual else done)) - done
 
 
 def urgent_logic(c: PCLContract, done: Iterable[Atom]) -> frozenset[Atom]:

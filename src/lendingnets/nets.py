@@ -294,12 +294,12 @@ def fire(net: LendingNet, marking: Mapping[PlaceId, int], transition: Transition
 
 def run(net: LendingNet, transitions: Iterable[TransitionId], start: Mapping[PlaceId, int] | None = None) -> FiringSequence:
     """Fire the given transitions in order, recording every intermediate marking."""
-    marking = dict(start) if start is not None else net.initial_marking()
+    marking = first = dict(start) if start is not None else net.initial_marking()
     steps = []
     for t in transitions:
         marking = fire(net, marking, t)
         steps.append((t, dict(marking)))
-    return FiringSequence(start=dict(start) if start is not None else net.initial_marking(), steps=tuple(steps))
+    return FiringSequence(start=first, steps=tuple(steps))
 
 
 def _transition_ids(seq) -> tuple[TransitionId, ...]:

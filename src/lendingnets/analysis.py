@@ -45,10 +45,11 @@ from .nets import (
 
 @dataclass(frozen=True)
 class Node:
-    """Reachability graph node: sparse marking plus fired multiset."""
+    """Reachability graph node: sparse marking, fired multiset, and whether no place owes."""
 
     marking: tuple[tuple[PlaceId, int], ...]
     fired: tuple[tuple[TransitionId, int], ...]
+    honored: bool = field(compare=False, repr=False)
 
     def tokens(self, place: PlaceId) -> int:
         for p, n in self.marking:
@@ -61,10 +62,6 @@ class Node:
 
     def fired_set(self) -> frozenset[TransitionId]:
         return frozenset(t for t, _ in self.fired)
-
-    @property
-    def honored(self) -> bool:
-        return all(n >= 0 for _, n in self.marking)
 
     def describe(self) -> str:
         marks = ", ".join(f"{p}={n}" for p, n in self.marking) or "empty"
@@ -142,6 +139,7 @@ def _walk(net: LendingNet, budget: int, nodes: list[Node]) -> Iterator[tuple[int
         nodes.append(Node(
             marking=tuple(list(compress(zip(places, marking), marking))),
             fired=tuple(list(compress(zip(transitions, fired), fired))),
+            honored=min(marking, default=0) >= 0,
         ))
 
     marking, fired = [net.initial.get(p, 0) for p in places], (0,) * len(transitions)

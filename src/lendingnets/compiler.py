@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from .analysis import explore, urgent_at
 from .compose import oplus, trace_equivalent, widen_alphabet
-from .contracts import ContractNet, agreement_reachable, urgent
+from .contracts import ContractNet, agreement_reachable
 from .errors import ContractError
 from .logic import HornClause, PCLContract, clause_atoms, compose_contracts, fact
 from .nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict
@@ -44,6 +45,11 @@ def compile_contract(c: PCLContract, prune: bool = False) -> ContractNet:
     included; with ``prune`` the delivery places no transition touches are
     dropped, which changes nothing observable.
     """
+    return _compile(c, prune, frozenset())
+
+
+def _compile(c: PCLContract, prune: bool, done: frozenset[Atom]) -> ContractNet:
+    """compile_contract, started as if a fact had granted each atom of ``done``."""
     clauses = sorted(c.clauses, key=HornClause.sort_key)
     universe = sorted(c.atoms())
     heads = sorted({cl.head for cl in clauses})
@@ -82,7 +88,8 @@ def compile_contract(c: PCLContract, prune: bool = False) -> ContractNet:
         flow=frozenset(flow),
         place_labels=place_labels,
         transition_labels=transitions,
-        initial={star_pid(a): 1 for a in heads},
+        initial={star_pid(a): 1 for a in heads if a not in done}
+        | {delivery_pid(a, cl): 1 for a in done for cl in clauses},
         lending=frozenset(lending),
         alphabet=frozenset(universe),
     )
@@ -94,12 +101,17 @@ def compile_contract(c: PCLContract, prune: bool = False) -> ContractNet:
     )
 
 
-def extend_with_facts(c: PCLContract, atoms: Iterable[Atom]) -> PCLContract:
-    """Add the given atoms as facts, binding their owners where needed."""
+def _owned(c: PCLContract, atoms: Iterable[Atom]) -> frozenset[Atom]:
     atoms = frozenset(atoms)
     unknown = sorted(a for a in atoms if a not in c.ownership)
     if unknown:
         raise ContractError(f"cannot assume unowned atoms: {unknown}")
+    return atoms
+
+
+def extend_with_facts(c: PCLContract, atoms: Iterable[Atom]) -> PCLContract:
+    """Add the given atoms as facts, binding their owners where needed."""
+    atoms = _owned(c, atoms)
     return PCLContract(
         clauses=c.clauses | {fact(a) for a in atoms},
         participants=c.participants | {c.ownership[a] for a in atoms},
@@ -114,15 +126,15 @@ def agreement_via_net(c: PCLContract, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 
 def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_BUDGET) -> frozenset[Atom]:
-    """Net-side urgency after ``done``: recompile with the done atoms as facts.
+    """Net-side urgency after ``done``: urgent steps at the start of the contract
+    net in which a fact has granted each done atom.
 
-    Granted atoms act as facts from then on; without them the compiled net
-    would still owe their justifications and see no way to an honored
-    marking.
+    That start dominates every node with done set ``done`` of the net
+    recompiled with the done atoms as facts (README, "How net-side urgency
+    works"), so it alone gives their union of urgent steps.
     """
-    done = frozenset(done)
-    cn = compile_contract(extend_with_facts(c, done))
-    return urgent(cn, done, budget)
+    graph = explore(_compile(c, False, _owned(c, done)).net, budget)
+    return urgent_at(graph, 0)
 
 
 def compile_compose_commutes(

@@ -260,27 +260,28 @@ def interleave(left: Iterable[Atom], right: Iterable[Atom]) -> frozenset[Trace]:
 def _traces(theory: frozenset[HornClause], memo: dict) -> frozenset[Trace]:
     if theory in memo:
         return memo[theory]
-    words: set[Trace] = {()}
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(theory, key=HornClause.sort_key):
-            if not c.contractual:
-                for word in list(words):
-                    if c.head not in word and c.body <= set(word):
-                        new = concat(word, (c.head,))
-                        if new not in words:
-                            words.add(new)
-                            changed = True
-            else:
-                assumed = theory | {fact(c.head)}
-                justified = words if assumed == theory else _traces(assumed, memo)
-                for word in list(justified):
-                    if c.body <= set(word):
-                        for new in interleave(word, (c.head,)):
-                            if new not in words:
-                                words.add(new)
-                                changed = True
+    # Each word meets each clause once.  A ``->>`` clause whose head is not a fact
+    # draws on the fixed traces of the theory with that fact: queued up front.
+    clauses = sorted(theory, key=HornClause.sort_key)
+    grow = [c for c in clauses if not c.contractual or fact(c.head) in theory]
+    todo: list[Trace] = [()]
+    for c in clauses:
+        if c.contractual and fact(c.head) not in theory:
+            for word in _traces(theory | {fact(c.head)}, memo):
+                if c.body <= set(word):
+                    todo.extend(interleave(word, (c.head,)))
+    words: set[Trace] = set()
+    while todo:
+        word = todo.pop()
+        if word in words:
+            continue
+        words.add(word)
+        have = set(word)
+        for c in grow:
+            if c.contractual and c.body <= have:
+                todo.extend(interleave(word, (c.head,)))
+            elif c.head not in have and c.body <= have:
+                todo.append(word + (c.head,))
     memo[theory] = frozenset(words)
     return memo[theory]
 

@@ -10,6 +10,7 @@ is honored when no place is in debt.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -24,7 +25,8 @@ Marking = dict[PlaceId, int]
 
 DEFAULT_BUDGET = 100_000
 
-_ID_FORBIDDEN = set('=#"\\')
+# ``\s`` matches exactly the characters for which ``str.isspace`` is true.
+_ID_FORBIDDEN = re.compile(r'[\s=#"\\]')
 
 
 def _check_budget(budget: int) -> None:
@@ -36,7 +38,7 @@ def _check_budget(budget: int) -> None:
 def _check_id(value: str, kind: str) -> str:
     if not isinstance(value, str) or not value:
         raise NetStructureError(f"{kind} id must be a non-empty string, got {value!r}")
-    if any(ch.isspace() for ch in value) or _ID_FORBIDDEN & set(value):
+    if _ID_FORBIDDEN.search(value):
         raise NetStructureError(f"{kind} id {value!r} contains whitespace or a reserved character")
     return value
 
@@ -140,8 +142,10 @@ class LendingNet:
         for t in transition_labels:
             if t not in transitions:
                 raise NetStructureError(f"label on unknown transition {t!r}")
-        for a in list(place_labels.values()) + list(transition_labels.values()):
-            _check_id(a, "atom")
+        checked: set[Atom] = set()
+        for a in (*place_labels.values(), *transition_labels.values()):
+            if not isinstance(a, str) or a not in checked:
+                checked.add(_check_id(a, "atom"))
 
         alphabet = frozenset(_check_id(a, "atom") for a in self.alphabet)
         used = frozenset(place_labels.values()) | frozenset(transition_labels.values())

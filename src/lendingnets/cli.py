@@ -30,7 +30,7 @@ from .formats import (
 )
 from .contracts import weakly_terminates_in
 from .logic import PCLContract, admits_agreement, compose_contracts, proof_traces, urgent_logic
-from .nets import DEFAULT_BUDGET, Outcome, Verdict
+from .nets import DEFAULT_BUDGET, Outcome, Verdict, _check_budget
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -254,6 +254,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        if hasattr(args, "budget"):
+            _check_budget(args.budget)
         if args.command == "check":
             handler = cmd_check_wt if args.property == "wt" else cmd_check_agreement
             return handler(args)

@@ -17,8 +17,7 @@ from collections.abc import Iterable
 from .analysis import explore, urgent_at
 from .compose import oplus, trace_equivalent, widen_alphabet
 from .contracts import ContractNet, agreement_reachable
-from .errors import ContractError
-from .logic import HornClause, PCLContract, clause_atoms, compose_contracts, fact
+from .logic import HornClause, PCLContract, _owned, clause_atoms, compose_contracts, fact
 from .nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict
 
 
@@ -99,14 +98,6 @@ def _compile(c: PCLContract, prune: bool, done: frozenset[Atom]) -> ContractNet:
         ownership=c.ownership,
         goals=c.goals,
     )
-
-
-def _owned(c: PCLContract, atoms: Iterable[Atom]) -> frozenset[Atom]:
-    atoms = frozenset(atoms)
-    unknown = sorted(a for a in atoms if a not in c.ownership)
-    if unknown:
-        raise ContractError(f"cannot assume unowned atoms: {unknown}")
-    return atoms
 
 
 def extend_with_facts(c: PCLContract, atoms: Iterable[Atom]) -> PCLContract:

@@ -5,12 +5,12 @@ yields its head once the whole body is available.  A contractual clause
 ``x1 & ... & xn ->> a`` may yield its head on credit: the head counts as
 available immediately, provided the body becomes provable once the head is
 assumed.  Proof traces record the orders in which atoms can be granted; they
-are duplicate-free words, and the rule for contractual clauses interleaves
-the head anywhere before its own justification.
+are duplicate-free words, and a head granted on credit may come anywhere
+before its own justification.
 
-Provability, urgency and trace atom sets rest on one justification rule: an
-atom of a granted set needs a ``->`` clause with its body granted earlier, or
-a ``->>`` clause with its body anywhere in the set.
+Provability, proof traces, urgency and trace atom sets all rest on one
+justification rule: an atom of a granted word needs a ``->`` clause with its
+body granted earlier, or a ``->>`` clause with its body anywhere in the word.
 """
 
 from __future__ import annotations
@@ -257,46 +257,37 @@ def interleave(left: Iterable[Atom], right: Iterable[Atom]) -> frozenset[Trace]:
     return frozenset(out)
 
 
-def _traces(theory: frozenset[HornClause], memo: dict) -> frozenset[Trace]:
-    if theory in memo:
-        return memo[theory]
-    # Each word meets each clause once.  A ``->>`` clause whose head is not a fact
-    # draws on the fixed traces of the theory with that fact: queued up front.
-    clauses = sorted(theory, key=HornClause.sort_key)
-    grow = [c for c in clauses if not c.contractual or fact(c.head) in theory]
-    todo: list[Trace] = [()]
-    for c in clauses:
-        if c.contractual and fact(c.head) not in theory:
-            for word in _traces(theory | {fact(c.head)}, memo):
-                if c.body <= set(word):
-                    todo.extend(interleave(word, (c.head,)))
-    words: set[Trace] = set()
-    while todo:
-        word = todo.pop()
-        if word in words:
-            continue
-        words.add(word)
-        have = set(word)
-        for c in grow:
-            if c.contractual and c.body <= have:
-                todo.extend(interleave(word, (c.head,)))
-            elif c.head not in have and c.body <= have:
-                todo.append(word + (c.head,))
-    memo[theory] = frozenset(words)
-    return memo[theory]
-
-
 def proof_traces(clauses: Iterable[HornClause]) -> frozenset[Trace]:
     """The orders in which the theory can grant its atoms.
 
-    The empty word is always included.  An intuitionistic clause appends its
-    head to any word containing its body.  A contractual clause takes a word
-    of the theory extended with its head as a fact, requires the body to
-    appear in it, and inserts the head at any earlier point.  The result is
-    not prefix-closed in general: an atom granted on credit forces its
-    justification to show up in the same word.
+    These are the duplicate-free words the justification rule accepts, which
+    the README proves equal to the paper's inductive proof traces; they are
+    not prefix-closed in general.  A depth-first search over the granted
+    atoms appends an atom on a ``->`` clause with its body in the prefix, or
+    else owes it on a ``->>`` clause with a granted body, and keeps each word
+    whose owed atoms are paid; no prefix it visits is a dead end.
     """
-    return _traces(frozenset(clauses), {})
+    theory = frozenset(clauses)
+    granted = _granted(theory)
+    strict: dict[Atom, list[frozenset[Atom]]] = {}
+    credit: dict[Atom, list[frozenset[Atom]]] = {}
+    for c in theory:
+        if not c.contractual:
+            strict.setdefault(c.head, []).append(c.body)
+        elif c.body <= granted:
+            credit.setdefault(c.head, []).append(c.body)
+    words: set[Trace] = set()
+    stack: list[tuple[Trace, frozenset[Atom], frozenset[Atom]]] = [((), frozenset(), frozenset())]
+    while stack:
+        word, have, owed = stack.pop()
+        if all(any(body <= have for body in credit[a]) for a in owed):
+            words.add(word)
+        for a in granted - have:
+            if any(body <= have for body in strict.get(a, ())):
+                stack.append((word + (a,), have | {a}, owed))
+            elif a in credit:
+                stack.append((word + (a,), have | {a}, owed | {a}))
+    return frozenset(words)
 
 
 def trace_atom_sets(clauses: Iterable[HornClause]) -> frozenset[frozenset[Atom]]:
@@ -325,5 +316,13 @@ def urgent_atoms(clauses: Iterable[HornClause], done: Iterable[Atom]) -> frozens
     return frozenset(c.head for c in theory if c.body <= (granted if c.contractual else done)) - done
 
 
+def _owned(c: PCLContract, atoms: Iterable[Atom]) -> frozenset[Atom]:
+    atoms = frozenset(atoms)
+    unknown = sorted(a for a in atoms if a not in c.ownership)
+    if unknown:
+        raise ContractError(f"cannot assume unowned atoms: {unknown}")
+    return atoms
+
+
 def urgent_logic(c: PCLContract, done: Iterable[Atom]) -> frozenset[Atom]:
-    return urgent_atoms(c.clauses, done)
+    return urgent_atoms(c.clauses, _owned(c, done))

@@ -57,6 +57,12 @@ def commands() -> list[list[str]]:
     cases += [["traces", f] for f in docs]
     cases += [["traces", NETS[0], "--budget", "1"]]
     cases += [["dot", f] for f in docs]
+    cases += [
+        ["traces", "samples/exchange_pair.pcl", "--budget", "0"],
+        ["urgent", "samples/exchange_pair.pcl", "--budget", "0"],
+        ["check", "agreement", "samples/exchange_pair.pcl", "--via", "logic", "--budget", "0"],
+        ["urgent", "samples/exchange_pair.pcl", "--done", "zz"],
+    ]
     return cases
 
 

@@ -3,8 +3,8 @@
 ``old_provable`` and ``old_urgent_atoms`` are the earlier recursive
 provability and the trace-based urgency, kept here as oracles with a memo
 instead of a process-global cache.  Proof traces stay the ground truth for
-trace atom sets; ``logic._traces`` is ``proof_traces`` with its memo shared
-across the done sets of one theory.
+trace atom sets; they come from the inductive rules in ``trace_oracle``, with
+the memo shared across the done sets of one theory.
 """
 
 import inspect
@@ -17,6 +17,7 @@ from lendingnets import HornClause, fact, logic, provable_atoms, trace_atom_sets
 from lendingnets.logic import clause_atoms, with_facts
 
 from generators import random_theory
+from trace_oracle import _traces
 
 ATOMS = ("a", "b", "c", "d", "e")
 
@@ -48,7 +49,7 @@ def old_provable(theory: frozenset[HornClause], memo: dict | None = None) -> fro
 def old_urgent_atoms(theory: frozenset[HornClause], done: frozenset[str], memo: dict) -> frozenset[str]:
     k = len(done)
     out = set()
-    for word in logic._traces(with_facts(theory, done), memo):
+    for word in _traces(with_facts(theory, done), memo):
         if len(word) > k and set(word[:k]) == done:
             out.add(word[k])
     return frozenset(out)
@@ -70,7 +71,7 @@ def test_fixpoint_matches_the_recursive_definitions(seed):
     for theory in theories(500, seed):
         memo: dict = {}
         assert provable_atoms(theory) == old_provable(theory)
-        assert trace_atom_sets(theory) == {frozenset(w) for w in logic._traces(theory, memo)}
+        assert trace_atom_sets(theory) == {frozenset(w) for w in _traces(theory, memo)}
         for done in subsets(clause_atoms(theory)):
             assert urgent_atoms(theory, done) == old_urgent_atoms(theory, done, memo), (theory, done)
 

@@ -256,6 +256,12 @@ class TestUrgency:
     def test_urgency_of_a_dead_theory_is_empty(self):
         assert urgent_atoms({clause("a", "b", credit=True)}, ()) == frozenset()
 
+    def test_unowned_done_atoms_are_refused(self):
+        c = exchange_pair_contract()
+        with pytest.raises(ContractError, match=r"cannot assume unowned atoms: \['z'\]"):
+            urgent_logic(c, {"a", "z"})
+        assert urgent_atoms(c.clauses, {"a", "z"}) == frozenset({"b"})
+
 
 ATOMS = ("a", "b", "c", "d")
 

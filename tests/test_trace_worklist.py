@@ -1,15 +1,16 @@
-"""The worklist ``logic._traces`` against the pass-based loop it replaced.
+"""``proof_traces`` against the pass-based loop of the inductive rules.
 
-``old_traces`` is the earlier definition, kept here as the oracle: it re-runs
-every clause over every word until a whole pass adds nothing.  Both compute
-the least word set closed under the proof-trace rules, so they must agree.
+``old_traces`` is an earlier definition, kept here as the oracle: it re-runs
+every clause over every word until a whole pass adds nothing.  It computes
+the least word set closed under the proof-trace rules, which the README
+proves equal to the words the justification rule accepts.
 """
 
 import random
 
 import pytest
 
-from lendingnets import HornClause, fact, logic
+from lendingnets import HornClause, fact, proof_traces
 from lendingnets.logic import concat, interleave
 
 from generators import random_theory
@@ -50,10 +51,10 @@ def test_worklist_gives_the_same_words(seed):
     rng = random.Random(1000 + seed)
     for _ in range(100):
         theory = random_theory(rng, atoms=ATOMS, max_atoms=5, max_clauses=8)
-        assert logic._traces(theory, {}) == old_traces(theory, {}), sorted(theory, key=HornClause.sort_key)
+        assert proof_traces(theory) == old_traces(theory, {}), sorted(theory, key=HornClause.sort_key)
 
 
 def test_a_head_that_is_already_a_fact_reuses_the_growing_words():
     """``b ->> a`` next to the fact ``a``: the clause interleaves over the theory's own words."""
     theory = frozenset({fact("a"), HornClause("a", frozenset({"b"}), True), HornClause("b", frozenset({"a"}))})
-    assert logic._traces(theory, {}) == old_traces(theory, {}) == {(), ("a",), ("a", "b")}
+    assert proof_traces(theory) == old_traces(theory, {}) == {(), ("a",), ("a", "b")}

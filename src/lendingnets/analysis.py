@@ -18,10 +18,10 @@ Non-lending places cannot go negative, since they start at zero or more and
 lose tokens only to transitions that passed the enabledness test, so the walk
 checks no firing for debt on them.
 
-On a graph, every "all nodes can reach a target" check shares one stuck-node
-search, and urgency takes one backward closure to the honored nodes.  A
-``budget`` counts the states a search may keep: graph nodes, or (node, word)
-pairs in ``trace_set``.
+On a graph, the "all nodes can reach a target" checks share one stuck verdict,
+urgency takes one backward closure to the honored nodes, and each node's done
+set is read once.  A ``budget`` counts the states a search may keep: graph
+nodes, or (node, word) pairs in ``trace_set``.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ class ReachGraph:
     _index: dict = field(compare=False, repr=False, default=None)
     _out: list = field(compare=False, repr=False, default=None)
     _in: list = field(compare=False, repr=False, default=None)
+    _done: list = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
         out: list[list] = [[] for _ in self.nodes]
@@ -107,11 +108,22 @@ class ReachGraph:
         except KeyError:
             raise NetStructureError("node does not belong to this graph") from None
 
+    def _done_sets(self) -> list[frozenset[Atom]]:
+        """Each node's done set, by index; built on first use and then shared by every check."""
+        if self._done is None:
+            object.__setattr__(self, "_done", [_done_set(self.net, node) for node in self.nodes])
+        return self._done
+
     def out_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
         return tuple(self._out[self.index_of(node)])
 
     def in_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
         return tuple(self._in[self.index_of(node)])
+
+
+def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
+    """The labels of the transitions fired to reach ``node``."""
+    return frozenset(net.transition_labels[t] for t, _ in node.fired if t in net.transition_labels)
 
 
 def _walk(net: LendingNet, budget: int, nodes: list[Node]) -> Iterator[tuple[int, TransitionId, int | None, int]]:
@@ -251,10 +263,16 @@ def backward_closure(graph: ReachGraph, targets: Iterable[int]) -> set[int]:
     return reached
 
 
-def _stuck_node(graph: ReachGraph, targets: Iterable[int]) -> Node | None:
-    """First node, in exploration order, from which no target is reachable."""
-    good = backward_closure(graph, targets)
-    return next((node for i, node in enumerate(graph.nodes) if i not in good), None)
+def _stuck_verdict(graph: ReachGraph, incomplete: str, targets: Callable, detail: Callable[[Node], str]) -> Verdict:
+    """INCONCLUSIVE on an incomplete graph, before calling ``targets``; else FAILS at the
+    first node, in exploration order, that cannot reach a target, or HOLDS."""
+    if not graph.complete:
+        return Verdict.inconclusive(incomplete)
+    good = backward_closure(graph, targets())
+    stuck = next((node for i, node in enumerate(graph.nodes) if i not in good), None)
+    if stuck is None:
+        return Verdict.holds()
+    return Verdict.fails(witness=stuck, detail=detail(stuck))
 
 
 def weakly_terminates(
@@ -270,13 +288,11 @@ def weakly_terminates(
     """
     if graph is None:
         graph = explore(net, budget)
-    if not graph.complete:
-        return Verdict.inconclusive(f"exploration budget {budget} exhausted")
-    goal_fn = as_goal_fn(goal)
-    stuck = _stuck_node(graph, [i for i, node in enumerate(graph.nodes) if goal_fn(node)])
-    if stuck is not None:
-        return Verdict.fails(witness=stuck, detail=f"no goal reachable from {stuck.describe()}")
-    return Verdict.holds()
+    return _stuck_verdict(
+        graph, f"exploration budget {budget} exhausted",
+        lambda: compress(range(len(graph.nodes)), map(as_goal_fn(goal), graph.nodes)),
+        lambda stuck: f"no goal reachable from {stuck.describe()}",
+    )
 
 
 def honored_nodes(graph: ReachGraph) -> list[int]:
@@ -301,12 +317,10 @@ def _urgent_over(graph: ReachGraph, chosen: Iterable[int]) -> frozenset[Atom]:
 
 def honored_always_reachable(graph: ReachGraph) -> Verdict:
     """Check that every explored node can still reach an honored marking."""
-    if not graph.complete:
-        return Verdict.inconclusive("exploration incomplete")
-    stuck = _stuck_node(graph, honored_nodes(graph))
-    if stuck is not None:
-        return Verdict.fails(witness=stuck, detail=f"debt can never be repaid from {stuck.describe()}")
-    return Verdict.holds()
+    return _stuck_verdict(
+        graph, "exploration incomplete", lambda: honored_nodes(graph),
+        lambda stuck: f"debt can never be repaid from {stuck.describe()}",
+    )
 
 
 def urgent_for_done_set(
@@ -315,14 +329,13 @@ def urgent_for_done_set(
     budget: int = DEFAULT_BUDGET,
     graph: ReachGraph | None = None,
 ) -> frozenset[Atom]:
-    """Union of urgent_at over nodes whose fired labels equal ``done``."""
+    """Union of urgent_at over nodes whose fired labels equal ``done``, a subset of the alphabet."""
+    wanted = frozenset(done)
+    if not wanted <= net.alphabet:
+        raise NetStructureError(f"done atoms outside the alphabet: {sorted(wanted - net.alphabet)}")
     if graph is None:
         graph = explore(net, budget)
-    wanted, labels = frozenset(done), net.transition_labels
-    return _urgent_over(graph, [
-        i for i, node in enumerate(graph.nodes)
-        if frozenset(labels[t] for t in node.fired_set() if t in labels) == wanted
-    ])
+    return _urgent_over(graph, [i for i, d in enumerate(graph._done_sets()) if d == wanted])
 
 
 def trace_set(

@@ -4,16 +4,17 @@ A contract net adds to a lending net an ownership map from atoms to
 participants, the set of participants actually bound by the net, and a
 family of goal sets of atoms.  Its shape is constrained so that every node
 of the reachability graph reads back as a pair (done atoms, atoms in debt):
-the configuration of the node.
+the configuration of the node.  Checks read each node's done set once per graph
+and count a node as honored when no place owes, else when no labeled place does.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .analysis import (
-    Node, ReachGraph, _stuck_node, explore, is_occurrence_net, urgent_for_done_set,
+    Node, ReachGraph, _done_set, _stuck_verdict, explore, is_occurrence_net, urgent_for_done_set,
 )
 from .compose import oplus, widen_alphabet
 from .errors import ContractError, IncompleteExplorationError
@@ -148,14 +149,11 @@ def validate(cn: ContractNet, budget: int = DEFAULT_BUDGET) -> list[Violation]:
 
 def configuration(cn: ContractNet, node: Node) -> Configuration:
     """Read a graph node as (atoms granted, atoms in debt)."""
-    net = cn.net
-    done = frozenset(
-        net.transition_labels[t] for t in node.fired_set() if t in net.transition_labels
-    )
-    credits = frozenset(
-        net.place_labels[p] for p, n in node.marking if n < 0 and p in net.place_labels
-    )
-    return Configuration(done=done, credits=credits)
+    return Configuration(done=_done_set(cn.net, node), credits=_credits(cn.net, node))
+
+
+def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
+    return frozenset(net.place_labels[p] for p, n in node.marking if n < 0 and p in net.place_labels)
 
 
 def configuration_from_marking(cn: ContractNet, node: Node) -> frozenset[Atom]:
@@ -164,15 +162,10 @@ def configuration_from_marking(cn: ContractNet, node: Node) -> frozenset[Atom]:
     For each atom with labeled transitions, their shared initially marked
     input place is spent exactly when the atom has been granted.
     """
-    net = cn.net
-    done: set[Atom] = set()
-    atoms = sorted(set(net.transition_labels.values()))
-    for atom in atoms:
-        carriers = [t for t in net.transitions if net.transition_labels.get(t) == atom]
-        shared = frozenset(net.places)
-        for t in carriers:
-            shared &= net.preset(t)
-        markers = sorted(p for p in shared if net.initial.get(p, 0) >= 1)
+    net, done = cn.net, set()
+    for atom in set(net.transition_labels.values()):
+        shared = frozenset.intersection(*(net.preset(t) for t, a in net.transition_labels.items() if a == atom))
+        markers = [p for p in shared if net.initial.get(p, 0) >= 1]
         if markers and all(node.tokens(p) == 0 for p in markers):
             done.add(atom)
     return frozenset(done)
@@ -198,19 +191,25 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
     )
 
 
-def _complete_graph(cn: ContractNet, budget: int, graph: ReachGraph | None) -> ReachGraph:
-    return graph if graph is not None else explore(cn.net, budget)
+def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozenset[Atom]]]:
+    """Index and done set of each node without credits; a node where no place owes has none."""
+    for i, (node, done) in enumerate(zip(graph.nodes, graph._done_sets())):
+        if node.honored or not _credits(cn.net, node):
+            yield i, done
 
 
-def goal_configurations(cn: ContractNet, budget: int = DEFAULT_BUDGET, graph: ReachGraph | None = None):
-    """Indices of nodes whose configuration is honored and exactly a goal set."""
-    graph = _complete_graph(cn, budget, graph)
-    hits = []
-    for i, node in enumerate(graph.nodes):
-        cfg = configuration(cn, node)
-        if not cfg.credits and cfg.done in cn.goals:
-            hits.append(i)
-    return graph, hits
+def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reached: Callable) -> Verdict:
+    if graph is None:
+        graph = explore(cn.net, budget)
+
+    def stuck_detail(stuck: Node) -> str:
+        cfg = configuration(cn, stuck)
+        return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
+
+    return _stuck_verdict(
+        graph, f"exploration budget {budget} exhausted",
+        lambda: [i for i, done in _honored(cn, graph) if reached(done)], stuck_detail,
+    )
 
 
 def weakly_terminates_in(
@@ -219,8 +218,7 @@ def weakly_terminates_in(
     graph: ReachGraph | None = None,
 ) -> Verdict:
     """Every node must be able to reach an honored node whose done set is a goal set."""
-    graph, hits = goal_configurations(cn, budget, graph)
-    return _all_can_reach(cn, graph, hits, budget)
+    return _all_can_reach(cn, budget, graph, lambda done: done in cn.goals)
 
 
 def weakly_terminates_covering(
@@ -229,30 +227,7 @@ def weakly_terminates_covering(
     graph: ReachGraph | None = None,
 ) -> Verdict:
     """As weakly_terminates_in, but the done set may exceed the goal set."""
-    graph = _complete_graph(cn, budget, graph)
-    hits = [i for i, node in enumerate(graph.nodes) if _covers_goal(cn, node)]
-    return _all_can_reach(cn, graph, hits, budget)
-
-
-def _covers_goal(cn: ContractNet, node: Node) -> bool:
-    cfg = configuration(cn, node)
-    return not cfg.credits and any(goal <= cfg.done for goal in cn.goals)
-
-
-def _all_can_reach(cn: ContractNet, graph: ReachGraph, hits: list[int], budget: int) -> Verdict:
-    if not graph.complete:
-        return Verdict.inconclusive(f"exploration budget {budget} exhausted")
-    stuck = _stuck_node(graph, hits)
-    if stuck is not None:
-        cfg = configuration(cn, stuck)
-        return Verdict.fails(
-            witness=stuck,
-            detail=(
-                f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: "
-                f"{stuck.describe()}"
-            ),
-        )
-    return Verdict.holds()
+    return _all_can_reach(cn, budget, graph, lambda done: any(goal <= done for goal in cn.goals))
 
 
 def agreement_reachable(
@@ -265,10 +240,11 @@ def agreement_reachable(
     This is the net-side agreement check: reachability of a covering honored
     configuration, with the node found as witness.
     """
-    graph = _complete_graph(cn, budget, graph)
-    for i, node in enumerate(graph.nodes):
-        if _covers_goal(cn, node):
-            return Verdict.holds(detail=node.describe())
+    if graph is None:
+        graph = explore(cn.net, budget)
+    for i, done in _honored(cn, graph):
+        if any(goal <= done for goal in cn.goals):
+            return Verdict.holds(detail=graph.nodes[i].describe())
     if graph.complete:
         return Verdict.fails(detail="no honored node covers a goal set")
     return Verdict.inconclusive(f"exploration budget {budget} exhausted")
@@ -283,9 +259,17 @@ def urgent(
     """Atoms fireable next, toward an honored marking, at any node with this done set.
 
     The union over matching nodes of urgent_at; a done set no node realizes
-    yields the empty set.  Done sets are fired labels, as urgent_for_done_set reads them.
+    yields the empty set, and atoms outside the alphabet raise, as in urgent_for_done_set.
     """
     return urgent_for_done_set(cn.net, done, budget, graph)
+
+
+def _complete(cn: ContractNet, budget: int, graph: ReachGraph | None) -> ReachGraph:
+    if graph is None:
+        graph = explore(cn.net, budget)
+    if not graph.complete:
+        raise IncompleteExplorationError("configurations need a complete reachability graph")
+    return graph
 
 
 def reachable_configurations(
@@ -294,10 +278,10 @@ def reachable_configurations(
     graph: ReachGraph | None = None,
 ) -> frozenset[Configuration]:
     """Configurations of all reachable nodes; raises when the graph is incomplete."""
-    graph = _complete_graph(cn, budget, graph)
-    if not graph.complete:
-        raise IncompleteExplorationError("configurations need a complete reachability graph")
-    return frozenset(configuration(cn, node) for node in graph.nodes)
+    graph = _complete(cn, budget, graph)
+    return frozenset(
+        Configuration(done, _credits(cn.net, node)) for node, done in zip(graph.nodes, graph._done_sets())
+    )
 
 
 def honored_done_sets(
@@ -306,8 +290,4 @@ def honored_done_sets(
     graph: ReachGraph | None = None,
 ) -> frozenset[frozenset[Atom]]:
     """Done sets of all reachable honored configurations; raises when the graph is incomplete."""
-    return frozenset(
-        cfg.done
-        for cfg in reachable_configurations(cn, budget, graph)
-        if not cfg.credits
-    )
+    return frozenset(done for _, done in _honored(cn, _complete(cn, budget, graph)))

@@ -62,6 +62,7 @@ def commands() -> list[list[str]]:
         ["urgent", "samples/exchange_pair.pcl", "--budget", "0"],
         ["check", "agreement", "samples/exchange_pair.pcl", "--via", "logic", "--budget", "0"],
         ["urgent", "samples/exchange_pair.pcl", "--done", "zz"],
+        ["urgent", NETS[0], "--done", "zz"],
     ]
     return cases
 

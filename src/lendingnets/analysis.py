@@ -18,10 +18,14 @@ Non-lending places cannot go negative, since they start at zero or more and
 lose tokens only to transitions that passed the enabledness test, so the walk
 checks no firing for debt on them.
 
-On a graph, the "all nodes can reach a target" checks share one stuck verdict,
-urgency takes one backward closure to the honored nodes, and each node's done
-set is read once.  A ``budget`` counts the states a search may keep: graph
-nodes, or (node, word) pairs in ``trace_set``.
+Each edge fires one more transition than its source, so breadth-first order
+is topological: ``src < dst`` for every edge.  A graph holds only its net,
+nodes, edges and completeness flag; out-edges, the node index and the done
+sets are derived on first use.  The "all nodes can reach a target" checks
+share one stuck verdict, urgency takes one backward closure to the honored
+nodes, and a closure is one sweep from the last node to the first.  A
+``budget`` counts the states a search may keep: graph nodes, or (node, word)
+pairs in ``trace_set``; an incomplete graph has exactly ``budget`` nodes.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 from .errors import IncompleteExplorationError, NetStructureError
@@ -71,25 +76,33 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class ReachGraph:
-    """Deterministic breadth-first reachability graph of a lending net."""
+    """Deterministic breadth-first reachability graph of a lending net; every edge leads to a later node."""
 
     net: LendingNet
     nodes: tuple[Node, ...]
     edges: tuple[tuple[int, TransitionId, int], ...]
     complete: bool
-    _index: dict = field(compare=False, repr=False, default=None)
-    _out: list = field(compare=False, repr=False, default=None)
-    _in: list = field(compare=False, repr=False, default=None)
-    _done: list = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
+        for src, t, dst in self.edges:
+            if not 0 <= src < dst < len(self.nodes):
+                raise NetStructureError(f"edge {src} -{t}-> {dst} does not lead to a later node of the graph")
+
+    @cached_property
+    def _out(self) -> list[list[tuple[TransitionId, int]]]:
         out: list[list] = [[] for _ in self.nodes]
-        inc: list[list] = [[] for _ in self.nodes]
         for src, t, dst in self.edges:
             out[src].append((t, dst))
-            inc[dst].append((t, src))
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
+        return out
+
+    @cached_property
+    def _index(self) -> dict[Node, int]:
+        return {n: i for i, n in enumerate(self.nodes)}
+
+    @cached_property
+    def _done_sets(self) -> list[frozenset[Atom]]:
+        """Each node's done set, by index, shared by every check."""
+        return [_done_set(self.net, node) for node in self.nodes]
 
     @property
     def root(self) -> Node:
@@ -100,25 +113,17 @@ class ReachGraph:
             if not 0 <= node < len(self.nodes):
                 raise NetStructureError(f"node index {node} out of range")
             return node
-        if self._index is None:
-            # Built on the first lookup by node: most callers only ever pass indices.
-            object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.nodes)})
         try:
             return self._index[node]
         except KeyError:
             raise NetStructureError("node does not belong to this graph") from None
 
-    def _done_sets(self) -> list[frozenset[Atom]]:
-        """Each node's done set, by index; built on first use and then shared by every check."""
-        if self._done is None:
-            object.__setattr__(self, "_done", [_done_set(self.net, node) for node in self.nodes])
-        return self._done
-
     def out_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
         return tuple(self._out[self.index_of(node)])
 
     def in_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
-        return tuple(self._in[self.index_of(node)])
+        i = self.index_of(node)
+        return tuple((t, src) for src, t, dst in self.edges if dst == i)
 
 
 def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
@@ -247,19 +252,15 @@ def as_goal_fn(goal: GoalLike) -> Callable[[Node], bool]:
 
 
 def backward_closure(graph: ReachGraph, targets: Iterable[int]) -> set[int]:
-    """Indices of all nodes from which some target node is reachable."""
-    reached = set()
-    queue = deque()
-    for i in targets:
-        if i not in reached:
+    """Indices of all nodes from which some target node is reachable.
+
+    Edges lead to later nodes, so one sweep from the last node to the first
+    sees every successor of a node before the node itself.
+    """
+    reached = {graph.index_of(i) for i in targets}
+    for i in range(len(graph.nodes) - 1, -1, -1):
+        if i not in reached and any(j in reached for _, j in graph._out[i]):
             reached.add(i)
-            queue.append(i)
-    while queue:
-        j = queue.popleft()
-        for _, src in graph.in_edges(j):
-            if src not in reached:
-                reached.add(src)
-                queue.append(src)
     return reached
 
 
@@ -289,7 +290,7 @@ def weakly_terminates(
     if graph is None:
         graph = explore(net, budget)
     return _stuck_verdict(
-        graph, f"exploration budget {budget} exhausted",
+        graph, f"exploration budget {len(graph.nodes)} exhausted",
         lambda: compress(range(len(graph.nodes)), map(as_goal_fn(goal), graph.nodes)),
         lambda stuck: f"no goal reachable from {stuck.describe()}",
     )
@@ -335,7 +336,7 @@ def urgent_for_done_set(
         raise NetStructureError(f"done atoms outside the alphabet: {sorted(wanted - net.alphabet)}")
     if graph is None:
         graph = explore(net, budget)
-    return _urgent_over(graph, [i for i, d in enumerate(graph._done_sets()) if d == wanted])
+    return _urgent_over(graph, [i for i, d in enumerate(graph._done_sets) if d == wanted])
 
 
 def trace_set(

@@ -11,7 +11,8 @@ and count a node as honored when no place owes, else when no labeled place does.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .analysis import (
     Node, ReachGraph, _done_set, _stuck_verdict, explore, is_occurrence_net, urgent_for_done_set,
@@ -54,21 +55,20 @@ class ContractNet:
     participants: frozenset[Participant]
     ownership: Mapping[Atom, Participant]
     goals: frozenset[frozenset[Atom]]
-    _canon: tuple = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "participants", frozenset(self.participants))
         object.__setattr__(self, "ownership", dict(self.ownership))
         object.__setattr__(self, "goals", frozenset(frozenset(g) for g in self.goals))
-        object.__setattr__(
-            self,
-            "_canon",
-            (
-                self.net,
-                tuple(sorted(self.participants)),
-                tuple(sorted(self.ownership.items())),
-                tuple(sorted(tuple(sorted(g)) for g in self.goals)),
-            ),
+
+    @cached_property
+    def _canon(self) -> tuple:
+        """The net and the sorted contract data: the key of ``==`` and ``hash``, built on first use."""
+        return (
+            self.net,
+            tuple(sorted(self.participants)),
+            tuple(sorted(self.ownership.items())),
+            tuple(sorted(tuple(sorted(g)) for g in self.goals)),
         )
 
     def __eq__(self, other):
@@ -193,7 +193,7 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
 
 def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozenset[Atom]]]:
     """Index and done set of each node without credits; a node where no place owes has none."""
-    for i, (node, done) in enumerate(zip(graph.nodes, graph._done_sets())):
+    for i, (node, done) in enumerate(zip(graph.nodes, graph._done_sets)):
         if node.honored or not _credits(cn.net, node):
             yield i, done
 
@@ -207,7 +207,7 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reach
         return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
 
     return _stuck_verdict(
-        graph, f"exploration budget {budget} exhausted",
+        graph, f"exploration budget {len(graph.nodes)} exhausted",
         lambda: [i for i, done in _honored(cn, graph) if reached(done)], stuck_detail,
     )
 
@@ -247,7 +247,7 @@ def agreement_reachable(
             return Verdict.holds(detail=graph.nodes[i].describe())
     if graph.complete:
         return Verdict.fails(detail="no honored node covers a goal set")
-    return Verdict.inconclusive(f"exploration budget {budget} exhausted")
+    return Verdict.inconclusive(f"exploration budget {len(graph.nodes)} exhausted")
 
 
 def urgent(
@@ -280,7 +280,7 @@ def reachable_configurations(
     """Configurations of all reachable nodes; raises when the graph is incomplete."""
     graph = _complete(cn, budget, graph)
     return frozenset(
-        Configuration(done, _credits(cn.net, node)) for node, done in zip(graph.nodes, graph._done_sets())
+        Configuration(done, _credits(cn.net, node)) for node, done in zip(graph.nodes, graph._done_sets)
     )
 
 

@@ -15,7 +15,7 @@ from .nets import LendingNet
 
 def circular_lending_net() -> LendingNet:
     """Three parties in a cycle of debts; only the order c, b, a settles them."""
-    return LendingNet.build(
+    return LendingNet(
         places=("p0", "p1", "p2", "p3", "p4"),
         transitions=("a", "b", "c"),
         flow=(
@@ -38,7 +38,7 @@ def circular_lending_net() -> LendingNet:
 
 def prepaid_choice_net() -> LendingNet:
     """A net with a prepaid item on a labeled place and a choice between two favors."""
-    return LendingNet.build(
+    return LendingNet(
         places=("p0", "p1", "p2", "p3", "p4"),
         transitions=("a", "b", "c"),
         flow=(
@@ -63,7 +63,7 @@ _HANDSHAKE_ALPHABET = frozenset({"a", "b"})
 
 def handshake_strict_a() -> LendingNet:
     """Gives a only after receiving b."""
-    return LendingNet.build(
+    return LendingNet(
         places=("sa.p1", "sa.p2", "sa.p3"),
         transitions=("sa.ta",),
         flow=(("sa.p1", "sa.ta"), ("sa.p3", "sa.ta"), ("sa.ta", "sa.p2")),
@@ -76,7 +76,7 @@ def handshake_strict_a() -> LendingNet:
 
 def handshake_strict_b() -> LendingNet:
     """Gives b only after receiving a."""
-    return LendingNet.build(
+    return LendingNet(
         places=("sb.p1", "sb.p2", "sb.p3"),
         transitions=("sb.tb",),
         flow=(("sb.p1", "sb.tb"), ("sb.p3", "sb.tb"), ("sb.tb", "sb.p2")),
@@ -89,7 +89,7 @@ def handshake_strict_b() -> LendingNet:
 
 def handshake_lending_a() -> LendingNet:
     """Gives a on credit, accepting the matching b later."""
-    return LendingNet.build(
+    return LendingNet(
         places=("la.p1", "la.p2", "la.p3"),
         transitions=("la.ta",),
         flow=(("la.p1", "la.ta"), ("la.p3", "la.ta"), ("la.ta", "la.p2")),

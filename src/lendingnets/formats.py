@@ -103,6 +103,21 @@ def _content_lines(text: str):
             yield lineno, line.split()
 
 
+def _attributes(attrs: list[str], known: tuple[str, ...], kind: str, lineno: int) -> dict[str, str]:
+    """Attributes by name, each ``name=value`` or a bare flag: known, given once, and not empty."""
+    found: dict[str, str] = {}
+    for attr in attrs:
+        name, eq, value = attr.partition("=")
+        if name + eq not in known:
+            raise DocumentError(f"unknown {kind} attribute {attr!r}", lineno)
+        if name in found:
+            raise DocumentError(f"{kind} attribute {name!r} given twice", lineno)
+        if eq and not value:
+            raise DocumentError(f"{kind} attribute {attr!r} has an empty value", lineno)
+        found[name] = value
+    return found
+
+
 def parse_net(text: str) -> NetDocument:
     places: dict[str, dict] = {}
     transitions: dict[str, str | None] = {}
@@ -121,38 +136,23 @@ def parse_net(text: str) -> NetDocument:
         elif keyword == "place":
             if not rest:
                 raise DocumentError("place line needs an id", lineno)
-            pid, attrs = rest[0], rest[1:]
+            pid = rest[0]
             if pid in places or pid in transitions:
                 raise DocumentError(f"duplicate id {pid!r}", lineno)
-            spec = {"label": None, "lending": False, "tokens": 0}
-            for attr in attrs:
-                if attr == "lending":
-                    spec["lending"] = True
-                elif attr.startswith("label="):
-                    spec["label"] = attr[len("label="):]
-                elif attr.startswith("tokens="):
-                    try:
-                        spec["tokens"] = int(attr[len("tokens="):])
-                    except ValueError:
-                        raise DocumentError(f"bad token count in {attr!r}", lineno) from None
-                    if spec["tokens"] < 0:
-                        raise DocumentError("token count must be non-negative", lineno)
-                else:
-                    raise DocumentError(f"unknown place attribute {attr!r}", lineno)
-            places[pid] = spec
+            attrs = places[pid] = _attributes(rest[1:], ("label=", "tokens=", "lending"), "place", lineno)
+            try:
+                attrs["tokens"] = int(attrs.get("tokens", 0))
+            except ValueError:
+                raise DocumentError(f"bad token count in {'tokens=' + attrs['tokens']!r}", lineno) from None
+            if attrs["tokens"] < 0:
+                raise DocumentError("token count must be non-negative", lineno)
         elif keyword == "transition":
             if not rest:
                 raise DocumentError("transition line needs an id", lineno)
-            tid, attrs = rest[0], rest[1:]
+            tid = rest[0]
             if tid in transitions or tid in places:
                 raise DocumentError(f"duplicate id {tid!r}", lineno)
-            label = None
-            for attr in attrs:
-                if attr.startswith("label="):
-                    label = attr[len("label="):]
-                else:
-                    raise DocumentError(f"unknown transition attribute {attr!r}", lineno)
-            transitions[tid] = label
+            transitions[tid] = _attributes(rest[1:], ("label=",), "transition", lineno).get("label")
         elif keyword == "arc":
             if len(rest) != 2:
                 raise DocumentError("arc line needs a source and a target", lineno)
@@ -166,14 +166,14 @@ def parse_net(text: str) -> NetDocument:
             raise DocumentError(f"unknown keyword {keyword!r}", lineno)
 
     try:
-        net = LendingNet.build(
+        net = LendingNet(
             places=places,
             transitions=transitions,
             flow=arcs,
-            place_labels={p: s["label"] for p, s in places.items() if s["label"]},
-            transition_labels={t: l for t, l in transitions.items() if l},
-            initial={p: s["tokens"] for p, s in places.items() if s["tokens"]},
-            lending=(p for p, s in places.items() if s["lending"]),
+            place_labels={p: attrs.get("label") for p, attrs in places.items()},
+            transition_labels=transitions,
+            initial={p: attrs["tokens"] for p, attrs in places.items()},
+            lending=(p for p, attrs in places.items() if "lending" in attrs),
             alphabet=alphabet if saw_alphabet else None,
         )
     except NetStructureError as exc:

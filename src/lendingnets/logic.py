@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ContractError
 from .nets import Atom
@@ -74,14 +75,15 @@ class PCLContract:
 
     Ownership must cover every atom the theory or the goals mention, and the
     owner of every clause head must be one of the bound participants: a
-    contract can only promise what its own participants control.
+    contract can only promise what its own participants control.  Omitted
+    fields are empty, except the goals: the one empty goal.  ``contract`` is
+    this constructor under another name.
     """
 
-    clauses: frozenset[HornClause]
-    participants: frozenset[Participant]
-    ownership: Mapping[Atom, Participant]
-    goals: frozenset[frozenset[Atom]]
-    _canon: tuple = field(compare=False, repr=False, default=None)
+    clauses: frozenset[HornClause] = frozenset()
+    participants: frozenset[Participant] = frozenset()
+    ownership: Mapping[Atom, Participant] = field(default_factory=dict)
+    goals: frozenset[frozenset[Atom]] = frozenset({frozenset()})
 
     def __post_init__(self):
         clauses = frozenset(self.clauses)
@@ -102,15 +104,15 @@ class PCLContract:
         object.__setattr__(self, "participants", participants)
         object.__setattr__(self, "ownership", ownership)
         object.__setattr__(self, "goals", goals)
-        object.__setattr__(
-            self,
-            "_canon",
-            (
-                tuple(sorted(c.sort_key() for c in clauses)),
-                tuple(sorted(participants)),
-                tuple(sorted(ownership.items())),
-                tuple(sorted(tuple(sorted(g)) for g in goals)),
-            ),
+
+    @cached_property
+    def _canon(self) -> tuple:
+        """Sorted fields: the key of ``==`` and ``hash``, built on first use."""
+        return (
+            tuple(sorted(c.sort_key() for c in self.clauses)),
+            tuple(sorted(self.participants)),
+            tuple(sorted(self.ownership.items())),
+            tuple(sorted(tuple(sorted(g)) for g in self.goals)),
         )
 
     def __eq__(self, other):
@@ -125,19 +127,8 @@ class PCLContract:
         return clause_atoms(self.clauses) | frozenset(a for g in self.goals for a in g) | frozenset(self.ownership)
 
 
-def contract(
-    clauses: Iterable[HornClause] = (),
-    participants: Iterable[Participant] = (),
-    ownership: Mapping[Atom, Participant] | None = None,
-    goals: Iterable[Iterable[Atom]] = ((),),
-) -> PCLContract:
-    """Convenience constructor; the default goal family is the empty goal."""
-    return PCLContract(
-        clauses=frozenset(clauses),
-        participants=frozenset(participants),
-        ownership=dict(ownership or {}),
-        goals=frozenset(frozenset(g) for g in goals),
-    )
+# The constructor under its older name.
+contract = PCLContract
 
 
 def _granted(theory: Collection[HornClause]) -> frozenset[Atom]:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from .errors import FiringError, NetStructureError, ToolkitError
 
@@ -83,49 +84,24 @@ class LendingNet:
 
     ``alphabet`` is the ambient set of atoms labels are drawn from; it must
     contain every label actually used and is the universe two nets must share
-    to be composable.
+    to be composable.  Every field defaults to empty, except that an omitted
+    ``alphabet`` is the set of labels in use; collections may be any
+    iterables or mappings, and ``None`` labels are dropped.
     """
 
-    places: frozenset[PlaceId]
-    transitions: frozenset[TransitionId]
-    flow: frozenset[tuple[str, str]]
-    place_labels: Mapping[PlaceId, Atom]
-    transition_labels: Mapping[TransitionId, Atom]
-    initial: Mapping[PlaceId, int]
-    lending: frozenset[PlaceId]
-    alphabet: frozenset[Atom]
-    _pre: dict = field(compare=False, repr=False, default=None)
-    _post: dict = field(compare=False, repr=False, default=None)
-    _canon: tuple = field(compare=False, repr=False, default=None)
+    places: frozenset[PlaceId] = frozenset()
+    transitions: frozenset[TransitionId] = frozenset()
+    flow: frozenset[tuple[str, str]] = frozenset()
+    place_labels: Mapping[PlaceId, Atom] = field(default_factory=dict)
+    transition_labels: Mapping[TransitionId, Atom] = field(default_factory=dict)
+    initial: Mapping[PlaceId, int] = field(default_factory=dict)
+    lending: frozenset[PlaceId] = frozenset()
+    alphabet: frozenset[Atom] | None = None
 
     @classmethod
-    def build(
-        cls,
-        *,
-        places: Iterable[PlaceId] = (),
-        transitions: Iterable[TransitionId] = (),
-        flow: Iterable[tuple[str, str]] = (),
-        place_labels: Mapping[PlaceId, Atom] | None = None,
-        transition_labels: Mapping[TransitionId, Atom] | None = None,
-        initial: Mapping[PlaceId, int] | None = None,
-        lending: Iterable[PlaceId] = (),
-        alphabet: Iterable[Atom] | None = None,
-    ) -> "LendingNet":
-        """Construct a net, defaulting the alphabet to the labels in use."""
-        place_labels = dict(place_labels or {})
-        transition_labels = dict(transition_labels or {})
-        if alphabet is None:
-            alphabet = set(place_labels.values()) | set(transition_labels.values())
-        return cls(
-            places=frozenset(places),
-            transitions=frozenset(transitions),
-            flow=frozenset(flow),
-            place_labels=place_labels,
-            transition_labels=transition_labels,
-            initial=dict(initial or {}),
-            lending=frozenset(lending),
-            alphabet=frozenset(alphabet),
-        )
+    def build(cls, **kwargs) -> "LendingNet":
+        """The constructor under its older name, taking the same keywords."""
+        return cls(**kwargs)
 
     def __post_init__(self):
         places = frozenset(_check_id(p, "place") for p in self.places)
@@ -147,8 +123,8 @@ class LendingNet:
             if not isinstance(a, str) or a not in checked:
                 checked.add(_check_id(a, "atom"))
 
-        alphabet = frozenset(_check_id(a, "atom") for a in self.alphabet)
         used = frozenset(place_labels.values()) | frozenset(transition_labels.values())
+        alphabet = used if self.alphabet is None else frozenset(_check_id(a, "atom") for a in self.alphabet)
         if not used <= alphabet:
             raise NetStructureError(f"labels {sorted(used - alphabet)} missing from the alphabet")
 
@@ -194,19 +170,19 @@ class LendingNet:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_pre", {x: frozenset(v) for x, v in pre.items()})
         object.__setattr__(self, "_post", {x: frozenset(v) for x, v in post.items()})
-        object.__setattr__(
-            self,
-            "_canon",
-            (
-                tuple(sorted(places)),
-                tuple(sorted(transitions)),
-                tuple(sorted(flow)),
-                tuple(sorted(place_labels.items())),
-                tuple(sorted(transition_labels.items())),
-                tuple(sorted(initial.items())),
-                tuple(sorted(lending)),
-                tuple(sorted(alphabet)),
-            ),
+
+    @cached_property
+    def _canon(self) -> tuple:
+        """Sorted fields: the key of ``==`` and ``hash``, built on first use."""
+        return (
+            tuple(sorted(self.places)),
+            tuple(sorted(self.transitions)),
+            tuple(sorted(self.flow)),
+            tuple(sorted(self.place_labels.items())),
+            tuple(sorted(self.transition_labels.items())),
+            tuple(sorted(self.initial.items())),
+            tuple(sorted(self.lending)),
+            tuple(sorted(self.alphabet)),
         )
 
     def __eq__(self, other):
@@ -240,16 +216,7 @@ class LendingNet:
 
     def with_alphabet(self, atoms: Iterable[Atom]) -> "LendingNet":
         """Same net over a (usually wider) alphabet."""
-        return LendingNet(
-            places=self.places,
-            transitions=self.transitions,
-            flow=self.flow,
-            place_labels=self.place_labels,
-            transition_labels=self.transition_labels,
-            initial=self.initial,
-            lending=self.lending,
-            alphabet=frozenset(atoms),
-        )
+        return replace(self, alphabet=frozenset(atoms))
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,17 @@ root), the exact standard output and standard error, and the exit code of
 Regenerate only when a change to the output is intended:
 
     PYTHONPATH=src python tests/golden/regenerate.py
+
+With ``--check`` nothing is written: every case is replayed and the entries
+of ``cli.json`` that changed or disappeared, and the new cases, are listed.
+The exit code is 1 when an existing entry changed, else 0:
+
+    PYTHONPATH=src python tests/golden/regenerate.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -74,8 +81,31 @@ def run(argv: list[str]) -> dict:
     return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
+def check(cases: list[dict]) -> int:
+    """Compare fresh cases with ``cli.json`` by argument vector; 1 when an entry changed."""
+    recorded = {tuple(case["argv"]): case for case in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+    fresh = {tuple(case["argv"]): case for case in cases}
+    changed = [argv for argv in recorded if argv in fresh and fresh[argv] != recorded[argv]]
+    report = {
+        "changed": changed,
+        "disappeared": [argv for argv in recorded if argv not in fresh],
+        "added": [argv for argv in fresh if argv not in recorded],
+    }
+    for kind, argvs in report.items():
+        for argv in argvs:
+            print(f"{kind}: {' '.join(argv)}")
+    print(f"{len(recorded)} recorded, {len(fresh)} replayed: "
+          + ", ".join(f"{len(argvs)} {kind}" for kind, argvs in report.items()))
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Write or check tests/golden/cli.json.")
+    parser.add_argument("--check", action="store_true", help="replay and compare without writing")
+    args = parser.parse_args()
     os.chdir(ROOT)
     cases = [run(argv) for argv in commands()]
+    if args.check:
+        raise SystemExit(check(cases))
     GOLDEN.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {GOLDEN.relative_to(ROOT)}")

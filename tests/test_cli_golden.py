@@ -4,6 +4,8 @@ The expected standard output, standard error and exit code of each command
 are in ``golden/cli.json`` (written by ``golden/regenerate.py``).
 """
 
+import copy
+import importlib.util
 import json
 from pathlib import Path
 
@@ -29,3 +31,20 @@ def test_every_subcommand_is_covered():
     assert {argv[1] for argv in argvs if argv[0] == "check"} == {"wt", "agreement"}
     assert ["--prune"] in [argv[2:] for argv in argvs if argv[0] == "compile"]
     assert {case["exit"] for case in CASES} == {0, 1, 2, 3}
+
+
+def test_regenerate_check_reports_changes_without_writing(capsys):
+    spec = importlib.util.spec_from_file_location("regenerate", HERE / "golden" / "regenerate.py")
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    before = (HERE / "golden" / "cli.json").read_bytes()
+    cases = copy.deepcopy(CASES)
+    assert regenerate.check(cases) == 0
+    assert capsys.readouterr().out.endswith("0 changed, 0 disappeared, 0 added\n")
+    assert regenerate.check(cases[1:] + [{**cases[0], "argv": ["parse", "new.pcl"]}]) == 0
+    out = capsys.readouterr().out
+    assert f"disappeared: {' '.join(cases[0]['argv'])}\n" in out and "added: parse new.pcl\n" in out
+    cases[2]["stdout"] += "x"
+    assert regenerate.check(cases) == 1
+    assert f"changed: {' '.join(cases[2]['argv'])}\n" in capsys.readouterr().out
+    assert (HERE / "golden" / "cli.json").read_bytes() == before

@@ -308,3 +308,31 @@ def test_goal_lists_are_canonicalized():
     g2 = MarkingPredicate(honored=True)
     net = handshake_lending_a()
     assert NetDocument(net=net, goals=(g2, g1, g2)) == NetDocument(net=net, goals=(g1, g2))
+
+
+MALFORMED_ATTRIBUTES = [
+    ("place p0\nplace p1 label= tokens=1\n", 2, "has an empty value"),
+    ("place p1 tokens=1 tokens=2\n", 1, "given twice"),
+    ("place p\ntransition t label=a label=b\narc p t\n", 2, "given twice"),
+    ("place p lending lending\n", 1, "given twice"),
+    ("place p\ntransition t label=\narc p t\n", 2, "has an empty value"),
+]
+
+
+@pytest.mark.parametrize("text, line, fragment", MALFORMED_ATTRIBUTES)
+def test_empty_and_repeated_attributes_are_rejected_with_their_line(text, line, fragment):
+    with pytest.raises(DocumentError, match=fragment) as caught:
+        parse_net(text)
+    assert caught.value.line == line
+
+
+@pytest.mark.parametrize("text, line, fragment", MALFORMED_ATTRIBUTES)
+def test_lpn_parse_exits_2_on_empty_and_repeated_attributes(text, line, fragment, tmp_path, capsys):
+    from lendingnets.cli import main
+
+    path = tmp_path / "bad.lpn"
+    path.write_text(text, encoding="utf-8")
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line {line}: " in captured.err and fragment in captured.err

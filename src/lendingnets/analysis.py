@@ -23,9 +23,19 @@ is topological: ``src < dst`` for every edge.  A graph holds only its net,
 nodes, edges and completeness flag; out-edges, the node index and the done
 sets are derived on first use.  The "all nodes can reach a target" checks
 share one stuck verdict, urgency takes one backward closure to the honored
-nodes, and a closure is one sweep from the last node to the first.  A
-``budget`` counts the states a search may keep: graph nodes, or (node, word)
-pairs in ``trace_set``; an incomplete graph has exactly ``budget`` nodes.
+nodes, and a closure is one sweep from the last node to the first.
+
+Without a built graph, the contract checks and net-side urgency split the
+net into independent components (no place one consumes is touched by
+another, and no label is shared) and walk each alone over the places that
+transitions consume, keeping fired vectors instead of nodes.  The README,
+"How independent components are decided", proves the answers equal those
+of the product graph.
+
+A ``budget`` counts the states a search may keep: graph nodes, (node, word)
+pairs in ``trace_set``, or for the component walks the shared root once plus
+each component's further states, never more than the product graph's nodes.
+An incomplete search keeps exactly ``budget`` states.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from .nets import (
     TransitionId,
     Verdict,
     _check_budget,
+    marking_of_state,
 )
 
 
@@ -131,36 +142,30 @@ def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
     return frozenset(net.transition_labels[t] for t, _ in node.fired if t in net.transition_labels)
 
 
-def _walk(net: LendingNet, budget: int, nodes: list[Node]) -> Iterator[tuple[int, TransitionId, int | None, int]]:
-    """Breadth-first search appending kept nodes to ``nodes`` and yielding each
-    edge as ``(src, t, dst, n)``: ``n`` counts the earlier firings of ``t`` in
-    the run to ``src``, and ``dst`` is None when the budget kept a new node out."""
-    _check_budget(budget)
-    places = sorted(net.places)
-    transitions = sorted(net.transitions)
+def _steps(net: LendingNet, places: Iterable[PlaceId], transitions: Iterable[TransitionId]) -> list[tuple]:
+    """Per transition, ``(k, t, guard, pre, post)``: its position, its id, and the indices in
+    ``places`` of its non-lending input places, its input places and those of its output places."""
     at = {p: k for k, p in enumerate(places)}
-    steps = [
+    return [
         (
             k,
             t,
             tuple(at[p] for p in net.preset(t) if p not in net.lending),
             tuple(at[p] for p in net.preset(t)),
-            tuple(at[p] for p in net.postset(t)),
+            tuple(at[p] for p in net.postset(t) if p in at),
         )
         for k, t in enumerate(transitions)
     ]
 
-    def keep(marking: list[int], fired: tuple[int, ...]) -> None:
-        # Through a list: tuple() of an iterator of unknown length shrinks its
-        # result in place, which fragments the heap of a long-lived process.
-        nodes.append(Node(
-            marking=tuple(list(compress(zip(places, marking), marking))),
-            fired=tuple(list(compress(zip(transitions, fired), fired))),
-            honored=min(marking, default=0) >= 0,
-        ))
 
-    marking, fired = [net.initial.get(p, 0) for p in places], (0,) * len(transitions)
-    keep(marking, fired)
+def _bfs(steps: list[tuple], marking: list[int], budget: int, keep: Callable) -> Iterator[tuple]:
+    """Breadth-first search from ``marking``, state 0, which the caller has kept.
+
+    Calls ``keep(marking, fired)`` for each new state it keeps and yields each
+    edge as ``(src, t, dst, n)``: ``n`` counts the earlier firings of ``t`` in the
+    run to ``src``, and ``dst`` is None when the budget kept a new state out.
+    """
+    fired = (0,) * len(steps)
     index = {fired: 0}
     queue = deque([(0, marking, fired)])
     while queue:
@@ -174,16 +179,36 @@ def _walk(net: LendingNet, budget: int, nodes: list[Node]) -> Iterator[tuple[int
             succ_fired[k] += 1
             succ_fired = tuple(succ_fired)
             j = index.get(succ_fired)
-            if j is None and len(nodes) < budget:
+            if j is None and len(index) < budget:
                 succ = marking.copy()
                 for p in pre:
                     succ[p] -= 1
                 for p in post:
                     succ[p] += 1
-                j = index[succ_fired] = len(nodes)
+                j = index[succ_fired] = len(index)
                 keep(succ, succ_fired)
                 queue.append((j, succ, succ_fired))
             yield i, t, j, fired[k]
+
+
+def _walk(net: LendingNet, budget: int, nodes: list[Node]) -> Iterator[tuple[int, TransitionId, int | None, int]]:
+    """The search over every place of ``net``, appending a ``Node`` to ``nodes`` for each kept state."""
+    _check_budget(budget)
+    places = sorted(net.places)
+    transitions = sorted(net.transitions)
+
+    def keep(marking: list[int], fired: tuple[int, ...]) -> None:
+        # Through a list: tuple() of an iterator of unknown length shrinks its
+        # result in place, which fragments the heap of a long-lived process.
+        nodes.append(Node(
+            marking=tuple(list(compress(zip(places, marking), marking))),
+            fired=tuple(list(compress(zip(transitions, fired), fired))),
+            honored=min(marking, default=0) >= 0,
+        ))
+
+    marking = [net.initial.get(p, 0) for p in places]
+    keep(marking, (0,) * len(transitions))
+    return _bfs(_steps(net, places, transitions), marking, budget, keep)
 
 
 def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
@@ -252,14 +277,18 @@ def as_goal_fn(goal: GoalLike) -> Callable[[Node], bool]:
 
 
 def backward_closure(graph: ReachGraph, targets: Iterable[int]) -> set[int]:
-    """Indices of all nodes from which some target node is reachable.
+    """Indices of all nodes from which some target node is reachable."""
+    return _reaching(graph._out, {graph.index_of(i) for i in targets})
 
-    Edges lead to later nodes, so one sweep from the last node to the first
-    sees every successor of a node before the node itself.
+
+def _reaching(out: list[list[tuple[TransitionId, int]]], reached: set[int]) -> set[int]:
+    """Add to ``reached`` every state with a path into it, given each state's out-edges.
+
+    Edges lead to later states, so one sweep from the last state to the first
+    sees every successor of a state before the state itself.
     """
-    reached = {graph.index_of(i) for i in targets}
-    for i in range(len(graph.nodes) - 1, -1, -1):
-        if i not in reached and any(j in reached for _, j in graph._out[i]):
+    for i in range(len(out) - 1, -1, -1):
+        if i not in reached and any(j in reached for _, j in out[i]):
             reached.add(i)
     return reached
 
@@ -274,6 +303,203 @@ def _stuck_verdict(graph: ReachGraph, incomplete: str, targets: Callable, detail
     if stuck is None:
         return Verdict.holds()
     return Verdict.fails(witness=stuck, detail=detail(stuck))
+
+
+@dataclass(frozen=True)
+class _Component:
+    """Transitions that depend on each other, as ``_steps`` rows over every consumed place of the net."""
+
+    places: tuple[PlaceId, ...]
+    steps: tuple[tuple, ...]
+
+    @property
+    def transitions(self) -> tuple[TransitionId, ...]:
+        return tuple(step[1] for step in self.steps)
+
+
+def _consumed_steps(net: LendingNet) -> tuple[tuple[PlaceId, ...], list[tuple]]:
+    """The places some transition consumes, sorted, and ``_steps`` over them for every transition."""
+    places = tuple(sorted({p for t in net.transitions for p in net.preset(t)}))
+    return places, _steps(net, places, sorted(net.transitions))
+
+
+def _components(net: LendingNet) -> list[_Component]:
+    """The independent components of ``net``, ordered by their first transition.
+
+    Two transitions are joined when one consumes a place that the other
+    consumes or produces, or when they share a label.  A place that no
+    transition consumes is in no component: it never disables a step, and it
+    never owes, since it starts at 0 or more and only gains tokens.
+    """
+    places, steps = _consumed_steps(net)
+    root = list(range(len(steps)))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    # Every consumed place has a consumer, so joining each transition with the
+    # first one to touch the same consumed place, or to carry the same label,
+    # joins exactly the classes of the relation above.
+    first: dict[int | Atom, int] = {}
+    for k, t, _, pre, post in steps:
+        label = net.transition_labels.get(t)
+        for key in (*pre, *post) if label is None else (*pre, *post, label):
+            j = first.setdefault(key, k)
+            if j != k:
+                root[find(k)] = find(j)
+    members: dict[int, list[tuple]] = {}
+    for k, row in enumerate(steps):
+        members.setdefault(find(k), []).append(row)
+    return [_Component(places, tuple((k, *row[1:]) for k, row in enumerate(rows))) for rows in members.values()]
+
+
+def _merged(net: LendingNet) -> _Component:
+    """The whole net as one component: its walk is the walk of the product."""
+    places, steps = _consumed_steps(net)
+    return _Component(places, tuple(steps))
+
+
+@dataclass(eq=False)
+class _ComponentGraph:
+    """The states of one component in breadth-first order, each a fired vector over its transitions.
+
+    ``flags`` holds the caller's test of each state and ``parent`` the edge
+    that first reached it; ``found`` is the first flagged state when the walk
+    stopped there, and ``complete`` says that the walk ran out of states.
+    """
+
+    component: _Component
+    fired: list[tuple[int, ...]] = field(default_factory=list)
+    flags: list[bool] = field(default_factory=list)
+    parent: list[tuple[int, TransitionId] | None] = field(default_factory=lambda: [None])
+    out: list[list[tuple[TransitionId, int]]] = field(default_factory=list)
+    complete: bool = True
+    found: int | None = None
+
+    def path(self, i: int) -> tuple[TransitionId, ...]:
+        """The breadth-first path to state ``i``: the least run to it, first by length, then by ids."""
+        steps = []
+        while self.parent[i] is not None:
+            i, t = self.parent[i]
+            steps.append(t)
+        return tuple(reversed(steps))
+
+    def firings(self, i: int) -> dict[TransitionId, int]:
+        return {step[1]: n for step, n in zip(self.component.steps, self.fired[i]) if n}
+
+    def reaching_flagged(self) -> set[int]:
+        return _reaching(self.out, set(compress(range(len(self.flags)), self.flags)))
+
+
+def _walk_component(net: LendingNet, component: _Component, budget: int, flag: Callable, stop: bool) -> _ComponentGraph:
+    """Search one component, keeping at most ``budget`` states.
+
+    Only the component's transitions fire, so only its places change; the
+    other consumed places keep their initial counts.
+
+    ``flag(marking, fired)`` tests each kept state; with ``stop`` the walk ends
+    at the first flagged one.
+    """
+    graph = _ComponentGraph(component)
+
+    def keep(marking: list[int], fired: tuple[int, ...]) -> None:
+        graph.fired.append(fired)
+        graph.flags.append(flag(marking, fired))
+        graph.out.append([])
+
+    marking = [net.initial.get(p, 0) for p in component.places]
+    keep(marking, (0,) * len(component.steps))
+    if stop and graph.flags[0]:
+        graph.complete, graph.found = False, 0
+        return graph
+    for i, t, j, _ in _bfs(component.steps, marking, budget, keep):
+        if j is None:
+            graph.complete = False
+            continue
+        graph.out[i].append((t, j))
+        if j == len(graph.parent):
+            graph.parent.append((i, t))
+            if stop and graph.flags[j]:
+                graph.complete, graph.found = False, j
+                break
+    return graph
+
+
+def _walk_components(net: LendingNet, parts: list[tuple[_Component, Callable]], budget: int,
+                     stop: bool = False) -> list[_ComponentGraph]:
+    """Walk each ``(component, flag)`` of ``parts`` in turn under one budget.
+
+    The components share their root, so the budget counts it once plus each
+    component's further states.  The walks end after one that the budget cut
+    short or, with ``stop``, after one that found no flagged state.
+    """
+    _check_budget(budget)
+    graphs = []
+    for component, flag in parts:
+        graph = _walk_component(net, component, budget, flag, stop)
+        graphs.append(graph)
+        budget -= len(graph.fired) - 1
+        if graph.found is None and (stop or not graph.complete):
+            break
+    return graphs
+
+
+def _node(net: LendingNet, fired: dict[TransitionId, int]) -> Node:
+    """The graph node reached by firing ``fired``, its marking given by the state equation."""
+    marking = marking_of_state(net, fired)
+    return Node(
+        marking=tuple(sorted((p, n) for p, n in marking.items() if n)),
+        fired=tuple(sorted(fired.items())),
+        honored=min(marking.values(), default=0) >= 0,
+    )
+
+
+def _first_stuck(net: LendingNet, parts: list[tuple[_Component, Callable]], budget: int,
+                 detail: Callable[[Node], str]) -> Verdict:
+    """The stuck verdict of the product of ``parts``, whose flags mark the target states.
+
+    A product state reaches a target when each of its components does.  So
+    the first stuck product node, by fewest firings and then least path, is
+    one component's first stuck state with every other component at its root.
+    """
+    graphs = _walk_components(net, parts, budget)
+    if not all(graph.complete for graph in graphs):
+        return Verdict.inconclusive(f"exploration budget {budget} exhausted")
+    candidates = []
+    for graph in graphs:
+        good = graph.reaching_flagged()
+        i = next((i for i in range(len(graph.fired)) if i not in good), None)
+        if i is not None:
+            candidates.append((sum(graph.fired[i]), graph.path(i), graph.firings(i)))
+    if not candidates:
+        return Verdict.holds()
+    stuck = _node(net, min(candidates, key=lambda c: c[:2])[2])
+    return Verdict.fails(witness=stuck, detail=detail(stuck))
+
+
+def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET) -> frozenset[Atom]:
+    """``urgent_at(explore(net, budget), 0)``, one component at a time.
+
+    A product state can reach an honored state exactly when each of its
+    components can.  So the answer is the union of each component's urgent
+    first steps when every component's root can reach an honored state, and
+    empty otherwise; every root is honored, since no initial count is below 0.
+    """
+    def honored(marking: list[int], fired: tuple[int, ...]) -> bool:
+        return min(marking, default=0) >= 0
+
+    graphs = _walk_components(net, [(c, honored) for c in _components(net)], budget)
+    if not all(graph.complete for graph in graphs):
+        raise IncompleteExplorationError("urgency needs a complete reachability graph")
+    labels = net.transition_labels
+    urgent = set()
+    for graph in graphs:
+        can_honor = graph.reaching_flagged()
+        urgent.update(labels[t] for t, j in graph.out[0] if t in labels and j in can_honor)
+    return frozenset(urgent)
 
 
 def weakly_terminates(

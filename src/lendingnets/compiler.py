@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .analysis import explore, urgent_at
+from .analysis import _urgent_at_root
 from .compose import oplus, trace_equivalent, widen_alphabet
 from .contracts import ContractNet, agreement_reachable
 from .logic import HornClause, PCLContract, _owned, clause_atoms, compose_contracts, fact
@@ -112,7 +112,12 @@ def extend_with_facts(c: PCLContract, atoms: Iterable[Atom]) -> PCLContract:
 
 
 def agreement_via_net(c: PCLContract, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Decide agreement on the compiled net: reach an honored covering node."""
+    """Decide agreement on the compiled net: reach an honored covering node.
+
+    Each independent component of the net is searched alone up to its first
+    honored state covering its part of the goals; the witness joins those
+    states (README, "How independent components are decided").
+    """
     return agreement_reachable(compile_contract(c), budget)
 
 
@@ -122,10 +127,12 @@ def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_B
 
     That start dominates every node with done set ``done`` of the net
     recompiled with the done atoms as facts (README, "How net-side urgency
-    works"), so it alone gives their union of urgent steps.
+    works"), so it alone gives their union of urgent steps.  The net is
+    decided one independent component at a time: the answer is the union of
+    the components' urgent steps, since every component's start is honored
+    (README, "How independent components are decided").
     """
-    graph = explore(_compile(c, False, _owned(c, done)).net, budget)
-    return urgent_at(graph, 0)
+    return _urgent_at_root(_compile(c, False, _owned(c, done)).net, budget)
 
 
 def compile_compose_commutes(

@@ -13,9 +13,22 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 from .analysis import (
-    Node, ReachGraph, _done_set, _stuck_verdict, explore, is_occurrence_net, urgent_for_done_set,
+    Node,
+    ReachGraph,
+    _Component,
+    _components,
+    _done_set,
+    _first_stuck,
+    _merged,
+    _node,
+    _stuck_verdict,
+    _walk_components,
+    explore,
+    is_occurrence_net,
+    urgent_for_done_set,
 )
 from .compose import oplus, widen_alphabet
 from .errors import ContractError, IncompleteExplorationError
@@ -198,17 +211,58 @@ def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozense
             yield i, done
 
 
-def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reached: Callable) -> Verdict:
-    if graph is None:
-        graph = explore(cn.net, budget)
+def _parts(cn: ContractNet, reached: Callable) -> list[tuple[_Component, Callable]]:
+    """Each component of the net, with the test of its goal states.
 
+    A goal state owes on no labeled place and its done set ``done`` passes
+    ``reached(done, share)``, where ``share`` projects onto the component's
+    labels the goal sets that transitions can grant.  When that family is not
+    the product of its shares, the components merge into one.
+    """
+    net = cn.net
+    granted = frozenset(net.transition_labels.values())
+    goals = frozenset(g for g in cn.goals if g <= granted)
+    components = _components(net)
+    shares = []
+    for c in components:
+        labels = {net.transition_labels.get(t) for t in c.transitions}
+        shares.append(frozenset(g & labels for g in goals))
+    if prod(map(len, shares)) != len(goals):
+        components, shares = [_merged(net)], [goals]
+    return [(c, _goal_flag(net, c, share, reached)) for c, share in zip(components, shares)]
+
+
+def _goal_flag(net: LendingNet, component: _Component, goals: frozenset, reached: Callable) -> Callable:
+    """The test of a component state: no labeled place owes and ``reached(done, goals)``."""
+    labels = [net.transition_labels.get(t) for t in component.transitions]
+    owing = [k for k, p in enumerate(component.places) if p in net.place_labels]
+
+    def flag(marking: list[int], fired: tuple[int, ...]) -> bool:
+        if any(marking[k] < 0 for k in owing):
+            return False
+        return reached(frozenset(a for a, n in zip(labels, fired) if n and a is not None), goals)
+
+    return flag
+
+
+def _is_goal_set(done: frozenset[Atom], goals: frozenset[frozenset[Atom]]) -> bool:
+    return done in goals
+
+
+def _covers_goal_set(done: frozenset[Atom], goals: frozenset[frozenset[Atom]]) -> bool:
+    return any(goal <= done for goal in goals)
+
+
+def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reached: Callable) -> Verdict:
     def stuck_detail(stuck: Node) -> str:
         cfg = configuration(cn, stuck)
         return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
 
+    if graph is None:
+        return _first_stuck(cn.net, _parts(cn, reached), budget, stuck_detail)
     return _stuck_verdict(
         graph, f"exploration budget {len(graph.nodes)} exhausted",
-        lambda: [i for i, done in _honored(cn, graph) if reached(done)], stuck_detail,
+        lambda: [i for i, done in _honored(cn, graph) if reached(done, cn.goals)], stuck_detail,
     )
 
 
@@ -217,8 +271,11 @@ def weakly_terminates_in(
     budget: int = DEFAULT_BUDGET,
     graph: ReachGraph | None = None,
 ) -> Verdict:
-    """Every node must be able to reach an honored node whose done set is a goal set."""
-    return _all_can_reach(cn, budget, graph, lambda done: done in cn.goals)
+    """Every node must be able to reach an honored node whose done set is a goal set.
+
+    Without a ``graph`` the net is decided one independent component at a time.
+    """
+    return _all_can_reach(cn, budget, graph, _is_goal_set)
 
 
 def weakly_terminates_covering(
@@ -227,7 +284,7 @@ def weakly_terminates_covering(
     graph: ReachGraph | None = None,
 ) -> Verdict:
     """As weakly_terminates_in, but the done set may exceed the goal set."""
-    return _all_can_reach(cn, budget, graph, lambda done: any(goal <= done for goal in cn.goals))
+    return _all_can_reach(cn, budget, graph, _covers_goal_set)
 
 
 def agreement_reachable(
@@ -238,16 +295,23 @@ def agreement_reachable(
     """Can the net reach an honored node whose done set covers some goal set?
 
     This is the net-side agreement check: reachability of a covering honored
-    configuration, with the node found as witness.
+    configuration, with the node found as witness.  Without a ``graph`` each
+    component's walk stops at its first such state, and the witness joins them.
     """
     if graph is None:
-        graph = explore(cn.net, budget)
-    for i, done in _honored(cn, graph):
-        if any(goal <= done for goal in cn.goals):
-            return Verdict.holds(detail=graph.nodes[i].describe())
-    if graph.complete:
+        graphs = _walk_components(cn.net, _parts(cn, _covers_goal_set), budget, stop=True)
+        if not graphs or graphs[-1].found is not None:
+            found = _node(cn.net, {t: n for g in graphs for t, n in g.firings(g.found).items()})
+            return Verdict.holds(detail=found.describe())
+        complete = graphs[-1].complete
+    else:
+        for i, done in _honored(cn, graph):
+            if _covers_goal_set(done, cn.goals):
+                return Verdict.holds(detail=graph.nodes[i].describe())
+        complete, budget = graph.complete, len(graph.nodes)
+    if complete:
         return Verdict.fails(detail="no honored node covers a goal set")
-    return Verdict.inconclusive(f"exploration budget {len(graph.nodes)} exhausted")
+    return Verdict.inconclusive(f"exploration budget {budget} exhausted")
 
 
 def urgent(

@@ -140,12 +140,12 @@ def parse_net(text: str) -> NetDocument:
             if pid in places or pid in transitions:
                 raise DocumentError(f"duplicate id {pid!r}", lineno)
             attrs = places[pid] = _attributes(rest[1:], ("label=", "tokens=", "lending"), "place", lineno)
-            try:
-                attrs["tokens"] = int(attrs.get("tokens", 0))
-            except ValueError:
-                raise DocumentError(f"bad token count in {'tokens=' + attrs['tokens']!r}", lineno) from None
-            if attrs["tokens"] < 0:
+            count = attrs.get("tokens", "0")
+            if re.fullmatch("-[0-9]+", count):
                 raise DocumentError("token count must be non-negative", lineno)
+            if not re.fullmatch("[0-9]+", count):
+                raise DocumentError(f"bad token count in {'tokens=' + count!r}", lineno)
+            attrs["tokens"] = int(count)
         elif keyword == "transition":
             if not rest:
                 raise DocumentError("transition line needs an id", lineno)

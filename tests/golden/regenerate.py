@@ -1,4 +1,5 @@
-"""Write ``cli.json``: the expected output of ``lpn`` commands over ``samples/``.
+"""Write ``cli.json``: the expected output of ``lpn`` commands over ``samples/``
+and over the generated documents next to this script.
 
 Each case records the argument vector (paths relative to the repository
 root), the exact standard output and standard error, and the exit code of
@@ -32,6 +33,9 @@ CONTRACTS = [f"samples/{name}.pcl" for name in (
     "credit_chain", "exchange_pair", "self_credit", "toy_swap", "toy_swap_a", "toy_swap_b", "toy_swap_c",
 )]
 NETS = ["samples/handshake_credit.lpn", "samples/handshake_strict.lpn"]
+# Contracts whose nets split into independent components; kept out of
+# ``samples/`` so that the benchmark's corpus does not change.
+SPLIT = ["tests/golden/disjoint_stuck.pcl", "tests/golden/pairs6.pcl"]
 DONE_SETS = {
     "samples/credit_chain.pcl": ("", "a", "a,b"),
     "samples/exchange_pair.pcl": ("", "a", "a,b"),
@@ -42,6 +46,8 @@ DONE_SETS = {
     "samples/toy_swap_c.pcl": ("", "a,b"),
     "samples/handshake_credit.lpn": ("", "a", "b"),
     "samples/handshake_strict.lpn": ("", "a", "b"),
+    "tests/golden/disjoint_stuck.pcl": ("", "a", "a,c", "a,x", "x,y,z"),
+    "tests/golden/pairs6.pcl": ("", "a0,a1", "a0,b0,a5"),
 }
 
 
@@ -71,6 +77,10 @@ def commands() -> list[list[str]]:
         ["urgent", "samples/exchange_pair.pcl", "--done", "zz"],
         ["urgent", NETS[0], "--done", "zz"],
     ]
+    cases += [["check", "wt", f] for f in SPLIT]
+    cases += [["check", "agreement", f, "--via", "both"] for f in SPLIT]
+    cases += [["urgent", f, "--done", done] for f in SPLIT for done in DONE_SETS[f]]
+    cases += [["check", "wt", "tests/golden/pairs12.pcl"], ["check", "agreement", "tests/golden/pairs12.pcl", "--via", "net"]]
     return cases
 
 

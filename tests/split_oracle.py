@@ -1,0 +1,72 @@
+"""The full-exploration deciders, kept as the oracle for the component split.
+
+These are the definitions that ``lendingnets.contracts`` and
+``lendingnets.compiler`` ran on before a net was decided one independent
+component at a time, copied unchanged apart from their imports and the
+``_stuck_verdict`` routine they shared.  Each explores the whole product
+graph: ``pairs_contract(n)`` has 3^n nodes.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Iterable, Iterator
+
+from lendingnets.analysis import Node, ReachGraph, backward_closure, explore, urgent_at
+from lendingnets.compiler import _compile
+from lendingnets.contracts import ContractNet, _credits, configuration
+from lendingnets.logic import PCLContract, _owned
+from lendingnets.nets import DEFAULT_BUDGET, Atom, Verdict
+
+
+def _stuck_verdict(graph: ReachGraph, incomplete: str, targets: Callable, detail: Callable[[Node], str]) -> Verdict:
+    if not graph.complete:
+        return Verdict.inconclusive(incomplete)
+    good = backward_closure(graph, targets())
+    stuck = next((node for i, node in enumerate(graph.nodes) if i not in good), None)
+    if stuck is None:
+        return Verdict.holds()
+    return Verdict.fails(witness=stuck, detail=detail(stuck))
+
+
+def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozenset[Atom]]]:
+    for i, (node, done) in enumerate(zip(graph.nodes, graph._done_sets)):
+        if node.honored or not _credits(cn.net, node):
+            yield i, done
+
+
+def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reached: Callable) -> Verdict:
+    if graph is None:
+        graph = explore(cn.net, budget)
+
+    def stuck_detail(stuck: Node) -> str:
+        cfg = configuration(cn, stuck)
+        return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
+
+    return _stuck_verdict(
+        graph, f"exploration budget {len(graph.nodes)} exhausted",
+        lambda: [i for i, done in _honored(cn, graph) if reached(done)], stuck_detail,
+    )
+
+
+def weakly_terminates_in(cn: ContractNet, budget: int = DEFAULT_BUDGET, graph: ReachGraph | None = None) -> Verdict:
+    return _all_can_reach(cn, budget, graph, lambda done: done in cn.goals)
+
+
+def weakly_terminates_covering(cn: ContractNet, budget: int = DEFAULT_BUDGET, graph: ReachGraph | None = None) -> Verdict:
+    return _all_can_reach(cn, budget, graph, lambda done: any(goal <= done for goal in cn.goals))
+
+
+def agreement_reachable(cn: ContractNet, budget: int = DEFAULT_BUDGET, graph: ReachGraph | None = None) -> Verdict:
+    if graph is None:
+        graph = explore(cn.net, budget)
+    for i, done in _honored(cn, graph):
+        if any(goal <= done for goal in cn.goals):
+            return Verdict.holds(detail=graph.nodes[i].describe())
+    if graph.complete:
+        return Verdict.fails(detail="no honored node covers a goal set")
+    return Verdict.inconclusive(f"exploration budget {len(graph.nodes)} exhausted")
+
+
+def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_BUDGET) -> frozenset[Atom]:
+    graph = explore(_compile(c, False, _owned(c, done)).net, budget)
+    return urgent_at(graph, 0)

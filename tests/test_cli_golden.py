@@ -1,4 +1,5 @@
-"""Byte-identical ``lpn`` output: every recorded command over ``samples/``.
+"""Byte-identical ``lpn`` output: every recorded command over ``samples/`` and
+the generated documents in ``golden/``.
 
 The expected standard output, standard error and exit code of each command
 are in ``golden/cli.json`` (written by ``golden/regenerate.py``).

@@ -336,3 +336,34 @@ def test_lpn_parse_exits_2_on_empty_and_repeated_attributes(text, line, fragment
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"line {line}: " in captured.err and fragment in captured.err
+
+
+# Token counts are plain ASCII decimal digits: what int() also reads is refused.
+MALFORMED_COUNTS = [
+    ("place p tokens=1_0\n", "'tokens=1_0'"),
+    ("place p tokens=+1\n", "'tokens=+1'"),
+    ("place p tokens=\u0661\n", "'tokens=\u0661'"),
+    ("place p tokens=\uff11\n", "'tokens=\uff11'"),
+    ("place p tokens=0x1\n", "'tokens=0x1'"),
+    ("place p tokens=1.0\n", "'tokens=1.0'"),
+]
+
+
+@pytest.mark.parametrize("text, fragment", MALFORMED_COUNTS)
+def test_token_counts_other_than_ascii_digits_are_rejected_with_their_line(text, fragment, tmp_path, capsys):
+    from lendingnets.cli import main
+
+    document = "place q\n" + text
+    with pytest.raises(DocumentError, match="bad token count") as caught:
+        parse_net(document)
+    assert caught.value.line == 2 and fragment in str(caught.value)
+    path = tmp_path / "bad.lpn"
+    path.write_text(document, encoding="utf-8")
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 2: bad token count" in captured.err
+
+
+def test_ascii_token_counts_still_parse():
+    net = parse_net("place p tokens=007\nplace q tokens=0\nplace r\n").net
+    assert net.initial == {"p": 7}

@@ -3,8 +3,8 @@
 ``old_urgent_via_net`` is the earlier definition, kept here as the oracle: add
 every done atom to the contract as a fact, recompile, explore the larger net
 and take the union of urgent steps over every node whose done set is the done
-set.  ``urgent_via_net`` now explores the contract net once from the marking in
-which a fact has granted each done atom.  The two must agree on every subset of
+set.  ``urgent_via_net`` now decides the contract net once from the marking in
+which a fact has granted each done atom, one independent component at a time.  The two must agree on every subset of
 the owned atoms, realizable or not.
 """
 
@@ -87,21 +87,26 @@ def test_small_budgets_answer_whenever_the_recompile_does(budget):
 
 
 def test_one_walk_of_the_smaller_net(monkeypatch):
-    """pairs(4) after a0, a1: 36 nodes, against 225 for the recompiled net."""
-    explored = []
-    original = lendingnets.analysis.explore
+    """pairs(4) after a0, a1: 7 states kept by the component walks, against 225 nodes for the recompiled net."""
+    kept, explored = [], []
+    walk_components = lendingnets.analysis._walk_components
+    explore = lendingnets.analysis.explore
+
+    def counting_walk(*args, **kwargs):
+        graphs = walk_components(*args, **kwargs)
+        kept.append(1 + sum(len(graph.fired) - 1 for graph in graphs))
+        return graphs
 
     def counting_explore(net, budget=DEFAULT_BUDGET):
-        graph = original(net, budget)
+        graph = explore(net, budget)
         explored.append(len(graph.nodes))
         return graph
 
-    monkeypatch.setattr(lendingnets.compiler, "explore", counting_explore)
+    monkeypatch.setattr(lendingnets.analysis, "_walk_components", counting_walk)
     monkeypatch.setattr(lendingnets.analysis, "explore", counting_explore)
     c = pairs_contract(4)
     assert urgent_via_net(c, {"a0", "a1"}) == frozenset({"b0", "b1", "a2", "a3"})
-    assert explored == [36]
-    explored.clear()
+    assert kept == [7] and explored == []
     assert old_urgent_via_net(c, {"a0", "a1"}) == frozenset({"b0", "b1", "a2", "a3"})
     assert explored == [225]
 

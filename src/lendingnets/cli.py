@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="translate a contract document into a net document")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.add_argument("--prune", action="store_true", help="drop untouched delivery places")
+    p.add_argument("--prune", action="store_true",
+                   help="keep only the delivery places of clause heads and of each clause's own body")
 
     p = sub.add_parser("compose", help="compose two or more documents of the same kind")
     p.add_argument("files", nargs="+")
@@ -176,12 +177,7 @@ def cmd_check_agreement(args) -> int:
         answer = admits_agreement(doc)
         print(f"agreement (logic): {'true' if answer else 'false'}")
         return EXIT_OK if answer else EXIT_FAILS
-    if args.via == "net":
-        verdict = agreement_via_net(doc, args.budget)
-        wording = {Outcome.HOLDS: "true", Outcome.FAILS: "false", Outcome.INCONCLUSIVE: "inconclusive"}
-        print(f"agreement (net): {wording[verdict.outcome]}")
-        return _verdict_exit(verdict)
-    logical = admits_agreement(doc)
+    logical = admits_agreement(doc) if args.via == "both" else None
     verdict = agreement_via_net(doc, args.budget)
     if verdict.outcome is Outcome.INCONCLUSIVE:
         print("agreement (net): inconclusive")
@@ -189,6 +185,9 @@ def cmd_check_agreement(args) -> int:
             print(f"  {verdict.detail}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     net_answer = verdict.outcome is Outcome.HOLDS
+    if args.via == "net":
+        print(f"agreement (net): {'true' if net_answer else 'false'}")
+        return _verdict_exit(verdict)
     if net_answer is not logical:
         raise AssertionError(
             f"logic and net disagree on agreement: logic={logical} net={net_answer}"

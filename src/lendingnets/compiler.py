@@ -8,6 +8,11 @@ every atom ``x`` and transition ``t`` there is a delivery place carrying
 the delivery places of every transition with its head.  Delivery places of a
 contractual transition lend, which is what lets a head be granted before its
 body and leaves a debt behind until the body arrives.
+
+One loop builds three nets that differ only in their delivery places: the
+full net has all of them, ``prune`` keeps those of the clause heads and of
+each clause's own body, and net-side urgency keeps only the body ones, the
+places some transition consumes, which is all its component walks read.
 """
 
 from __future__ import annotations
@@ -41,56 +46,47 @@ def compile_contract(c: PCLContract, prune: bool = False) -> ContractNet:
     """Build the contract net of a contract.
 
     The atom universe is everything the contract mentions, ownership map
-    included; with ``prune`` the delivery places no transition touches are
-    dropped, which changes nothing observable.
+    included, and every transition gets a delivery place for each atom of
+    the universe.  With ``prune`` a transition keeps only the delivery places of the
+    clause heads and of its own clause's body, the ones some transition
+    touches, which changes nothing observable.
     """
-    return _compile(c, prune, frozenset())
+    return _compile(c, frozenset(cl.head for cl in c.clauses) if prune else c.atoms(), frozenset())
 
 
-def _compile(c: PCLContract, prune: bool, done: frozenset[Atom]) -> ContractNet:
-    """compile_contract, started as if a fact had granted each atom of ``done``."""
+def _compile(c: PCLContract, extra: frozenset[Atom], done: frozenset[Atom]) -> ContractNet:
+    """The contract net of ``c`` with the delivery places of each clause's body
+    and of ``extra``, started as if a fact had granted each atom of ``done``."""
     clauses = sorted(c.clauses, key=HornClause.sort_key)
-    universe = sorted(c.atoms())
+    tids = [clause_tid(cl) for cl in clauses]
     heads = sorted({cl.head for cl in clauses})
 
-    places: set[str] = {star_pid(a) for a in heads}
-    place_labels: dict[str, str] = {}
+    delivered: dict[Atom, list[str]] = {}
     lending: set[str] = set()
-    for cl in clauses:
-        for atom in universe:
-            pid = delivery_pid(atom, cl)
-            places.add(pid)
-            place_labels[pid] = atom
+    flow: set[tuple[str, str]] = set()
+    for cl, tid in zip(clauses, tids):
+        flow.add((star_pid(cl.head), tid))
+        for atom in cl.body | extra:
+            pid = f"{atom}@{tid}"
+            delivered.setdefault(atom, []).append(pid)
+            if atom in cl.body:
+                flow.add((pid, tid))
             if cl.contractual:
                 lending.add(pid)
+    for cl, tid in zip(clauses, tids):
+        flow.update((tid, pid) for pid in delivered.get(cl.head, ()))
 
-    transitions: dict[str, str] = {clause_tid(cl): cl.head for cl in clauses}
-    flow: set[tuple[str, str]] = set()
-    for cl in clauses:
-        tid = clause_tid(cl)
-        flow.add((star_pid(cl.head), tid))
-        for atom in cl.body:
-            flow.add((delivery_pid(atom, cl), tid))
-        for target in clauses:
-            flow.add((tid, delivery_pid(cl.head, target)))
-
-    if prune:
-        touched = {x for arc in flow for x in arc}
-        isolated = {p for p in places if p not in touched and p not in {star_pid(a) for a in heads}}
-        places -= isolated
-        place_labels = {p: a for p, a in place_labels.items() if p in places}
-        lending -= isolated
-
+    place_labels = {pid: atom for atom, pids in delivered.items() for pid in pids}
     net = LendingNet(
-        places=frozenset(places),
-        transitions=frozenset(transitions),
+        places=frozenset(place_labels).union(map(star_pid, heads)),
+        transitions=frozenset(tids),
         flow=frozenset(flow),
         place_labels=place_labels,
-        transition_labels=transitions,
+        transition_labels={tid: cl.head for cl, tid in zip(clauses, tids)},
         initial={star_pid(a): 1 for a in heads if a not in done}
-        | {delivery_pid(a, cl): 1 for a in done for cl in clauses},
+        | {pid: 1 for a in done for pid in delivered.get(a, ())},
         lending=frozenset(lending),
-        alphabet=frozenset(universe),
+        alphabet=c.atoms(),
     )
     return ContractNet(
         net=net,
@@ -130,9 +126,11 @@ def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_B
     works"), so it alone gives their union of urgent steps.  The net is
     decided one independent component at a time: the answer is the union of
     the components' urgent steps, since every component's start is honored
-    (README, "How independent components are decided").
+    (README, "How independent components are decided").  The components
+    read only the places some transition consumes, so only those are built:
+    each clause's body delivery places and the control places.
     """
-    return _urgent_at_root(_compile(c, False, _owned(c, done)).net, budget)
+    return _urgent_at_root(_compile(c, frozenset(), _owned(c, done)).net, budget)
 
 
 def compile_compose_commutes(

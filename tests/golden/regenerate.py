@@ -81,6 +81,7 @@ def commands() -> list[list[str]]:
     cases += [["check", "agreement", f, "--via", "both"] for f in SPLIT]
     cases += [["urgent", f, "--done", done] for f in SPLIT for done in DONE_SETS[f]]
     cases += [["check", "wt", "tests/golden/pairs12.pcl"], ["check", "agreement", "tests/golden/pairs12.pcl", "--via", "net"]]
+    cases += [["check", "agreement", "samples/exchange_pair.pcl", "--via", "net", "--budget", "1"]]
     return cases
 
 

@@ -2,17 +2,20 @@
 
 These are the definitions that ``lendingnets.contracts`` and
 ``lendingnets.compiler`` ran on before a net was decided one independent
-component at a time, copied unchanged apart from their imports and the
-``_stuck_verdict`` routine they shared.  Each explores the whole product
-graph: ``pairs_contract(n)`` has 3^n nodes.
+component at a time, copied unchanged apart from their imports, the
+``_stuck_verdict`` routine they shared, and the way ``urgent_via_net`` gets
+its net: the public ``compile_contract`` net with the done marking put in, the
+net the compiler started from that marking then.  Each explores the whole
+product graph: ``pairs_contract(n)`` has 3^n nodes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
+from dataclasses import replace
 
 from lendingnets.analysis import Node, ReachGraph, backward_closure, explore, urgent_at
-from lendingnets.compiler import _compile
+from lendingnets.compiler import compile_contract, star_pid
 from lendingnets.contracts import ContractNet, _credits, configuration
 from lendingnets.logic import PCLContract, _owned
 from lendingnets.nets import DEFAULT_BUDGET, Atom, Verdict
@@ -68,5 +71,10 @@ def agreement_reachable(cn: ContractNet, budget: int = DEFAULT_BUDGET, graph: Re
 
 
 def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_BUDGET) -> frozenset[Atom]:
-    graph = explore(_compile(c, False, _owned(c, done)).net, budget)
+    net = compile_contract(c).net
+    done = _owned(c, done)
+    spent = {star_pid(a) for a in done}
+    initial = {p: n for p, n in net.initial.items() if p not in spent}
+    initial |= {p: 1 for p, a in net.place_labels.items() if a in done}
+    graph = explore(replace(net, initial=initial), budget)
     return urgent_at(graph, 0)

@@ -4,11 +4,16 @@ Exit codes: 0 when the command succeeds or the checked property holds, 1
 when it fails, 2 on usage, syntax, or semantic errors (a ``--budget`` below 1
 among them), 3 when a bounded analysis ran out of budget and the answer is
 unknown, 4 on an internal error such as the logic and net sides disagreeing.
+
+The argument parser is built on the first ``main`` call and reused by every
+later one in the process.  Reuse is safe because ``parse_args`` fills a fresh
+namespace on each call and nothing writes to the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -17,7 +22,7 @@ from .analysis import trace_set, urgent_for_done_set, weakly_terminates
 from .compiler import agreement_via_net, compile_contract
 from .compose import compose_many, widen_alphabet
 from .dot import export_dot
-from .errors import IncompleteExplorationError, ToolkitError
+from .errors import DocumentError, IncompleteExplorationError, ToolkitError
 from .formats import (
     NetDocument,
     combine_goals,
@@ -29,7 +34,7 @@ from .formats import (
     serialize_net,
 )
 from .contracts import weakly_terminates_in
-from .logic import PCLContract, admits_agreement, compose_contracts, proof_traces, urgent_logic
+from .logic import PCLContract, admits_agreement, bounded_proof_traces, compose_contracts, urgent_logic
 from .nets import DEFAULT_BUDGET, Outcome, Verdict, _check_budget
 
 EXIT_OK = 0
@@ -44,9 +49,16 @@ _EXIT_BY_OUTCOME = {
     Outcome.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
+_NET_ANSWER = {
+    Outcome.HOLDS: "true",
+    Outcome.FAILS: "false",
+    Outcome.INCONCLUSIVE: "inconclusive",
+}
+
 EPSILON = "ε"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpn",
@@ -94,7 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_document(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 at byte {exc.start}") from None
     kind = detect_kind(path, text)
     if kind == "net":
         return kind, parse_net(text)
@@ -179,15 +194,12 @@ def cmd_check_agreement(args) -> int:
         return EXIT_OK if answer else EXIT_FAILS
     logical = admits_agreement(doc) if args.via == "both" else None
     verdict = agreement_via_net(doc, args.budget)
-    if verdict.outcome is Outcome.INCONCLUSIVE:
-        print("agreement (net): inconclusive")
-        if verdict.detail:
+    if args.via == "net" or verdict.outcome is Outcome.INCONCLUSIVE:
+        print(f"agreement (net): {_NET_ANSWER[verdict.outcome]}")
+        if verdict.outcome is not Outcome.HOLDS and verdict.detail:
             print(f"  {verdict.detail}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    net_answer = verdict.outcome is Outcome.HOLDS
-    if args.via == "net":
-        print(f"agreement (net): {'true' if net_answer else 'false'}")
         return _verdict_exit(verdict)
+    net_answer = verdict.outcome is Outcome.HOLDS
     if net_answer is not logical:
         raise AssertionError(
             f"logic and net disagree on agreement: logic={logical} net={net_answer}"
@@ -214,7 +226,7 @@ def cmd_urgent(args) -> int:
 def cmd_traces(args) -> int:
     kind, doc = _read_document(args.file)
     if kind == "contract":
-        words, complete = proof_traces(doc.clauses), True
+        words, complete = bounded_proof_traces(doc.clauses, args.budget)
     else:
         words, complete = trace_set(doc.net, args.budget)
     for word in sorted(words, key=lambda w: (len(w), w)):

@@ -16,12 +16,13 @@ body granted earlier, or a ``->>`` clause with its body anywhere in the word.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ContractError
-from .nets import Atom
+from .nets import Atom, _check_budget
 
 Trace = tuple[Atom, ...]
 
@@ -258,6 +259,19 @@ def proof_traces(clauses: Iterable[HornClause]) -> frozenset[Trace]:
     else owes it on a ``->>`` clause with a granted body, and keeps each word
     whose owed atoms are paid; no prefix it visits is a dead end.
     """
+    return bounded_proof_traces(clauses, math.inf)[0]
+
+
+def bounded_proof_traces(
+    clauses: Iterable[HornClause], budget: float
+) -> tuple[frozenset[Trace], bool]:
+    """The search of ``proof_traces`` keeping at most ``budget`` prefixes.
+
+    Returns the words found and a completeness flag, which drops when the
+    budget ran out; ``math.inf`` keeps every prefix.  Atoms are tried in
+    sorted order, so a partial answer does not depend on the hash seed.
+    """
+    _check_budget(budget)
     theory = frozenset(clauses)
     granted = _granted(theory)
     strict: dict[Atom, list[frozenset[Atom]]] = {}
@@ -267,18 +281,32 @@ def proof_traces(clauses: Iterable[HornClause]) -> frozenset[Trace]:
             strict.setdefault(c.head, []).append(c.body)
         elif c.body <= granted:
             credit.setdefault(c.head, []).append(c.body)
+    candidates = [(a, strict.get(a, ()), a in credit) for a in sorted(granted)]
     words: set[Trace] = set()
     stack: list[tuple[Trace, frozenset[Atom], frozenset[Atom]]] = [((), frozenset(), frozenset())]
+    kept = 1
+    complete = True
     while stack:
         word, have, owed = stack.pop()
-        if all(any(body <= have for body in credit[a]) for a in owed):
+        if not owed or all(any(body <= have for body in credit[a]) for a in owed):
             words.add(word)
-        for a in granted - have:
-            if any(body <= have for body in strict.get(a, ())):
-                stack.append((word + (a,), have | {a}, owed))
-            elif a in credit:
-                stack.append((word + (a,), have | {a}, owed | {a}))
-    return frozenset(words)
+        for a, bodies, on_credit in candidates:
+            if a in have:
+                continue
+            for body in bodies:
+                if body <= have:
+                    next_owed = owed
+                    break
+            else:
+                if not on_credit:
+                    continue
+                next_owed = owed | {a}
+            if kept >= budget:
+                complete = False
+                break
+            kept += 1
+            stack.append((word + (a,), have | {a}, next_owed))
+    return frozenset(words), complete
 
 
 def trace_atom_sets(clauses: Iterable[HornClause]) -> frozenset[frozenset[Atom]]:

@@ -3,7 +3,9 @@ and over the generated documents next to this script.
 
 Each case records the argument vector (paths relative to the repository
 root), the exact standard output and standard error, and the exit code of
-``cli.main`` run in-process.  ``tests/test_cli_golden.py`` replays them.
+``cli.main`` run in-process, with ``COLUMNS=80`` so that argparse's usage
+text does not depend on the terminal.  ``tests/test_cli_golden.py`` replays
+them.
 Regenerate only when a change to the output is intended:
 
     PYTHONPATH=src python tests/golden/regenerate.py
@@ -82,6 +84,18 @@ def commands() -> list[list[str]]:
     cases += [["urgent", f, "--done", done] for f in SPLIT for done in DONE_SETS[f]]
     cases += [["check", "wt", "tests/golden/pairs12.pcl"], ["check", "agreement", "tests/golden/pairs12.pcl", "--via", "net"]]
     cases += [["check", "agreement", "samples/exchange_pair.pcl", "--via", "net", "--budget", "1"]]
+    cases += [
+        ["check", "agreement", "samples/toy_swap_a.pcl", "--via", "net"],
+        ["parse", "tests/golden/not_utf8.pcl"],
+        ["traces", "tests/golden/pairs6.pcl", "--budget", "10"],
+    ]
+    # Usage errors raised by argparse itself.
+    cases += [
+        ["parse"],
+        ["frobnicate", "x"],
+        ["check", "agreement", "samples/toy_swap.pcl", "--via", "bogus"],
+        ["check", "wt", "samples/toy_swap.pcl", "--budget", "abc"],
+    ]
     return cases
 
 
@@ -115,6 +129,7 @@ if __name__ == "__main__":
     parser.add_argument("--check", action="store_true", help="replay and compare without writing")
     args = parser.parse_args()
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     cases = [run(argv) for argv in commands()]
     if args.check:
         raise SystemExit(check(cases))

@@ -1,5 +1,7 @@
 """End-to-end command line behavior, including exit codes and determinism."""
 
+import argparse
+import json
 import os
 import subprocess
 import sys
@@ -7,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from lendingnets import parse_contract, parse_net, serialize_contract
+from lendingnets import cli, parse_contract, parse_net, serialize_contract
 from lendingnets.cli import main
 from lendingnets.fixtures import exchange_pair_contract, toy_swap_composite
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
+GOLDEN = ROOT / "tests" / "golden"
 
 CREDIT_NET = str(SAMPLES / "handshake_credit.lpn")
 STRICT_NET = str(SAMPLES / "handshake_strict.lpn")
@@ -58,6 +62,13 @@ class TestParse:
         code, _, err = run(capsys, "parse", "no/such/file.lpn")
         assert code == 2
         assert "error:" in err
+
+    def test_undecodable_documents_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pcl"
+        bad.write_bytes(b"participant A\r\nfact \xff\n")
+        code, out, err = run(capsys, "parse", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: not UTF-8 at byte 20\n"
 
     def test_usage_errors_exit_2(self, capsys):
         assert main(["parse"]) == 2
@@ -234,18 +245,20 @@ class TestDeterminism:
             assert first == second, argv
 
     def test_output_is_stable_across_hash_seeds(self):
-        outputs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            proc = subprocess.run(
-                [sys.executable, "-m", "lendingnets.cli", "compile", TOYS],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+        cases = [(["compile", TOYS], 0), (["traces", str(GOLDEN / "pairs6.pcl"), "--budget", "200"], 3)]
+        for argv, code in cases:
+            outputs = []
+            for seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=seed)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "lendingnets.cli", *argv],
+                    capture_output=True,
+                    text=True,
+                    env=env,
+                )
+                outputs.append((proc.stdout, proc.returncode))
+            assert outputs[0] == outputs[1], argv
+            assert outputs[0][1] == code, argv
 
 
 class TestExitCodes:
@@ -266,3 +279,46 @@ class TestExitCodes:
         assert err.startswith("internal error: ")
         assert "logic and net disagree" in err
         assert err.count("\n") == 1
+
+
+class TestSharedParser:
+    """``main`` reuses one parser; every command must read as with a parser of its own."""
+
+    EXTRA = [
+        [],
+        ["parse"],
+        ["frobnicate", "x"],
+        ["--help"],
+        ["check", "--help"],
+        ["check", "agreement", "f", "--via", "bogus"],
+        ["check", "wt", "f", "--budget", "abc"],
+    ]
+
+    def test_output_matches_a_fresh_parser(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setenv("COLUMNS", "80")
+        golden = [case["argv"] for case in json.loads((GOLDEN / "cli.json").read_text(encoding="utf-8"))]
+        mixed = list(golden)
+        for i, argv in enumerate(self.EXTRA):
+            mixed.insert(i * len(golden) // len(self.EXTRA), argv)
+        sequence = mixed + mixed[::-1]
+
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            expected = {tuple(argv): run(capsys, *argv) for argv in mixed}
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.__wrapped__()
+        one_tree = len(built)
+        built.clear()
+        cli.build_parser.cache_clear()
+        for argv in sequence:
+            assert run(capsys, *argv) == expected[tuple(argv)], argv
+        assert len(built) == one_tree, built

@@ -2,7 +2,8 @@
 the generated documents in ``golden/``.
 
 The expected standard output, standard error and exit code of each command
-are in ``golden/cli.json`` (written by ``golden/regenerate.py``).
+are in ``golden/cli.json`` (written by ``golden/regenerate.py``).  Both run
+with ``COLUMNS=80``, which fixes the width of argparse's usage text.
 """
 
 import copy
@@ -21,13 +22,14 @@ CASES = json.loads((HERE / "golden" / "cli.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))
 def test_command_output_is_byte_identical(case, capsys, monkeypatch):
     monkeypatch.chdir(HERE.parent)
+    monkeypatch.setenv("COLUMNS", "80")
     code = main(list(case["argv"]))
     captured = capsys.readouterr()
     assert (captured.out, captured.err, code) == (case["stdout"], case["stderr"], case["exit"])
 
 
 def test_every_subcommand_is_covered():
-    argvs = [case["argv"] for case in CASES]
+    argvs = [case["argv"] for case in CASES if not case["stderr"].startswith("usage:")]
     assert {argv[0] for argv in argvs} == {"parse", "compile", "compose", "check", "urgent", "traces", "dot"}
     assert {argv[1] for argv in argvs if argv[0] == "check"} == {"wt", "agreement"}
     assert ["--prune"] in [argv[2:] for argv in argvs if argv[0] == "compile"]

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from lendingnets import HornClause, fact, proof_traces
+from lendingnets.logic import bounded_proof_traces
 
 from generators import credit_ring, pairs_contract, random_theory
 from trace_oracle import _traces
@@ -81,3 +82,31 @@ def test_credit_on_a_fact_adds_no_word(seed):
             continue
         checked += 1
         assert proof_traces(pruned) == proof_traces(theory) == _traces(theory, {})
+
+
+def check_budgets(theory: frozenset[HornClause]) -> None:
+    """Every prefix of a word is visited, so the search keeps exactly the prefixes of the words.
+
+    Below that count it stops early and, since no visited prefix is a dead
+    end, misses at least one word.
+    """
+    full = proof_traces(theory)
+    needed = len({w[:i] for w in full for i in range(len(w) + 1)})
+    for budget in (1, 2, 3, 5, 8, needed - 1, needed):
+        if budget < 1:
+            continue
+        words, complete = bounded_proof_traces(theory, budget)
+        assert complete == (budget >= needed), (budget, needed)
+        assert words == full if complete else words < full
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_a_budget_keeps_a_subset_of_the_words(seed):
+    rng = random.Random(8000 + seed)
+    for _ in range(300):
+        check_budgets(random_theory(rng, atoms=ATOMS, max_atoms=5, max_clauses=8))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_a_budget_keeps_a_subset_of_the_words_on_closed_families(name):
+    check_budgets(CLOSED[name].clauses)

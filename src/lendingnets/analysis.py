@@ -5,25 +5,25 @@ it.  Keeping the fired multiset makes runs recoverable from paths and keeps
 the graph finite exactly for occurrence nets; nets that can fire a transition
 twice simply exhaust the exploration budget and report INCONCLUSIVE.
 
-One breadth-first walk over these nodes builds every graph and decides the
-occurrence-net property.  It works on integer indices: once per call it
-sorts the places and transitions and tabulates, per transition, the indices
-of its non-lending input places (the enabledness test) and of its input and
-output places (the firing delta).  Markings and fired vectors are int
-sequences in that order.  A node is identified by its fired vector alone: by
-the state equation the marking is the initial marking plus the summed deltas
-of the fired transitions, so equal vectors mean equal nodes.  A ``Node`` with
-sparse, id-keyed fields is built only for each kept node, not per edge.
-Non-lending places cannot go negative, since they start at zero or more and
-lose tokens only to transitions that passed the enabledness test, so the walk
-checks no firing for debt on them.
+One breadth-first search builds every graph, decides the occurrence-net
+property and walks the independent components below.  It works on integer
+indices: once per call it sorts the places and transitions and tabulates,
+per transition, the indices of its non-lending input places (the enabledness
+test) and of its input and output places (the firing delta).  Markings and
+fired vectors are int sequences in that order.  A node is identified by its
+fired vector alone: by the state equation the marking is the initial marking
+plus the summed deltas of the fired transitions, so equal vectors mean equal
+nodes.  ``explore`` builds a ``Node`` with sparse, id-keyed fields for each
+kept node, not per edge; ``is_occurrence_net`` searches the places that
+transitions consume and builds no node.  Non-lending places cannot go
+negative, since they start at zero or more and lose tokens only to
+transitions that passed the enabledness test, so the search checks no
+firing for debt on them.
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A graph holds only its net,
 nodes, edges and completeness flag; out-edges, the node index and the done
-sets are derived on first use.  The "all nodes can reach a target" checks
-share one stuck verdict, urgency takes one backward closure to the honored
-nodes, and a closure is one sweep from the last node to the first.
+sets are derived on first use.
 
 Without a built graph, the contract checks and net-side urgency split the
 net into independent components (no place one consumes is touched by
@@ -31,6 +31,13 @@ another, and no label is shared) and walk each alone over the places that
 transitions consume, keeping fired vectors instead of nodes.  The README,
 "How independent components are decided", proves the answers equal those
 of the product graph.
+
+The "all nodes can reach a target" checks share one stuck routine,
+``_first_stuck``, and urgency one routine, ``_urgent``.  Each decides a
+product of parts, a part being an explored ``ReachGraph`` or one component's
+walk, with its target states; an explored graph is the one-part case.  Each
+takes one backward closure per part, and a closure is one sweep from the
+last state to the first.
 
 A ``budget`` counts the states a search may keep: graph nodes, (node, word)
 pairs in ``trace_set``, or for the component walks the shared root once plus
@@ -150,9 +157,9 @@ def _steps(net: LendingNet, places: Iterable[PlaceId], transitions: Iterable[Tra
         (
             k,
             t,
-            tuple(at[p] for p in net.preset(t) if p not in net.lending),
-            tuple(at[p] for p in net.preset(t)),
-            tuple(at[p] for p in net.postset(t) if p in at),
+            tuple([at[p] for p in net.preset(t) if p not in net.lending]),
+            tuple([at[p] for p in net.preset(t)]),
+            tuple([at[p] for p in net.postset(t) if p in at]),
         )
         for k, t in enumerate(transitions)
     ]
@@ -191,11 +198,17 @@ def _bfs(steps: list[tuple], marking: list[int], budget: int, keep: Callable) ->
             yield i, t, j, fired[k]
 
 
-def _walk(net: LendingNet, budget: int, nodes: list[Node]) -> Iterator[tuple[int, TransitionId, int | None, int]]:
-    """The search over every place of ``net``, appending a ``Node`` to ``nodes`` for each kept state."""
+def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
+    """Breadth-first closure of single steps from the initial marking.
+
+    Successors are expanded in sorted transition order, so repeated calls
+    enumerate identical nodes and edges.  ``complete`` is False when the node
+    budget ran out before the closure was reached.
+    """
     _check_budget(budget)
     places = sorted(net.places)
     transitions = sorted(net.transitions)
+    nodes: list[Node] = []
 
     def keep(marking: list[int], fired: tuple[int, ...]) -> None:
         # Through a list: tuple() of an iterator of unknown length shrinks its
@@ -208,26 +221,22 @@ def _walk(net: LendingNet, budget: int, nodes: list[Node]) -> Iterator[tuple[int
 
     marking = [net.initial.get(p, 0) for p in places]
     keep(marking, (0,) * len(transitions))
-    return _bfs(_steps(net, places, transitions), marking, budget, keep)
-
-
-def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
-    """Breadth-first closure of single steps from the initial marking.
-
-    Successors are expanded in sorted transition order, so repeated calls
-    enumerate identical nodes and edges.  ``complete`` is False when the node
-    budget ran out before the closure was reached.
-    """
-    nodes: list[Node] = []
-    steps = [step[:3] for step in _walk(net, budget, nodes)]
+    steps = [step[:3] for step in _bfs(_steps(net, places, transitions), marking, budget, keep)]
     edges = tuple(step for step in steps if step[2] is not None)
     return ReachGraph(net=net, nodes=tuple(nodes), edges=edges, complete=len(edges) == len(steps))
 
 
 def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Check that no reachable run fires any transition twice."""
+    """Check that no reachable run fires any transition twice.
+
+    The search keeps fired vectors over the consumed places only and builds
+    no node: the other places never disable a step.
+    """
+    _check_budget(budget)
+    merged = _merged(net)
+    marking = [net.initial.get(p, 0) for p in merged.places]
     complete = True
-    for _, t, j, earlier in _walk(net, budget, []):
+    for _, t, j, earlier in _bfs(merged.steps, marking, budget, lambda marking, fired: None):
         if earlier:
             return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
         complete = complete and j is not None
@@ -293,16 +302,51 @@ def _reaching(out: list[list[tuple[TransitionId, int]]], reached: set[int]) -> s
     return reached
 
 
-def _stuck_verdict(graph: ReachGraph, incomplete: str, targets: Callable, detail: Callable[[Node], str]) -> Verdict:
-    """INCONCLUSIVE on an incomplete graph, before calling ``targets``; else FAILS at the
-    first node, in exploration order, that cannot reach a target, or HOLDS."""
-    if not graph.complete:
+def _first_stuck(parts: list[tuple], incomplete: str, detail: Callable[[Node], str]) -> Verdict:
+    """The stuck verdict of the product of ``parts``, each a ``(graph, targets)`` pair.
+
+    A part's graph is an explored ``ReachGraph`` or a ``_ComponentGraph``, and
+    ``targets()`` gives the indices of its target states.  INCONCLUSIVE with
+    ``incomplete`` when some part is incomplete, before any target is read.
+    A product state reaches a target when each of its parts does.  So the
+    first stuck product node, by fewest firings and then least path, is one
+    part's first stuck state with every other part at its root.
+    """
+    if not all(graph.complete for graph, _ in parts):
         return Verdict.inconclusive(incomplete)
-    good = backward_closure(graph, targets())
-    stuck = next((node for i, node in enumerate(graph.nodes) if i not in good), None)
-    if stuck is None:
+    stuck = []
+    for graph, targets in parts:
+        good = _reaching(graph._out, set(targets()))
+        i = next((i for i in range(len(graph._out)) if i not in good), None)
+        if i is not None:
+            stuck.append((graph, i))
+    if not stuck:
         return Verdict.holds()
-    return Verdict.fails(witness=stuck, detail=detail(stuck))
+    # Only component walks come more than one to a product, and only they keep paths.
+    graph, i = stuck[0] if len(stuck) == 1 else min(stuck, key=lambda s: s[0].shortlex(s[1]))
+    node = graph.nodes[i] if isinstance(graph, ReachGraph) else _node(graph.net, graph.firings(i))
+    return Verdict.fails(witness=node, detail=detail(node))
+
+
+def _urgent(parts: Iterable[tuple]) -> frozenset[Atom]:
+    """Labels of first steps, from a chosen state of some part, that keep an honored state reachable.
+
+    Each part is ``(graph, honored, chosen)``: an explored ``ReachGraph`` or a
+    ``_ComponentGraph``, a function giving the indices of its honored states,
+    and the indices of the states to step from; an incomplete part raises
+    before its honored states are read.  A product state can reach an
+    honored state exactly when each of its parts can, and every root is
+    honored, since no initial count is below 0; so the answer for a product
+    of parts chosen at their roots is the union of the parts' answers.
+    """
+    urgent = set()
+    for graph, honored, chosen in parts:
+        if not graph.complete:
+            raise IncompleteExplorationError("urgency needs a complete reachability graph")
+        labels, out = graph.net.transition_labels, graph._out
+        can_honor = _reaching(out, set(honored()))
+        urgent.update(labels[t] for i in chosen for t, j in out[i] if t in labels and j in can_honor)
+    return frozenset(urgent)
 
 
 @dataclass(frozen=True)
@@ -317,10 +361,11 @@ class _Component:
         return tuple(step[1] for step in self.steps)
 
 
-def _consumed_steps(net: LendingNet) -> tuple[tuple[PlaceId, ...], list[tuple]]:
-    """The places some transition consumes, sorted, and ``_steps`` over them for every transition."""
+def _merged(net: LendingNet) -> _Component:
+    """The whole net as one component over the places some transition consumes, sorted:
+    its walk is the walk of the product."""
     places = tuple(sorted({p for t in net.transitions for p in net.preset(t)}))
-    return places, _steps(net, places, sorted(net.transitions))
+    return _Component(places, tuple(_steps(net, places, sorted(net.transitions))))
 
 
 def _components(net: LendingNet) -> list[_Component]:
@@ -331,7 +376,8 @@ def _components(net: LendingNet) -> list[_Component]:
     transition consumes is in no component: it never disables a step, and it
     never owes, since it starts at 0 or more and only gains tokens.
     """
-    places, steps = _consumed_steps(net)
+    merged = _merged(net)
+    steps = merged.steps
     root = list(range(len(steps)))
 
     def find(k: int) -> int:
@@ -353,45 +399,42 @@ def _components(net: LendingNet) -> list[_Component]:
     members: dict[int, list[tuple]] = {}
     for k, row in enumerate(steps):
         members.setdefault(find(k), []).append(row)
-    return [_Component(places, tuple((k, *row[1:]) for k, row in enumerate(rows))) for rows in members.values()]
-
-
-def _merged(net: LendingNet) -> _Component:
-    """The whole net as one component: its walk is the walk of the product."""
-    places, steps = _consumed_steps(net)
-    return _Component(places, tuple(steps))
+    return [_Component(merged.places, tuple([(k, *row[1:]) for k, row in enumerate(rows)]))
+            for rows in members.values()]
 
 
 @dataclass(eq=False)
 class _ComponentGraph:
-    """The states of one component in breadth-first order, each a fired vector over its transitions.
+    """The states of one component of ``net`` in breadth-first order, each a fired vector over its transitions.
 
     ``flags`` holds the caller's test of each state and ``parent`` the edge
     that first reached it; ``found`` is the first flagged state when the walk
     stopped there, and ``complete`` says that the walk ran out of states.
     """
 
+    net: LendingNet
     component: _Component
     fired: list[tuple[int, ...]] = field(default_factory=list)
     flags: list[bool] = field(default_factory=list)
     parent: list[tuple[int, TransitionId] | None] = field(default_factory=lambda: [None])
-    out: list[list[tuple[TransitionId, int]]] = field(default_factory=list)
+    _out: list[list[tuple[TransitionId, int]]] = field(default_factory=list)
     complete: bool = True
     found: int | None = None
 
-    def path(self, i: int) -> tuple[TransitionId, ...]:
-        """The breadth-first path to state ``i``: the least run to it, first by length, then by ids."""
+    def shortlex(self, i: int) -> tuple[int, tuple[TransitionId, ...]]:
+        """State ``i``'s firings and breadth-first path: its rank by least run, first by length, then by ids."""
         steps = []
-        while self.parent[i] is not None:
-            i, t = self.parent[i]
+        j = i
+        while self.parent[j] is not None:
+            j, t = self.parent[j]
             steps.append(t)
-        return tuple(reversed(steps))
+        return sum(self.fired[i]), tuple(reversed(steps))
 
     def firings(self, i: int) -> dict[TransitionId, int]:
         return {step[1]: n for step, n in zip(self.component.steps, self.fired[i]) if n}
 
-    def reaching_flagged(self) -> set[int]:
-        return _reaching(self.out, set(compress(range(len(self.flags)), self.flags)))
+    def flagged(self) -> Iterator[int]:
+        return compress(range(len(self.flags)), self.flags)
 
 
 def _walk_component(net: LendingNet, component: _Component, budget: int, flag: Callable, stop: bool) -> _ComponentGraph:
@@ -403,12 +446,12 @@ def _walk_component(net: LendingNet, component: _Component, budget: int, flag: C
     ``flag(marking, fired)`` tests each kept state; with ``stop`` the walk ends
     at the first flagged one.
     """
-    graph = _ComponentGraph(component)
+    graph = _ComponentGraph(net, component)
 
     def keep(marking: list[int], fired: tuple[int, ...]) -> None:
         graph.fired.append(fired)
         graph.flags.append(flag(marking, fired))
-        graph.out.append([])
+        graph._out.append([])
 
     marking = [net.initial.get(p, 0) for p in component.places]
     keep(marking, (0,) * len(component.steps))
@@ -419,7 +462,7 @@ def _walk_component(net: LendingNet, component: _Component, budget: int, flag: C
         if j is None:
             graph.complete = False
             continue
-        graph.out[i].append((t, j))
+        graph._out[i].append((t, j))
         if j == len(graph.parent):
             graph.parent.append((i, t))
             if stop and graph.flags[j]:
@@ -457,49 +500,14 @@ def _node(net: LendingNet, fired: dict[TransitionId, int]) -> Node:
     )
 
 
-def _first_stuck(net: LendingNet, parts: list[tuple[_Component, Callable]], budget: int,
-                 detail: Callable[[Node], str]) -> Verdict:
-    """The stuck verdict of the product of ``parts``, whose flags mark the target states.
-
-    A product state reaches a target when each of its components does.  So
-    the first stuck product node, by fewest firings and then least path, is
-    one component's first stuck state with every other component at its root.
-    """
-    graphs = _walk_components(net, parts, budget)
-    if not all(graph.complete for graph in graphs):
-        return Verdict.inconclusive(f"exploration budget {budget} exhausted")
-    candidates = []
-    for graph in graphs:
-        good = graph.reaching_flagged()
-        i = next((i for i in range(len(graph.fired)) if i not in good), None)
-        if i is not None:
-            candidates.append((sum(graph.fired[i]), graph.path(i), graph.firings(i)))
-    if not candidates:
-        return Verdict.holds()
-    stuck = _node(net, min(candidates, key=lambda c: c[:2])[2])
-    return Verdict.fails(witness=stuck, detail=detail(stuck))
+def _honored_state(marking: list[int], fired: tuple[int, ...]) -> bool:
+    return min(marking, default=0) >= 0
 
 
 def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET) -> frozenset[Atom]:
-    """``urgent_at(explore(net, budget), 0)``, one component at a time.
-
-    A product state can reach an honored state exactly when each of its
-    components can.  So the answer is the union of each component's urgent
-    first steps when every component's root can reach an honored state, and
-    empty otherwise; every root is honored, since no initial count is below 0.
-    """
-    def honored(marking: list[int], fired: tuple[int, ...]) -> bool:
-        return min(marking, default=0) >= 0
-
-    graphs = _walk_components(net, [(c, honored) for c in _components(net)], budget)
-    if not all(graph.complete for graph in graphs):
-        raise IncompleteExplorationError("urgency needs a complete reachability graph")
-    labels = net.transition_labels
-    urgent = set()
-    for graph in graphs:
-        can_honor = graph.reaching_flagged()
-        urgent.update(labels[t] for t, j in graph.out[0] if t in labels and j in can_honor)
-    return frozenset(urgent)
+    """``urgent_at(explore(net, budget), 0)``, one component at a time."""
+    graphs = _walk_components(net, [(c, _honored_state) for c in _components(net)], budget)
+    return _urgent((graph, graph.flagged, (0,)) for graph in graphs)
 
 
 def weakly_terminates(
@@ -515,9 +523,9 @@ def weakly_terminates(
     """
     if graph is None:
         graph = explore(net, budget)
-    return _stuck_verdict(
-        graph, f"exploration budget {len(graph.nodes)} exhausted",
-        lambda: compress(range(len(graph.nodes)), map(as_goal_fn(goal), graph.nodes)),
+    return _first_stuck(
+        [(graph, lambda: compress(range(len(graph.nodes)), map(as_goal_fn(goal), graph.nodes)))],
+        f"exploration budget {len(graph.nodes)} exhausted",
         lambda stuck: f"no goal reachable from {stuck.describe()}",
     )
 
@@ -528,24 +536,13 @@ def honored_nodes(graph: ReachGraph) -> list[int]:
 
 def urgent_at(graph: ReachGraph, node: Node | int) -> frozenset[Atom]:
     """Labels of first steps from ``node`` that can still end in an honored marking."""
-    return _urgent_over(graph, [graph.index_of(node)])
-
-
-def _urgent_over(graph: ReachGraph, chosen: Iterable[int]) -> frozenset[Atom]:
-    """Labels of first steps, from any chosen node, that stay able to reach an honored node."""
-    if not graph.complete:
-        raise IncompleteExplorationError("urgency needs a complete reachability graph")
-    can_honor = backward_closure(graph, honored_nodes(graph))
-    labels = graph.net.transition_labels
-    return frozenset(
-        labels[t] for i in chosen for t, j in graph.out_edges(i) if t in labels and j in can_honor
-    )
+    return _urgent([(graph, lambda: honored_nodes(graph), [graph.index_of(node)])])
 
 
 def honored_always_reachable(graph: ReachGraph) -> Verdict:
     """Check that every explored node can still reach an honored marking."""
-    return _stuck_verdict(
-        graph, "exploration incomplete", lambda: honored_nodes(graph),
+    return _first_stuck(
+        [(graph, lambda: honored_nodes(graph))], "exploration incomplete",
         lambda stuck: f"debt can never be repaid from {stuck.describe()}",
     )
 
@@ -562,22 +559,18 @@ def urgent_for_done_set(
         raise NetStructureError(f"done atoms outside the alphabet: {sorted(wanted - net.alphabet)}")
     if graph is None:
         graph = explore(net, budget)
-    return _urgent_over(graph, [i for i, d in enumerate(graph._done_sets) if d == wanted])
+    chosen = [i for i, d in enumerate(graph._done_sets) if d == wanted]
+    return _urgent([(graph, lambda: honored_nodes(graph), chosen)])
 
 
-def trace_set(
-    net: LendingNet,
-    budget: int = DEFAULT_BUDGET,
-    graph: ReachGraph | None = None,
-) -> tuple[frozenset[tuple[Atom, ...]], bool]:
+def trace_set(net: LendingNet, budget: int = DEFAULT_BUDGET) -> tuple[frozenset[tuple[Atom, ...]], bool]:
     """All observable words of runs from the initial marking.
 
-    Returns the word set and a completeness flag; the flag drops when either
-    the graph or the word enumeration hit the budget.
+    Explores the net under ``budget`` and returns the word set and a
+    completeness flag; the flag drops when either the exploration or the word
+    enumeration hit the budget.
     """
-    _check_budget(budget)
-    if graph is None:
-        graph = explore(net, budget)
+    graph = explore(net, budget)
     complete = graph.complete
     # A search of its own: it walks (node, word) pairs of the built graph, not the net.
     words: set[tuple[Atom, ...]] = {()}

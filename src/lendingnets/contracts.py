@@ -24,7 +24,6 @@ from .analysis import (
     _first_stuck,
     _merged,
     _node,
-    _stuck_verdict,
     _walk_components,
     explore,
     is_occurrence_net,
@@ -259,11 +258,11 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reach
         return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
 
     if graph is None:
-        return _first_stuck(cn.net, _parts(cn, reached), budget, stuck_detail)
-    return _stuck_verdict(
-        graph, f"exploration budget {len(graph.nodes)} exhausted",
-        lambda: [i for i, done in _honored(cn, graph) if reached(done, cn.goals)], stuck_detail,
-    )
+        parts = [(g, g.flagged) for g in _walk_components(cn.net, _parts(cn, reached), budget)]
+    else:
+        parts = [(graph, lambda: [i for i, done in _honored(cn, graph) if reached(done, cn.goals)])]
+        budget = len(graph.nodes)
+    return _first_stuck(parts, f"exploration budget {budget} exhausted", stuck_detail)
 
 
 def weakly_terminates_in(

@@ -263,9 +263,9 @@ def fire(net: LendingNet, marking: Mapping[PlaceId, int], transition: Transition
     return result
 
 
-def run(net: LendingNet, transitions: Iterable[TransitionId], start: Mapping[PlaceId, int] | None = None) -> FiringSequence:
-    """Fire the given transitions in order, recording every intermediate marking."""
-    marking = first = dict(start) if start is not None else net.initial_marking()
+def run(net: LendingNet, transitions: Iterable[TransitionId]) -> FiringSequence:
+    """Fire the given transitions in order from the initial marking, recording every intermediate marking."""
+    marking = first = net.initial_marking()
     steps = []
     for t in transitions:
         marking = fire(net, marking, t)
@@ -296,11 +296,9 @@ def state_of(seq) -> Counter:
     return Counter(_transition_ids(seq))
 
 
-def marking_of_state(net: LendingNet, state: Mapping[TransitionId, int], start: Mapping[PlaceId, int] | None = None) -> Marking:
-    """Marking determined by a fired multiset via the state equation."""
-    marking = dict(start) if start is not None else net.initial_marking()
-    for p in net.places:
-        marking.setdefault(p, 0)
+def marking_of_state(net: LendingNet, state: Mapping[TransitionId, int]) -> Marking:
+    """Marking determined by a fired multiset from the initial marking via the state equation."""
+    marking = net.initial_marking()
     for t, count in dict(state).items():
         if t not in net.transitions:
             raise NetStructureError(f"unknown transition {t!r}")

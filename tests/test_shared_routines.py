@@ -3,6 +3,8 @@
 The references below are standalone searches kept as oracles: the
 occurrence-net check and the exploration loop as they were written before
 they shared one walk, and urgency at a node by a forward search per step.
+The last tests count the calls of the one stuck routine and the one urgency
+routine, which serve explored graphs and component walks alike.
 """
 
 import random
@@ -12,8 +14,13 @@ from itertools import combinations
 import pytest
 
 import lendingnets
+import lendingnets.analysis
+import lendingnets.compiler
+import lendingnets.contracts
 from lendingnets import (
     DEFAULT_BUDGET,
+    HONORED_GOAL,
+    ContractNet,
     Outcome,
     ToolkitError,
     Verdict,
@@ -21,16 +28,21 @@ from lendingnets import (
     enabled_transitions,
     explore,
     fire,
+    honored_always_reachable,
     is_occurrence_net,
     is_safe,
     trace_set,
     urgent,
     urgent_at,
     urgent_for_done_set,
+    urgent_via_net,
+    validate,
     weakly_terminates,
+    weakly_terminates_covering,
+    weakly_terminates_in,
 )
 
-from generators import random_contract, random_cyclic_net, random_net
+from generators import pairs_contract, random_contract, random_cyclic_net, random_net
 
 BUDGETS = (1, 2, 3, 5, 8, 40, DEFAULT_BUDGET)
 
@@ -208,3 +220,71 @@ def test_every_public_name_still_imports():
     missing = [name for name in PUBLIC_NAMES if not hasattr(lendingnets, name)]
     assert missing == []
     assert set(PUBLIC_NAMES) <= set(lendingnets.__all__)
+
+
+def test_the_occurrence_check_builds_no_node(monkeypatch):
+    built = []
+    node = lendingnets.analysis.Node
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return node(*args, **kwargs)
+
+    monkeypatch.setattr(lendingnets.analysis, "Node", counting)
+    cn = compile_contract(pairs_contract(4))
+    assert validate(cn) == []
+    assert built == []
+    explore(cn.net)
+    assert len(built) == 81
+
+
+def test_each_question_has_one_routine(monkeypatch):
+    """Every stuck check makes one call of ``_first_stuck`` and every urgency query one of
+    ``_urgent``, with a graph passed in or not."""
+    calls = []
+    modules = (lendingnets.analysis, lendingnets.compiler, lendingnets.contracts)
+    for name in ("_first_stuck", "_urgent"):
+        routine = getattr(lendingnets.analysis, name)
+
+        def counting(*args, name=name, routine=routine):
+            calls.append(name)
+            return routine(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is routine:
+                monkeypatch.setattr(module, name, counting)
+    c = pairs_contract(2)
+    cn = compile_contract(c)
+    graph = explore(cn.net)
+    stuck = {
+        "weakly_terminates": lambda: weakly_terminates(cn.net, HONORED_GOAL),
+        "honored_always_reachable": lambda: honored_always_reachable(graph),
+        "weakly_terminates_in": lambda: weakly_terminates_in(cn),
+        "weakly_terminates_in(graph=)": lambda: weakly_terminates_in(cn, graph=graph),
+        "weakly_terminates_covering": lambda: weakly_terminates_covering(cn),
+        "weakly_terminates_covering(graph=)": lambda: weakly_terminates_covering(cn, graph=graph),
+    }
+    urgency = {
+        "urgent_at": lambda: urgent_at(graph, 0),
+        "urgent_for_done_set(graph=)": lambda: urgent_for_done_set(cn.net, {"a0"}, graph=graph),
+        "urgent(graph=)": lambda: urgent(cn, {"a0"}, graph=graph),
+        "urgent_via_net": lambda: urgent_via_net(c, {"a0"}),
+    }
+    for routine, checks in (("_first_stuck", stuck), ("_urgent", urgency)):
+        for what, check in checks.items():
+            calls.clear()
+            check()
+            assert calls == [routine], what
+
+
+def test_an_explored_graph_is_the_one_part_case():
+    """No target is read on an incomplete graph, and a stuck node comes back as the graph holds it."""
+    cn = compile_contract(pairs_contract(3))
+    read = []
+    verdict = weakly_terminates(cn.net, lambda node: read.append(node) or True, graph=explore(cn.net, 5))
+    assert verdict.detail == "exploration budget 5 exhausted" and read == []
+    graph = explore(cn.net)
+    narrow = ContractNet(net=cn.net, participants=cn.participants, ownership=cn.ownership, goals={frozenset({"a0"})})
+    for verdict in (weakly_terminates(cn.net, lambda node: False, graph=graph), weakly_terminates_in(narrow, graph=graph)):
+        assert verdict.outcome is Outcome.FAILS
+        assert any(verdict.witness is node for node in graph.nodes)

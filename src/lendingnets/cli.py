@@ -34,7 +34,7 @@ from .formats import (
     serialize_net,
 )
 from .contracts import weakly_terminates_in
-from .logic import PCLContract, admits_agreement, bounded_proof_traces, compose_contracts, urgent_logic
+from .logic import admits_agreement, bounded_proof_traces, compose_contracts, urgent_logic
 from .nets import DEFAULT_BUDGET, Outcome, Verdict, _check_budget
 
 EXIT_OK = 0

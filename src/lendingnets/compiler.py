@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from .analysis import _urgent_at_root
 from .compose import oplus, trace_equivalent, widen_alphabet
 from .contracts import ContractNet, agreement_reachable
-from .logic import HornClause, PCLContract, _owned, clause_atoms, compose_contracts, fact
+from .logic import HornClause, PCLContract, _owned, compose_contracts, with_facts
 from .nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict
 
 
@@ -100,7 +100,7 @@ def extend_with_facts(c: PCLContract, atoms: Iterable[Atom]) -> PCLContract:
     """Add the given atoms as facts, binding their owners where needed."""
     atoms = _owned(c, atoms)
     return PCLContract(
-        clauses=c.clauses | {fact(a) for a in atoms},
+        clauses=with_facts(c.clauses, atoms),
         participants=c.participants | {c.ownership[a] for a in atoms},
         ownership=c.ownership,
         goals=c.goals,

@@ -13,16 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .analysis import (
-    GoalLike,
-    ReachGraph,
-    as_goal_fn,
-    explore,
-    trace_set,
-    weakly_terminates,
-)
+from .analysis import GoalLike, as_goal_fn, trace_set, weakly_terminates
 from .errors import CompositionError, NetStructureError
-from .nets import DEFAULT_BUDGET, Atom, LendingNet, Outcome, Verdict
+from .nets import DEFAULT_BUDGET, LendingNet, Outcome, Verdict
 
 
 def compatibility_problems(left: LendingNet, right: LendingNet) -> list[str]:

@@ -30,14 +30,15 @@ from .analysis import (
     urgent_for_done_set,
 )
 from .compose import oplus, widen_alphabet
-from .errors import ContractError, IncompleteExplorationError
-from .logic import Participant, _merged_ownership
+from .errors import IncompleteExplorationError
+from .logic import Participant, _joined_terms, _store_terms, _terms_key
 from .nets import (
     DEFAULT_BUDGET,
     Atom,
     LendingNet,
     Outcome,
     Verdict,
+    _Canonical,
     is_correctly_labeled,
 )
 
@@ -60,7 +61,7 @@ class Violation:
 
 
 @dataclass(frozen=True, eq=False)
-class ContractNet:
+class ContractNet(_Canonical):
     """A lending net plus participants, atom ownership, and goal sets."""
 
     net: LendingNet
@@ -69,27 +70,12 @@ class ContractNet:
     goals: frozenset[frozenset[Atom]]
 
     def __post_init__(self):
-        object.__setattr__(self, "participants", frozenset(self.participants))
-        object.__setattr__(self, "ownership", dict(self.ownership))
-        object.__setattr__(self, "goals", frozenset(frozenset(g) for g in self.goals))
+        _store_terms(self)
 
     @cached_property
     def _canon(self) -> tuple:
         """The net and the sorted contract data: the key of ``==`` and ``hash``, built on first use."""
-        return (
-            self.net,
-            tuple(sorted(self.participants)),
-            tuple(sorted(self.ownership.items())),
-            tuple(sorted(tuple(sorted(g)) for g in self.goals)),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ContractNet):
-            return NotImplemented
-        return self._canon == other._canon
-
-    def __hash__(self):
-        return hash(self._canon)
+        return self.net, *_terms_key(self)
 
 
 def validate(cn: ContractNet, budget: int = DEFAULT_BUDGET) -> list[Violation]:
@@ -184,23 +170,11 @@ def configuration_from_marking(cn: ContractNet, node: Node) -> frozenset[Atom]:
 
 
 def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNet:
-    """Compose the nets and merge the contract data.
-
-    Participant sets must be disjoint and ownership must agree, by the same
-    merge as compose_contracts; the alphabets are widened to their union
-    before the nets are composed.
-    """
-    overlap = first.participants & second.participants
-    if overlap:
-        raise ContractError(f"participants bound twice: {sorted(overlap)}")
-    merged = _merged_ownership(first, second)
+    """Compose the nets, widened to the union of their alphabets, and join the
+    contract terms by the rule of compose_contracts (``logic._joined_terms``)."""
+    terms = _joined_terms(first, second)
     left, right = widen_alphabet([first.net, second.net])
-    return ContractNet(
-        net=oplus(left, right),
-        participants=first.participants | second.participants,
-        ownership=merged,
-        goals=frozenset(g1 | g2 for g1 in first.goals for g2 in second.goals),
-    )
+    return ContractNet(net=oplus(left, right), **terms)
 
 
 def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozenset[Atom]]]:

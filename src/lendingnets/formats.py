@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .analysis import MarkingPredicate
+from .analysis import HONORED_GOAL, MarkingPredicate
 from .compiler import star_pid
 from .contracts import ContractNet
 from .errors import ContractError, DocumentError, NetStructureError
@@ -70,8 +70,6 @@ class NetDocument:
 
     def goal_like(self):
         """Goal usable by the analyses; honored markings when none is stated."""
-        from .analysis import HONORED_GOAL
-
         return self.goals if self.goals else (HONORED_GOAL,)
 
 
@@ -145,7 +143,10 @@ def parse_net(text: str) -> NetDocument:
                 raise DocumentError("token count must be non-negative", lineno)
             if not re.fullmatch("[0-9]+", count):
                 raise DocumentError(f"bad token count in {'tokens=' + count!r}", lineno)
-            attrs["tokens"] = int(count)
+            try:
+                attrs["tokens"] = int(count)
+            except ValueError:
+                raise DocumentError(f"token count of {len(count)} digits is too large", lineno) from None
         elif keyword == "transition":
             if not rest:
                 raise DocumentError("transition line needs an id", lineno)

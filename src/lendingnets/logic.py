@@ -11,6 +11,10 @@ before its own justification.
 Provability, proof traces, urgency and trace atom sets all rest on one
 justification rule: an atom of a granted word needs a ``->`` clause with its
 body granted earlier, or a ``->>`` clause with its body anywhere in the word.
+
+Two contracts compose by uniting their theories and joining their terms:
+disjoint bound participants, agreeing ownership and paired goals.  Contract
+nets join their terms by the same routine, ``_joined_terms``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ContractError
-from .nets import Atom, _check_budget
+from .nets import Atom, _Canonical, _check_budget
 
 Trace = tuple[Atom, ...]
 
@@ -70,8 +74,24 @@ def clause_atoms(clauses: Iterable[HornClause]) -> frozenset[Atom]:
     return frozenset(out)
 
 
+def _store_terms(x) -> None:
+    """Normalise the participants, ownership and goals of a contract or contract net in place."""
+    object.__setattr__(x, "participants", frozenset(x.participants))
+    object.__setattr__(x, "ownership", dict(x.ownership))
+    object.__setattr__(x, "goals", frozenset(frozenset(g) for g in x.goals))
+
+
+def _terms_key(x) -> tuple:
+    """Sorted participants, ownership and goals of a contract or contract net."""
+    return (
+        tuple(sorted(x.participants)),
+        tuple(sorted(x.ownership.items())),
+        tuple(sorted(tuple(sorted(g)) for g in x.goals)),
+    )
+
+
 @dataclass(frozen=True, eq=False)
-class PCLContract:
+class PCLContract(_Canonical):
     """A theory, the participants bound by it, atom ownership, and goal sets.
 
     Ownership must cover every atom the theory or the goals mention, and the
@@ -87,42 +107,23 @@ class PCLContract:
     goals: frozenset[frozenset[Atom]] = frozenset({frozenset()})
 
     def __post_init__(self):
-        clauses = frozenset(self.clauses)
-        participants = frozenset(self.participants)
-        ownership = dict(self.ownership)
-        goals = frozenset(frozenset(g) for g in self.goals)
-        mentioned = clause_atoms(clauses) | frozenset(a for g in goals for a in g)
-        unowned = sorted(mentioned - set(ownership))
+        object.__setattr__(self, "clauses", frozenset(self.clauses))
+        _store_terms(self)
+        mentioned = clause_atoms(self.clauses) | frozenset(a for g in self.goals for a in g)
+        unowned = sorted(mentioned - set(self.ownership))
         if unowned:
             raise ContractError(f"atoms without an owner: {unowned}")
-        for c in sorted(clauses, key=HornClause.sort_key):
-            owner = ownership[c.head]
-            if owner not in participants:
+        for c in sorted(self.clauses, key=HornClause.sort_key):
+            owner = self.ownership[c.head]
+            if owner not in self.participants:
                 raise ContractError(
                     f"head {c.head!r} is owned by {owner!r}, not a bound participant"
                 )
-        object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "participants", participants)
-        object.__setattr__(self, "ownership", ownership)
-        object.__setattr__(self, "goals", goals)
 
     @cached_property
     def _canon(self) -> tuple:
         """Sorted fields: the key of ``==`` and ``hash``, built on first use."""
-        return (
-            tuple(sorted(c.sort_key() for c in self.clauses)),
-            tuple(sorted(self.participants)),
-            tuple(sorted(self.ownership.items())),
-            tuple(sorted(tuple(sorted(g)) for g in self.goals)),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, PCLContract):
-            return NotImplemented
-        return self._canon == other._canon
-
-    def __hash__(self):
-        return hash(self._canon)
+        return tuple(sorted(c.sort_key() for c in self.clauses)), *_terms_key(self)
 
     def atoms(self) -> frozenset[Atom]:
         return clause_atoms(self.clauses) | frozenset(a for g in self.goals for a in g) | frozenset(self.ownership)
@@ -178,8 +179,11 @@ def admits_agreement(c: PCLContract) -> bool:
     return any(goal <= proved for goal in c.goals)
 
 
-def _merged_ownership(first, second) -> dict[Atom, Participant]:
-    """Agreeing union of the ownership maps of two contracts or two contract nets."""
+def _joined_terms(first, second) -> dict:
+    """Participants, ownership and goals of the composition of two contracts or contract nets."""
+    overlap = first.participants & second.participants
+    if overlap:
+        raise ContractError(f"participants bound twice: {sorted(overlap)}")
     merged = dict(first.ownership)
     for atom, owner in second.ownership.items():
         if merged.get(atom, owner) != owner:
@@ -196,7 +200,11 @@ def _merged_ownership(first, second) -> dict[Atom, Participant]:
             raise ContractError(
                 f"participant {participant!r} owns {sorted(left)} on one side and {sorted(right)} on the other"
             )
-    return merged
+    return {
+        "participants": first.participants | second.participants,
+        "ownership": merged,
+        "goals": frozenset(g1 | g2 for g1 in first.goals for g2 in second.goals),
+    }
 
 
 def compose_contracts(first: PCLContract, second: PCLContract) -> PCLContract:
@@ -204,19 +212,9 @@ def compose_contracts(first: PCLContract, second: PCLContract) -> PCLContract:
 
     The bound participant sets must be disjoint and the ownership maps must
     agree wherever they overlap.  The composite goals are all unions of one
-    goal set from each side.
+    goal set from each side.  Contract nets join these terms by the same rule.
     """
-    overlap = first.participants & second.participants
-    if overlap:
-        raise ContractError(f"participants bound twice: {sorted(overlap)}")
-    merged = _merged_ownership(first, second)
-    goals = frozenset(g1 | g2 for g1 in first.goals for g2 in second.goals)
-    return PCLContract(
-        clauses=first.clauses | second.clauses,
-        participants=first.participants | second.participants,
-        ownership=merged,
-        goals=goals,
-    )
+    return PCLContract(clauses=first.clauses | second.clauses, **_joined_terms(first, second))
 
 
 def dedupe(word: Iterable[Atom]) -> Trace:

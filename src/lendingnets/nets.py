@@ -6,10 +6,14 @@ and a set of lending places.  A transition is enabled when every input place
 either holds a token or is a lending place; firing a transition at a place
 that lends drives that place's count negative, recording a debt.  A marking
 is honored when no place is in debt.
+
+Nets, contracts and contract nets are equal when their fields are: each
+compares and hashes a sorted key built on first comparison.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
@@ -31,7 +35,10 @@ _ID_FORBIDDEN = re.compile(r'[\s=#"\\]')
 
 
 def _check_budget(budget: int) -> None:
-    """Reject budgets no search can use; a budget counts the states a search may keep."""
+    """Reject budgets no search can use; a budget counts the states a search may
+    keep, so it is an int of at least 1, or ``math.inf`` for no bound."""
+    if budget != math.inf and (isinstance(budget, bool) or not isinstance(budget, int)):
+        raise ToolkitError(f"budget must be at least 1 and an int, got {budget!r}")
     if budget < 1:
         raise ToolkitError(f"budget must be at least 1, got {budget}")
 
@@ -78,8 +85,20 @@ class Verdict:
         return Verdict(Outcome.INCONCLUSIVE, None, detail)
 
 
+class _Canonical:
+    """Equality and hash by ``_canon``, a cached property each subclass defines."""
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._canon == other._canon
+
+    def __hash__(self):
+        return hash(self._canon)
+
+
 @dataclass(frozen=True, eq=False)
-class LendingNet:
+class LendingNet(_Canonical):
     """Immutable lending Petri net.
 
     ``alphabet`` is the ambient set of atoms labels are drawn from; it must
@@ -184,14 +203,6 @@ class LendingNet:
             tuple(sorted(self.lending)),
             tuple(sorted(self.alphabet)),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, LendingNet):
-            return NotImplemented
-        return self._canon == other._canon
-
-    def __hash__(self):
-        return hash(self._canon)
 
     def preset(self, node: str) -> frozenset[str]:
         """Sources of arcs entering ``node`` (a place or transition id)."""

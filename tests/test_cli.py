@@ -70,6 +70,14 @@ class TestParse:
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: not UTF-8 at byte 20\n"
 
+    def test_huge_token_counts_are_document_errors(self, tmp_path, capsys):
+        big = tmp_path / "big.lpn"
+        big.write_text("place p tokens=" + "9" * 5000 + "\n")
+        code, out, err = run(capsys, "parse", str(big))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: ")
+        assert err.count("\n") == 1
+
     def test_usage_errors_exit_2(self, capsys):
         assert main(["parse"]) == 2
         assert main(["frobnicate", "x"]) == 2

@@ -369,3 +369,40 @@ def test_net_composition_merges_ownership_like_contract_composition():
         compose_contracts(left, right)
     with pytest.raises(ContractError, match="owns"):
         compose_contract_nets(compile_contract(left), compile_contract(right))
+
+
+def test_contract_terms_commute_with_compilation():
+    import random
+
+    from generators import compatible_contract_pair
+    from lendingnets import compile_contract, compose_contracts
+
+    rng = random.Random(13)
+    for _ in range(300):
+        first, second = compatible_contract_pair(rng)
+        joint = compile_contract(compose_contracts(first, second))
+        nets = compose_contract_nets(compile_contract(first), compile_contract(second))
+        assert nets.participants == joint.participants
+        assert nets.ownership == joint.ownership
+        assert nets.goals == joint.goals
+        assert nets.net.alphabet == joint.net.alphabet
+
+
+@pytest.mark.parametrize(
+    "right_participants, right_ownership, text",
+    [
+        ({"X"}, {"b": "X"}, "participants bound twice: ['X']"),
+        ({"Y"}, {"b": "Y", "a": "Y"}, "atom 'a' owned by 'X' on one side and 'Y' on the other"),
+        ({"Y"}, {"b": "Y", "a": "X"}, "participant 'X' owns ['a', 'd'] on one side and ['a'] on the other"),
+    ],
+)
+def test_both_compositions_reject_clashing_terms_with_one_message(right_participants, right_ownership, text):
+    from lendingnets import compile_contract, compose_contracts, contract, fact
+
+    left = contract(clauses=[fact("a")], participants={"X"}, ownership={"a": "X", "d": "X"})
+    right = contract(clauses=[fact("b")], participants=right_participants, ownership=right_ownership)
+    with pytest.raises(ContractError) as logic_side:
+        compose_contracts(left, right)
+    with pytest.raises(ContractError) as net_side:
+        compose_contract_nets(compile_contract(left), compile_contract(right))
+    assert str(logic_side.value) == str(net_side.value) == text

@@ -8,6 +8,7 @@ routine, which serve explored graphs and component walks alike.
 """
 
 import random
+import re
 from collections import Counter, deque
 from itertools import combinations
 
@@ -41,6 +42,7 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
+from lendingnets.logic import bounded_proof_traces
 
 from generators import pairs_contract, random_contract, random_cyclic_net, random_net
 
@@ -206,7 +208,10 @@ def test_contract_urgency_is_net_urgency_on_the_compiled_net():
             assert urgent(cn, done) == urgent_for_done_set(cn.net, done)
 
 
-@pytest.mark.parametrize("budget", (0, -1))
+NONSENSE_BUDGETS = (2.5, float("nan"), True, "3")
+
+
+@pytest.mark.parametrize("budget", (0, -1, *NONSENSE_BUDGETS))
 def test_budgets_below_one_are_rejected_by_every_search(budget):
     net = random_net(random.Random(3), "b")
     for search in (explore, is_occurrence_net, is_safe, trace_set):
@@ -214,6 +219,18 @@ def test_budgets_below_one_are_rejected_by_every_search(budget):
             search(net, budget)
     with pytest.raises(ToolkitError, match="budget must be at least 1"):
         weakly_terminates(net, lambda node: True, budget)
+
+
+@pytest.mark.parametrize("budget", NONSENSE_BUDGETS)
+def test_budgets_that_are_not_whole_counts_are_rejected_by_the_contract_checks(budget):
+    c = pairs_contract(3)
+    for check in (
+        lambda: weakly_terminates_in(compile_contract(c), budget),
+        lambda: urgent_via_net(c, (), budget),
+        lambda: bounded_proof_traces(c.clauses, budget),
+    ):
+        with pytest.raises(ToolkitError, match=f"budget must be at least 1 and an int, got {re.escape(repr(budget))}"):
+            check()
 
 
 def test_every_public_name_still_imports():

@@ -13,12 +13,16 @@ test) and of its input and output places (the firing delta).  Markings and
 fired vectors are int sequences in that order.  A node is identified by its
 fired vector alone: by the state equation the marking is the initial marking
 plus the summed deltas of the fired transitions, so equal vectors mean equal
-nodes.  ``explore`` builds a ``Node`` with sparse, id-keyed fields for each
-kept node, not per edge; ``is_occurrence_net`` searches the places that
-transitions consume and builds no node.  Non-lending places cannot go
-negative, since they start at zero or more and lose tokens only to
-transitions that passed the enabledness test, so the search checks no
-firing for debt on them.
+nodes.  ``explore`` builds a ``Node`` for each kept node, not per edge, and
+the node keeps the walk's dense token counts and fired vector, in an order
+that all nodes of the graph share; it builds its sparse, id-keyed fields on
+first read, and reads ``honored`` and debts only on the places that can owe,
+the lending places some transition consumes (README, "How independent
+components are decided": no other place is ever below 0).
+``is_occurrence_net`` searches the places that transitions consume and
+builds no node.  Non-lending places cannot go negative, since they start at
+zero or more and lose tokens only to transitions that passed the enabledness
+test, so the search checks no firing for debt on them.
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A graph holds only its net,
@@ -66,30 +70,107 @@ from .nets import (
 )
 
 
-@dataclass(frozen=True)
-class Node:
-    """Reachability graph node: sparse marking, fired multiset, and whether no place owes."""
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The order of one graph's dense vectors, shared by all its nodes: sorted ids,
+    each place's index, and each place that can owe (a lending place some
+    transition consumes) with its index."""
 
-    marking: tuple[tuple[PlaceId, int], ...]
-    fired: tuple[tuple[TransitionId, int], ...]
-    honored: bool = field(compare=False, repr=False)
+    places: tuple[PlaceId, ...]
+    transitions: tuple[TransitionId, ...]
+    at: dict[PlaceId, int]
+    owing: tuple[tuple[PlaceId, int], ...]
+
+
+class Node:
+    """Reachability graph node: marking, fired multiset, and whether no place owes.
+
+    ``marking`` and ``fired`` are the nonzero counts as ``(id, count)`` pairs
+    sorted by id, as ``Node(marking, fired, honored)`` takes them; ``honored``
+    is not part of ``==``, ``hash`` or ``repr``.  ``explore`` passes instead the
+    walk's dense count vectors and the graph's ``_Layout``.  Such a node builds
+    its sparse fields on first read, looks ``tokens`` up by index, reads fired
+    ids off the fired vector, and reads debts only on the places that can owe:
+    no other place of a reachable node is ever below 0 (README, "How
+    independent components are decided").
+    """
+
+    __slots__ = ("_marking", "_fired", "_honored", "_counts", "_vector", "_layout")
+
+    def __init__(self, marking, fired, honored: bool, _layout: _Layout | None = None):
+        if _layout is None:
+            self._marking, self._fired = marking, fired
+        else:
+            self._marking = self._fired = None
+            self._counts, self._vector = marking, fired
+        self._honored, self._layout = honored, _layout
+
+    @property
+    def marking(self) -> tuple[tuple[PlaceId, int], ...]:
+        if self._marking is None:
+            self._marking = _sparse(self._layout.places, self._counts)
+        return self._marking
+
+    @property
+    def fired(self) -> tuple[tuple[TransitionId, int], ...]:
+        if self._fired is None:
+            self._fired = _sparse(self._layout.transitions, self._vector)
+        return self._fired
+
+    @property
+    def honored(self) -> bool:
+        return self._honored
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.marking == other.marking and self.fired == other.fired
+
+    def __hash__(self):
+        return hash((self.marking, self.fired))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(marking={self.marking!r}, fired={self.fired!r})"
 
     def tokens(self, place: PlaceId) -> int:
-        for p, n in self.marking:
+        if self._layout is not None:
+            k = self._layout.at.get(place)
+            return 0 if k is None else self._counts[k]
+        for p, n in self._marking:
             if p == place:
                 return n
         return 0
+
+    def _debts(self) -> list[PlaceId]:
+        """The places below 0, read only on the places that can owe for a node the walk built."""
+        if self._layout is None:
+            return [p for p, n in self._marking if n < 0]
+        counts = self._counts
+        return [p for p, k in self._layout.owing if counts[k] < 0]
 
     def fired_multiset(self) -> Counter:
         return Counter(dict(self.fired))
 
     def fired_set(self) -> frozenset[TransitionId]:
-        return frozenset(t for t, _ in self.fired)
+        return frozenset(self._fired_ids())
+
+    def _fired_ids(self) -> Iterable[TransitionId]:
+        """The ids of the fired transitions, read off the fired vector while ``fired`` is unbuilt."""
+        if self._fired is None:
+            return compress(self._layout.transitions, self._vector)
+        return (t for t, _ in self._fired)
 
     def describe(self) -> str:
         marks = ", ".join(f"{p}={n}" for p, n in self.marking) or "empty"
         fires = ", ".join(t if n == 1 else f"{t}x{n}" for t, n in self.fired) or "none"
         return f"marking [{marks}] fired [{fires}]"
+
+
+def _sparse(ids: tuple[str, ...], counts) -> tuple[tuple[str, int], ...]:
+    """The ``(id, count)`` pairs of the nonzero ``counts``, ``ids`` giving each position's id."""
+    # Through a list: tuple() of an iterator of unknown length shrinks its
+    # result in place, which fragments the heap of a long-lived process.
+    return tuple(list(compress(zip(ids, counts), counts)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,23 +227,20 @@ class ReachGraph:
 
 def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
     """The labels of the transitions fired to reach ``node``."""
-    return frozenset(net.transition_labels[t] for t, _ in node.fired if t in net.transition_labels)
+    labels = net.transition_labels
+    return frozenset([labels[t] for t in node._fired_ids() if t in labels])
 
 
 def _steps(net: LendingNet, places: Iterable[PlaceId], transitions: Iterable[TransitionId]) -> list[tuple]:
     """Per transition, ``(k, t, guard, pre, post)``: its position, its id, and the indices in
     ``places`` of its non-lending input places, its input places and those of its output places."""
     at = {p: k for k, p in enumerate(places)}
-    return [
-        (
-            k,
-            t,
-            tuple([at[p] for p in net.preset(t) if p not in net.lending]),
-            tuple([at[p] for p in net.preset(t)]),
-            tuple([at[p] for p in net.postset(t) if p in at]),
-        )
-        for k, t in enumerate(transitions)
-    ]
+    steps = []
+    for k, t in enumerate(transitions):
+        pre = net.preset(t)
+        guard = tuple([at[p] for p in pre if p not in net.lending])
+        steps.append((k, t, guard, tuple([at[p] for p in pre]), tuple([at[p] for p in net.postset(t) if p in at])))
+    return steps
 
 
 def _bfs(steps: list[tuple], marking: list[int], budget: int, keep: Callable) -> Iterator[tuple]:
@@ -206,24 +284,26 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
     budget ran out before the closure was reached.
     """
     _check_budget(budget)
-    places = sorted(net.places)
-    transitions = sorted(net.transitions)
+    places = tuple(sorted(net.places))
+    at = {p: k for k, p in enumerate(places)}
+    owing = tuple((p, at[p]) for p in sorted(net.lending) if net.postset(p))
+    layout = _Layout(places, tuple(sorted(net.transitions)), at, owing)
+    owing_at = [k for _, k in owing]
     nodes: list[Node] = []
 
     def keep(marking: list[int], fired: tuple[int, ...]) -> None:
-        # Through a list: tuple() of an iterator of unknown length shrinks its
-        # result in place, which fragments the heap of a long-lived process.
-        nodes.append(Node(
-            marking=tuple(list(compress(zip(places, marking), marking))),
-            fired=tuple(list(compress(zip(transitions, fired), fired))),
-            honored=min(marking, default=0) >= 0,
-        ))
+        honored = min(map(marking.__getitem__, owing_at), default=0) >= 0
+        nodes.append(Node(tuple(marking), fired, honored, layout))
 
     marking = [net.initial.get(p, 0) for p in places]
-    keep(marking, (0,) * len(transitions))
-    steps = [step[:3] for step in _bfs(_steps(net, places, transitions), marking, budget, keep)]
-    edges = tuple(step for step in steps if step[2] is not None)
-    return ReachGraph(net=net, nodes=tuple(nodes), edges=edges, complete=len(edges) == len(steps))
+    keep(marking, (0,) * len(layout.transitions))
+    edges, complete = [], True
+    for i, t, j, _ in _bfs(_steps(net, places, layout.transitions), marking, budget, keep):
+        if j is None:
+            complete = False
+        else:
+            edges.append((i, t, j))
+    return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete)
 
 
 def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:

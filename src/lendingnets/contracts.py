@@ -146,12 +146,19 @@ def validate(cn: ContractNet, budget: int = DEFAULT_BUDGET) -> list[Violation]:
 
 
 def configuration(cn: ContractNet, node: Node) -> Configuration:
-    """Read a graph node as (atoms granted, atoms in debt)."""
+    """Read a node of ``cn.net``'s reachability graph as (atoms granted, atoms in debt).
+
+    For a node that ``explore`` built, debts are read only on the places that
+    can owe, the lending places some transition consumes: exact for the nodes
+    of that net's graph, where no other place is ever below 0.
+    """
     return Configuration(done=_done_set(cn.net, node), credits=_credits(cn.net, node))
 
 
 def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
-    return frozenset(net.place_labels[p] for p, n in node.marking if n < 0 and p in net.place_labels)
+    """The labels of the labeled places among those where ``node`` owes."""
+    labels = net.place_labels
+    return frozenset([labels[p] for p in node._debts() if p in labels])
 
 
 def configuration_from_marking(cn: ContractNet, node: Node) -> frozenset[Atom]:

@@ -1,0 +1,116 @@
+"""Graph nodes that keep the walk's dense vectors, against eagerly built nodes.
+
+``explore`` stores each kept node's token counts and fired vector in one
+order per graph and builds the sparse ``(id, count)`` fields on first read;
+``honored`` and credits are read only on the places that can owe.
+``node_oracle`` keeps the earlier ``explore``, which built every field up
+front and took ``honored`` from every place; ``contract_oracle`` keeps the
+configuration read over the whole marking.  Every read must agree.
+"""
+
+import random
+
+import pytest
+
+import contract_oracle
+import node_oracle
+from lendingnets import (
+    ContractNet,
+    Outcome,
+    agreement_reachable,
+    compile_contract,
+    explore,
+    honored_done_sets,
+    reachable_configurations,
+    weakly_terminates_in,
+)
+from lendingnets.analysis import Node
+from lendingnets.contracts import configuration
+from lendingnets.nets import DEFAULT_BUDGET
+
+from generators import pairs_contract, random_contract, random_cyclic_net, random_net
+from test_node_reading import result_of, unlabeled_debt_net
+
+BUDGETS = (1, 2, 3, 5, 8, DEFAULT_BUDGET)
+# Most cyclic nets have unbounded graphs, and a walk cut short at 100,000
+# nodes takes seconds per net yet reads no differently from one cut at 1,000.
+CYCLIC_BUDGET = 1_000
+NOT_A_PLACE = "nowhere"
+
+
+def sample_contract_nets() -> list[tuple[ContractNet, int]]:
+    """Seeded random and cyclic nets, with empty contract terms, compiled random
+    contracts and ``pairs(1..4)``, each with the largest budget it is walked at."""
+    rng = random.Random(14)
+    nets = []
+    for k in range(10):
+        nets.append((ContractNet(net=random_net(rng, f"n{k}"), participants=(), ownership={}, goals=()),
+                     DEFAULT_BUDGET))
+        nets.append((ContractNet(net=random_cyclic_net(rng, f"c{k}"), participants=(), ownership={}, goals=()),
+                     CYCLIC_BUDGET))
+        nets.append((compile_contract(random_contract(rng)), DEFAULT_BUDGET))
+    return nets + [(compile_contract(pairs_contract(n)), DEFAULT_BUDGET) for n in (1, 2, 3, 4)]
+
+
+CONTRACT_NETS = sample_contract_nets()
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_nodes_read_as_the_eager_nodes_of_the_oracle(budget):
+    for cn, largest in CONTRACT_NETS:
+        net, places, budget = cn.net, sorted(cn.net.places), min(budget, largest)
+        assert NOT_A_PLACE not in net.places
+        graph, want = explore(net, budget), node_oracle.explore(net, budget)
+        assert graph.edges == want.edges and graph.complete == want.complete
+        assert len(graph.nodes) == len(want.nodes)
+        # On a fresh graph, hashing and equality are the first reads of every node.
+        fresh = explore(net, budget)
+        assert [fresh.index_of(old) for old in want.nodes] == list(range(len(want.nodes)))
+        for i, (node, old) in enumerate(zip(graph.nodes, want.nodes)):
+            assert [node.tokens(p) for p in places] == [old.tokens(p) for p in places]
+            assert node.tokens(NOT_A_PLACE) == old.tokens(NOT_A_PLACE) == 0
+            assert node.honored == old.honored
+            assert node.fired_set() == old.fired_set()
+            assert node.describe() == old.describe()
+            assert repr(node) == repr(old)
+            assert node.marking == old.marking and node.fired == old.fired
+            assert node == old and hash(node) == hash(old)
+            assert graph.index_of(old) == i
+            twin = Node(node.marking, node.fired, node.honored)
+            assert twin == node and hash(twin) == hash(node) and twin.honored == node.honored
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_credits_read_on_the_places_that_can_owe_equal_the_whole_marking(budget):
+    for cn, largest in CONTRACT_NETS + [(unlabeled_debt_net(False), budget), (unlabeled_debt_net(True), budget)]:
+        budget = min(budget, largest)
+        graph, want = explore(cn.net, budget), node_oracle.explore(cn.net, budget)
+        for node in graph.nodes:
+            assert configuration(cn, node) == contract_oracle.configuration(cn, node)
+        for new, old in ((reachable_configurations, contract_oracle.reachable_configurations),
+                         (honored_done_sets, contract_oracle.honored_done_sets)):
+            expected = result_of(old, cn, budget, want)
+            assert result_of(new, cn, budget, graph) == expected, new.__name__
+            assert result_of(new, cn, budget) == expected, new.__name__
+
+
+def test_the_checks_on_a_graph_build_sparse_fields_only_for_the_witness():
+    def built(graph):
+        return [node for node in graph.nodes if node._marking is not None or node._fired is not None]
+
+    cn = compile_contract(pairs_contract(4))
+    graph = explore(cn.net)
+    assert weakly_terminates_in(cn, graph=graph).outcome is Outcome.HOLDS
+    assert len(honored_done_sets(cn, graph=graph)) == 2 ** 4
+    assert len(reachable_configurations(cn, graph=graph)) == 3 ** 4
+    assert built(graph) == []
+    found = agreement_reachable(cn, graph=graph)
+    assert found.outcome is Outcome.HOLDS
+    [witness] = built(graph)
+    assert found.detail == witness.describe()
+
+    graph = explore(cn.net)
+    narrow = ContractNet(net=cn.net, participants=cn.participants, ownership=cn.ownership,
+                         goals={frozenset({"a0"})})
+    failed = weakly_terminates_in(narrow, graph=graph)
+    assert failed.outcome is Outcome.FAILS and built(graph) == [failed.witness]

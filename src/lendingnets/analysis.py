@@ -52,7 +52,7 @@ An incomplete search keeps exactly ``budget`` states.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -517,11 +517,12 @@ class _ComponentGraph:
         return compress(range(len(self.flags)), self.flags)
 
 
-def _walk_component(net: LendingNet, component: _Component, budget: int, flag: Callable, stop: bool) -> _ComponentGraph:
-    """Search one component, keeping at most ``budget`` states.
+def _walk_component(net: LendingNet, component: _Component, start: Mapping[PlaceId, int], budget: int,
+                    flag: Callable, stop: bool) -> _ComponentGraph:
+    """Search one component from the marking ``start``, keeping at most ``budget`` states.
 
     Only the component's transitions fire, so only its places change; the
-    other consumed places keep their initial counts.
+    other consumed places keep their start counts.
 
     ``flag(marking, fired)`` tests each kept state; with ``stop`` the walk ends
     at the first flagged one.
@@ -533,7 +534,7 @@ def _walk_component(net: LendingNet, component: _Component, budget: int, flag: C
         graph.flags.append(flag(marking, fired))
         graph._out.append([])
 
-    marking = [net.initial.get(p, 0) for p in component.places]
+    marking = [start.get(p, 0) for p in component.places]
     keep(marking, (0,) * len(component.steps))
     if stop and graph.flags[0]:
         graph.complete, graph.found = False, 0
@@ -551,9 +552,9 @@ def _walk_component(net: LendingNet, component: _Component, budget: int, flag: C
     return graph
 
 
-def _walk_components(net: LendingNet, parts: list[tuple[_Component, Callable]], budget: int,
-                     stop: bool = False) -> list[_ComponentGraph]:
-    """Walk each ``(component, flag)`` of ``parts`` in turn under one budget.
+def _walk_components(net: LendingNet, parts: list[tuple[_Component, Callable]], start: Mapping[PlaceId, int],
+                     budget: int, stop: bool = False) -> list[_ComponentGraph]:
+    """Walk each ``(component, flag)`` of ``parts`` in turn from the marking ``start`` under one budget.
 
     The components share their root, so the budget counts it once plus each
     component's further states.  The walks end after one that the budget cut
@@ -562,7 +563,7 @@ def _walk_components(net: LendingNet, parts: list[tuple[_Component, Callable]], 
     _check_budget(budget)
     graphs = []
     for component, flag in parts:
-        graph = _walk_component(net, component, budget, flag, stop)
+        graph = _walk_component(net, component, start, budget, flag, stop)
         graphs.append(graph)
         budget -= len(graph.fired) - 1
         if graph.found is None and (stop or not graph.complete):
@@ -584,9 +585,16 @@ def _honored_state(marking: list[int], fired: tuple[int, ...]) -> bool:
     return min(marking, default=0) >= 0
 
 
-def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET) -> frozenset[Atom]:
-    """``urgent_at(explore(net, budget), 0)``, one component at a time."""
-    graphs = _walk_components(net, [(c, _honored_state) for c in _components(net)], budget)
+def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET,
+                    components: Iterable[_Component] | None = None,
+                    start: Mapping[PlaceId, int] | None = None) -> frozenset[Atom]:
+    """``urgent_at(explore(net, budget), 0)``, one component at a time.
+
+    A caller that keeps the components of ``net`` passes them, and ``start``
+    replaces the initial marking as the root.
+    """
+    parts = [(c, _honored_state) for c in (_components(net) if components is None else components)]
+    graphs = _walk_components(net, parts, net.initial if start is None else start, budget)
     return _urgent((graph, graph.flagged, (0,)) for graph in graphs)
 
 

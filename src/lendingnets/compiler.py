@@ -9,17 +9,19 @@ the delivery places of every transition with its head.  Delivery places of a
 contractual transition lend, which is what lets a head be granted before its
 body and leaves a debt behind until the body arrives.
 
-One loop builds three nets that differ only in their delivery places: the
-full net has all of them, ``prune`` keeps those of the clause heads and of
-each clause's own body, and net-side urgency keeps only the body ones, the
-places some transition consumes, which is all its component walks read.
+One loop builds the nets, which differ only in their delivery places: the
+full net has all of them and ``prune`` keeps those of the clause heads and of
+each clause's own body.  Net-side urgency keeps only the body ones, the
+places some transition consumes, which is all its component walks read; it
+builds that net and its components once per contract and starts each done
+set's walks from that set's marking.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .analysis import _urgent_at_root
+from .analysis import _Component, _components, _urgent_at_root
 from .compose import oplus, trace_equivalent, widen_alphabet
 from .contracts import ContractNet, agreement_reachable
 from .logic import HornClause, PCLContract, _owned, compose_contracts, with_facts
@@ -51,12 +53,11 @@ def compile_contract(c: PCLContract, prune: bool = False) -> ContractNet:
     clause heads and of its own clause's body, the ones some transition
     touches, which changes nothing observable.
     """
-    return _compile(c, frozenset(cl.head for cl in c.clauses) if prune else c.atoms(), frozenset())
+    return _compile(c, frozenset(cl.head for cl in c.clauses) if prune else c.atoms())
 
 
-def _compile(c: PCLContract, extra: frozenset[Atom], done: frozenset[Atom]) -> ContractNet:
-    """The contract net of ``c`` with the delivery places of each clause's body
-    and of ``extra``, started as if a fact had granted each atom of ``done``."""
+def _compile(c: PCLContract, extra: frozenset[Atom]) -> ContractNet:
+    """The contract net of ``c`` with the delivery places of each clause's body and of ``extra``."""
     clauses = sorted(c.clauses, key=HornClause.sort_key)
     tids = [clause_tid(cl) for cl in clauses]
     heads = sorted({cl.head for cl in clauses})
@@ -83,8 +84,7 @@ def _compile(c: PCLContract, extra: frozenset[Atom], done: frozenset[Atom]) -> C
         flow=frozenset(flow),
         place_labels=place_labels,
         transition_labels={tid: cl.head for cl, tid in zip(clauses, tids)},
-        initial={star_pid(a): 1 for a in heads if a not in done}
-        | {pid: 1 for a in done for pid in delivered.get(a, ())},
+        initial={star_pid(a): 1 for a in heads},
         lending=frozenset(lending),
         alphabet=c.atoms(),
     )
@@ -121,16 +121,35 @@ def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_B
     """Net-side urgency after ``done``: urgent steps at the start of the contract
     net in which a fact has granted each done atom.
 
-    That start dominates every node with done set ``done`` of the net
-    recompiled with the done atoms as facts (README, "How net-side urgency
-    works"), so it alone gives their union of urgent steps.  The net is
-    decided one independent component at a time: the answer is the union of
-    the components' urgent steps, since every component's start is honored
-    (README, "How independent components are decided").  The components
-    read only the places some transition consumes, so only those are built:
-    each clause's body delivery places and the control places.
+    That start, the done marking, dominates every node with done set ``done``
+    of the net recompiled with the done atoms as facts (README, "How net-side
+    urgency works"), so it alone gives their union of urgent steps.  The net
+    is decided one independent component at a time: the answer is the union
+    of the components' urgent steps, since every component's start is
+    honored (README, "How independent components are decided").  The
+    components read only the places some transition consumes, so only those
+    are built: each clause's body delivery places and the control places.
+    The done marking is the only part that depends on ``done``: the net and
+    its components are built once per contract (``_urgency_net``).
     """
-    return _urgent_at_root(_compile(c, frozenset(), _owned(c, done)).net, budget)
+    done = _owned(c, done)
+    net, components = _urgency_net(c)
+    start = net.initial | {star_pid(a): 0 for a in done} | {p: 1 for p, a in net.place_labels.items() if a in done}
+    return _urgent_at_root(net, budget, components, start)
+
+
+def _urgency_net(c: PCLContract) -> tuple[LendingNet, tuple[_Component, ...]]:
+    """Urgency's consumed-places net of ``c``, started with nothing done, and its components.
+
+    Built on the first urgency query and kept in ``c``'s instance dict, as
+    ``_canon`` is: ``c`` is immutable, so they never go stale, and they stay
+    out of its ``==``, ``hash`` and ``repr``.
+    """
+    kept = vars(c).get("_urgency_net")
+    if kept is None:
+        net = _compile(c, frozenset()).net
+        kept = vars(c)["_urgency_net"] = net, tuple(_components(net))
+    return kept
 
 
 def compile_compose_commutes(

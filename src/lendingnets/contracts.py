@@ -239,7 +239,7 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reach
         return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
 
     if graph is None:
-        parts = [(g, g.flagged) for g in _walk_components(cn.net, _parts(cn, reached), budget)]
+        parts = [(g, g.flagged) for g in _walk_components(cn.net, _parts(cn, reached), cn.net.initial, budget)]
     else:
         parts = [(graph, lambda: [i for i, done in _honored(cn, graph) if reached(done, cn.goals)])]
         budget = len(graph.nodes)
@@ -279,7 +279,7 @@ def agreement_reachable(
     component's walk stops at its first such state, and the witness joins them.
     """
     if graph is None:
-        graphs = _walk_components(cn.net, _parts(cn, _covers_goal_set), budget, stop=True)
+        graphs = _walk_components(cn.net, _parts(cn, _covers_goal_set), cn.net.initial, budget, stop=True)
         if not graphs or graphs[-1].found is not None:
             found = _node(cn.net, {t: n for g in graphs for t, n in g.firings(g.found).items()})
             return Verdict.holds(detail=found.describe())

@@ -99,6 +99,10 @@ class PCLContract(_Canonical):
     contract can only promise what its own participants control.  Omitted
     fields are empty, except the goals: the one empty goal.  ``contract`` is
     this constructor under another name.
+
+    Besides ``_canon``, the instance dict keeps the net and components that
+    net-side urgency builds on its first query (``compiler._urgency_net``);
+    neither takes part in ``==``, ``hash`` or ``repr``.
     """
 
     clauses: frozenset[HornClause] = frozenset()

@@ -185,3 +185,9 @@ def credit_ring(n: int, side: int | None = None) -> PCLContract:
     if side is not None:
         clauses.append(HornClause(head="s", body=frozenset({f"x{side}"})))
     return _credit_contract(clauses)
+
+
+def settled_pairs(n: int) -> PCLContract:
+    """``pairs_contract(n)`` plus the strict settlement ``b_0 & ... & b_{n-1} -> z``, joining every handshake."""
+    settlement = HornClause(head="z", body=frozenset(f"b{j}" for j in range(n)))
+    return _credit_contract([*pairs_contract(n).clauses, settlement])

@@ -7,22 +7,28 @@ twice simply exhaust the exploration budget and report INCONCLUSIVE.
 
 One breadth-first search builds every graph, decides the occurrence-net
 property and walks the independent components below.  It works on integer
-indices: once per call it sorts the places and transitions and tabulates,
-per transition, the indices of its non-lending input places (the enabledness
-test) and of its input and output places (the firing delta).  Markings and
-fired vectors are int sequences in that order.  A node is identified by its
-fired vector alone: by the state equation the marking is the initial marking
-plus the summed deltas of the fired transitions, so equal vectors mean equal
-nodes.  ``explore`` builds a ``Node`` for each kept node, not per edge, and
-the node keeps the walk's dense token counts and fired vector, in an order
-that all nodes of the graph share; it builds its sparse, id-keyed fields on
-first read, and reads ``honored`` and debts only on the places that can owe,
-the lending places some transition consumes (README, "How independent
-components are decided": no other place is ever below 0).
-``is_occurrence_net`` searches the places that transitions consume and
-builds no node.  Non-lending places cannot go negative, since they start at
-zero or more and lose tokens only to transitions that passed the enabledness
-test, so the search checks no firing for debt on them.
+indices over the places that some transition consumes (``_merged``): once
+per call it sorts those places and the transitions and tabulates, per
+transition, the indices of its non-lending input places (the enabledness
+test) and of its input and consumed output places (the firing delta).
+Markings and fired vectors are int sequences in that order.  A node is
+identified by its fired vector alone: by the state equation the marking is
+the initial marking plus the summed deltas of the fired transitions, so
+equal vectors mean equal nodes.  A place that no transition consumes is in
+no guard, so the walk sees the same states, steps and order without it.
+``explore`` builds a ``Node`` for each kept node, not per edge, and the node
+keeps the walk's own count list over the consumed places and its fired
+vector, in an order that all nodes of the graph share.  It reads any other
+place by the state equation (its initial count plus its producers'
+firings) only when ``tokens``, the marking, ``describe``, ``==`` or
+``hash`` asks; it builds its sparse, id-keyed fields on first read, and
+reads ``honored`` and debts only on the places that can owe, the lending
+places some transition consumes (README, "How independent components are
+decided": no other place is ever below 0).  ``is_occurrence_net`` runs the
+same search, builds no node and stops at the first transition fired twice.
+Non-lending places cannot go negative, since they start at zero or more and
+lose tokens only to transitions that passed the enabledness test, so the
+search checks no firing for debt on them.
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A graph holds only its net,
@@ -72,14 +78,43 @@ from .nets import (
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """The order of one graph's dense vectors, shared by all its nodes: sorted ids,
-    each place's index, and each place that can owe (a lending place some
-    transition consumes) with its index."""
+    """The order of one graph's dense vectors, shared by all its nodes.
 
+    ``places`` are the places some transition consumes, sorted, with each
+    one's index in ``at``; ``transitions`` are all transitions, sorted, with
+    their labels (None when unlabeled) in ``labels``; ``owing`` pairs each
+    place that can owe (a lending place some transition consumes) with its
+    index.  The other places are read by the state equation.
+    """
+
+    net: LendingNet
     places: tuple[PlaceId, ...]
-    transitions: tuple[TransitionId, ...]
     at: dict[PlaceId, int]
+    transitions: tuple[TransitionId, ...]
+    labels: tuple[Atom | None, ...]
     owing: tuple[tuple[PlaceId, int], ...]
+
+    def state_equation(self, place: PlaceId, fired) -> int:
+        """The count of ``place``, which no transition consumes, by the state equation:
+        its initial count plus its producers' firings (0 for an id that is no place)."""
+        postset = self.net.postset
+        return self.net.initial.get(place, 0) + sum(
+            [n for t, n in compress(zip(self.transitions, fired), fired) if place in postset(t)])
+
+    def marking(self, counts, fired) -> tuple[tuple[PlaceId, int], ...]:
+        """The nonzero counts of every place, by id, from a node's consumed counts and fired vector.
+
+        The places that no transition consumes are read by the state equation,
+        over the transitions that fired: no per-graph table is built, since
+        most graphs have their marking read at one node, a witness, if at all.
+        """
+        net, at = self.net, self.at
+        others = {p: n for p, n in net.initial.items() if p not in at}
+        for t, n in compress(zip(self.transitions, fired), fired):
+            for p in net.postset(t):
+                if p not in at:
+                    others[p] = others.get(p, 0) + n
+        return tuple(sorted([*compress(zip(self.places, counts), counts), *others.items()]))
 
 
 class Node:
@@ -88,11 +123,14 @@ class Node:
     ``marking`` and ``fired`` are the nonzero counts as ``(id, count)`` pairs
     sorted by id, as ``Node(marking, fired, honored)`` takes them; ``honored``
     is not part of ``==``, ``hash`` or ``repr``.  ``explore`` passes instead the
-    walk's dense count vectors and the graph's ``_Layout``.  Such a node builds
-    its sparse fields on first read, looks ``tokens`` up by index, reads fired
-    ids off the fired vector, and reads debts only on the places that can owe:
-    no other place of a reachable node is ever below 0 (README, "How
-    independent components are decided").
+    walk's dense counts over the consumed places, its fired vector and the
+    graph's ``_Layout``.  Such a node builds its sparse fields on first read,
+    looks a consumed place's ``tokens`` up by index and reads any other place
+    by the state equation (no transition consumes it, so it holds its initial
+    count plus its producers' firings), reads fired ids off the fired vector,
+    and reads debts only on the places that can owe: no other place of a
+    reachable node is ever below 0 (README, "How independent components are
+    decided").
     """
 
     __slots__ = ("_marking", "_fired", "_honored", "_counts", "_vector", "_layout")
@@ -108,7 +146,7 @@ class Node:
     @property
     def marking(self) -> tuple[tuple[PlaceId, int], ...]:
         if self._marking is None:
-            self._marking = _sparse(self._layout.places, self._counts)
+            self._marking = self._layout.marking(self._counts, self._vector)
         return self._marking
 
     @property
@@ -135,7 +173,7 @@ class Node:
     def tokens(self, place: PlaceId) -> int:
         if self._layout is not None:
             k = self._layout.at.get(place)
-            return 0 if k is None else self._counts[k]
+            return self._layout.state_equation(place, self._vector) if k is None else self._counts[k]
         for p, n in self._marking:
             if p == place:
                 return n
@@ -226,14 +264,18 @@ class ReachGraph:
 
 
 def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
-    """The labels of the transitions fired to reach ``node``."""
+    """The labels of the transitions fired to reach ``node``; a node that ``explore``
+    built for ``net`` reads them off its fired vector with the layout's labels."""
+    layout = node._layout
+    if layout is not None and layout.net is net:
+        return frozenset(filter(None, compress(layout.labels, node._vector)))
     labels = net.transition_labels
     return frozenset([labels[t] for t in node._fired_ids() if t in labels])
 
 
 def _steps(net: LendingNet, places: Iterable[PlaceId], transitions: Iterable[TransitionId]) -> list[tuple]:
     """Per transition, ``(k, t, guard, pre, post)``: its position, its id, and the indices in
-    ``places`` of its non-lending input places, its input places and those of its output places."""
+    ``places`` of its non-lending input places, its input places and its output places among ``places``."""
     at = {p: k for k, p in enumerate(places)}
     steps = []
     for k, t in enumerate(transitions):
@@ -249,6 +291,9 @@ def _bfs(steps: list[tuple], marking: list[int], budget: int, keep: Callable) ->
     Calls ``keep(marking, fired)`` for each new state it keeps and yields each
     edge as ``(src, t, dst, n)``: ``n`` counts the earlier firings of ``t`` in the
     run to ``src``, and ``dst`` is None when the budget kept a new state out.
+    The search copies a state's marking before it builds each successor and
+    never writes to a marking it has passed to ``keep`` (nor to ``marking``),
+    so ``keep`` may hold on to the list.
     """
     fired = (0,) * len(steps)
     index = {fired: 0}
@@ -281,24 +326,27 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
 
     Successors are expanded in sorted transition order, so repeated calls
     enumerate identical nodes and edges.  ``complete`` is False when the node
-    budget ran out before the closure was reached.
+    budget ran out before the closure was reached.  The walk reads only the
+    places some transition consumes; the nodes read the others by the state
+    equation.
     """
     _check_budget(budget)
-    places = tuple(sorted(net.places))
-    at = {p: k for k, p in enumerate(places)}
-    owing = tuple((p, at[p]) for p in sorted(net.lending) if net.postset(p))
-    layout = _Layout(places, tuple(sorted(net.transitions)), at, owing)
+    merged = _merged(net)
+    at = {p: k for k, p in enumerate(merged.places)}
+    owing = tuple((p, k) for p, k in at.items() if p in net.lending)
+    transitions = merged.transitions
+    layout = _Layout(net, merged.places, at, transitions, tuple(map(net.transition_labels.get, transitions)), owing)
     owing_at = [k for _, k in owing]
     nodes: list[Node] = []
 
     def keep(marking: list[int], fired: tuple[int, ...]) -> None:
         honored = min(map(marking.__getitem__, owing_at), default=0) >= 0
-        nodes.append(Node(tuple(marking), fired, honored, layout))
+        nodes.append(Node(marking, fired, honored, layout))
 
-    marking = [net.initial.get(p, 0) for p in places]
-    keep(marking, (0,) * len(layout.transitions))
+    marking = [net.initial.get(p, 0) for p in merged.places]
+    keep(marking, (0,) * len(merged.steps))
     edges, complete = [], True
-    for i, t, j, _ in _bfs(_steps(net, places, layout.transitions), marking, budget, keep):
+    for i, t, j, _ in _bfs(merged.steps, marking, budget, keep):
         if j is None:
             complete = False
         else:
@@ -323,6 +371,20 @@ def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
     if not complete:
         return Verdict.inconclusive(f"exploration budget {budget} exhausted")
     return Verdict.holds()
+
+
+def _fires_at_most_once(net: LendingNet) -> bool:
+    """Whether every transition consumes a place that does not lend, has no
+    producer and starts with at most 1 token.
+
+    Such a place never gains a token and each firing of its consumers takes
+    one, so each transition fires at most once in any run: the net is an
+    occurrence net, with no search (README, "How exploration works").
+    """
+    return all(
+        any(p not in net.lending and not net.preset(p) and net.initial.get(p, 0) <= 1 for p in net.preset(t))
+        for t in net.transitions
+    )
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .analysis import (
     _components,
     _done_set,
     _first_stuck,
+    _fires_at_most_once,
     _merged,
     _node,
     _walk_components,
@@ -86,7 +87,9 @@ def validate(cn: ContractNet, budget: int = DEFAULT_BUDGET) -> list[Violation]:
     some input place is not lending; equally labeled transitions share an
     initially marked input place; labeled transitions have owned labels whose
     owners are bound participants; the net is an occurrence net and is
-    correctly labeled.
+    correctly labeled.  The occurrence-net search runs only where the
+    structural rule (``analysis._fires_at_most_once``) does not already
+    show that no transition fires twice.
     """
     net = cn.net
     out: list[Violation] = []
@@ -134,11 +137,12 @@ def validate(cn: ContractNet, budget: int = DEFAULT_BUDGET) -> list[Violation]:
         elif owner not in cn.participants:
             out.append(Violation("d", atom, f"owner {owner!r} of {atom!r} is not bound"))
 
-    occurrence = is_occurrence_net(net, budget)
-    if occurrence.outcome is Outcome.FAILS:
-        out.append(Violation("occurrence", str(occurrence.witness), occurrence.detail))
-    elif occurrence.outcome is Outcome.INCONCLUSIVE:
-        out.append(Violation("occurrence", "", occurrence.detail))
+    if not _fires_at_most_once(net):
+        occurrence = is_occurrence_net(net, budget)
+        if occurrence.outcome is Outcome.FAILS:
+            out.append(Violation("occurrence", str(occurrence.witness), occurrence.detail))
+        elif occurrence.outcome is Outcome.INCONCLUSIVE:
+            out.append(Violation("occurrence", "", occurrence.detail))
     if not is_correctly_labeled(net):
         out.append(Violation("labeling", "", "some labeled place has a differently labeled producer"))
 
@@ -185,10 +189,18 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
 
 
 def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozenset[Atom]]]:
-    """Index and done set of each node without credits; a node where no place owes has none."""
-    for i, (node, done) in enumerate(zip(graph.nodes, graph._done_sets)):
-        if node.honored or not _credits(cn.net, node):
-            yield i, done
+    """Index and done set of each node without credits; a node where no place owes has none.
+
+    The indices are read once per graph and kept in its instance dict, as
+    ``_done_sets`` is, with the net whose labels they were read for: the
+    checks that share a graph read each owing node's credits once.
+    """
+    net, kept = cn.net, vars(graph).get("_credit_free")
+    if kept is None or kept[0] is not net:
+        free = [i for i, node in enumerate(graph.nodes) if node.honored or not _credits(net, node)]
+        kept = vars(graph)["_credit_free"] = net, free
+    done_sets = graph._done_sets
+    return ((i, done_sets[i]) for i in kept[1])
 
 
 def _parts(cn: ContractNet, reached: Callable) -> list[tuple[_Component, Callable]]:

@@ -16,6 +16,7 @@ import contract_oracle
 import node_oracle
 from lendingnets import (
     ContractNet,
+    LendingNet,
     Outcome,
     agreement_reachable,
     compile_contract,
@@ -49,7 +50,41 @@ def sample_contract_nets() -> list[tuple[ContractNet, int]]:
         nets.append((ContractNet(net=random_cyclic_net(rng, f"c{k}"), participants=(), ownership={}, goals=()),
                      CYCLIC_BUDGET))
         nets.append((compile_contract(random_contract(rng)), DEFAULT_BUDGET))
-    return nets + [(compile_contract(pairs_contract(n)), DEFAULT_BUDGET) for n in (1, 2, 3, 4)]
+    nets += [(compile_contract(pairs_contract(n)), DEFAULT_BUDGET) for n in (1, 2, 3, 4)]
+    return nets + [(ContractNet(net=net, participants=(), ownership={}, goals=()), largest)
+                   for net, largest in sink_nets()]
+
+
+def sink_nets() -> list[tuple[LendingNet, int]]:
+    """Nets with places that no transition consumes, each with the largest budget it is walked at.
+
+    ``kept`` is a marked sink that ``t3`` also feeds, ``both`` a labeled sink
+    with the two producers ``t1`` and ``t2``, and ``plain`` an unlabeled sink;
+    ``t1`` borrows from the lending place ``q``, which ``t3`` repays.  In the
+    second net ``pump`` puts its token back, so it fires again and again and
+    feeds ``plain`` once per firing.
+    """
+    flow = {("m1", "t1"), ("q", "t1"), ("t1", "both"), ("m2", "t2"), ("t2", "both"), ("t2", "plain"),
+            ("m3", "t3"), ("t3", "q"), ("t3", "kept"), ("t3", "plain")}
+    net = LendingNet.build(
+        places=("both", "kept", "m1", "m2", "m3", "plain", "q"),
+        transitions=("t1", "t2", "t3"),
+        flow=flow,
+        place_labels={"both": "a", "q": "b"},
+        transition_labels={"t1": "a", "t2": "a", "t3": "b"},
+        initial={"kept": 2, "m1": 1, "m2": 1, "m3": 1},
+        lending=("q",),
+    )
+    pump = LendingNet.build(
+        places=("both", "kept", "m1", "m2", "m3", "m4", "plain", "q"),
+        transitions=("pump", "t1", "t2", "t3"),
+        flow=flow | {("m4", "pump"), ("pump", "m4"), ("pump", "plain")},
+        place_labels={"both": "a", "q": "b"},
+        transition_labels={"t1": "a", "t2": "a", "t3": "b"},
+        initial={"kept": 2, "m1": 1, "m2": 1, "m3": 1, "m4": 1},
+        lending=("q",),
+    )
+    return [(net, DEFAULT_BUDGET), (pump, 40)]
 
 
 CONTRACT_NETS = sample_contract_nets()
@@ -63,6 +98,10 @@ def test_nodes_read_as_the_eager_nodes_of_the_oracle(budget):
         graph, want = explore(net, budget), node_oracle.explore(net, budget)
         assert graph.edges == want.edges and graph.complete == want.complete
         assert len(graph.nodes) == len(want.nodes)
+        # A node keeps counts for the consumed places only; it reads the others by the state equation.
+        consumed = tuple(sorted({p for t in net.transitions for p in net.preset(t)}))
+        assert graph.root._layout.places == consumed
+        assert all(len(node._counts) == len(consumed) for node in graph.nodes)
         # On a fresh graph, hashing and equality are the first reads of every node.
         fresh = explore(net, budget)
         assert [fresh.index_of(old) for old in want.nodes] == list(range(len(want.nodes)))

@@ -9,6 +9,7 @@ without one, a verdict the oracle leaves INCONCLUSIVE may be decided.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -149,6 +150,17 @@ def test_debt_on_an_unlabeled_place_leaves_the_configuration_honored():
         assert honored_always_reachable(graph).outcome is expected
 
 
+def test_a_graph_keeps_its_credit_reading_for_one_net_at_a_time():
+    """Credits read for one net are not reused for another net's labels."""
+    plain = unlabeled_debt_net(False)
+    labeled = ContractNet(net=replace(plain.net, place_labels={"pa": "a", "q": "b"}, alphabet=None),
+                          participants={"A"}, ownership={"a": "A", "b": "A"}, goals={frozenset({"a"})})
+    graph = explore(labeled.net)
+    for cn in (plain, labeled, plain):
+        assert honored_done_sets(cn, graph=graph) == honored_done_sets(cn, graph=explore(labeled.net))
+    assert honored_done_sets(plain, graph=graph) != honored_done_sets(labeled, graph=graph)
+
+
 def test_each_node_is_read_once_and_configurations_only_for_a_failure(monkeypatch):
     reads, credit_reads, configurations = [], [], []
 
@@ -166,7 +178,8 @@ def test_each_node_is_read_once_and_configurations_only_for_a_failure(monkeypatc
     assert len(honored_done_sets(cn, graph=graph)) == 2 ** 4
     assert sorted(map(graph.index_of, reads)) == list(range(len(graph.nodes))) and len(graph.nodes) == 81
     assert configurations == []
-    assert set(credit_reads) == {node for node in graph.nodes if not node.honored}
+    owing = [i for i, node in enumerate(graph.nodes) if not node.honored]
+    assert sorted(map(graph.index_of, credit_reads)) == owing
 
     # The goal {a0} alone cannot be reached once anything else is done: one read, for the detail.
     narrow = ContractNet(net=cn.net, participants=cn.participants, ownership=cn.ownership, goals={frozenset({"a0"})})
@@ -174,6 +187,8 @@ def test_each_node_is_read_once_and_configurations_only_for_a_failure(monkeypatc
     assert failed.outcome is Outcome.FAILS and configurations == [failed.witness]
     assert weakly_terminates_covering(narrow, graph=graph).outcome is Outcome.HOLDS
     assert len(reads) == 81 and len(configurations) == 1
+    # A contract over the same net reuses the graph's credit reading; only the detail reads one more.
+    assert len(credit_reads) == len(owing) + 1
 
 
 def test_done_atoms_outside_the_alphabet_are_refused():

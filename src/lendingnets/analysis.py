@@ -8,9 +8,11 @@ twice simply exhaust the exploration budget and report INCONCLUSIVE.
 One breadth-first search builds every graph, decides the occurrence-net
 property and walks the independent components below.  It works on integer
 indices over the places that some transition consumes (``_merged``): once
-per call it sorts those places and the transitions and tabulates, per
+per net it sorts those places and the transitions and tabulates, per
 transition, the indices of its non-lending input places (the enabledness
-test) and of its input and consumed output places (the firing delta).
+test) and of its input and consumed output places (the firing delta).  The
+table and the net's split into components (``_components``) are kept in the
+net's instance dict (``nets._kept``), so every search of one net shares them.
 Markings and fired vectors are int sequences in that order.  A node is
 identified by its fired vector alone: by the state equation the marking is
 the initial marking plus the summed deltas of the fired transitions, so
@@ -32,8 +34,9 @@ search checks no firing for debt on them.
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A graph holds only its net,
-nodes, edges and completeness flag; out-edges, the node index and the done
-sets are derived on first use.
+nodes, edges and completeness flag; out-edges, the node index (keyed by fired
+pairs, so building it builds no marking) and the done sets are derived on
+first use.
 
 Without a built graph, the contract checks and net-side urgency split the
 net into independent components (no place one consumes is touched by
@@ -72,6 +75,7 @@ from .nets import (
     TransitionId,
     Verdict,
     _check_budget,
+    _kept,
     marking_of_state,
 )
 
@@ -233,8 +237,10 @@ class ReachGraph:
         return out
 
     @cached_property
-    def _index(self) -> dict[Node, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
+    def _index(self) -> dict[tuple[tuple[TransitionId, int], ...], int]:
+        """Each node's index by its fired pairs, unique in a graph of one net: its marking
+        follows from them.  No marking is built; ``index_of`` compares the one node it finds."""
+        return {n.fired: i for i, n in enumerate(self.nodes)}
 
     @cached_property
     def _done_sets(self) -> list[frozenset[Atom]]:
@@ -250,10 +256,10 @@ class ReachGraph:
             if not 0 <= node < len(self.nodes):
                 raise NetStructureError(f"node index {node} out of range")
             return node
-        try:
-            return self._index[node]
-        except KeyError:
-            raise NetStructureError("node does not belong to this graph") from None
+        i = self._index.get(node.fired)
+        if i is None or (self.nodes[i] is not node and self.nodes[i] != node):
+            raise NetStructureError("node does not belong to this graph")
+        return i
 
     def out_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
         return tuple(self._out[self.index_of(node)])
@@ -505,12 +511,37 @@ class _Component:
 
 def _merged(net: LendingNet) -> _Component:
     """The whole net as one component over the places some transition consumes, sorted:
-    its walk is the walk of the product."""
-    places = tuple(sorted({p for t in net.transitions for p in net.preset(t)}))
-    return _Component(places, tuple(_steps(net, places, sorted(net.transitions))))
+    its walk is the walk of the product.  Built once per net and kept with it."""
+    def build() -> _Component:
+        places = tuple(sorted({p for t in net.transitions for p in net.preset(t)}))
+        return _Component(places, tuple(_steps(net, places, sorted(net.transitions))))
+
+    return _kept(net, "_merged", build)
 
 
-def _components(net: LendingNet) -> list[_Component]:
+def _consumed_part(net: LendingNet) -> tuple:
+    """What decides the runs of ``net``: its alphabet, its consumed places with their
+    initial counts, and the set of its transitions' labels, inputs, non-lending
+    inputs and consumed outputs (README, "Compositionality from the consumed parts").
+
+    The sets hold place indices: they name the same places in two nets
+    whenever the sorted consumed places, compared first, are equal.
+    """
+    merged, labels = _merged(net), net.transition_labels
+    return (
+        net.alphabet,
+        merged.places,
+        tuple([net.initial.get(p, 0) for p in merged.places]),
+        {(labels.get(t), frozenset(pre), frozenset(guard), frozenset(post)) for _, t, guard, pre, post in merged.steps},
+    )
+
+
+def _components(net: LendingNet) -> tuple[_Component, ...]:
+    """The independent components of ``net`` (``_split``), split once per net and kept with it."""
+    return _kept(net, "_components", lambda: tuple(_split(net)))
+
+
+def _split(net: LendingNet) -> list[_Component]:
     """The independent components of ``net``, ordered by their first transition.
 
     Two transitions are joined when one consumes a place that the other
@@ -648,14 +679,10 @@ def _honored_state(marking: list[int], fired: tuple[int, ...]) -> bool:
 
 
 def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET,
-                    components: Iterable[_Component] | None = None,
                     start: Mapping[PlaceId, int] | None = None) -> frozenset[Atom]:
-    """``urgent_at(explore(net, budget), 0)``, one component at a time.
-
-    A caller that keeps the components of ``net`` passes them, and ``start``
-    replaces the initial marking as the root.
-    """
-    parts = [(c, _honored_state) for c in (_components(net) if components is None else components)]
+    """``urgent_at(explore(net, budget), 0)``, one component at a time; ``start``
+    replaces the initial marking as the root."""
+    parts = [(c, _honored_state) for c in _components(net)]
     graphs = _walk_components(net, parts, net.initial if start is None else start, budget)
     return _urgent((graph, graph.flagged, (0,)) for graph in graphs)
 

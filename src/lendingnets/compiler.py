@@ -11,21 +11,27 @@ body and leaves a debt behind until the body arrives.
 
 One loop builds the nets, which differ only in their delivery places: the
 full net has all of them and ``prune`` keeps those of the clause heads and of
-each clause's own body.  Net-side urgency keeps only the body ones, the
-places some transition consumes, which is all its component walks read; it
-builds that net and its components once per contract and starts each done
-set's walks from that set's marking.
+each clause's own body.  So every compilation of a contract has the same
+consumed part: the places some transition consumes (the control places and
+each clause's body delivery places), the transitions and the arcs and labels
+among them.  ``compile_contract`` compiles a contract once per ``prune``
+flag and keeps the net with the contract.  Net-side urgency reads only the
+consumed part: it walks the components of a compilation that is already
+kept, or else compiles and keeps a net of the body delivery places alone,
+and starts each done set's walks from that set's marking.  Compiling a
+composition and composing the compilations give nets with the same consumed
+part, which decides their traces without listing a word.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .analysis import _Component, _components, _urgent_at_root
+from .analysis import _consumed_part, _urgent_at_root
 from .compose import oplus, trace_equivalent, widen_alphabet
 from .contracts import ContractNet, agreement_reachable
 from .logic import HornClause, PCLContract, _owned, compose_contracts, with_facts
-from .nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict
+from .nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict, _check_budget, _kept
 
 
 def clause_tid(clause: HornClause) -> str:
@@ -51,9 +57,12 @@ def compile_contract(c: PCLContract, prune: bool = False) -> ContractNet:
     included, and every transition gets a delivery place for each atom of
     the universe.  With ``prune`` a transition keeps only the delivery places of the
     clause heads and of its own clause's body, the ones some transition
-    touches, which changes nothing observable.
+    touches, which changes nothing observable.  Each contract is compiled
+    once per ``prune`` flag: the net is kept in its instance dict.
     """
-    return _compile(c, frozenset(cl.head for cl in c.clauses) if prune else c.atoms())
+    if prune:
+        return _kept(c, "_pruned", lambda: _compile(c, frozenset(cl.head for cl in c.clauses)))
+    return _kept(c, "_compiled", lambda: _compile(c, c.atoms()))
 
 
 def _compile(c: PCLContract, extra: frozenset[Atom]) -> ContractNet:
@@ -127,29 +136,32 @@ def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_B
     is decided one independent component at a time: the answer is the union
     of the components' urgent steps, since every component's start is
     honored (README, "How independent components are decided").  The
-    components read only the places some transition consumes, so only those
-    are built: each clause's body delivery places and the control places.
-    The done marking is the only part that depends on ``done``: the net and
-    its components are built once per contract (``_urgency_net``).
+    components read only the places some transition consumes, and every
+    compilation of ``c`` has the same ones, so any net of ``c`` that is
+    already kept will do (``_urgency_net``).  The done marking, the only part
+    that depends on ``done``, is set on those places alone: the control places
+    of the done atoms empty and each of their body delivery places holding one
+    token, read off the clauses.
     """
     done = _owned(c, done)
-    net, components = _urgency_net(c)
-    start = net.initial | {star_pid(a): 0 for a in done} | {p: 1 for p, a in net.place_labels.items() if a in done}
-    return _urgent_at_root(net, budget, components, start)
+    net = _urgency_net(c)
+    delivered = {delivery_pid(a, cl): 1 for cl in c.clauses if not cl.body.isdisjoint(done) for a in cl.body & done}
+    start = net.initial | {star_pid(a): 0 for a in done} | delivered
+    return _urgent_at_root(net, budget, start)
 
 
-def _urgency_net(c: PCLContract) -> tuple[LendingNet, tuple[_Component, ...]]:
-    """Urgency's consumed-places net of ``c``, started with nothing done, and its components.
+def _urgency_net(c: PCLContract) -> LendingNet:
+    """A net of ``c`` whose walks give its urgency, kept in ``c``'s instance dict.
 
-    Built on the first urgency query and kept in ``c``'s instance dict, as
-    ``_canon`` is: ``c`` is immutable, so they never go stale, and they stay
-    out of its ``==``, ``hash`` and ``repr``.
+    A net that ``compile_contract`` or an earlier urgency query kept is used
+    as it is.  Otherwise only the places some transition consumes are built,
+    since the full net is quadratic in size, and that net is kept.
     """
-    kept = vars(c).get("_urgency_net")
-    if kept is None:
-        net = _compile(c, frozenset()).net
-        kept = vars(c)["_urgency_net"] = net, tuple(_components(net))
-    return kept
+    kept = vars(c)
+    for name in ("_urgency_net", "_pruned", "_compiled"):
+        if name in kept:
+            return kept[name].net
+    return _kept(c, "_urgency_net", lambda: _compile(c, frozenset())).net
 
 
 def compile_compose_commutes(
@@ -157,7 +169,20 @@ def compile_compose_commutes(
     second: PCLContract,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Compare compiling the composition against composing the compilations."""
+    """Compare compiling the composition against composing the compilations.
+
+    HOLDS at once when the two nets have the same consumed part: their runs,
+    and so their words, are the same (README, "Compositionality from the
+    consumed parts").  Otherwise their words are listed (``trace_equivalent``).
+    """
     joint = compile_contract(compose_contracts(first, second)).net
     left, right = widen_alphabet([compile_contract(first).net, compile_contract(second).net])
-    return trace_equivalent(joint, oplus(left, right), budget)
+    return _same_traces(joint, oplus(left, right), budget)
+
+
+def _same_traces(left: LendingNet, right: LendingNet, budget: int) -> Verdict:
+    """``trace_equivalent(left, right, budget)``, HOLDS without a search when the consumed parts are equal."""
+    _check_budget(budget)
+    if _consumed_part(left) == _consumed_part(right):
+        return Verdict.holds()
+    return trace_equivalent(left, right, budget)

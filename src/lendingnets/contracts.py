@@ -40,6 +40,7 @@ from .nets import (
     Outcome,
     Verdict,
     _Canonical,
+    _kept,
     is_correctly_labeled,
 )
 
@@ -191,16 +192,18 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
 def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozenset[Atom]]]:
     """Index and done set of each node without credits; a node where no place owes has none.
 
-    The indices are read once per graph and kept in its instance dict, as
-    ``_done_sets`` is, with the net whose labels they were read for: the
-    checks that share a graph read each owing node's credits once.
+    When ``cn.net`` is the graph's own net, the indices are read once per
+    graph and kept in its instance dict, as ``_done_sets`` is: the checks that
+    share a graph read each owing node's credits once.
     """
-    net, kept = cn.net, vars(graph).get("_credit_free")
-    if kept is None or kept[0] is not net:
-        free = [i for i, node in enumerate(graph.nodes) if node.honored or not _credits(net, node)]
-        kept = vars(graph)["_credit_free"] = net, free
+    net = cn.net
+
+    def credit_free() -> list[int]:
+        return [i for i, node in enumerate(graph.nodes) if node.honored or not _credits(net, node)]
+
+    free = _kept(graph, "_credit_free", credit_free) if net is graph.net else credit_free()
     done_sets = graph._done_sets
-    return ((i, done_sets[i]) for i in kept[1])
+    return ((i, done_sets[i]) for i in free)
 
 
 def _parts(cn: ContractNet, reached: Callable) -> list[tuple[_Component, Callable]]:

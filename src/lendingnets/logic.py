@@ -100,9 +100,12 @@ class PCLContract(_Canonical):
     fields are empty, except the goals: the one empty goal.  ``contract`` is
     this constructor under another name.
 
-    Besides ``_canon``, the instance dict keeps the net and components that
-    net-side urgency builds on its first query (``compiler._urgency_net``);
-    neither takes part in ``==``, ``hash`` or ``repr``.
+    Besides ``_canon``, the instance dict keeps what the compiler builds
+    from the contract, each on first use (``nets._kept``): ``_compiled`` and
+    ``_pruned``, the contract nets of ``compile_contract`` without and with
+    ``prune``, and ``_urgency_net``, the consumed-places net that net-side
+    urgency compiles when neither is kept.  None takes part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     clauses: frozenset[HornClause] = frozenset()

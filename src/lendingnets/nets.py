@@ -8,7 +8,10 @@ that lends drives that place's count negative, recording a debt.  A marking
 is honored when no place is in debt.
 
 Nets, contracts and contract nets are equal when their fields are: each
-compares and hashes a sorted key built on first comparison.
+compares and hashes a sorted key built on first comparison.  What the
+modules above derive from one of these immutable values (its compiled net,
+a net's consumed-places table and components, a graph's credit-free nodes)
+is built once and kept in the value's instance dict (``_kept``).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -83,6 +86,21 @@ class Verdict:
     @staticmethod
     def inconclusive(detail: str = "") -> "Verdict":
         return Verdict(Outcome.INCONCLUSIVE, None, detail)
+
+
+def _kept(owner, name: str, build: Callable[[], object]):
+    """The value kept under ``name`` in ``owner``'s instance dict, built by ``build()`` on first use.
+
+    Every owner is immutable, so a kept value never goes stale.  It takes no
+    part in ``==``, ``hash`` or ``repr``, equal owners each build their own,
+    and it should hold no reference back to its owner, so the owner still
+    dies with its last reference.
+    """
+    kept = vars(owner)
+    value = kept.get(name)
+    if value is None:
+        value = kept[name] = build()
+    return value
 
 
 class _Canonical:

@@ -16,8 +16,10 @@ net's instance dict (``nets._kept``), so every search of one net shares them.
 Markings and fired vectors are int sequences in that order.  A node is
 identified by its fired vector alone: by the state equation the marking is
 the initial marking plus the summed deltas of the fired transitions, so
-equal vectors mean equal nodes.  A place that no transition consumes is in
-no guard, so the walk sees the same states, steps and order without it.
+equal vectors mean equal nodes.  The search keys each state by one int, its
+fired vector packed into fixed-width fields, for any net.  A place that no
+transition consumes is in no guard, so the walk sees the same states, steps
+and order without it.
 ``explore`` builds a ``Node`` for each kept node, not per edge, and the node
 keeps the walk's own count list over the consumed places and its fired
 vector, in an order that all nodes of the graph share.  It reads any other
@@ -60,6 +62,7 @@ An incomplete search keeps exactly ``budget`` states.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -244,7 +247,8 @@ class ReachGraph:
 
     @cached_property
     def _done_sets(self) -> list[frozenset[Atom]]:
-        """Each node's done set, by index, shared by every check."""
+        """Each node's done set, by index, for the checks that read every node; the
+        checks that read only credit-free nodes reuse it once built."""
         return [_done_set(self.net, node) for node in self.nodes]
 
     @property
@@ -300,30 +304,37 @@ def _bfs(steps: list[tuple], marking: list[int], budget: int, keep: Callable) ->
     The search copies a state's marking before it builds each successor and
     never writes to a marking it has passed to ``keep`` (nor to ``marking``),
     so ``keep`` may hold on to the list.
+
+    States are keyed by one int, the fired vector packed into fields of
+    ``width`` bits, and the fired tuple is built only for kept states.  No
+    field carries: the path to a kept state runs through distinct kept
+    states, so no count of a successor exceeds ``len(index)``, which is below
+    ``2 ** width`` (README, "How exploration works").
     """
-    fired = (0,) * len(steps)
-    index = {fired: 0}
-    queue = deque([(0, marking, fired)])
+    width = min(budget, sys.maxsize).bit_length()
+    index = {0: 0}
+    queue = deque([(0, marking, (0,) * len(steps), 0)])
     while queue:
-        i, marking, fired = queue.popleft()
+        i, marking, fired, key = queue.popleft()
         tokens = marking.__getitem__
         for k, t, guard, pre, post in steps:
             # Non-lending places lose tokens only past this guard, so never go negative.
             if not all(map(tokens, guard)):
                 continue
-            succ_fired = list(fired)
-            succ_fired[k] += 1
-            succ_fired = tuple(succ_fired)
-            j = index.get(succ_fired)
+            succ_key = key + (1 << k * width)
+            j = index.get(succ_key)
             if j is None and len(index) < budget:
                 succ = marking.copy()
                 for p in pre:
                     succ[p] -= 1
                 for p in post:
                     succ[p] += 1
-                j = index[succ_fired] = len(index)
+                succ_fired = list(fired)
+                succ_fired[k] += 1
+                succ_fired = tuple(succ_fired)
+                j = index[succ_key] = len(index)
                 keep(succ, succ_fired)
-                queue.append((j, succ, succ_fired))
+                queue.append((j, succ, succ_fired, succ_key))
             yield i, t, j, fired[k]
 
 
@@ -442,11 +453,15 @@ def _reaching(out: list[list[tuple[TransitionId, int]]], reached: set[int]) -> s
     """Add to ``reached`` every state with a path into it, given each state's out-edges.
 
     Edges lead to later states, so one sweep from the last state to the first
-    sees every successor of a state before the state itself.
+    sees every successor of a state before the state itself; a state's scan
+    stops at its first successor already reached.
     """
     for i in range(len(out) - 1, -1, -1):
-        if i not in reached and any(j in reached for _, j in out[i]):
-            reached.add(i)
+        if i not in reached:
+            for _, j in out[i]:
+                if j in reached:
+                    reached.add(i)
+                    break
     return reached
 
 

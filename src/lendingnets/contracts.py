@@ -4,13 +4,13 @@ A contract net adds to a lending net an ownership map from atoms to
 participants, the set of participants actually bound by the net, and a
 family of goal sets of atoms.  Its shape is constrained so that every node
 of the reachability graph reads back as a pair (done atoms, atoms in debt):
-the configuration of the node.  Checks read each node's done set once per graph
-and count a node as honored when no place owes, else when no labeled place does.
+the configuration of the node.  The checks on a graph read only its
+credit-free nodes, those where no labeled place owes, and their done sets.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -189,21 +189,37 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
     return ContractNet(net=oplus(left, right), **terms)
 
 
-def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozenset[Atom]]]:
-    """Index and done set of each node without credits; a node where no place owes has none.
+def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[Atom]]]:
+    """Index and done set of each credit-free node: one that owes on no labeled place.
 
-    When ``cn.net`` is the graph's own net, the indices are read once per
-    graph and kept in its instance dict, as ``_done_sets`` is: the checks that
-    share a graph read each owing node's credits once.
+    A node that ``explore`` built for ``cn.net`` can be below 0 only on its
+    layout's ``owing`` places, so it is read off the walk's counts there; when
+    all of them are labeled, as in a valid contract net, that is its
+    ``honored`` flag.  Any other node has its credits read.  Done sets are
+    built only for credit-free nodes, unless the graph already holds them
+    all.  When ``cn.net`` is the graph's own net, the pairs are kept in its
+    instance dict.
     """
-    net = cn.net
+    net, labels = cn.net, cn.net.place_labels
 
-    def credit_free() -> list[int]:
-        return [i for i, node in enumerate(graph.nodes) if node.honored or not _credits(net, node)]
+    def credit_free() -> list[tuple[int, frozenset[Atom]]]:
+        done_sets, labeled, free = graph.__dict__.get("_done_sets"), {}, []
+        for i, node in enumerate(graph.nodes):
+            if not node.honored:
+                layout = node._layout
+                if layout is None or layout.net is not net:
+                    if _credits(net, node):
+                        continue
+                else:
+                    owing = labeled.get(layout)
+                    if owing is None:
+                        owing = labeled[layout] = [k for p, k in layout.owing if p in labels]
+                    if len(owing) == len(layout.owing) or min(map(node._counts.__getitem__, owing), default=0) < 0:
+                        continue
+            free.append((i, _done_set(graph.net, node) if done_sets is None else done_sets[i]))
+        return free
 
-    free = _kept(graph, "_credit_free", credit_free) if net is graph.net else credit_free()
-    done_sets = graph._done_sets
-    return ((i, done_sets[i]) for i in free)
+    return _kept(graph, "_credit_free", credit_free) if net is graph.net else credit_free()
 
 
 def _parts(cn: ContractNet, reached: Callable) -> list[tuple[_Component, Callable]]:

@@ -1,9 +1,8 @@
 """Contract checks that read each graph node once, against the per-node oracle.
 
 ``contract_oracle`` keeps the earlier checks, which rebuilt ``configuration``
-for every node.  The checks now read each node's done set once per graph and
-count a node as honored when no place owes or, failing that, when no labeled
-place does.  The two must give equal verdicts (outcome, witness and detail)
+for every node.  The checks now read only the credit-free nodes of a graph,
+those where no labeled place owes, and build only their done sets.  The two must give equal verdicts (outcome, witness and detail)
 and equal result sets, at every budget, with and without a shared graph;
 without one, a verdict the oracle leaves INCONCLUSIVE may be decided.
 """
@@ -169,6 +168,7 @@ def test_each_node_is_read_once_and_configurations_only_for_a_failure(monkeypatc
         monkeypatch.setattr(module, name, lambda first, node: log.append(node) or original(first, node))
 
     counted(lendingnets.analysis, "_done_set", reads)
+    counted(lendingnets.contracts, "_done_set", reads)
     counted(lendingnets.contracts, "_credits", credit_reads)
     counted(lendingnets.contracts, "configuration", configurations)
     cn = compile_contract(pairs_contract(4))
@@ -176,19 +176,19 @@ def test_each_node_is_read_once_and_configurations_only_for_a_failure(monkeypatc
     assert agreement_reachable(cn, graph=graph).outcome is Outcome.HOLDS
     assert weakly_terminates_in(cn, graph=graph).outcome is Outcome.HOLDS
     assert len(honored_done_sets(cn, graph=graph)) == 2 ** 4
-    assert sorted(map(graph.index_of, reads)) == list(range(len(graph.nodes))) and len(graph.nodes) == 81
-    assert configurations == []
-    owing = [i for i, node in enumerate(graph.nodes) if not node.honored]
-    assert sorted(map(graph.index_of, credit_reads)) == owing
+    # Only the credit-free nodes have a done set built, once each, and no node has its credits read.
+    credit_free = [i for i, node in enumerate(graph.nodes) if node.honored]
+    assert len(graph.nodes) == 81 and len(credit_free) == 16
+    assert sorted(map(graph.index_of, reads)) == credit_free
+    assert configurations == [] and credit_reads == []
 
     # The goal {a0} alone cannot be reached once anything else is done: one read, for the detail.
     narrow = ContractNet(net=cn.net, participants=cn.participants, ownership=cn.ownership, goals={frozenset({"a0"})})
     failed = weakly_terminates_in(narrow, graph=graph)
     assert failed.outcome is Outcome.FAILS and configurations == [failed.witness]
     assert weakly_terminates_covering(narrow, graph=graph).outcome is Outcome.HOLDS
-    assert len(reads) == 81 and len(configurations) == 1
-    # A contract over the same net reuses the graph's credit reading; only the detail reads one more.
-    assert len(credit_reads) == len(owing) + 1
+    # A contract over the same net reuses the graph's credit-free nodes; only the detail's configuration reads more.
+    assert reads[16:] == [failed.witness] and credit_reads == [failed.witness]
 
 
 def test_done_atoms_outside_the_alphabet_are_refused():

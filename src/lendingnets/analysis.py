@@ -247,8 +247,7 @@ class ReachGraph:
 
     @cached_property
     def _done_sets(self) -> list[frozenset[Atom]]:
-        """Each node's done set, by index, for the checks that read every node; the
-        checks that read only credit-free nodes reuse it once built."""
+        """Each node's done set, by index, shared by the checks that read every node."""
         return [_done_set(self.net, node) for node in self.nodes]
 
     @property

@@ -192,22 +192,21 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
 def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[Atom]]]:
     """Index and done set of each credit-free node: one that owes on no labeled place.
 
-    A node that ``explore`` built for ``cn.net`` can be below 0 only on its
-    layout's ``owing`` places, so it is read off the walk's counts there; when
-    all of them are labeled, as in a valid contract net, that is its
-    ``honored`` flag.  Any other node has its credits read.  Done sets are
-    built only for credit-free nodes, unless the graph already holds them
-    all.  When ``cn.net`` is the graph's own net, the pairs are kept in its
-    instance dict.
+    A node that ``explore`` built can be below 0 only on its layout's
+    ``owing`` places, so it is read off the walk's counts there; when all of
+    them are labeled, as in a valid contract net, that is its ``honored``
+    flag.  Only sparse nodes have their credits read.  Done sets are built
+    only for credit-free nodes.  When ``cn.net`` is the graph's own net, the
+    pairs are kept in its instance dict.
     """
     net, labels = cn.net, cn.net.place_labels
 
     def credit_free() -> list[tuple[int, frozenset[Atom]]]:
-        done_sets, labeled, free = graph.__dict__.get("_done_sets"), {}, []
+        labeled, free = {}, []
         for i, node in enumerate(graph.nodes):
             if not node.honored:
                 layout = node._layout
-                if layout is None or layout.net is not net:
+                if layout is None:
                     if _credits(net, node):
                         continue
                 else:
@@ -216,7 +215,7 @@ def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[At
                         owing = labeled[layout] = [k for p, k in layout.owing if p in labels]
                     if len(owing) == len(layout.owing) or min(map(node._counts.__getitem__, owing), default=0) < 0:
                         continue
-            free.append((i, _done_set(graph.net, node) if done_sets is None else done_sets[i]))
+            free.append((i, _done_set(graph.net, node)))
         return free
 
     return _kept(graph, "_credit_free", credit_free) if net is graph.net else credit_free()

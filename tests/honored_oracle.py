@@ -1,10 +1,13 @@
 """The credit-free rule of the graph checks before they read it off the walk's counts.
 
-``_honored`` is copied unchanged apart from its imports: it reads every
-owing node's credits (``contracts._credits``), counts a node as credit-free
-when it is honored or has no credits, keeps the indices in the graph's
-instance dict when the contract's net is the graph's own, and reads done
-sets from ``ReachGraph._done_sets``, which it builds for every node.
+``_honored`` is copied unchanged apart from its imports and the key it keeps
+its result under: it reads every owing node's credits
+(``contracts._credits``), counts a node as credit-free when it is honored or
+has no credits, keeps the indices in the graph's instance dict when the
+contract's net is the graph's own, and reads done sets from
+``ReachGraph._done_sets``, which it builds for every node.  Its key,
+``_oracle_credit_free``, differs from the one ``contracts._honored`` keeps
+its (index, done set) pairs under, so the two can read one graph.
 """
 
 from __future__ import annotations
@@ -28,6 +31,6 @@ def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozense
     def credit_free() -> list[int]:
         return [i for i, node in enumerate(graph.nodes) if node.honored or not _credits(net, node)]
 
-    free = _kept(graph, "_credit_free", credit_free) if net is graph.net else credit_free()
+    free = _kept(graph, "_oracle_credit_free", credit_free) if net is graph.net else credit_free()
     done_sets = graph._done_sets
     return ((i, done_sets[i]) for i in free)

@@ -73,8 +73,10 @@ def assert_reads_equal(cn: ContractNet, build, monkeypatch):
             patched.setattr(lendingnets.contracts, "_honored", honored_oracle._honored)
             want = [result_of(check, cn, graph=old_graph) for check in order]
         assert got == want, cn
-        # A second reading of the same graph gives the same pairs, kept or not.
+        # A second reading of the same graph gives the same pairs, kept or not,
+        # and the oracle reads the graph the checks have read alike.
         assert _honored(cn, graph) == list(honored_oracle._honored(cn, build()))
+        assert list(honored_oracle._honored(cn, graph)) == _honored(cn, graph)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)

@@ -2,9 +2,10 @@
 
 ``contract_oracle`` keeps the earlier checks, which rebuilt ``configuration``
 for every node.  The checks now read only the credit-free nodes of a graph,
-those where no labeled place owes, and build only their done sets.  The two must give equal verdicts (outcome, witness and detail)
-and equal result sets, at every budget, with and without a shared graph;
-without one, a verdict the oracle leaves INCONCLUSIVE may be decided.
+those where no labeled place owes, and build only their done sets.  The two
+must give equal verdicts (outcome, witness and detail) and equal result
+sets, at every budget, with and without a shared graph; without one, a
+verdict the oracle leaves INCONCLUSIVE may be decided.
 """
 
 import random

@@ -5,34 +5,31 @@ it.  Keeping the fired multiset makes runs recoverable from paths and keeps
 the graph finite exactly for occurrence nets; nets that can fire a transition
 twice simply exhaust the exploration budget and report INCONCLUSIVE.
 
-One breadth-first search builds every graph, decides the occurrence-net
-property and walks the independent components below.  It works on integer
-indices over the places that some transition consumes (``_merged``): once
-per net it sorts those places and the transitions and tabulates, per
-transition, the indices of its non-lending input places (the enabledness
-test) and of its input and consumed output places (the firing delta).  The
-table and the net's split into components (``_components``) are kept in the
-net's instance dict (``nets._kept``), so every search of one net shares them.
-Markings and fired vectors are int sequences in that order.  A node is
-identified by its fired vector alone: by the state equation the marking is
-the initial marking plus the summed deltas of the fired transitions, so
-equal vectors mean equal nodes.  The search keys each state by one int, its
-fired vector packed into fixed-width fields, for any net.  A place that no
-transition consumes is in no guard, so the walk sees the same states, steps
-and order without it.
-``explore`` builds a ``Node`` for each kept node, not per edge, and the node
-keeps the walk's own count list over the consumed places and its fired
-vector, in an order that all nodes of the graph share.  It reads any other
-place by the state equation (its initial count plus its producers'
-firings) only when ``tokens``, the marking, ``describe``, ``==`` or
-``hash`` asks; it builds its sparse, id-keyed fields on first read, and
-reads ``honored`` and debts only on the places that can owe, the lending
-places some transition consumes (README, "How independent components are
-decided": no other place is ever below 0).  ``is_occurrence_net`` runs the
-same search, builds no node and stops at the first transition fired twice.
-Non-lending places cannot go negative, since they start at zero or more and
-lose tokens only to transitions that passed the enabledness test, so the
-search checks no firing for debt on them.
+One breadth-first search (``_bfs``) walks every graph and decides the
+occurrence-net property.  It works on integer indices over the places that
+some transition consumes: once per net, ``_merged`` sorts those places and
+the transitions and tabulates, per transition, the indices of its
+non-lending input places (the enabledness test) and of its input and
+consumed output places (the firing delta).  A place that no transition
+consumes is in no guard, so the search sees the same states, steps and order
+without it.  Non-lending places cannot go negative, since they start at zero
+or more and lose tokens only to transitions that passed the enabledness
+test, so the search checks no firing for debt on them.  A node is identified
+by its fired vector alone (the state equation gives its marking), and the
+search keys each state by one int, its fired vector packed into fixed-width
+fields.
+
+One walk (``_walk``) does every search but the occurrence check, and it
+returns a ``ReachGraph``.  Without a built graph, the contract checks and net-side
+urgency split the net into independent components (no place one consumes is
+touched by another, and no label is shared) and walk each alone; ``explore``
+is the walk of the merged component, the whole net.  A component's rows keep
+their index in the merged table, so each state it keeps is the product node
+with every other component at its root.  The README, "How independent
+components are decided", proves the answers equal those of the product
+graph.  Every node walked on a net shares the net's ``_Layout``; the table,
+the components and the layout are kept in the net's instance dict
+(``nets._kept``).
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A graph holds only its net,
@@ -40,19 +37,11 @@ nodes, edges and completeness flag; out-edges, the node index (keyed by fired
 pairs, so building it builds no marking) and the done sets are derived on
 first use.
 
-Without a built graph, the contract checks and net-side urgency split the
-net into independent components (no place one consumes is touched by
-another, and no label is shared) and walk each alone over the places that
-transitions consume, keeping fired vectors instead of nodes.  The README,
-"How independent components are decided", proves the answers equal those
-of the product graph.
-
 The "all nodes can reach a target" checks share one stuck routine,
 ``_first_stuck``, and urgency one routine, ``_urgent``.  Each decides a
-product of parts, a part being an explored ``ReachGraph`` or one component's
-walk, with its target states; an explored graph is the one-part case.  Each
-takes one backward closure per part, and a closure is one sweep from the
-last state to the first.
+product of parts, a part being one walk's graph with its target states; an
+explored graph is the one-part case.  Each takes one backward closure per
+part, and a closure is one sweep from the last state to the first.
 
 A ``budget`` counts the states a search may keep: graph nodes, (node, word)
 pairs in ``trace_set``, or for the component walks the shared root once plus
@@ -65,8 +54,8 @@ from __future__ import annotations
 import sys
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import compress
 
 from .errors import IncompleteExplorationError, NetStructureError
@@ -79,34 +68,36 @@ from .nets import (
     Verdict,
     _check_budget,
     _kept,
-    marking_of_state,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """The order of one graph's dense vectors, shared by all its nodes.
+    """The order of the dense vectors of every node walked on one net, built once per net (``_layout``).
 
     ``places`` are the places some transition consumes, sorted, with each
     one's index in ``at``; ``transitions`` are all transitions, sorted, with
-    their labels (None when unlabeled) in ``labels``; ``owing`` pairs each
-    place that can owe (a lending place some transition consumes) with its
-    index.  The other places are read by the state equation.
+    their labels (None when unlabeled) in ``labels``; ``owing`` maps each
+    place that can owe (a lending place some transition consumes) to its
+    index.  The other places are read by the state equation, from the net's
+    ``initial`` counts and its postset table ``post``: the layout is kept with
+    the net, so it holds no reference to it.
     """
 
-    net: LendingNet
+    initial: Mapping[PlaceId, int]
+    post: Mapping[str, frozenset[str]]
     places: tuple[PlaceId, ...]
     at: dict[PlaceId, int]
     transitions: tuple[TransitionId, ...]
     labels: tuple[Atom | None, ...]
-    owing: tuple[tuple[PlaceId, int], ...]
+    owing: dict[PlaceId, int]
 
     def state_equation(self, place: PlaceId, fired) -> int:
         """The count of ``place``, which no transition consumes, by the state equation:
         its initial count plus its producers' firings (0 for an id that is no place)."""
-        postset = self.net.postset
-        return self.net.initial.get(place, 0) + sum(
-            [n for t, n in compress(zip(self.transitions, fired), fired) if place in postset(t)])
+        post = self.post
+        return self.initial.get(place, 0) + sum(
+            [n for t, n in compress(zip(self.transitions, fired), fired) if place in post[t]])
 
     def marking(self, counts, fired) -> tuple[tuple[PlaceId, int], ...]:
         """The nonzero counts of every place, by id, from a node's consumed counts and fired vector.
@@ -115,10 +106,10 @@ class _Layout:
         over the transitions that fired: no per-graph table is built, since
         most graphs have their marking read at one node, a witness, if at all.
         """
-        net, at = self.net, self.at
-        others = {p: n for p, n in net.initial.items() if p not in at}
+        at = self.at
+        others = {p: n for p, n in self.initial.items() if p not in at}
         for t, n in compress(zip(self.transitions, fired), fired):
-            for p in net.postset(t):
+            for p in self.post[t]:
                 if p not in at:
                     others[p] = others.get(p, 0) + n
         return tuple(sorted([*compress(zip(self.places, counts), counts), *others.items()]))
@@ -129,9 +120,9 @@ class Node:
 
     ``marking`` and ``fired`` are the nonzero counts as ``(id, count)`` pairs
     sorted by id, as ``Node(marking, fired, honored)`` takes them; ``honored``
-    is not part of ``==``, ``hash`` or ``repr``.  ``explore`` passes instead the
-    walk's dense counts over the consumed places, its fired vector and the
-    graph's ``_Layout``.  Such a node builds its sparse fields on first read,
+    is not part of ``==``, ``hash`` or ``repr``.  The walk passes instead its
+    dense counts over the consumed places, its fired vector and the net's
+    ``_Layout``.  Such a node builds its sparse fields on first read,
     looks a consumed place's ``tokens`` up by index and reads any other place
     by the state equation (no transition consumes it, so it holds its initial
     count plus its producers' firings), reads fired ids off the fired vector,
@@ -191,7 +182,7 @@ class Node:
         if self._layout is None:
             return [p for p, n in self._marking if n < 0]
         counts = self._counts
-        return [p for p, k in self._layout.owing if counts[k] < 0]
+        return [p for p, k in self._layout.owing.items() if counts[k] < 0]
 
     def fired_multiset(self) -> Counter:
         return Counter(dict(self.fired))
@@ -228,8 +219,9 @@ class ReachGraph:
     complete: bool
 
     def __post_init__(self):
+        n = len(self.nodes)
         for src, t, dst in self.edges:
-            if not 0 <= src < dst < len(self.nodes):
+            if not 0 <= src < dst < n:
                 raise NetStructureError(f"edge {src} -{t}-> {dst} does not lead to a later node of the graph")
 
     @cached_property
@@ -273,10 +265,10 @@ class ReachGraph:
 
 
 def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
-    """The labels of the transitions fired to reach ``node``; a node that ``explore``
-    built for ``net`` reads them off its fired vector with the layout's labels."""
+    """The labels of the transitions fired to reach ``node``; a node walked on ``net``, whose
+    layout is the one kept on ``net`` (``_layout``), reads them off its fired vector."""
     layout = node._layout
-    if layout is not None and layout.net is net:
+    if layout is not None and layout is vars(net).get("_layout"):
         return frozenset(filter(None, compress(layout.labels, node._vector)))
     labels = net.transition_labels
     return frozenset([labels[t] for t in node._fired_ids() if t in labels])
@@ -300,6 +292,8 @@ def _bfs(steps: list[tuple], marking: list[int], budget: int, keep: Callable) ->
     Calls ``keep(marking, fired)`` for each new state it keeps and yields each
     edge as ``(src, t, dst, n)``: ``n`` counts the earlier firings of ``t`` in the
     run to ``src``, and ``dst`` is None when the budget kept a new state out.
+    A fired vector counts the firings of row ``(k, t, ...)`` at index ``k``,
+    the row's index in the merged table, so it is sized from the last row's.
     The search copies a state's marking before it builds each successor and
     never writes to a marking it has passed to ``keep`` (nor to ``marking``),
     so ``keep`` may hold on to the list.
@@ -312,7 +306,7 @@ def _bfs(steps: list[tuple], marking: list[int], budget: int, keep: Callable) ->
     """
     width = min(budget, sys.maxsize).bit_length()
     index = {0: 0}
-    queue = deque([(0, marking, (0,) * len(steps), 0)])
+    queue = deque([(0, marking, (0,) * (steps[-1][0] + 1 if steps else 0), 0)])
     while queue:
         i, marking, fired, key = queue.popleft()
         tokens = marking.__getitem__
@@ -342,32 +336,11 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
 
     Successors are expanded in sorted transition order, so repeated calls
     enumerate identical nodes and edges.  ``complete`` is False when the node
-    budget ran out before the closure was reached.  The walk reads only the
-    places some transition consumes; the nodes read the others by the state
-    equation.
+    budget ran out before the closure was reached.  It is the walk of the
+    merged component, the whole net.
     """
     _check_budget(budget)
-    merged = _merged(net)
-    at = {p: k for k, p in enumerate(merged.places)}
-    owing = tuple((p, k) for p, k in at.items() if p in net.lending)
-    transitions = merged.transitions
-    layout = _Layout(net, merged.places, at, transitions, tuple(map(net.transition_labels.get, transitions)), owing)
-    owing_at = [k for _, k in owing]
-    nodes: list[Node] = []
-
-    def keep(marking: list[int], fired: tuple[int, ...]) -> None:
-        honored = min(map(marking.__getitem__, owing_at), default=0) >= 0
-        nodes.append(Node(marking, fired, honored, layout))
-
-    marking = [net.initial.get(p, 0) for p in merged.places]
-    keep(marking, (0,) * len(merged.steps))
-    edges, complete = [], True
-    for i, t, j, _ in _bfs(merged.steps, marking, budget, keep):
-        if j is None:
-            complete = False
-        else:
-            edges.append((i, t, j))
-    return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete)
+    return _walk(net, _merged(net), [net.initial.get(p, 0) for p in _layout(net).places], budget)[0]
 
 
 def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -467,36 +440,45 @@ def _reaching(out: list[list[tuple[TransitionId, int]]], reached: set[int]) -> s
 def _first_stuck(parts: list[tuple], incomplete: str, detail: Callable[[Node], str]) -> Verdict:
     """The stuck verdict of the product of ``parts``, each a ``(graph, targets)`` pair.
 
-    A part's graph is an explored ``ReachGraph`` or a ``_ComponentGraph``, and
-    ``targets()`` gives the indices of its target states.  INCONCLUSIVE with
-    ``incomplete`` when some part is incomplete, before any target is read.
-    A product state reaches a target when each of its parts does.  So the
-    first stuck product node, by fewest firings and then least path, is one
-    part's first stuck state with every other part at its root.
+    ``targets()`` gives the indices of the graph's target nodes.  INCONCLUSIVE
+    with ``incomplete`` when some part is incomplete, before any target is
+    read.  A product state reaches a target when each of its parts does.  So
+    the first stuck product node, by fewest firings and then least path, is
+    one part's first stuck node, a product node with every other part at its
+    root; among several, the least path decides (``_least_path``).
     """
     if not all(graph.complete for graph, _ in parts):
         return Verdict.inconclusive(incomplete)
     stuck = []
     for graph, targets in parts:
         good = _reaching(graph._out, set(targets()))
-        i = next((i for i in range(len(graph._out)) if i not in good), None)
+        i = next((i for i in range(len(graph.nodes)) if i not in good), None)
         if i is not None:
             stuck.append((graph, i))
     if not stuck:
         return Verdict.holds()
-    # Only component walks come more than one to a product, and only they keep paths.
-    graph, i = stuck[0] if len(stuck) == 1 else min(stuck, key=lambda s: s[0].shortlex(s[1]))
-    node = graph.nodes[i] if isinstance(graph, ReachGraph) else _node(graph.net, graph.firings(i))
+    graph, i = stuck[0] if len(stuck) == 1 else min(stuck, key=lambda s: _least_path(*s))
+    node = graph.nodes[i]
     return Verdict.fails(witness=node, detail=detail(node))
+
+
+def _least_path(graph: ReachGraph, i: int) -> tuple[int, list[TransitionId]]:
+    """Node ``i``'s rank by least run, first by length, then by ids: its breadth-first path,
+    read back along each node's first in-edge, the edge that found it."""
+    path = []
+    while i:
+        t, i = graph.in_edges(i)[0]
+        path.append(t)
+    return len(path), path[::-1]
 
 
 def _urgent(parts: Iterable[tuple]) -> frozenset[Atom]:
     """Labels of first steps, from a chosen state of some part, that keep an honored state reachable.
 
-    Each part is ``(graph, honored, chosen)``: an explored ``ReachGraph`` or a
-    ``_ComponentGraph``, a function giving the indices of its honored states,
-    and the indices of the states to step from; an incomplete part raises
-    before its honored states are read.  A product state can reach an
+    Each part is ``(graph, honored, chosen)``: a walk's ``ReachGraph``, a
+    function giving the indices of its honored states, and the indices of
+    the states to step from; an incomplete part raises before its honored
+    states are read.  A product state can reach an
     honored state exactly when each of its parts can, and every root is
     honored, since no initial count is below 0; so the answer for a product
     of parts chosen at their roots is the union of the parts' answers.
@@ -513,7 +495,8 @@ def _urgent(parts: Iterable[tuple]) -> frozenset[Atom]:
 
 @dataclass(frozen=True)
 class _Component:
-    """Transitions that depend on each other, as ``_steps`` rows over every consumed place of the net."""
+    """Transitions that depend on each other, as ``_steps`` rows over every consumed place of the net,
+    each row keeping its index in the merged table."""
 
     places: tuple[PlaceId, ...]
     steps: tuple[tuple, ...]
@@ -531,6 +514,18 @@ def _merged(net: LendingNet) -> _Component:
         return _Component(places, tuple(_steps(net, places, sorted(net.transitions))))
 
     return _kept(net, "_merged", build)
+
+
+def _layout(net: LendingNet) -> _Layout:
+    """The layout of the nodes walked on ``net``, built once per net and kept with it."""
+    def build() -> _Layout:
+        merged = _merged(net)
+        at = {p: k for k, p in enumerate(merged.places)}
+        return _Layout(net.initial, net._post, merged.places, at, merged.transitions,
+                       tuple(map(net.transition_labels.get, merged.transitions)),
+                       {p: k for p, k in at.items() if p in net.lending})
+
+    return _kept(net, "_layout", build)
 
 
 def _consumed_part(net: LendingNet) -> tuple:
@@ -584,121 +579,85 @@ def _split(net: LendingNet) -> list[_Component]:
             if j != k:
                 root[find(k)] = find(j)
     members: dict[int, list[tuple]] = {}
-    for k, row in enumerate(steps):
-        members.setdefault(find(k), []).append(row)
-    return [_Component(merged.places, tuple([(k, *row[1:]) for k, row in enumerate(rows)]))
-            for rows in members.values()]
+    for row in steps:
+        members.setdefault(find(row[0]), []).append(row)
+    return [_Component(merged.places, tuple(rows)) for rows in members.values()]
 
 
-@dataclass(eq=False)
-class _ComponentGraph:
-    """The states of one component of ``net`` in breadth-first order, each a fired vector over its transitions.
-
-    ``flags`` holds the caller's test of each state and ``parent`` the edge
-    that first reached it; ``found`` is the first flagged state when the walk
-    stopped there, and ``complete`` says that the walk ran out of states.
-    """
-
-    net: LendingNet
-    component: _Component
-    fired: list[tuple[int, ...]] = field(default_factory=list)
-    flags: list[bool] = field(default_factory=list)
-    parent: list[tuple[int, TransitionId] | None] = field(default_factory=lambda: [None])
-    _out: list[list[tuple[TransitionId, int]]] = field(default_factory=list)
-    complete: bool = True
-    found: int | None = None
-
-    def shortlex(self, i: int) -> tuple[int, tuple[TransitionId, ...]]:
-        """State ``i``'s firings and breadth-first path: its rank by least run, first by length, then by ids."""
-        steps = []
-        j = i
-        while self.parent[j] is not None:
-            j, t = self.parent[j]
-            steps.append(t)
-        return sum(self.fired[i]), tuple(reversed(steps))
-
-    def firings(self, i: int) -> dict[TransitionId, int]:
-        return {step[1]: n for step, n in zip(self.component.steps, self.fired[i]) if n}
-
-    def flagged(self) -> Iterator[int]:
-        return compress(range(len(self.flags)), self.flags)
-
-
-def _walk_component(net: LendingNet, component: _Component, start: Mapping[PlaceId, int], budget: int,
-                    flag: Callable, stop: bool) -> _ComponentGraph:
-    """Search one component from the marking ``start``, keeping at most ``budget`` states.
+def _walk(net: LendingNet, component: _Component, start: list[int], budget: int,
+          flag: Callable | None = None, stop: bool = False) -> tuple[ReachGraph, list[int]]:
+    """Search one component of ``net`` from ``start``, the counts of the layout's places,
+    keeping at most ``budget`` states.
 
     Only the component's transitions fire, so only its places change; the
-    other consumed places keep their start counts.
-
-    ``flag(marking, fired)`` tests each kept state; with ``stop`` the walk ends
-    at the first flagged one.
+    other consumed places keep their start counts, and each kept state is the
+    product node with every other component at its root.  Returns the graph
+    and the indices of the states where ``flag(marking, fired)`` holds; with
+    ``stop`` the walk ends, incomplete, at the first of them.
     """
-    graph = _ComponentGraph(net, component)
+    layout = _layout(net)
+    owing = layout.owing.values()
+    nodes: list[Node] = []
+    flagged: list[int] = []
 
     def keep(marking: list[int], fired: tuple[int, ...]) -> None:
-        graph.fired.append(fired)
-        graph.flags.append(flag(marking, fired))
-        graph._out.append([])
+        if flag is not None and flag(marking, fired):
+            flagged.append(len(nodes))
+        nodes.append(Node(marking, fired, min(map(marking.__getitem__, owing), default=0) >= 0, layout))
 
-    marking = [start.get(p, 0) for p in component.places]
-    keep(marking, (0,) * len(component.steps))
-    if stop and graph.flags[0]:
-        graph.complete, graph.found = False, 0
-        return graph
-    for i, t, j, _ in _bfs(component.steps, marking, budget, keep):
-        if j is None:
-            graph.complete = False
-            continue
-        graph._out[i].append((t, j))
-        if j == len(graph.parent):
-            graph.parent.append((i, t))
-            if stop and graph.flags[j]:
-                graph.complete, graph.found = False, j
+    keep(start, (0,) * len(layout.transitions))
+    edges, complete = [], not (stop and flagged)
+    if complete:
+        for i, t, j, _ in _bfs(component.steps, start, budget, keep):
+            if j is None:
+                complete = False
+                continue
+            edges.append((i, t, j))
+            if stop and flagged:
+                complete = False
                 break
-    return graph
+    return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete), flagged
 
 
-def _walk_components(net: LendingNet, parts: list[tuple[_Component, Callable]], start: Mapping[PlaceId, int],
-                     budget: int, stop: bool = False) -> list[_ComponentGraph]:
+def _walk_components(net: LendingNet, parts: list[tuple[_Component, Callable | None]], start: Mapping[PlaceId, int],
+                     budget: int, stop: bool = False) -> list[tuple[ReachGraph, list[int]]]:
     """Walk each ``(component, flag)`` of ``parts`` in turn from the marking ``start`` under one budget.
 
     The components share their root, so the budget counts it once plus each
     component's further states.  The walks end after one that the budget cut
     short or, with ``stop``, after one that found no flagged state.
     """
-    _check_budget(budget)
-    graphs = []
+    walks, marking = [], [start.get(p, 0) for p in _layout(net).places]
     for component, flag in parts:
-        graph = _walk_component(net, component, start, budget, flag, stop)
-        graphs.append(graph)
-        budget -= len(graph.fired) - 1
-        if graph.found is None and (stop or not graph.complete):
+        graph, flagged = walk = _walk(net, component, marking, budget, flag, stop)
+        walks.append(walk)
+        budget -= len(graph.nodes) - 1
+        if not (flagged if stop else graph.complete):
             break
-    return graphs
+    return walks
 
 
-def _node(net: LendingNet, fired: dict[TransitionId, int]) -> Node:
-    """The graph node reached by firing ``fired``, its marking given by the state equation."""
-    marking = marking_of_state(net, fired)
-    return Node(
-        marking=tuple(sorted((p, n) for p, n in marking.items() if n)),
-        fired=tuple(sorted(fired.items())),
-        honored=min(marking.values(), default=0) >= 0,
-    )
-
-
-def _honored_state(marking: list[int], fired: tuple[int, ...]) -> bool:
-    return min(marking, default=0) >= 0
+def _join(net: LendingNet, start: Mapping[PlaceId, int], parts: Iterable[Node]) -> Node:
+    """The product node of ``parts``, nodes of distinct components' walks on ``net`` from ``start``:
+    the start counts plus each part's deltas, and the sum of the parts' fired vectors."""
+    layout = _layout(net)
+    root = [start.get(p, 0) for p in layout.places]
+    counts, fired = root.copy(), [0] * len(layout.transitions)
+    for node in parts:
+        for k, n in enumerate(node._counts):
+            counts[k] += n - root[k]
+        for k, n in enumerate(node._vector):
+            fired[k] += n
+    return Node(counts, tuple(fired), min(map(counts.__getitem__, layout.owing.values()), default=0) >= 0, layout)
 
 
 def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET,
                     start: Mapping[PlaceId, int] | None = None) -> frozenset[Atom]:
     """``urgent_at(explore(net, budget), 0)``, one component at a time; ``start``
     replaces the initial marking as the root."""
-    parts = [(c, _honored_state) for c in _components(net)]
-    graphs = _walk_components(net, parts, net.initial if start is None else start, budget)
-    return _urgent((graph, graph.flagged, (0,)) for graph in graphs)
+    _check_budget(budget)
+    walks = _walk_components(net, [(c, None) for c in _components(net)], net.initial if start is None else start, budget)
+    return _urgent((graph, partial(honored_nodes, graph), (0,)) for graph, _ in walks)
 
 
 def weakly_terminates(
@@ -712,6 +671,7 @@ def weakly_terminates(
     FAILS returns the first explored node that cannot; an exhausted budget
     yields INCONCLUSIVE since unexplored continuations could still succeed.
     """
+    _check_budget(budget)
     if graph is None:
         graph = explore(net, budget)
     return _first_stuck(
@@ -745,6 +705,7 @@ def urgent_for_done_set(
     graph: ReachGraph | None = None,
 ) -> frozenset[Atom]:
     """Union of urgent_at over nodes whose fired labels equal ``done``, a subset of the alphabet."""
+    _check_budget(budget)
     wanted = frozenset(done)
     if not wanted <= net.alphabet:
         raise NetStructureError(f"done atoms outside the alphabet: {sorted(wanted - net.alphabet)}")

@@ -174,9 +174,11 @@ def compile_compose_commutes(
     HOLDS at once when the two nets have the same consumed part: their runs,
     and so their words, are the same (README, "Compositionality from the
     consumed parts").  Otherwise their words are listed (``trace_equivalent``).
+    Every compilation of a contract has the same consumed part, so the pruned
+    ones are compared, not the full ones, which are quadratic in size.
     """
-    joint = compile_contract(compose_contracts(first, second)).net
-    left, right = widen_alphabet([compile_contract(first).net, compile_contract(second).net])
+    joint = compile_contract(compose_contracts(first, second), prune=True).net
+    left, right = widen_alphabet([compile_contract(first, prune=True).net, compile_contract(second, prune=True).net])
     return _same_traces(joint, oplus(left, right), budget)
 
 

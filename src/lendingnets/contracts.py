@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import prod
 
 from .analysis import (
@@ -23,8 +24,9 @@ from .analysis import (
     _done_set,
     _first_stuck,
     _fires_at_most_once,
+    _join,
+    _layout,
     _merged,
-    _node,
     _walk_components,
     explore,
     is_occurrence_net,
@@ -40,6 +42,7 @@ from .nets import (
     Outcome,
     Verdict,
     _Canonical,
+    _check_budget,
     _kept,
     is_correctly_labeled,
 )
@@ -153,7 +156,7 @@ def validate(cn: ContractNet, budget: int = DEFAULT_BUDGET) -> list[Violation]:
 def configuration(cn: ContractNet, node: Node) -> Configuration:
     """Read a node of ``cn.net``'s reachability graph as (atoms granted, atoms in debt).
 
-    For a node that ``explore`` built, debts are read only on the places that
+    For a node that a walk built, debts are read only on the places that
     can owe, the lending places some transition consumes: exact for the nodes
     of that net's graph, where no other place is ever below 0.
     """
@@ -192,7 +195,7 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
 def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[Atom]]]:
     """Index and done set of each credit-free node: one that owes on no labeled place.
 
-    A node that ``explore`` built can be below 0 only on its layout's
+    A node that a walk built can be below 0 only on its layout's
     ``owing`` places, so it is read off the walk's counts there; when all of
     them are labeled, as in a valid contract net, that is its ``honored``
     flag.  Only sparse nodes have their credits read.  Done sets are built
@@ -212,7 +215,7 @@ def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[At
                 else:
                     owing = labeled.get(layout)
                     if owing is None:
-                        owing = labeled[layout] = [k for p, k in layout.owing if p in labels]
+                        owing = labeled[layout] = [k for p, k in layout.owing.items() if p in labels]
                     if len(owing) == len(layout.owing) or min(map(node._counts.__getitem__, owing), default=0) < 0:
                         continue
             free.append((i, _done_set(graph.net, node)))
@@ -239,18 +242,18 @@ def _parts(cn: ContractNet, reached: Callable) -> list[tuple[_Component, Callabl
         shares.append(frozenset(g & labels for g in goals))
     if prod(map(len, shares)) != len(goals):
         components, shares = [_merged(net)], [goals]
-    return [(c, _goal_flag(net, c, share, reached)) for c, share in zip(components, shares)]
+    return [(c, _goal_flag(net, share, reached)) for c, share in zip(components, shares)]
 
 
-def _goal_flag(net: LendingNet, component: _Component, goals: frozenset, reached: Callable) -> Callable:
-    """The test of a component state: no labeled place owes and ``reached(done, goals)``."""
-    labels = [net.transition_labels.get(t) for t in component.transitions]
-    owing = [k for k, p in enumerate(component.places) if p in net.place_labels]
+def _goal_flag(net: LendingNet, goals: frozenset, reached: Callable) -> Callable:
+    """The test of a walk state on ``net``: no labeled place owes and ``reached(done, goals)``."""
+    layout = _layout(net)
+    labels, owing = layout.labels, [k for p, k in layout.at.items() if p in net.place_labels]
 
     def flag(marking: list[int], fired: tuple[int, ...]) -> bool:
         if any(marking[k] < 0 for k in owing):
             return False
-        return reached(frozenset(a for a, n in zip(labels, fired) if n and a is not None), goals)
+        return reached(frozenset(filter(None, compress(labels, fired))), goals)
 
     return flag
 
@@ -268,8 +271,9 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reach
         cfg = configuration(cn, stuck)
         return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
 
+    _check_budget(budget)
     if graph is None:
-        parts = [(g, g.flagged) for g in _walk_components(cn.net, _parts(cn, reached), cn.net.initial, budget)]
+        parts = [(g, flagged.__iter__) for g, flagged in _walk_components(cn.net, _parts(cn, reached), cn.net.initial, budget)]
     else:
         parts = [(graph, lambda: [i for i, done in _honored(cn, graph) if reached(done, cn.goals)])]
         budget = len(graph.nodes)
@@ -308,12 +312,13 @@ def agreement_reachable(
     configuration, with the node found as witness.  Without a ``graph`` each
     component's walk stops at its first such state, and the witness joins them.
     """
+    _check_budget(budget)
     if graph is None:
-        graphs = _walk_components(cn.net, _parts(cn, _covers_goal_set), cn.net.initial, budget, stop=True)
-        if not graphs or graphs[-1].found is not None:
-            found = _node(cn.net, {t: n for g in graphs for t, n in g.firings(g.found).items()})
+        walks = _walk_components(cn.net, _parts(cn, _covers_goal_set), cn.net.initial, budget, stop=True)
+        if all(flagged for _, flagged in walks):
+            found = _join(cn.net, cn.net.initial, [g.nodes[flagged[0]] for g, flagged in walks])
             return Verdict.holds(detail=found.describe())
-        complete = graphs[-1].complete
+        complete = walks[-1][0].complete
     else:
         for i, done in _honored(cn, graph):
             if _covers_goal_set(done, cn.goals):
@@ -339,6 +344,7 @@ def urgent(
 
 
 def _complete(cn: ContractNet, budget: int, graph: ReachGraph | None) -> ReachGraph:
+    _check_budget(budget)
     if graph is None:
         graph = explore(cn.net, budget)
     if not graph.complete:

@@ -6,14 +6,18 @@ consumes, copied unchanged apart from its name and imports.  It gives every
 transition a delivery place for every atom of the contract, then drops the
 untouched ones with ``prune``.  Started from a done marking, its net is the
 one net-side urgency was decided on.
+
+``full_compile_compose_commutes`` is ``compile_compose_commutes`` as it was
+when it compared the full compiles, copied unchanged apart from its name.
 """
 
 from __future__ import annotations
 
-from lendingnets.compiler import clause_tid, delivery_pid, star_pid
+from lendingnets.compiler import _same_traces, clause_tid, compile_contract, delivery_pid, star_pid
+from lendingnets.compose import oplus, widen_alphabet
 from lendingnets.contracts import ContractNet
-from lendingnets.logic import HornClause, PCLContract
-from lendingnets.nets import Atom, LendingNet
+from lendingnets.logic import HornClause, PCLContract, compose_contracts
+from lendingnets.nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict
 
 
 def full_compile(c: PCLContract, prune: bool, done: frozenset[Atom]) -> ContractNet:
@@ -68,3 +72,18 @@ def full_compile(c: PCLContract, prune: bool, done: frozenset[Atom]) -> Contract
         goals=c.goals,
     )
 
+
+def full_compile_compose_commutes(
+    first: PCLContract,
+    second: PCLContract,
+    budget: int = DEFAULT_BUDGET,
+) -> Verdict:
+    """Compare compiling the composition against composing the compilations.
+
+    HOLDS at once when the two nets have the same consumed part: their runs,
+    and so their words, are the same (README, "Compositionality from the
+    consumed parts").  Otherwise their words are listed (``trace_equivalent``).
+    """
+    joint = compile_contract(compose_contracts(first, second)).net
+    left, right = widen_alphabet([compile_contract(first).net, compile_contract(second).net])
+    return _same_traces(joint, oplus(left, right), budget)

@@ -97,9 +97,9 @@ def kept_states(monkeypatch):
     walk = lendingnets.analysis._walk_components
 
     def counting(*args, **kwargs):
-        graphs = walk(*args, **kwargs)
-        kept.append(1 + sum(len(graph.fired) - 1 for graph in graphs))
-        return graphs
+        walks = walk(*args, **kwargs)
+        kept.append(1 + sum(len(graph.nodes) - 1 for graph, _ in walks))
+        return walks
 
     for module in (lendingnets.analysis, lendingnets.contracts):
         monkeypatch.setattr(module, "_walk_components", counting)

@@ -7,7 +7,10 @@ transition labels, inputs, non-lending inputs and consumed outputs.  Then
 the two nets have the same runs up to transition ids, hence the same words
 (README, "Compositionality from the consumed parts").  The oracle is
 ``trace_equivalent``, which lists the words: wherever the parts are equal it
-must HOLD.  Nets whose parts differ still go to it.
+must HOLD.  Nets whose parts differ still go to it.  Every compilation of a
+contract has the same consumed part, so the check compares the pruned
+compiles; ``compile_oracle.full_compile_compose_commutes``, which compared
+the full ones, must give the same verdicts.
 """
 
 import random
@@ -32,7 +35,9 @@ from lendingnets import (
 )
 from lendingnets.analysis import _consumed_part
 from lendingnets.compiler import _same_traces
+from lendingnets.nets import DEFAULT_BUDGET
 
+from compile_oracle import full_compile_compose_commutes
 from generators import _credit_contract, compatible_contract_pair, pairs_contract, random_contract
 
 
@@ -142,3 +147,13 @@ def test_the_halves_of_pairs_6_commute_in_under_a_second(listed):
     assert verdict.outcome is Outcome.HOLDS and listed == []
     assert elapsed < 1.0, elapsed
     assert trace_equivalent(*compiled_pair(first, second), 1000).outcome is Outcome.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("budget", (1, 2, 3, 5, 8, DEFAULT_BUDGET))
+def test_the_pruned_compiles_give_the_verdicts_of_the_full_ones(budget, listed):
+    rng = random.Random(5)
+    cases = [compatible_contract_pair(rng) for _ in range(150)] + [halves(6), halves(4)]
+    for first, second in cases:
+        want = full_compile_compose_commutes(first, second, budget)
+        assert compile_compose_commutes(first, second, budget) == want, (first, second, budget)
+    assert listed == []

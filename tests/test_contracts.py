@@ -3,13 +3,16 @@
 import pytest
 
 from lendingnets import (
+    HONORED_GOAL,
     Configuration,
     ContractError,
     ContractNet,
     IncompleteExplorationError,
     LendingNet,
     Outcome,
+    ToolkitError,
     agreement_reachable,
+    compile_contract,
     compose_contract_nets,
     configuration,
     configuration_from_marking,
@@ -17,7 +20,9 @@ from lendingnets import (
     honored_done_sets,
     reachable_configurations,
     urgent,
+    urgent_for_done_set,
     validate,
+    weakly_terminates,
     weakly_terminates_covering,
     weakly_terminates_in,
 )
@@ -26,6 +31,8 @@ from lendingnets.fixtures import (
     handshake_strict_a,
     handshake_strict_b,
 )
+
+from generators import pairs_contract
 
 OWNERS = {"a": "A", "b": "B"}
 
@@ -406,3 +413,22 @@ def test_both_compositions_reject_clashing_terms_with_one_message(right_particip
     with pytest.raises(ContractError) as net_side:
         compose_contract_nets(compile_contract(left), compile_contract(right))
     assert str(logic_side.value) == str(net_side.value) == text
+
+
+@pytest.mark.parametrize("with_graph", [False, True])
+@pytest.mark.parametrize("budget", [0, -1, 1.5, True, "x"])
+def test_a_bad_budget_is_rejected_with_a_graph_too(budget, with_graph):
+    cn = compile_contract(pairs_contract(2))
+    graph = explore(cn.net) if with_graph else None
+    for check in (
+        lambda: agreement_reachable(cn, budget, graph),
+        lambda: weakly_terminates_in(cn, budget, graph),
+        lambda: weakly_terminates_covering(cn, budget, graph),
+        lambda: urgent(cn, set(), budget, graph),
+        lambda: urgent_for_done_set(cn.net, set(), budget, graph),
+        lambda: honored_done_sets(cn, budget, graph),
+        lambda: reachable_configurations(cn, budget, graph),
+        lambda: weakly_terminates(cn.net, HONORED_GOAL, budget, graph),
+    ):
+        with pytest.raises(ToolkitError, match="budget must be at least 1"):
+            check()

@@ -126,8 +126,8 @@ def component_outs():
     cns += [compile_contract(pairs_contract(n)) for n in (1, 2, 3)]
     for cn in cns:
         parts = [(c, lambda marking, fired: min(marking, default=0) >= 0) for c in _components(cn.net)]
-        for graph in _walk_components(cn.net, parts, cn.net.initial, DEFAULT_BUDGET):
-            yield graph._out, set(graph.flagged())
+        for graph, flagged in _walk_components(cn.net, parts, cn.net.initial, DEFAULT_BUDGET):
+            yield graph._out, set(flagged)
 
 
 def random_outs(rng: random.Random):

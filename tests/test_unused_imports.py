@@ -1,4 +1,6 @@
-"""Every name a library module imports at module level is read in that module.
+"""Every name a library module imports at module level is read in that module,
+and every private function or class a library module defines is read somewhere
+in the package.
 
 ``__init__.py`` is skipped: its imports are the package's public names.
 """
@@ -33,3 +35,33 @@ def test_every_imported_name_is_read(path):
 def test_an_unread_import_is_reported():
     source = "from __future__ import annotations\nimport os.path\nfrom re import match, sub as s\ns('', '', '')\n"
     assert unread_imports(source) == ["match", "os"]
+
+
+def private_definitions(source: str) -> set[str]:
+    """The module-level functions and classes whose names start with one underscore."""
+    return {
+        statement.name
+        for statement in ast.parse(source).body
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+        and statement.name.startswith("_") and not statement.name.startswith("__")
+    }
+
+
+def read_names(source: str) -> set[str]:
+    """The names the source reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_private_definition_is_read_in_the_package():
+    package = [p.read_text(encoding="utf-8") for p in Path(lendingnets.__file__).parent.glob("*.py")]
+    defined = set().union(*(private_definitions(p.read_text(encoding="utf-8")) for p in MODULES))
+    assert sorted(defined - set().union(*map(read_names, package))) == []
+
+
+def test_an_unread_private_definition_is_reported():
+    source = "def _used():\n    pass\n\n\nclass _Unused:\n    pass\n\n\ndef __dunder__():\n    _used()\n"
+    assert private_definitions(source) == {"_used", "_Unused"}
+    assert sorted(private_definitions(source) - read_names(source)) == ["_Unused"]

@@ -93,9 +93,9 @@ def test_one_walk_of_the_smaller_net(monkeypatch):
     explore = lendingnets.analysis.explore
 
     def counting_walk(*args, **kwargs):
-        graphs = walk_components(*args, **kwargs)
-        kept.append(1 + sum(len(graph.fired) - 1 for graph in graphs))
-        return graphs
+        walks = walk_components(*args, **kwargs)
+        kept.append(1 + sum(len(graph.nodes) - 1 for graph, _ in walks))
+        return walks
 
     def counting_explore(net, budget=DEFAULT_BUDGET):
         graph = explore(net, budget)

@@ -7,8 +7,8 @@ twice simply exhaust the exploration budget and report INCONCLUSIVE.
 
 One breadth-first search (``_bfs``) walks every graph and decides the
 occurrence-net property.  It works on integer indices over the places that
-some transition consumes: once per net, ``_merged`` sorts those places and
-the transitions and tabulates, per transition, the indices of its
+some transition consumes: once per net, ``_layout`` sorts those places and
+the transitions and tabulates, per transition, one row of the indices of its
 non-lending input places (the enabledness test) and of its input and
 consumed output places (the firing delta).  A place that no transition
 consumes is in no guard, so the search sees the same states, steps and order
@@ -22,20 +22,19 @@ fields.
 One walk (``_walk``) does every search but the occurrence check, and it
 returns a ``ReachGraph``.  Without a built graph, the contract checks and net-side
 urgency split the net into independent components (no place one consumes is
-touched by another, and no label is shared) and walk each alone; ``explore``
-is the walk of the merged component, the whole net.  A component's rows keep
-their index in the merged table, so each state it keeps is the product node
-with every other component at its root.  The README, "How independent
-components are decided", proves the answers equal those of the product
-graph.  Every node walked on a net shares the net's ``_Layout``; the table,
-the components and the layout are kept in the net's instance dict
-(``nets._kept``).
+touched by another, and no label is shared) and walk each alone.  A
+component is a tuple of the layout's rows, and ``explore`` is the walk of
+all of them, the whole net.  A row keeps its index in the layout, so each
+state a component's walk keeps is the product node with every other
+component at its root.  The README, "How independent components are
+decided", proves the answers equal those of the product graph.  Every node
+walked on a net shares the net's ``_Layout``, the one table the net keeps
+besides its components, both in its instance dict (``nets._kept``).
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A graph holds only its net,
-nodes, edges and completeness flag; out-edges, the node index (keyed by fired
-pairs, so building it builds no marking) and the done sets are derived on
-first use.
+nodes, edges and completeness flag; out-edges and the node index (keyed by
+fired pairs, so building it builds no marking) are derived on first use.
 
 The "all nodes can reach a target" checks share one stuck routine,
 ``_first_stuck``, and urgency one routine, ``_urgent``.  Each decides a
@@ -73,15 +72,16 @@ from .nets import (
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """The order of the dense vectors of every node walked on one net, built once per net (``_layout``).
+    """The one table of a net that every walk on it reads, built once per net (``_layout``).
 
     ``places`` are the places some transition consumes, sorted, with each
     one's index in ``at``; ``transitions`` are all transitions, sorted, with
-    their labels (None when unlabeled) in ``labels``; ``owing`` maps each
-    place that can owe (a lending place some transition consumes) to its
-    index.  The other places are read by the state equation, from the net's
-    ``initial`` counts and its postset table ``post``: the layout is kept with
-    the net, so it holds no reference to it.
+    their labels (None when unlabeled) in ``labels`` and their ``_steps``
+    rows over ``places`` in ``steps``; ``owing`` maps each place that can
+    owe (a lending place some transition consumes) to its index.  A node's
+    dense vectors are in this order.  The other places are read by the state
+    equation, from the net's ``initial`` counts and its postset table
+    ``post``: the layout is kept with the net, so it holds no reference to it.
     """
 
     initial: Mapping[PlaceId, int]
@@ -91,6 +91,11 @@ class _Layout:
     transitions: tuple[TransitionId, ...]
     labels: tuple[Atom | None, ...]
     owing: dict[PlaceId, int]
+    steps: tuple[tuple, ...]
+
+    def counts(self, marking: Mapping[PlaceId, int]) -> list[int]:
+        """The counts of ``marking`` on ``places``, a walk's start."""
+        return [marking.get(p, 0) for p in self.places]
 
     def state_equation(self, place: PlaceId, fired) -> int:
         """The count of ``place``, which no transition consumes, by the state equation:
@@ -237,11 +242,6 @@ class ReachGraph:
         follows from them.  No marking is built; ``index_of`` compares the one node it finds."""
         return {n.fired: i for i, n in enumerate(self.nodes)}
 
-    @cached_property
-    def _done_sets(self) -> list[frozenset[Atom]]:
-        """Each node's done set, by index, shared by the checks that read every node."""
-        return [_done_set(self.net, node) for node in self.nodes]
-
     @property
     def root(self) -> Node:
         return self.nodes[0]
@@ -293,7 +293,7 @@ def _bfs(steps: list[tuple], marking: list[int], budget: int, keep: Callable) ->
     edge as ``(src, t, dst, n)``: ``n`` counts the earlier firings of ``t`` in the
     run to ``src``, and ``dst`` is None when the budget kept a new state out.
     A fired vector counts the firings of row ``(k, t, ...)`` at index ``k``,
-    the row's index in the merged table, so it is sized from the last row's.
+    the row's index in the layout, so it is sized from the last row's.
     The search copies a state's marking before it builds each successor and
     never writes to a marking it has passed to ``keep`` (nor to ``marking``),
     so ``keep`` may hold on to the list.
@@ -336,11 +336,12 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
 
     Successors are expanded in sorted transition order, so repeated calls
     enumerate identical nodes and edges.  ``complete`` is False when the node
-    budget ran out before the closure was reached.  It is the walk of the
-    merged component, the whole net.
+    budget ran out before the closure was reached.  It is the walk of every
+    row of the layout, the whole net.
     """
     _check_budget(budget)
-    return _walk(net, _merged(net), [net.initial.get(p, 0) for p in _layout(net).places], budget)[0]
+    layout = _layout(net)
+    return _walk(net, layout.steps, layout.counts(net.initial), budget)[0]
 
 
 def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -350,10 +351,9 @@ def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
     no node: the other places never disable a step.
     """
     _check_budget(budget)
-    merged = _merged(net)
-    marking = [net.initial.get(p, 0) for p in merged.places]
+    layout = _layout(net)
     complete = True
-    for _, t, j, earlier in _bfs(merged.steps, marking, budget, lambda marking, fired: None):
+    for _, t, j, earlier in _bfs(layout.steps, layout.counts(net.initial), budget, lambda marking, fired: None):
         if earlier:
             return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
         complete = complete and j is not None
@@ -493,37 +493,15 @@ def _urgent(parts: Iterable[tuple]) -> frozenset[Atom]:
     return frozenset(urgent)
 
 
-@dataclass(frozen=True)
-class _Component:
-    """Transitions that depend on each other, as ``_steps`` rows over every consumed place of the net,
-    each row keeping its index in the merged table."""
-
-    places: tuple[PlaceId, ...]
-    steps: tuple[tuple, ...]
-
-    @property
-    def transitions(self) -> tuple[TransitionId, ...]:
-        return tuple(step[1] for step in self.steps)
-
-
-def _merged(net: LendingNet) -> _Component:
-    """The whole net as one component over the places some transition consumes, sorted:
-    its walk is the walk of the product.  Built once per net and kept with it."""
-    def build() -> _Component:
-        places = tuple(sorted({p for t in net.transitions for p in net.preset(t)}))
-        return _Component(places, tuple(_steps(net, places, sorted(net.transitions))))
-
-    return _kept(net, "_merged", build)
-
-
 def _layout(net: LendingNet) -> _Layout:
-    """The layout of the nodes walked on ``net``, built once per net and kept with it."""
+    """The layout of the nodes walked on ``net``, with its rows, built once per net and kept with it."""
     def build() -> _Layout:
-        merged = _merged(net)
-        at = {p: k for k, p in enumerate(merged.places)}
-        return _Layout(net.initial, net._post, merged.places, at, merged.transitions,
-                       tuple(map(net.transition_labels.get, merged.transitions)),
-                       {p: k for p, k in at.items() if p in net.lending})
+        places = tuple(sorted({p for t in net.transitions for p in net.preset(t)}))
+        transitions = tuple(sorted(net.transitions))
+        at = {p: k for k, p in enumerate(places)}
+        return _Layout(net.initial, net._post, places, at, transitions,
+                       tuple(map(net.transition_labels.get, transitions)),
+                       {p: k for p, k in at.items() if p in net.lending}, tuple(_steps(net, places, transitions)))
 
     return _kept(net, "_layout", build)
 
@@ -536,31 +514,31 @@ def _consumed_part(net: LendingNet) -> tuple:
     The sets hold place indices: they name the same places in two nets
     whenever the sorted consumed places, compared first, are equal.
     """
-    merged, labels = _merged(net), net.transition_labels
+    layout = _layout(net)
     return (
         net.alphabet,
-        merged.places,
-        tuple([net.initial.get(p, 0) for p in merged.places]),
-        {(labels.get(t), frozenset(pre), frozenset(guard), frozenset(post)) for _, t, guard, pre, post in merged.steps},
+        layout.places,
+        tuple(layout.counts(net.initial)),
+        {(layout.labels[k], frozenset(pre), frozenset(guard), frozenset(post)) for k, _, guard, pre, post in layout.steps},
     )
 
 
-def _components(net: LendingNet) -> tuple[_Component, ...]:
+def _components(net: LendingNet) -> tuple[tuple, ...]:
     """The independent components of ``net`` (``_split``), split once per net and kept with it."""
     return _kept(net, "_components", lambda: tuple(_split(net)))
 
 
-def _split(net: LendingNet) -> list[_Component]:
-    """The independent components of ``net``, ordered by their first transition.
+def _split(net: LendingNet) -> list[tuple]:
+    """The independent components of ``net``, each a tuple of its transitions' layout rows,
+    ordered by their first transition.
 
     Two transitions are joined when one consumes a place that the other
     consumes or produces, or when they share a label.  A place that no
     transition consumes is in no component: it never disables a step, and it
     never owes, since it starts at 0 or more and only gains tokens.
     """
-    merged = _merged(net)
-    steps = merged.steps
-    root = list(range(len(steps)))
+    layout = _layout(net)
+    root = list(range(len(layout.steps)))
 
     def find(k: int) -> int:
         while root[k] != k:
@@ -572,22 +550,22 @@ def _split(net: LendingNet) -> list[_Component]:
     # first one to touch the same consumed place, or to carry the same label,
     # joins exactly the classes of the relation above.
     first: dict[int | Atom, int] = {}
-    for k, t, _, pre, post in steps:
-        label = net.transition_labels.get(t)
+    for k, _, _, pre, post in layout.steps:
+        label = layout.labels[k]
         for key in (*pre, *post) if label is None else (*pre, *post, label):
             j = first.setdefault(key, k)
             if j != k:
                 root[find(k)] = find(j)
     members: dict[int, list[tuple]] = {}
-    for row in steps:
+    for row in layout.steps:
         members.setdefault(find(row[0]), []).append(row)
-    return [_Component(merged.places, tuple(rows)) for rows in members.values()]
+    return [tuple(rows) for rows in members.values()]
 
 
-def _walk(net: LendingNet, component: _Component, start: list[int], budget: int,
+def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
           flag: Callable | None = None, stop: bool = False) -> tuple[ReachGraph, list[int]]:
-    """Search one component of ``net`` from ``start``, the counts of the layout's places,
-    keeping at most ``budget`` states.
+    """Search the layout ``rows`` of one component of ``net`` from ``start``, the counts of
+    the layout's places, keeping at most ``budget`` states.
 
     Only the component's transitions fire, so only its places change; the
     other consumed places keep their start counts, and each kept state is the
@@ -608,7 +586,7 @@ def _walk(net: LendingNet, component: _Component, start: list[int], budget: int,
     keep(start, (0,) * len(layout.transitions))
     edges, complete = [], not (stop and flagged)
     if complete:
-        for i, t, j, _ in _bfs(component.steps, start, budget, keep):
+        for i, t, j, _ in _bfs(rows, start, budget, keep):
             if j is None:
                 complete = False
                 continue
@@ -619,17 +597,18 @@ def _walk(net: LendingNet, component: _Component, start: list[int], budget: int,
     return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete), flagged
 
 
-def _walk_components(net: LendingNet, parts: list[tuple[_Component, Callable | None]], start: Mapping[PlaceId, int],
+def _walk_components(net: LendingNet, parts: list[tuple[tuple, Callable | None]], start: Mapping[PlaceId, int],
                      budget: int, stop: bool = False) -> list[tuple[ReachGraph, list[int]]]:
-    """Walk each ``(component, flag)`` of ``parts`` in turn from the marking ``start`` under one budget.
+    """Walk each ``(rows, flag)`` of ``parts``, one component's rows and its flag, in turn
+    from the marking ``start`` under one budget.
 
     The components share their root, so the budget counts it once plus each
     component's further states.  The walks end after one that the budget cut
     short or, with ``stop``, after one that found no flagged state.
     """
-    walks, marking = [], [start.get(p, 0) for p in _layout(net).places]
-    for component, flag in parts:
-        graph, flagged = walk = _walk(net, component, marking, budget, flag, stop)
+    walks, marking = [], _layout(net).counts(start)
+    for rows, flag in parts:
+        graph, flagged = walk = _walk(net, rows, marking, budget, flag, stop)
         walks.append(walk)
         budget -= len(graph.nodes) - 1
         if not (flagged if stop else graph.complete):
@@ -641,7 +620,7 @@ def _join(net: LendingNet, start: Mapping[PlaceId, int], parts: Iterable[Node]) 
     """The product node of ``parts``, nodes of distinct components' walks on ``net`` from ``start``:
     the start counts plus each part's deltas, and the sum of the parts' fired vectors."""
     layout = _layout(net)
-    root = [start.get(p, 0) for p in layout.places]
+    root = layout.counts(start)
     counts, fired = root.copy(), [0] * len(layout.transitions)
     for node in parts:
         for k, n in enumerate(node._counts):
@@ -711,7 +690,7 @@ def urgent_for_done_set(
         raise NetStructureError(f"done atoms outside the alphabet: {sorted(wanted - net.alphabet)}")
     if graph is None:
         graph = explore(net, budget)
-    chosen = [i for i, d in enumerate(graph._done_sets) if d == wanted]
+    chosen = [i for i, node in enumerate(graph.nodes) if _done_set(graph.net, node) == wanted]
     return _urgent([(graph, lambda: honored_nodes(graph), chosen)])
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .analysis import _consumed_part, _urgent_at_root
+from .analysis import _consumed_part, _layout, _urgent_at_root
 from .compose import oplus, trace_equivalent, widen_alphabet
 from .contracts import ContractNet, agreement_reachable
 from .logic import HornClause, PCLContract, _owned, compose_contracts, with_facts
@@ -141,11 +141,12 @@ def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_B
     already kept will do (``_urgency_net``).  The done marking, the only part
     that depends on ``done``, is set on those places alone: the control places
     of the done atoms empty and each of their body delivery places holding one
-    token, read off the clauses.
+    token.  A done atom's body delivery places are exactly the consumed places
+    labeled with it, so they are read off the net's layout.
     """
     done = _owned(c, done)
     net = _urgency_net(c)
-    delivered = {delivery_pid(a, cl): 1 for cl in c.clauses if not cl.body.isdisjoint(done) for a in cl.body & done}
+    delivered = {p: 1 for p in _layout(net).places if net.place_labels.get(p) in done}
     start = net.initial | {star_pid(a): 0 for a in done} | delivered
     return _urgent_at_root(net, budget, start)
 

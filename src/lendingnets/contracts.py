@@ -19,14 +19,12 @@ from math import prod
 from .analysis import (
     Node,
     ReachGraph,
-    _Component,
     _components,
     _done_set,
     _first_stuck,
     _fires_at_most_once,
     _join,
     _layout,
-    _merged,
     _walk_components,
     explore,
     is_occurrence_net,
@@ -199,8 +197,9 @@ def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[At
     ``owing`` places, so it is read off the walk's counts there; when all of
     them are labeled, as in a valid contract net, that is its ``honored``
     flag.  Only sparse nodes have their credits read.  Done sets are built
-    only for credit-free nodes.  When ``cn.net`` is the graph's own net, the
-    pairs are kept in its instance dict.
+    only for credit-free nodes, with ``cn.net``'s labels, as ``configuration``
+    reads them.  When ``cn.net`` is the graph's own net, the pairs are kept in
+    its instance dict.
     """
     net, labels = cn.net, cn.net.place_labels
 
@@ -218,37 +217,38 @@ def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[At
                         owing = labeled[layout] = [k for p, k in layout.owing.items() if p in labels]
                     if len(owing) == len(layout.owing) or min(map(node._counts.__getitem__, owing), default=0) < 0:
                         continue
-            free.append((i, _done_set(graph.net, node)))
+            free.append((i, _done_set(net, node)))
         return free
 
     return _kept(graph, "_credit_free", credit_free) if net is graph.net else credit_free()
 
 
-def _parts(cn: ContractNet, reached: Callable) -> list[tuple[_Component, Callable]]:
-    """Each component of the net, with the test of its goal states.
+def _parts(cn: ContractNet, reached: Callable) -> list[tuple[tuple, Callable]]:
+    """Each component of the net, as its layout rows, with the test of its goal states.
 
     A goal state owes on no labeled place and its done set ``done`` passes
     ``reached(done, share)``, where ``share`` projects onto the component's
     labels the goal sets that transitions can grant.  When that family is not
     the product of its shares, the components merge into one.
     """
-    net = cn.net
+    net, layout = cn.net, _layout(cn.net)
     granted = frozenset(net.transition_labels.values())
     goals = frozenset(g for g in cn.goals if g <= granted)
     components = _components(net)
     shares = []
-    for c in components:
-        labels = {net.transition_labels.get(t) for t in c.transitions}
+    for rows in components:
+        labels = {layout.labels[row[0]] for row in rows}
         shares.append(frozenset(g & labels for g in goals))
     if prod(map(len, shares)) != len(goals):
-        components, shares = [_merged(net)], [goals]
+        components, shares = [layout.steps], [goals]
     return [(c, _goal_flag(net, share, reached)) for c, share in zip(components, shares)]
 
 
 def _goal_flag(net: LendingNet, goals: frozenset, reached: Callable) -> Callable:
-    """The test of a walk state on ``net``: no labeled place owes and ``reached(done, goals)``."""
+    """The test of a walk state on ``net``: no labeled place that can owe (``_honored``'s rule)
+    is below 0, and ``reached(done, goals)``."""
     layout = _layout(net)
-    labels, owing = layout.labels, [k for p, k in layout.at.items() if p in net.place_labels]
+    labels, owing = layout.labels, [k for p, k in layout.owing.items() if p in net.place_labels]
 
     def flag(marking: list[int], fired: tuple[int, ...]) -> bool:
         if any(marking[k] < 0 for k in owing):
@@ -359,9 +359,7 @@ def reachable_configurations(
 ) -> frozenset[Configuration]:
     """Configurations of all reachable nodes; raises when the graph is incomplete."""
     graph = _complete(cn, budget, graph)
-    return frozenset(
-        Configuration(done, _credits(cn.net, node)) for node, done in zip(graph.nodes, graph._done_sets)
-    )
+    return frozenset(configuration(cn, node) for node in graph.nodes)
 
 
 def honored_done_sets(

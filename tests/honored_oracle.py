@@ -1,11 +1,12 @@
 """The credit-free rule of the graph checks before they read it off the walk's counts.
 
-``_honored`` is copied unchanged apart from its imports and the key it keeps
-its result under: it reads every owing node's credits
+``_honored`` is copied unchanged apart from its imports, the key it keeps
+its result under and its done sets: it reads every owing node's credits
 (``contracts._credits``), counts a node as credit-free when it is honored or
 has no credits, keeps the indices in the graph's instance dict when the
-contract's net is the graph's own, and reads done sets from
-``ReachGraph._done_sets``, which it builds for every node.  Its key,
+contract's net is the graph's own, and reads every node's done set with the
+labels of the graph's net, built inline where it read the graph's
+``_done_sets`` list, which meant the same and is gone.  Its key,
 ``_oracle_credit_free``, differs from the one ``contracts._honored`` keeps
 its (index, done set) pairs under, so the two can read one graph.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from lendingnets.analysis import ReachGraph
+from lendingnets.analysis import ReachGraph, _done_set
 from lendingnets.contracts import ContractNet, _credits
 from lendingnets.nets import Atom, _kept
 
@@ -23,8 +24,8 @@ def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozense
     """Index and done set of each node without credits; a node where no place owes has none.
 
     When ``cn.net`` is the graph's own net, the indices are read once per
-    graph and kept in its instance dict, as ``_done_sets`` is: the checks that
-    share a graph read each owing node's credits once.
+    graph and kept in its instance dict: the checks that share a graph read
+    each owing node's credits once.
     """
     net = cn.net
 
@@ -32,5 +33,5 @@ def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozense
         return [i for i, node in enumerate(graph.nodes) if node.honored or not _credits(net, node)]
 
     free = _kept(graph, "_oracle_credit_free", credit_free) if net is graph.net else credit_free()
-    done_sets = graph._done_sets
+    done_sets = [_done_set(graph.net, n) for n in graph.nodes]
     return ((i, done_sets[i]) for i in free)

@@ -3,9 +3,11 @@
 These are the definitions that ``lendingnets.contracts`` and
 ``lendingnets.compiler`` ran on before a net was decided one independent
 component at a time, copied unchanged apart from their imports, the
-``_stuck_verdict`` routine they shared, and the way ``urgent_via_net`` gets
-its net: the public ``compile_contract`` net with the done marking put in, the
-net the compiler started from that marking then.  Each explores the whole
+``_stuck_verdict`` routine they shared, the way ``urgent_via_net`` gets
+its net (the public ``compile_contract`` net with the done marking put in, the
+net the compiler started from that marking then), and the done sets, which
+``_honored`` read per node with the graph's net's labels from a list the graph
+kept then and now builds inline.  Each explores the whole
 product graph: ``pairs_contract(n)`` has 3^n nodes.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import replace
 
-from lendingnets.analysis import Node, ReachGraph, backward_closure, explore, urgent_at
+from lendingnets.analysis import Node, ReachGraph, _done_set, backward_closure, explore, urgent_at
 from lendingnets.compiler import compile_contract, star_pid
 from lendingnets.contracts import ContractNet, _credits, configuration
 from lendingnets.logic import PCLContract, _owned
@@ -32,7 +34,7 @@ def _stuck_verdict(graph: ReachGraph, incomplete: str, targets: Callable, detail
 
 
 def _honored(cn: ContractNet, graph: ReachGraph) -> Iterator[tuple[int, frozenset[Atom]]]:
-    for i, (node, done) in enumerate(zip(graph.nodes, graph._done_sets)):
+    for i, (node, done) in enumerate(zip(graph.nodes, [_done_set(graph.net, n) for n in graph.nodes])):
         if node.honored or not _credits(cn.net, node):
             yield i, done
 

@@ -231,7 +231,7 @@ def test_a_tie_in_firings_goes_to_the_least_path():
         initial={"pA": 1, "pB": 1},
     )
     cn = ContractNet(net=net, participants={"A"}, ownership={"a": "A", "z": "A", "m": "A"}, goals=[set(), {"a"}])
-    assert [c.transitions for c in _components(net)] == [("a1", "z1"), ("m",)]
+    assert [tuple(row[1] for row in c) for c in _components(net)] == [("a1", "z1"), ("m",)]
     assert_same_verdicts(cn)
     assert weakly_terminates_in(cn).witness.fired == (("m", 1),)
 
@@ -245,11 +245,11 @@ def test_an_unvalidated_net_whose_components_share_a_label_merges():
         transition_labels={"t1": "a", "t2": "a"},
         initial={"p1": 1, "p2": 1},
     )
-    assert [c.transitions for c in _components(net)] == [("t1", "t2")]
+    assert [tuple(row[1] for row in c) for c in _components(net)] == [("t1", "t2")]
     relabeled = LendingNet(places=net.places, transitions=net.transitions, flow=net.flow,
                            place_labels={"q1": "a", "q2": "b"}, transition_labels={"t1": "a", "t2": "b"},
                            initial=net.initial)
-    assert [c.transitions for c in _components(relabeled)] == [("t1",), ("t2",)]
+    assert [tuple(row[1] for row in c) for c in _components(relabeled)] == [("t1",), ("t2",)]
     for n in (net, relabeled):
         for goals in ([{"a"}], [{"a", "b"}], [set()], [{"a"}, {"b"}]):
             cn = ContractNet(net=n, participants={"A"}, ownership={"a": "A", "b": "A"}, goals=goals)

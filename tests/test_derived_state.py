@@ -155,7 +155,7 @@ def test_sort_keys_are_built_on_first_comparison():
 
 def test_graph_indexes_are_built_on_first_use():
     graph = explore(compile_contract(pairs_contract(2)).net)
-    assert not {"_out", "_index", "_done_sets"} & set(vars(graph))
+    assert not {"_out", "_index"} & set(vars(graph))
     assert graph.out_edges(0)
     assert "_out" in vars(graph) and "_index" not in vars(graph)
     assert graph.index_of(graph.nodes[4]) == 4

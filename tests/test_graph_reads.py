@@ -16,10 +16,13 @@ from dataclasses import replace
 
 import pytest
 
+import contract_oracle
 import honored_oracle
 import lendingnets.contracts
 from lendingnets import (
     ContractNet,
+    LendingNet,
+    Outcome,
     agreement_reachable,
     compile_contract,
     compose_contracts,
@@ -102,6 +105,25 @@ def test_a_contract_over_another_net_reads_credits_on_a_shared_graph(budget, mon
     graph = explore(labeled.net, budget)
     for cn in (plain, labeled, plain, labeled):
         assert _honored(cn, graph) == list(honored_oracle._honored(cn, explore(labeled.net, budget)))
+
+
+def test_a_contract_over_another_net_reads_done_sets_with_its_own_labels():
+    """The graph's net labels ``t`` with ``a`` and the contract's net with ``b``:
+    every check reads the done set after ``t`` as ``{b}``, as ``configuration`` does."""
+    def net(label):
+        return LendingNet(places={"m", "q"}, transitions={"t"}, flow={("m", "t"), ("t", "q")},
+                          place_labels={"q": label}, transition_labels={"t": label}, initial={"m": 1})
+
+    cn = ContractNet(net=net("b"), participants={"A"}, ownership={"b": "A"}, goals={frozenset({"b"})})
+    graph = explore(net("a"))
+    for check in CHECKS:
+        want = result_of(getattr(contract_oracle, check.__name__), cn, graph=graph)
+        assert result_of(check, cn, graph=graph) == want, check.__name__
+    assert agreement_reachable(cn, graph=graph).outcome is Outcome.HOLDS
+    # The graph's own contract keeps its pairs on the graph; the other contract still reads its own labels.
+    own = ContractNet(net=graph.net, participants={"A"}, ownership={"a": "A"}, goals={frozenset({"a"})})
+    for c, atom in ((own, "a"), (cn, "b"), (own, "a")):
+        assert honored_done_sets(c, graph=graph) == {frozenset(), frozenset({atom})}
 
 
 def test_valid_contract_nets_read_the_honored_flag_alone():

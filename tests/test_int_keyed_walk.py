@@ -19,7 +19,7 @@ import pytest
 import bfs_oracle
 import lendingnets.analysis
 from lendingnets import LendingNet, Outcome, compile_contract, is_occurrence_net
-from lendingnets.analysis import _bfs, _merged
+from lendingnets.analysis import _bfs, _layout
 from lendingnets.nets import DEFAULT_BUDGET
 
 from generators import pairs_contract, random_contract, random_cyclic_net, random_net
@@ -30,10 +30,10 @@ CYCLIC_BUDGET = 1_000
 
 def walk(search, net: LendingNet, budget):
     """Every edge the search yields and every (marking, fired) state it keeps, in order."""
-    merged = _merged(net)
-    marking = [net.initial.get(p, 0) for p in merged.places]
+    layout = _layout(net)
+    marking = layout.counts(net.initial)
     kept = []
-    edges = list(search(merged.steps, marking, budget, lambda marking, fired: kept.append((marking, fired))))
+    edges = list(search(layout.steps, marking, budget, lambda marking, fired: kept.append((marking, fired))))
     return edges, [(tuple(marking), fired) for marking, fired in kept]
 
 

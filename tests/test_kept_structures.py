@@ -1,8 +1,9 @@
 """What is derived from an immutable value is built once and kept with it.
 
 ``compile_contract(c, prune)`` keeps its net in ``c``'s instance dict, one
-per ``prune`` flag; a net keeps its consumed-places table (``_merged``) and
-its components; urgency walks whichever compilation of ``c`` is kept, since
+per ``prune`` flag; a net keeps one table, its layout (``_layout``: the
+consumed places, the transitions and their rows), and its components, and
+no other derived table; urgency walks whichever compilation of ``c`` is kept, since
 every compilation has the same consumed part, and compiles the
 consumed-places net only when none is.  Answers must not depend on what was
 compiled first, kept values must stay out of ``==``, ``hash`` and ``repr``,
@@ -14,7 +15,7 @@ import gc
 import itertools
 import random
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -130,6 +131,21 @@ def test_each_net_is_tabulated_once_across_the_checks(monkeypatch):
             urgent_via_net(c, done)
     explore(cn.net)
     assert len(tabulated) == 1 and tabulated[0] is cn.net
+
+
+def test_a_net_keeps_its_layout_and_components_and_no_other_table():
+    c = pairs_contract(3)
+    cn = compile_contract(c)
+    agreement_reachable(cn)
+    weakly_terminates_in(cn)
+    for done in owned_subsets(c):
+        urgent_via_net(c, done)
+    graph = explore(cn.net)
+    agreement_reachable(cn, graph=graph)
+    weakly_terminates_in(cn, graph=graph)
+    # The adjacency maps and the sort key are the net's own, not tables derived for the walks.
+    own = {f.name for f in fields(cn.net)} | {"_pre", "_post", "_canon"}
+    assert set(vars(cn.net)) - own == {"_layout", "_components"}
 
 
 def test_kept_values_leave_equality_hash_and_repr_alone():

@@ -1,6 +1,6 @@
 """Every name a library module imports at module level is read in that module,
-and every private function or class a library module defines is read somewhere
-in the package.
+and every private function or class a library module defines, and every private
+method or property of its classes, is read somewhere in the package.
 
 ``__init__.py`` is skipped: its imports are the package's public names.
 """
@@ -38,10 +38,13 @@ def test_an_unread_import_is_reported():
 
 
 def private_definitions(source: str) -> set[str]:
-    """The module-level functions and classes whose names start with one underscore."""
+    """The module-level functions and classes, and the methods and properties of
+    module-level classes, whose names start with one underscore."""
+    body = ast.parse(source).body
+    members = [statement for cls in body if isinstance(cls, ast.ClassDef) for statement in cls.body]
     return {
         statement.name
-        for statement in ast.parse(source).body
+        for statement in body + members
         if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
         and statement.name.startswith("_") and not statement.name.startswith("__")
     }
@@ -65,3 +68,15 @@ def test_an_unread_private_definition_is_reported():
     source = "def _used():\n    pass\n\n\nclass _Unused:\n    pass\n\n\ndef __dunder__():\n    _used()\n"
     assert private_definitions(source) == {"_used", "_Unused"}
     assert sorted(private_definitions(source) - read_names(source)) == ["_Unused"]
+
+
+def test_an_unread_private_member_is_reported():
+    source = (
+        "class Graph:\n"
+        "    @property\n    def _read(self):\n        return self._unread_helper\n\n"
+        "    @property\n    def _unread(self):\n        return 1\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def public(self):\n        return self._read\n"
+    )
+    assert private_definitions(source) == {"_read", "_unread"}
+    assert sorted(private_definitions(source) - read_names(source)) == ["_unread"]

@@ -5,36 +5,37 @@ it.  Keeping the fired multiset makes runs recoverable from paths and keeps
 the graph finite exactly for occurrence nets; nets that can fire a transition
 twice simply exhaust the exploration budget and report INCONCLUSIVE.
 
-One breadth-first search (``_bfs``) walks every graph and decides the
-occurrence-net property.  It works on integer indices over the places that
-some transition consumes: once per net, ``_layout`` sorts those places and
-the transitions and tabulates, per transition, one row of the indices of its
-non-lending input places (the enabledness test) and of its input and
-consumed output places (the firing delta).  A place that no transition
-consumes is in no guard, so the search sees the same states, steps and order
-without it.  Non-lending places cannot go negative, since they start at zero
-or more and lose tokens only to transitions that passed the enabledness
-test, so the search checks no firing for debt on them.  A node is identified
-by its fired vector alone (the state equation gives its marking), and the
-search keys each state by one int, its fired vector packed into fixed-width
-fields.
+One breadth-first walk (``_walk``) does every search over a net's states,
+the occurrence check included, and returns a ``ReachGraph``.  It works on
+integer indices over the places that some transition consumes: once per net,
+``_layout`` sorts those places and the transitions and tabulates, per
+transition, one row of the indices of its non-lending input places (the
+enabledness test) and of its input and consumed output places (the firing
+delta), and what a firing changes.  A place that no transition consumes is
+in no guard, so the walk sees the same states, steps and order without it.
+Non-lending places cannot go negative, since they start at zero or more and
+lose tokens only to transitions that passed the enabledness test, so the
+walk checks no firing for debt on them.  A node is identified by its fired
+vector alone (the state equation gives its marking), and the walk keys each
+state by one int, its fired vector packed into fixed-width fields.  A firing
+re-tests only the guards it touches.
 
-One walk (``_walk``) does every search but the occurrence check, and it
-returns a ``ReachGraph``.  Without a built graph, the contract checks and net-side
-urgency split the net into independent components (no place one consumes is
-touched by another, and no label is shared) and walk each alone.  A
-component is a tuple of the layout's rows, and ``explore`` is the walk of
-all of them, the whole net.  A row keeps its index in the layout, so each
-state a component's walk keeps is the product node with every other
-component at its root.  The README, "How independent components are
-decided", proves the answers equal those of the product graph.  Every node
-walked on a net shares the net's ``_Layout``, the one table the net keeps
-besides its components, both in its instance dict (``nets._kept``).
+Without a built graph, the contract checks and net-side urgency split the
+net into independent components (no place one consumes is touched by
+another, and no label is shared) and walk each alone.  A component is a
+tuple of the layout's rows, and ``explore`` is the walk of all of them, the
+whole net.  A row keeps its index in the layout, so each state a component's
+walk keeps is the product node with every other component at its root.  The
+README, "How independent components are decided", proves the answers equal
+those of the product graph.  Every node walked on a net shares the net's
+``_Layout``, the one table the net keeps besides its components, both in its
+instance dict (``nets._kept``).
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A graph holds only its net,
 nodes, edges and completeness flag; out-edges and the node index (keyed by
-fired pairs, so building it builds no marking) are derived on first use.
+fired pairs, so building it builds no marking) are built on first use and
+kept in its instance dict (``nets._kept``).
 
 The "all nodes can reach a target" checks share one stuck routine,
 ``_first_stuck``, and urgency one routine, ``_urgent``.  Each decides a
@@ -52,9 +53,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, deque
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import compress
 
 from .errors import IncompleteExplorationError, NetStructureError
@@ -82,6 +83,13 @@ class _Layout:
     dense vectors are in this order.  The other places are read by the state
     equation, from the net's ``initial`` counts and its postset table
     ``post``: the layout is kept with the net, so it holds no reference to it.
+
+    ``moves[k]`` is ``(t, takes, gives, touch, retest, lends, repays)``:
+    the places whose count firing row k lowers and raises, the bitmask of
+    the rows whose guard holds one of them with each one's ``(1 << j,
+    guard)``, and the owing places it can take to -1 and lift to 0.  A
+    touched row consumes a place that row k consumes or produces, so it is
+    in row k's ``_split`` component.
     """
 
     initial: Mapping[PlaceId, int]
@@ -92,6 +100,7 @@ class _Layout:
     labels: tuple[Atom | None, ...]
     owing: dict[PlaceId, int]
     steps: tuple[tuple, ...]
+    moves: tuple[tuple, ...]
 
     def counts(self, marking: Mapping[PlaceId, int]) -> list[int]:
         """The counts of ``marking`` on ``places``, a walk's start."""
@@ -229,18 +238,22 @@ class ReachGraph:
             if not 0 <= src < dst < n:
                 raise NetStructureError(f"edge {src} -{t}-> {dst} does not lead to a later node of the graph")
 
-    @cached_property
+    @property
     def _out(self) -> list[list[tuple[TransitionId, int]]]:
-        out: list[list] = [[] for _ in self.nodes]
-        for src, t, dst in self.edges:
-            out[src].append((t, dst))
-        return out
+        """Each node's out-edges as ``(t, dst)`` pairs, built on first use and kept (``_kept``)."""
+        def build() -> list[list[tuple[TransitionId, int]]]:
+            out: list[list] = [[] for _ in self.nodes]
+            for src, t, dst in self.edges:
+                out[src].append((t, dst))
+            return out
 
-    @cached_property
+        return _kept(self, "_out", build)
+
+    @property
     def _index(self) -> dict[tuple[tuple[TransitionId, int], ...], int]:
         """Each node's index by its fired pairs, unique in a graph of one net: its marking
         follows from them.  No marking is built; ``index_of`` compares the one node it finds."""
-        return {n.fired: i for i, n in enumerate(self.nodes)}
+        return _kept(self, "_index", lambda: {n.fired: i for i, n in enumerate(self.nodes)})
 
     @property
     def root(self) -> Node:
@@ -286,51 +299,6 @@ def _steps(net: LendingNet, places: Iterable[PlaceId], transitions: Iterable[Tra
     return steps
 
 
-def _bfs(steps: list[tuple], marking: list[int], budget: int, keep: Callable) -> Iterator[tuple]:
-    """Breadth-first search from ``marking``, state 0, which the caller has kept.
-
-    Calls ``keep(marking, fired)`` for each new state it keeps and yields each
-    edge as ``(src, t, dst, n)``: ``n`` counts the earlier firings of ``t`` in the
-    run to ``src``, and ``dst`` is None when the budget kept a new state out.
-    A fired vector counts the firings of row ``(k, t, ...)`` at index ``k``,
-    the row's index in the layout, so it is sized from the last row's.
-    The search copies a state's marking before it builds each successor and
-    never writes to a marking it has passed to ``keep`` (nor to ``marking``),
-    so ``keep`` may hold on to the list.
-
-    States are keyed by one int, the fired vector packed into fields of
-    ``width`` bits, and the fired tuple is built only for kept states.  No
-    field carries: the path to a kept state runs through distinct kept
-    states, so no count of a successor exceeds ``len(index)``, which is below
-    ``2 ** width`` (README, "How exploration works").
-    """
-    width = min(budget, sys.maxsize).bit_length()
-    index = {0: 0}
-    queue = deque([(0, marking, (0,) * (steps[-1][0] + 1 if steps else 0), 0)])
-    while queue:
-        i, marking, fired, key = queue.popleft()
-        tokens = marking.__getitem__
-        for k, t, guard, pre, post in steps:
-            # Non-lending places lose tokens only past this guard, so never go negative.
-            if not all(map(tokens, guard)):
-                continue
-            succ_key = key + (1 << k * width)
-            j = index.get(succ_key)
-            if j is None and len(index) < budget:
-                succ = marking.copy()
-                for p in pre:
-                    succ[p] -= 1
-                for p in post:
-                    succ[p] += 1
-                succ_fired = list(fired)
-                succ_fired[k] += 1
-                succ_fired = tuple(succ_fired)
-                j = index[succ_key] = len(index)
-                keep(succ, succ_fired)
-                queue.append((j, succ, succ_fired, succ_key))
-            yield i, t, j, fired[k]
-
-
 def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
     """Breadth-first closure of single steps from the initial marking.
 
@@ -347,17 +315,25 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
 def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Check that no reachable run fires any transition twice.
 
-    The search keeps fired vectors over the consumed places only and builds
-    no node: the other places never disable a step.
+    The walk of every row stops at the first state it keeps that enables a
+    transition it has already fired, the source of the first edge that
+    fires one twice (README, "How exploration works"); the first such
+    transition is the witness.
     """
     _check_budget(budget)
     layout = _layout(net)
-    complete = True
-    for _, t, j, earlier in _bfs(layout.steps, layout.counts(net.initial), budget, lambda marking, fired: None):
-        if earlier:
-            return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
-        complete = complete and j is not None
-    if not complete:
+    guards = [(t, guard) for _, t, guard, _, _ in layout.steps]
+
+    def refired(counts: list[int], fired: tuple[int, ...]) -> TransitionId | None:
+        tokens = counts.__getitem__
+        return next((t for t, guard in compress(guards, fired) if all(map(tokens, guard))), None)
+
+    graph, flagged = _walk(net, layout.steps, layout.counts(net.initial), budget, refired, stop=True)
+    if flagged:
+        node = graph.nodes[flagged[0]]
+        t = refired(node._counts, node._vector)
+        return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
+    if not graph.complete:
         return Verdict.inconclusive(f"exploration budget {budget} exhausted")
     return Verdict.holds()
 
@@ -472,8 +448,9 @@ def _least_path(graph: ReachGraph, i: int) -> tuple[int, list[TransitionId]]:
     return len(path), path[::-1]
 
 
-def _urgent(parts: Iterable[tuple]) -> frozenset[Atom]:
-    """Labels of first steps, from a chosen state of some part, that keep an honored state reachable.
+def _urgent(labels: Mapping[TransitionId, Atom], parts: Iterable[tuple]) -> frozenset[Atom]:
+    """Labels, by ``labels``, of first steps from a chosen state of some part that keep an
+    honored state reachable.
 
     Each part is ``(graph, honored, chosen)``: a walk's ``ReachGraph``, a
     function giving the indices of its honored states, and the indices of
@@ -487,7 +464,7 @@ def _urgent(parts: Iterable[tuple]) -> frozenset[Atom]:
     for graph, honored, chosen in parts:
         if not graph.complete:
             raise IncompleteExplorationError("urgency needs a complete reachability graph")
-        labels, out = graph.net.transition_labels, graph._out
+        out = graph._out
         can_honor = _reaching(out, set(honored()))
         urgent.update(labels[t] for i in chosen for t, j in out[i] if t in labels and j in can_honor)
     return frozenset(urgent)
@@ -499,11 +476,32 @@ def _layout(net: LendingNet) -> _Layout:
         places = tuple(sorted({p for t in net.transitions for p in net.preset(t)}))
         transitions = tuple(sorted(net.transitions))
         at = {p: k for k, p in enumerate(places)}
+        owing = {p: k for p, k in at.items() if p in net.lending}
+        steps = tuple(_steps(net, places, transitions))
         return _Layout(net.initial, net._post, places, at, transitions,
-                       tuple(map(net.transition_labels.get, transitions)),
-                       {p: k for p, k in at.items() if p in net.lending}, tuple(_steps(net, places, transitions)))
+                       tuple(map(net.transition_labels.get, transitions)), owing, steps, _moves(steps, owing))
 
     return _kept(net, "_layout", build)
+
+
+def _moves(steps: tuple[tuple, ...], owing: dict[PlaceId, int]) -> tuple[tuple, ...]:
+    """Per row of ``steps``, what firing it does to a walk state (``_Layout.moves``)."""
+    guarded: dict[int, int] = {}
+    for k, _, guard, _, _ in steps:
+        for p in guard:
+            guarded[p] = guarded.get(p, 0) | 1 << k
+    owes = set(owing.values())
+    moves = []
+    for k, t, _, pre, post in steps:
+        takes = tuple([p for p in pre if p not in post])
+        gives = tuple([p for p in post if p not in pre])
+        touch = 0
+        for p in (*takes, *gives):
+            touch |= guarded.get(p, 0)
+        retest = tuple([(1 << j, guard) for j, _, guard, _, _ in steps if touch >> j & 1])
+        moves.append((t, takes, gives, touch, retest,
+                      tuple([p for p in takes if p in owes]), tuple([p for p in gives if p in owes])))
+    return tuple(moves)
 
 
 def _consumed_part(net: LendingNet) -> tuple:
@@ -564,35 +562,82 @@ def _split(net: LendingNet) -> list[tuple]:
 
 def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
           flag: Callable | None = None, stop: bool = False) -> tuple[ReachGraph, list[int]]:
-    """Search the layout ``rows`` of one component of ``net`` from ``start``, the counts of
-    the layout's places, keeping at most ``budget`` states.
+    """Breadth-first search of the layout ``rows`` of ``net``, one component or every row, from
+    ``start``, the counts of the layout's places, keeping at most ``budget`` states.
 
     Only the component's transitions fire, so only its places change; the
     other consumed places keep their start counts, and each kept state is the
     product node with every other component at its root.  Returns the graph
-    and the indices of the states where ``flag(marking, fired)`` holds; with
+    and the indices of the states where ``flag(counts, fired)`` holds; with
     ``stop`` the walk ends, incomplete, at the first of them.
+
+    A queued state carries the bitmask of its enabled rows, expanded in
+    ascending (sorted transition) order, and its debt, the number of owing
+    places below 0.  Firing row k re-tests only the rows it touches
+    (``_Layout.moves``), all in its component, and moves the debt only on
+    the owing places it lowers or raises (README, "How exploration works").
+
+    States are keyed by one int, the fired vector packed into fields of
+    ``width`` bits, and the fired tuple is built only for kept states.  No
+    field carries: the path to a kept state runs through distinct kept
+    states, so no count of a successor exceeds ``len(index)``, which is below
+    ``2 ** width`` (README, "How exploration works").  The walk never writes
+    to a count list once a node holds it (nor to ``start``).
     """
     layout = _layout(net)
-    owing = layout.owing.values()
-    nodes: list[Node] = []
-    flagged: list[int] = []
-
-    def keep(marking: list[int], fired: tuple[int, ...]) -> None:
-        if flag is not None and flag(marking, fired):
-            flagged.append(len(nodes))
-        nodes.append(Node(marking, fired, min(map(marking.__getitem__, owing), default=0) >= 0, layout))
-
-    keep(start, (0,) * len(layout.transitions))
+    moves, width = layout.moves, min(budget, sys.maxsize).bit_length()
+    fired = (0,) * len(layout.transitions)
+    tokens = start.__getitem__
+    enabled = sum([1 << k for k, _, guard, _, _ in rows if all(map(tokens, guard))])
+    debt = sum([start[k] < 0 for k in layout.owing.values()])
+    nodes = [Node(start, fired, not debt, layout)]
+    flagged = [0] if flag is not None and flag(start, fired) else []
     edges, complete = [], not (stop and flagged)
-    if complete:
-        for i, t, j, _ in _bfs(rows, start, budget, keep):
+    index = {0: 0}
+    queue = deque([(0, start, fired, 0, enabled, debt)] if complete else ())
+    while queue:
+        i, counts, fired, key, enabled, debt = queue.popleft()
+        todo = enabled
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            k = bit.bit_length() - 1
+            move = moves[k]
+            succ_key = key + (1 << k * width)
+            j = index.get(succ_key)
             if j is None:
-                complete = False
-                continue
-            edges.append((i, t, j))
+                if len(nodes) >= budget:
+                    complete = False
+                    continue
+                _, takes, gives, touch, retest, lends, repays = move
+                succ = counts.copy()
+                for p in takes:
+                    succ[p] -= 1
+                for p in gives:
+                    succ[p] += 1
+                succ_debt = debt
+                for p in lends:
+                    succ_debt += succ[p] == -1
+                for p in repays:
+                    succ_debt -= succ[p] == 0
+                tokens = succ.__getitem__
+                succ_enabled = enabled & ~touch
+                for row, guard in retest:
+                    # Non-lending places lose tokens only past a guard, so never go negative.
+                    if all(map(tokens, guard)):
+                        succ_enabled |= row
+                succ_fired = list(fired)
+                succ_fired[k] += 1
+                succ_fired = tuple(succ_fired)
+                j = index[succ_key] = len(nodes)
+                if flag is not None and flag(succ, succ_fired):
+                    flagged.append(j)
+                nodes.append(Node(succ, succ_fired, not succ_debt, layout))
+                queue.append((j, succ, succ_fired, succ_key, succ_enabled, succ_debt))
+            edges.append((i, move[0], j))
             if stop and flagged:
                 complete = False
+                queue.clear()
                 break
     return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete), flagged
 
@@ -636,7 +681,7 @@ def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET,
     replaces the initial marking as the root."""
     _check_budget(budget)
     walks = _walk_components(net, [(c, None) for c in _components(net)], net.initial if start is None else start, budget)
-    return _urgent((graph, partial(honored_nodes, graph), (0,)) for graph, _ in walks)
+    return _urgent(net.transition_labels, ((graph, partial(honored_nodes, graph), (0,)) for graph, _ in walks))
 
 
 def weakly_terminates(
@@ -666,7 +711,7 @@ def honored_nodes(graph: ReachGraph) -> list[int]:
 
 def urgent_at(graph: ReachGraph, node: Node | int) -> frozenset[Atom]:
     """Labels of first steps from ``node`` that can still end in an honored marking."""
-    return _urgent([(graph, lambda: honored_nodes(graph), [graph.index_of(node)])])
+    return _urgent(graph.net.transition_labels, [(graph, lambda: honored_nodes(graph), [graph.index_of(node)])])
 
 
 def honored_always_reachable(graph: ReachGraph) -> Verdict:
@@ -683,15 +728,17 @@ def urgent_for_done_set(
     budget: int = DEFAULT_BUDGET,
     graph: ReachGraph | None = None,
 ) -> frozenset[Atom]:
-    """Union of urgent_at over nodes whose fired labels equal ``done``, a subset of the alphabet."""
+    """Union of urgent_at over nodes whose fired labels equal ``done``, a subset of the alphabet.
+
+    Nodes and steps are read with ``net``'s labels, also on a ``graph`` of another net."""
     _check_budget(budget)
     wanted = frozenset(done)
     if not wanted <= net.alphabet:
         raise NetStructureError(f"done atoms outside the alphabet: {sorted(wanted - net.alphabet)}")
     if graph is None:
         graph = explore(net, budget)
-    chosen = [i for i, node in enumerate(graph.nodes) if _done_set(graph.net, node) == wanted]
-    return _urgent([(graph, lambda: honored_nodes(graph), chosen)])
+    chosen = [i for i, node in enumerate(graph.nodes) if _done_set(net, node) == wanted]
+    return _urgent(net.transition_labels, [(graph, lambda: honored_nodes(graph), chosen)])
 
 
 def trace_set(net: LendingNet, budget: int = DEFAULT_BUDGET) -> tuple[frozenset[tuple[Atom, ...]], bool]:

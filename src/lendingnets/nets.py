@@ -10,8 +10,9 @@ is honored when no place is in debt.
 Nets, contracts and contract nets are equal when their fields are: each
 compares and hashes a sorted key built on first comparison.  What the
 modules above derive from one of these immutable values (its compiled net,
-a net's consumed-places table and components, a graph's credit-free nodes)
-is built once and kept in the value's instance dict (``_kept``).
+a net's consumed-places table and components, a graph's credit-free nodes,
+out-edges and node index) is built once and kept in the value's instance
+dict (``_kept``).
 """
 
 from __future__ import annotations

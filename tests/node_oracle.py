@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from itertools import compress
 
-from lendingnets.analysis import Node, ReachGraph, _bfs, _steps
+from bfs_oracle import _bfs
+from lendingnets.analysis import Node, ReachGraph, _steps
 from lendingnets.nets import DEFAULT_BUDGET, LendingNet, _check_budget
 
 

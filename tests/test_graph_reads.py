@@ -29,6 +29,7 @@ from lendingnets import (
     explore,
     honored_done_sets,
     reachable_configurations,
+    urgent,
     weakly_terminates_covering,
     weakly_terminates_in,
 )
@@ -109,7 +110,8 @@ def test_a_contract_over_another_net_reads_credits_on_a_shared_graph(budget, mon
 
 def test_a_contract_over_another_net_reads_done_sets_with_its_own_labels():
     """The graph's net labels ``t`` with ``a`` and the contract's net with ``b``:
-    every check reads the done set after ``t`` as ``{b}``, as ``configuration`` does."""
+    every check reads the done set after ``t`` as ``{b}``, as ``configuration`` does,
+    and urgency names the step ``b``."""
     def net(label):
         return LendingNet(places={"m", "q"}, transitions={"t"}, flow={("m", "t"), ("t", "q")},
                           place_labels={"q": label}, transition_labels={"t": label}, initial={"m": 1})
@@ -120,6 +122,9 @@ def test_a_contract_over_another_net_reads_done_sets_with_its_own_labels():
         want = result_of(getattr(contract_oracle, check.__name__), cn, graph=graph)
         assert result_of(check, cn, graph=graph) == want, check.__name__
     assert agreement_reachable(cn, graph=graph).outcome is Outcome.HOLDS
+    for done in ((), {"b"}):
+        assert urgent(cn, done, graph=graph) == urgent(cn, done), done
+    assert urgent(cn, (), graph=graph) == {"b"}
     # The graph's own contract keeps its pairs on the graph; the other contract still reads its own labels.
     own = ContractNet(net=graph.net, participants={"A"}, ownership={"a": "A"}, goals={frozenset({"a"})})
     for c, atom in ((own, "a"), (cn, "b"), (own, "a")):

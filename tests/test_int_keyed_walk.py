@@ -1,13 +1,18 @@
-"""The breadth-first search keyed by one int, against the tuple-keyed search it replaced.
+"""The walk that keeps each state's enabled rows and debt, against the search it replaced.
 
-``analysis._bfs`` keys each state by its fired vector packed into fields of
-``min(budget, sys.maxsize).bit_length()`` bits and builds the fired tuple
-only for the states it keeps.  ``bfs_oracle`` keeps the earlier search,
-keyed by the fired tuple.  Both must yield the same edges and keep the same
-(marking, fired) states in the same order, and ``is_occurrence_net`` must
-give the same verdict and witness on either.  The pump nets fire one
-transition again and again, so a count reaches the largest value its field
-can hold; a carry into the next field would merge two states.
+``analysis._walk`` carries per queued state the bitmask of its enabled rows
+and its debt, and re-tests only the rows whose guard the fired row touches.
+``bfs_oracle._bfs`` keeps the earlier search, which re-tested every row's
+guard at every state; the walk then read each state's honored flag as the
+``min`` over the owing counts.  On whole nets and on each component, both
+must give the same edges, keep the same (counts, fired) states in the same
+order, and agree on completeness and honored flags; ``is_occurrence_net``,
+now a walk that stops at the first kept state enabling a transition it
+already fired, must give ``bfs_oracle.is_occurrence_net``'s verdict and
+witness.  The pump nets fire one transition again and again, so a count
+reaches the largest value its field can hold; a carry into the next field
+would merge two states.  The drain nets keep a transition enabled after it
+fires, so it must re-test its own guard.
 """
 
 import math
@@ -17,24 +22,52 @@ import sys
 import pytest
 
 import bfs_oracle
-import lendingnets.analysis
 from lendingnets import LendingNet, Outcome, compile_contract, is_occurrence_net
-from lendingnets.analysis import _bfs, _layout
+from lendingnets.analysis import _components, _layout, _split, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
-from generators import pairs_contract, random_contract, random_cyclic_net, random_net
+from generators import pairs_contract, random_contract, random_cyclic_net, random_net, settled_pairs
 
 BUDGETS = (1, 2, 3, 4, 7, 8, 15, 16, DEFAULT_BUDGET)
 CYCLIC_BUDGET = 1_000
 
 
-def walk(search, net: LendingNet, budget):
-    """Every edge the search yields and every (marking, fired) state it keeps, in order."""
+def oracle_walk(net: LendingNet, rows, budget, flag=None, stop=False):
+    """What ``_walk`` returned when it ran ``bfs_oracle._bfs``: the edges, the kept
+    (counts, fired) states with their honored flags, the completeness flag and the flagged
+    states; and every step the search yielded."""
     layout = _layout(net)
-    marking = layout.counts(net.initial)
-    kept = []
-    edges = list(search(layout.steps, marking, budget, lambda marking, fired: kept.append((marking, fired))))
-    return edges, [(tuple(marking), fired) for marking, fired in kept]
+    owing = layout.owing.values()
+    kept, flagged = [], []
+
+    def keep(counts, fired):
+        # The search sized fired vectors from the last row it walked; the walk sizes them from the layout.
+        fired = fired + (0,) * (len(layout.transitions) - len(fired))
+        if flag is not None and flag(counts, fired):
+            flagged.append(len(kept))
+        kept.append((tuple(counts), fired, min(map(counts.__getitem__, owing), default=0) >= 0))
+
+    start = layout.counts(net.initial)
+    keep(start, ())
+    steps, edges, complete = [], [], not (stop and flagged)
+    for step in bfs_oracle._bfs(rows, start, budget, keep) if complete else ():
+        steps.append(step)
+        i, t, j, _ = step
+        if j is None:
+            complete = False
+            continue
+        edges.append((i, t, j))
+        if stop and flagged:
+            complete = False
+            break
+    return edges, kept, complete, flagged, steps
+
+
+def walked(net: LendingNet, rows, budget, flag=None, stop=False):
+    """``_walk``'s graph read as ``oracle_walk`` reads the search."""
+    graph, flagged = _walk(net, rows, _layout(net).counts(net.initial), budget, flag, stop)
+    kept = [(tuple(node._counts), node._vector, node.honored) for node in graph.nodes]
+    return list(graph.edges), kept, graph.complete, flagged
 
 
 def pump(transitions: int) -> LendingNet:
@@ -42,6 +75,15 @@ def pump(transitions: int) -> LendingNet:
     names = [f"t{k}" for k in range(transitions)]
     return LendingNet.build(places=("p",), transitions=names,
                             flow={arc for t in names for arc in (("p", t), (t, "p"))}, initial={"p": 1})
+
+
+def drain(tokens: int, transitions: int) -> LendingNet:
+    """One place of ``tokens`` tokens, each of ``transitions`` transitions taking one to a place of its own
+    and a shared place that lends: a transition stays enabled after it fires, until the place is empty."""
+    names = [f"t{k}" for k in range(transitions)]
+    flow = {arc for k, t in enumerate(names) for arc in (("p", t), ("l", t), (t, f"q{k}"))}
+    return LendingNet.build(places=("p", "l", *(f"q{k}" for k in range(transitions))), transitions=names,
+                            flow=flow, initial={"p": tokens}, lending={"l"})
 
 
 def sample_nets() -> list[tuple[LendingNet, int]]:
@@ -59,46 +101,100 @@ def sample_nets() -> list[tuple[LendingNet, int]]:
     return nets
 
 
-def assert_same_walk(net: LendingNet, budget, monkeypatch):
-    edges, kept = walk(_bfs, net, budget)
-    assert (edges, kept) == walk(bfs_oracle._bfs, net, budget)
-    got = is_occurrence_net(net, budget)
-    with monkeypatch.context() as patched:
-        patched.setattr(lendingnets.analysis, "_bfs", bfs_oracle._bfs)
-        assert got == is_occurrence_net(net, budget)
-    return edges, kept
+def every_other(counts, fired) -> bool:
+    """A flag that holds at some states and not at others, in no order the walk favours."""
+    return (sum(counts) + 3 * sum(fired)) % 2 == 1
+
+
+def assert_same_walk(net: LendingNet, budget):
+    """The walk of every row and of each component equals the oracle's, and with a flag
+    (up to ``CYCLIC_BUDGET`` states) too, and the occurrence check gives the oracle's
+    verdict; returns the whole net's steps."""
+    whole = _layout(net).steps
+    for rows in (whole, *_components(net)):
+        want = oracle_walk(net, rows, budget)
+        assert walked(net, rows, budget) == want[:4]
+        whole = want if rows is whole else whole
+        for stop in (False, True):
+            flagged = min(budget, CYCLIC_BUDGET)
+            assert walked(net, rows, flagged, every_other, stop) == oracle_walk(net, rows, flagged, every_other, stop)[:4]
+    assert is_occurrence_net(net, budget) == bfs_oracle.is_occurrence_net(net, budget)
+    return whole
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
-def test_the_int_keyed_walk_equals_the_tuple_keyed_walk(budget, monkeypatch):
-    fired_twice = 0
+def test_the_walk_equals_the_search_that_retested_every_guard(budget):
+    fired_twice = owing = 0
     for net, largest in sample_nets():
-        edges, _ = assert_same_walk(net, min(budget, largest), monkeypatch)
-        fired_twice += any(n for *_, n in edges)
-    # Some cyclic nets fire a transition again within the budget, except where only the root is kept.
-    assert fired_twice or budget == 1
+        edges, kept, *_, steps = assert_same_walk(net, min(budget, largest))
+        fired_twice += any(n for *_, n in steps)
+        owing += not all(honored for *_, honored in kept)
+    # Some cyclic nets fire a transition again, and some walks keep a state that owes,
+    # within the budget, except where only the root is kept.
+    assert (fired_twice and owing) or budget == 1
+
+
+def test_a_firing_re_tests_its_own_guard():
+    """A drained place keeps its consumers enabled while it holds a token, and each firing owes once more."""
+    for budget in BUDGETS:
+        for tokens in (1, 2, 3):
+            for transitions in (1, 2, 3):
+                _, kept, *_ = assert_same_walk(drain(tokens, transitions), budget)
+                # One state per fired vector of at most ``tokens`` firings; only the root owes nothing.
+                assert len(kept) == min(budget, math.comb(tokens + transitions, transitions))
+                assert [honored for *_, honored in kept] == [True] + [False] * (len(kept) - 1)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
-def test_a_count_fills_its_field_without_a_carry(k, monkeypatch):
+def test_a_count_fills_its_field_without_a_carry(k):
     for budget in (2 ** k - 1, 2 ** k):
         for transitions in (1, 2, 3):
-            edges, kept = assert_same_walk(pump(transitions), budget, monkeypatch)
-            # The root is kept by the caller, so the search keeps the other budget - 1 states.
-            assert len(kept) == len(set(kept)) == budget - 1
+            net = pump(transitions)
+            edges, kept, complete, _, steps = assert_same_walk(net, budget)
+            assert len(kept) == len(set(kept)) == budget and not complete
+            assert is_occurrence_net(net, budget).witness == "t0" or budget == 1
             if transitions == 1:
                 # The cut-off successor fires t0 ``budget`` times: the largest count a field of the
                 # budget's bit length must hold, and at 2**k - 1 all its bits are set.
                 width = min(budget, sys.maxsize).bit_length()
-                assert edges[-1] == (budget - 1, "t0", None, budget - 1)
+                assert steps[-1] == (budget - 1, "t0", None, budget - 1)
                 assert budget == (2 ** width - 1 if budget < 2 ** k else 2 ** (width - 1))
 
 
-def test_an_occurrence_net_walks_alike_without_a_bound(monkeypatch):
+def test_an_occurrence_net_walks_alike_without_a_bound():
     rng = random.Random(36)
     nets = [compile_contract(pairs_contract(n)).net for n in (1, 2, 3, 4)]
     nets += [random_net(rng, f"n{k}") for k in range(10)]
     for net in nets:
-        edges, kept = assert_same_walk(net, math.inf, monkeypatch)
-        assert all(j is not None for _, _, j, _ in edges)
+        _, _, complete, *_ = assert_same_walk(net, math.inf)
+        assert complete
         assert is_occurrence_net(net, math.inf).outcome is Outcome.HOLDS
+
+
+def test_the_occurrence_check_stops_at_its_witness():
+    """``t2`` gives back the tokens that ``t0`` and ``t1`` took, so the first state enabling a transition
+    it fired enables both: the witness is the first.  Without a bound the walk still ends there."""
+    refill = LendingNet.build(places=("a0", "a1", "b0", "b1"), transitions=("t0", "t1", "t2"),
+                              flow={("a0", "t0"), ("t0", "b0"), ("a1", "t1"), ("t1", "b1"),
+                                    ("b0", "t2"), ("b1", "t2"), ("t2", "a0"), ("t2", "a1")},
+                              initial={"a0": 1, "a1": 1})
+    for budget in (*BUDGETS, math.inf):
+        assert is_occurrence_net(refill, budget) == bfs_oracle.is_occurrence_net(refill, budget)
+    assert is_occurrence_net(refill, math.inf).witness == "t0"
+    assert is_occurrence_net(pump(1), math.inf).witness == "t0"
+
+
+def test_a_firing_touches_only_rows_of_its_own_component():
+    """``touch[k]`` holds the rows whose guard meets a place that row k changes; each
+    consumes a place that row k consumes or produces, so ``_split`` joins it with row k."""
+    nets = [net for net, _ in sample_nets()] + [compile_contract(settled_pairs(n)).net for n in range(1, 7)]
+    touched = 0
+    for net in nets:
+        layout = _layout(net)
+        component = {row[0]: {r[0] for r in rows} for rows in _split(net) for row in rows}
+        for k, (_, _, _, touch, retest, _, _) in enumerate(layout.moves):
+            rows = {j for j in range(len(layout.steps)) if touch >> j & 1}
+            assert rows <= component[k]
+            assert [bit for bit, _ in retest] == [1 << j for j in sorted(rows)]
+            touched += len(rows)
+    assert touched

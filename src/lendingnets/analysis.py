@@ -27,9 +27,10 @@ tuple of the layout's rows, and ``explore`` is the walk of all of them, the
 whole net.  A row keeps its index in the layout, so each state a component's
 walk keeps is the product node with every other component at its root.  The
 README, "How independent components are decided", proves the answers equal
-those of the product graph.  Every node walked on a net shares the net's
-``_Layout``, the one table the net keeps besides its components, both in its
-instance dict (``nets._kept``).
+those of the product graph.  Every ``Node`` is built by a walk, or joined
+from walks' nodes (``_join``), and shares its net's ``_Layout``, the one
+table the net keeps besides its components, both in its instance dict
+(``nets._kept``).
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A graph holds only its net,
@@ -132,28 +133,21 @@ class _Layout:
 class Node:
     """Reachability graph node: marking, fired multiset, and whether no place owes.
 
-    ``marking`` and ``fired`` are the nonzero counts as ``(id, count)`` pairs
-    sorted by id, as ``Node(marking, fired, honored)`` takes them; ``honored``
-    is not part of ``==``, ``hash`` or ``repr``.  The walk passes instead its
-    dense counts over the consumed places, its fired vector and the net's
-    ``_Layout``.  Such a node builds its sparse fields on first read,
-    looks a consumed place's ``tokens`` up by index and reads any other place
-    by the state equation (no transition consumes it, so it holds its initial
-    count plus its producers' firings), reads fired ids off the fired vector,
-    and reads debts only on the places that can owe: no other place of a
-    reachable node is ever below 0 (README, "How independent components are
-    decided").
+    A walk (or ``_join``) builds each node from its dense counts over the
+    consumed places, its fired vector and the net's ``_Layout``.  ``marking`` and ``fired``
+    are the nonzero counts as ``(id, count)`` pairs sorted by id, built on
+    first read; ``honored`` is not part of ``==``, ``hash`` or ``repr``.
+    ``tokens`` looks a consumed place up by index and reads any other place
+    by the state equation (no transition consumes it, so it holds its
+    initial count plus its producers' firings), and ``fired_set`` reads the
+    fired vector.
     """
 
     __slots__ = ("_marking", "_fired", "_honored", "_counts", "_vector", "_layout")
 
-    def __init__(self, marking, fired, honored: bool, _layout: _Layout | None = None):
-        if _layout is None:
-            self._marking, self._fired = marking, fired
-        else:
-            self._marking = self._fired = None
-            self._counts, self._vector = marking, fired
-        self._honored, self._layout = honored, _layout
+    def __init__(self, counts: list[int], vector: tuple[int, ...], honored: bool, layout: _Layout):
+        self._marking = self._fired = None
+        self._counts, self._vector, self._honored, self._layout = counts, vector, honored, layout
 
     @property
     def marking(self) -> tuple[tuple[PlaceId, int], ...]:
@@ -164,7 +158,9 @@ class Node:
     @property
     def fired(self) -> tuple[tuple[TransitionId, int], ...]:
         if self._fired is None:
-            self._fired = _sparse(self._layout.transitions, self._vector)
+            # Through a list: tuple() of an iterator of unknown length shrinks its
+            # result in place, which fragments the heap of a long-lived process.
+            self._fired = tuple(list(compress(zip(self._layout.transitions, self._vector), self._vector)))
         return self._fired
 
     @property
@@ -183,44 +179,19 @@ class Node:
         return f"{type(self).__qualname__}(marking={self.marking!r}, fired={self.fired!r})"
 
     def tokens(self, place: PlaceId) -> int:
-        if self._layout is not None:
-            k = self._layout.at.get(place)
-            return self._layout.state_equation(place, self._vector) if k is None else self._counts[k]
-        for p, n in self._marking:
-            if p == place:
-                return n
-        return 0
-
-    def _debts(self) -> list[PlaceId]:
-        """The places below 0, read only on the places that can owe for a node the walk built."""
-        if self._layout is None:
-            return [p for p, n in self._marking if n < 0]
-        counts = self._counts
-        return [p for p, k in self._layout.owing.items() if counts[k] < 0]
+        k = self._layout.at.get(place)
+        return self._layout.state_equation(place, self._vector) if k is None else self._counts[k]
 
     def fired_multiset(self) -> Counter:
         return Counter(dict(self.fired))
 
     def fired_set(self) -> frozenset[TransitionId]:
-        return frozenset(self._fired_ids())
-
-    def _fired_ids(self) -> Iterable[TransitionId]:
-        """The ids of the fired transitions, read off the fired vector while ``fired`` is unbuilt."""
-        if self._fired is None:
-            return compress(self._layout.transitions, self._vector)
-        return (t for t, _ in self._fired)
+        return frozenset(compress(self._layout.transitions, self._vector))
 
     def describe(self) -> str:
         marks = ", ".join(f"{p}={n}" for p, n in self.marking) or "empty"
         fires = ", ".join(t if n == 1 else f"{t}x{n}" for t, n in self.fired) or "none"
         return f"marking [{marks}] fired [{fires}]"
-
-
-def _sparse(ids: tuple[str, ...], counts) -> tuple[tuple[str, int], ...]:
-    """The ``(id, count)`` pairs of the nonzero ``counts``, ``ids`` giving each position's id."""
-    # Through a list: tuple() of an iterator of unknown length shrinks its
-    # result in place, which fragments the heap of a long-lived process.
-    return tuple(list(compress(zip(ids, counts), counts)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +232,8 @@ class ReachGraph:
 
     def index_of(self, node: Node | int) -> int:
         if isinstance(node, int):
+            if isinstance(node, bool):
+                raise NetStructureError(f"node index {node!r} is not an int")
             if not 0 <= node < len(self.nodes):
                 raise NetStructureError(f"node index {node} out of range")
             return node
@@ -278,13 +251,14 @@ class ReachGraph:
 
 
 def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
-    """The labels of the transitions fired to reach ``node``; a node walked on ``net``, whose
-    layout is the one kept on ``net`` (``_layout``), reads them off its fired vector."""
+    """The labels, by ``net``, of the transitions fired to reach ``node``, read off its fired
+    vector: with the layout's labels when the node was walked on ``net`` (its layout is the
+    one kept on ``net``, ``_layout``), and with ``net.transition_labels`` otherwise."""
     layout = node._layout
-    if layout is not None and layout is vars(net).get("_layout"):
+    if layout is vars(net).get("_layout"):
         return frozenset(filter(None, compress(layout.labels, node._vector)))
     labels = net.transition_labels
-    return frozenset([labels[t] for t in node._fired_ids() if t in labels])
+    return frozenset([labels[t] for t in compress(layout.transitions, node._vector) if t in labels])
 
 
 def _steps(net: LendingNet, places: Iterable[PlaceId], transitions: Iterable[TransitionId]) -> list[tuple]:

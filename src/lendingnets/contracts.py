@@ -19,6 +19,7 @@ from math import prod
 from .analysis import (
     Node,
     ReachGraph,
+    _Layout,
     _components,
     _done_set,
     _first_stuck,
@@ -154,17 +155,24 @@ def validate(cn: ContractNet, budget: int = DEFAULT_BUDGET) -> list[Violation]:
 def configuration(cn: ContractNet, node: Node) -> Configuration:
     """Read a node of ``cn.net``'s reachability graph as (atoms granted, atoms in debt).
 
-    For a node that a walk built, debts are read only on the places that
-    can owe, the lending places some transition consumes: exact for the nodes
-    of that net's graph, where no other place is ever below 0.
+    Debts are read only on the places a credit is read on (``_credit_places``):
+    exact for the nodes of a net's graph, where no place outside the layout's
+    ``owing`` places is ever below 0.
     """
     return Configuration(done=_done_set(cn.net, node), credits=_credits(cn.net, node))
 
 
 def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
-    """The labels of the labeled places among those where ``node`` owes."""
+    """The labels of the places a credit is read on (``_credit_places``) where ``node`` is below 0."""
+    counts = node._counts
+    return frozenset([label for k, label in _credit_places(net, node._layout).items() if counts[k] < 0])
+
+
+def _credit_places(net: LendingNet, layout: _Layout) -> dict[int, Atom]:
+    """The index in ``layout`` and the label of each place that can owe there (``owing``) and
+    that ``net`` labels: the one credit-free rule is that none of them is below 0."""
     labels = net.place_labels
-    return frozenset([labels[p] for p in node._debts() if p in labels])
+    return {k: labels[p] for p, k in layout.owing.items() if p in labels}
 
 
 def configuration_from_marking(cn: ContractNet, node: Node) -> frozenset[Atom]:
@@ -191,34 +199,24 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
 
 
 def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[Atom]]]:
-    """Index and done set of each credit-free node: one that owes on no labeled place.
+    """Index and done set of each credit-free node: one below 0 on none of the places a
+    credit is read on (``_credit_places``), by ``cn.net``'s labels.
 
-    A node that a walk built can be below 0 only on its layout's
-    ``owing`` places, so it is read off the walk's counts there; when all of
-    them are labeled, as in a valid contract net, that is its ``honored``
-    flag.  Only sparse nodes have their credits read.  Done sets are built
+    Every node of the graph was walked on ``graph.net``, so all share its
+    layout.  When every place that can owe there is labeled, as in a valid
+    contract net, credit-free is the ``honored`` flag.  Done sets are built
     only for credit-free nodes, with ``cn.net``'s labels, as ``configuration``
     reads them.  When ``cn.net`` is the graph's own net, the pairs are kept in
     its instance dict.
     """
-    net, labels = cn.net, cn.net.place_labels
+    net = cn.net
 
     def credit_free() -> list[tuple[int, frozenset[Atom]]]:
-        labeled, free = {}, []
-        for i, node in enumerate(graph.nodes):
-            if not node.honored:
-                layout = node._layout
-                if layout is None:
-                    if _credits(net, node):
-                        continue
-                else:
-                    owing = labeled.get(layout)
-                    if owing is None:
-                        owing = labeled[layout] = [k for p, k in layout.owing.items() if p in labels]
-                    if len(owing) == len(layout.owing) or min(map(node._counts.__getitem__, owing), default=0) < 0:
-                        continue
-            free.append((i, _done_set(net, node)))
-        return free
+        layout = _layout(graph.net)
+        owing = list(_credit_places(net, layout))
+        all_labeled = len(owing) == len(layout.owing)
+        return [(i, _done_set(net, node)) for i, node in enumerate(graph.nodes)
+                if node.honored or not all_labeled and all(node._counts[k] >= 0 for k in owing)]
 
     return _kept(graph, "_credit_free", credit_free) if net is graph.net else credit_free()
 
@@ -245,10 +243,10 @@ def _parts(cn: ContractNet, reached: Callable) -> list[tuple[tuple, Callable]]:
 
 
 def _goal_flag(net: LendingNet, goals: frozenset, reached: Callable) -> Callable:
-    """The test of a walk state on ``net``: no labeled place that can owe (``_honored``'s rule)
-    is below 0, and ``reached(done, goals)``."""
+    """The test of a walk state on ``net``: it is credit-free (``_credit_places``) and
+    ``reached(done, goals)``."""
     layout = _layout(net)
-    labels, owing = layout.labels, [k for p, k in layout.owing.items() if p in net.place_labels]
+    labels, owing = layout.labels, list(_credit_places(net, layout))
 
     def flag(marking: list[int], fired: tuple[int, ...]) -> bool:
         if any(marking[k] < 0 for k in owing):

@@ -32,6 +32,7 @@ def _place_text(net: LendingNet, pid: str) -> str:
 def export_dot(net: LendingNet | ContractNet, name: str = "net") -> str:
     if isinstance(net, ContractNet):
         net = net.net
+    name = name.replace("\\", "\\\\")  # Unlike an id, a name (a file's stem) may hold a backslash.
     lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  node [fontsize=11];"]
     for pid in sorted(net.places):
         peripheries = 2 if pid in net.lending else 1

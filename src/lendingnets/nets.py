@@ -170,7 +170,7 @@ class LendingNet(_Canonical):
         for p, n in dict(self.initial).items():
             if p not in places:
                 raise NetStructureError(f"initial marking on unknown place {p!r}")
-            if not isinstance(n, int) or n < 0:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
                 raise NetStructureError(f"initial token count of {p!r} must be a non-negative int")
             if n:
                 initial[p] = n

@@ -234,6 +234,14 @@ class TestDot:
         assert code == 0
         assert "a@*" in target.read_text()
 
+    def test_a_backslash_in_the_file_name_is_escaped(self, tmp_path, capsys):
+        """The graph name is the file's stem; its backslash must not escape the closing quote."""
+        odd = tmp_path / "odd\\.pcl"
+        odd.write_text(Path(TOYS).read_text(encoding="utf-8"), encoding="utf-8")
+        code, out, _ = run(capsys, "dot", str(odd))
+        assert code == 0
+        assert out.startswith('digraph "odd\\\\" {\n')
+
 
 class TestDeterminism:
     READ_ONLY = [

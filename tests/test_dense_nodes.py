@@ -3,9 +3,10 @@
 ``explore`` stores each kept node's token counts and fired vector in one
 order per graph and builds the sparse ``(id, count)`` fields on first read;
 ``honored`` and credits are read only on the places that can owe.
-``node_oracle`` keeps the earlier ``explore``, which built every field up
-front and took ``honored`` from every place; ``contract_oracle`` keeps the
-configuration read over the whole marking.  Every read must agree.
+``node_oracle`` keeps the earlier ``explore``, which built every node's
+``(marking, fired, honored)`` fields up front and took ``honored`` from every
+place; ``contract_oracle`` keeps the configuration read over the whole
+marking.  Every read must agree.
 """
 
 import random
@@ -25,7 +26,6 @@ from lendingnets import (
     reachable_configurations,
     weakly_terminates_in,
 )
-from lendingnets.analysis import Node
 from lendingnets.contracts import configuration
 from lendingnets.nets import DEFAULT_BUDGET
 
@@ -102,20 +102,21 @@ def test_nodes_read_as_the_eager_nodes_of_the_oracle(budget):
         consumed = tuple(sorted({p for t in net.transitions for p in net.preset(t)}))
         assert graph.root._layout.places == consumed
         assert all(len(node._counts) == len(consumed) for node in graph.nodes)
-        # On a fresh graph, hashing and equality are the first reads of every node.
-        fresh = explore(net, budget)
-        assert [fresh.index_of(old) for old in want.nodes] == list(range(len(want.nodes)))
-        for i, (node, old) in enumerate(zip(graph.nodes, want.nodes)):
-            assert [node.tokens(p) for p in places] == [old.tokens(p) for p in places]
-            assert node.tokens(NOT_A_PLACE) == old.tokens(NOT_A_PLACE) == 0
-            assert node.honored == old.honored
-            assert node.fired_set() == old.fired_set()
-            assert node.describe() == old.describe()
-            assert repr(node) == repr(old)
-            assert node.marking == old.marking and node.fired == old.fired
-            assert node == old and hash(node) == hash(old)
-            assert graph.index_of(old) == i
-            twin = Node(node.marking, node.fired, node.honored)
+        # On two fresh graphs, hashing and equality are the first reads of every node.
+        fresh, other = explore(net, budget), explore(net, budget)
+        assert [fresh.index_of(twin) for twin in other.nodes] == list(range(len(want.nodes)))
+        for i, (node, (marking, fired, honored)) in enumerate(zip(graph.nodes, want.nodes)):
+            tokens = dict(marking)
+            assert [node.tokens(p) for p in places] == [tokens.get(p, 0) for p in places]
+            assert node.tokens(NOT_A_PLACE) == 0 and NOT_A_PLACE not in tokens
+            assert node.honored == honored
+            assert node.fired_set() == frozenset(t for t, _ in fired)
+            assert node.describe() == node_oracle.describe(marking, fired)
+            assert repr(node) == f"Node(marking={marking!r}, fired={fired!r})"
+            assert node.marking == marking and node.fired == fired
+            assert hash(node) == hash((marking, fired))
+            twin = other.nodes[i]
+            assert graph.index_of(twin) == i
             assert twin == node and hash(twin) == hash(node) and twin.honored == node.honored
 
 
@@ -123,12 +124,12 @@ def test_nodes_read_as_the_eager_nodes_of_the_oracle(budget):
 def test_credits_read_on_the_places_that_can_owe_equal_the_whole_marking(budget):
     for cn, largest in CONTRACT_NETS + [(unlabeled_debt_net(False), budget), (unlabeled_debt_net(True), budget)]:
         budget = min(budget, largest)
-        graph, want = explore(cn.net, budget), node_oracle.explore(cn.net, budget)
+        graph = explore(cn.net, budget)
         for node in graph.nodes:
             assert configuration(cn, node) == contract_oracle.configuration(cn, node)
         for new, old in ((reachable_configurations, contract_oracle.reachable_configurations),
                          (honored_done_sets, contract_oracle.honored_done_sets)):
-            expected = result_of(old, cn, budget, want)
+            expected = result_of(old, cn, budget, explore(cn.net, budget))
             assert result_of(new, cn, budget, graph) == expected, new.__name__
             assert result_of(new, cn, budget) == expected, new.__name__
 

@@ -9,7 +9,6 @@ from lendingnets import (
     HONORED_GOAL,
     MarkingPredicate,
     NetDocument,
-    Outcome,
     combine_goals,
     compile_contract,
     conjoin,

@@ -1,10 +1,10 @@
 """The graph checks' credit-free nodes and the closure sweep, against their earlier forms.
 
-``contracts._honored`` now reads a node that ``explore`` built for the
-contract's own net off the walk's counts on the labeled places that can owe,
-and builds done sets only for the credit-free nodes.  ``honored_oracle``
-keeps the earlier rule, which read every owing node's credits and every
-node's done set.  Both must give the same (index, done set) list, and every
+``contracts._honored`` reads a node off the walk's counts on the places a
+credit is read on, the labeled places that can owe, and builds done sets only
+for the credit-free nodes.  ``honored_oracle`` keeps the earlier rule, which
+read every owing node's credits, over its whole marking, and every node's
+done set.  Both must give the same (index, done set) list, and every
 check on a graph the same outcome, witness and detail, whichever check reads
 the graph first.  ``analysis._reaching`` now stops scanning a state at its
 first reached successor; it must add the states that ``any()`` over all of
@@ -33,7 +33,7 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.analysis import Node, ReachGraph, _components, _reaching, _walk_components
+from lendingnets.analysis import _components, _reaching, _walk_components
 from lendingnets.contracts import _honored
 from lendingnets.nets import DEFAULT_BUDGET
 
@@ -56,17 +56,6 @@ def contract_nets() -> list[ContractNet]:
     return out + [unlabeled_debt_net(False), unlabeled_debt_net(True)]
 
 
-def sparse(graph: ReachGraph) -> ReachGraph:
-    """The same graph, hand-built from nodes that hold their sparse fields."""
-    nodes = tuple(Node(node.marking, node.fired, node.honored) for node in graph.nodes)
-    return ReachGraph(net=graph.net, nodes=nodes, edges=graph.edges, complete=graph.complete)
-
-
-def graph_kinds(net, budget):
-    """Builders of equal graphs of ``net``: the walk's own nodes, and sparse nodes."""
-    return (lambda: explore(net, budget), lambda: sparse(explore(net, budget)))
-
-
 def assert_reads_equal(cn: ContractNet, build, monkeypatch):
     """Equal credit-free pairs and equal check results, with each check order, on fresh graphs per side."""
     assert _honored(cn, build()) == list(honored_oracle._honored(cn, build()))
@@ -86,8 +75,7 @@ def assert_reads_equal(cn: ContractNet, build, monkeypatch):
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_credit_free_nodes_equal_the_credit_reading_oracle(budget, monkeypatch):
     for cn in contract_nets():
-        for build in graph_kinds(cn.net, budget):
-            assert_reads_equal(cn, build, monkeypatch)
+        assert_reads_equal(cn, lambda: explore(cn.net, budget), monkeypatch)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -100,8 +88,7 @@ def test_a_contract_over_another_net_reads_credits_on_a_shared_graph(budget, mon
     cases = [(plain, labeled.net), (labeled, plain.net), (pairs, compile_contract(pairs_contract(2)).net)]
     for cn, net in cases:
         assert net is not cn.net
-        for build in graph_kinds(net, budget):
-            assert_reads_equal(cn, build, monkeypatch)
+        assert_reads_equal(cn, lambda: explore(net, budget), monkeypatch)
     # One graph read for both contracts in turn keeps the own net's pairs apart from the other's.
     graph = explore(labeled.net, budget)
     for cn in (plain, labeled, plain, labeled):

@@ -31,8 +31,6 @@ from lendingnets.fixtures import (
     toy_swap_contracts,
 )
 
-from generators import random_theory
-
 
 def clause(head, *body, credit=False):
     return HornClause(head=head, body=frozenset(body), contractual=credit)

@@ -167,6 +167,12 @@ class TestStructuralValidation:
         with pytest.raises(NetStructureError):
             LendingNet.build(places=["p"], initial={"p": -1})
 
+    def test_bool_initial_marking_is_rejected(self):
+        """``True`` is an int but not a token count: it would be written as ``tokens=True``."""
+        for flag in (True, False):
+            with pytest.raises(NetStructureError, match="non-negative int"):
+                LendingNet.build(places=["p"], initial={"p": flag})
+
     def test_alphabet_must_cover_labels(self):
         with pytest.raises(NetStructureError):
             LendingNet.build(

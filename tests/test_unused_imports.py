@@ -1,6 +1,6 @@
-"""Every name a library module imports at module level is read in that module,
-and every private function or class a library module defines, and every private
-method or property of its classes, is read somewhere in the package.
+"""Every name a library or test module imports at module level is read in that
+module, and every private function or class a library module defines, and every
+private method or property of its classes, is read somewhere in the package.
 
 ``__init__.py`` is skipped: its imports are the package's public names.
 """
@@ -13,6 +13,8 @@ import pytest
 import lendingnets
 
 MODULES = sorted(p for p in Path(lendingnets.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = [*sorted(TESTS.glob("*.py")), TESTS / "golden" / "regenerate.py"]
 
 
 def unread_imports(source: str) -> list[str]:
@@ -27,7 +29,8 @@ def unread_imports(source: str) -> list[str]:
     return sorted(bound - read)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: p.name if p in MODULES else p.relative_to(TESTS.parent).as_posix())
 def test_every_imported_name_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
 

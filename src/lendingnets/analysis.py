@@ -47,7 +47,8 @@ part, and a closure is one sweep from the last state to the first.
 A ``budget`` counts the states a search may keep: graph nodes, (node, word)
 pairs in ``trace_set``, or for the component walks the shared root once plus
 each component's further states, never more than the product graph's nodes.
-An incomplete search keeps exactly ``budget`` states.
+A search the budget cut short keeps exactly ``budget`` states; a walk that a
+flag stopped ends at the flagged node, its last.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ import sys
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress
 
 from .errors import IncompleteExplorationError, NetStructureError
@@ -136,32 +136,27 @@ class Node:
     A walk (or ``_join``) builds each node from its dense counts over the
     consumed places, its fired vector and the net's ``_Layout``.  ``marking`` and ``fired``
     are the nonzero counts as ``(id, count)`` pairs sorted by id, built on
-    first read; ``honored`` is not part of ``==``, ``hash`` or ``repr``.
+    each read; ``honored`` is not part of ``==``, ``hash`` or ``repr``.
     ``tokens`` looks a consumed place up by index and reads any other place
     by the state equation (no transition consumes it, so it holds its
     initial count plus its producers' firings), and ``fired_set`` reads the
     fired vector.
     """
 
-    __slots__ = ("_marking", "_fired", "_honored", "_counts", "_vector", "_layout")
+    __slots__ = ("_honored", "_counts", "_vector", "_layout")
 
     def __init__(self, counts: list[int], vector: tuple[int, ...], honored: bool, layout: _Layout):
-        self._marking = self._fired = None
         self._counts, self._vector, self._honored, self._layout = counts, vector, honored, layout
 
     @property
     def marking(self) -> tuple[tuple[PlaceId, int], ...]:
-        if self._marking is None:
-            self._marking = self._layout.marking(self._counts, self._vector)
-        return self._marking
+        return self._layout.marking(self._counts, self._vector)
 
     @property
     def fired(self) -> tuple[tuple[TransitionId, int], ...]:
-        if self._fired is None:
-            # Through a list: tuple() of an iterator of unknown length shrinks its
-            # result in place, which fragments the heap of a long-lived process.
-            self._fired = tuple(list(compress(zip(self._layout.transitions, self._vector), self._vector)))
-        return self._fired
+        # Through a list: tuple() of an iterator of unknown length shrinks its
+        # result in place, which fragments the heap of a long-lived process.
+        return tuple(list(compress(zip(self._layout.transitions, self._vector), self._vector)))
 
     @property
     def honored(self) -> bool:
@@ -231,16 +226,16 @@ class ReachGraph:
         return self.nodes[0]
 
     def index_of(self, node: Node | int) -> int:
-        if isinstance(node, int):
-            if isinstance(node, bool):
-                raise NetStructureError(f"node index {node!r} is not an int")
-            if not 0 <= node < len(self.nodes):
-                raise NetStructureError(f"node index {node} out of range")
-            return node
-        i = self._index.get(node.fired)
-        if i is None or (self.nodes[i] is not node and self.nodes[i] != node):
-            raise NetStructureError("node does not belong to this graph")
-        return i
+        if isinstance(node, Node):
+            i = self._index.get(node.fired)
+            if i is None or (self.nodes[i] is not node and self.nodes[i] != node):
+                raise NetStructureError("node does not belong to this graph")
+            return i
+        if not isinstance(node, int) or isinstance(node, bool):
+            raise NetStructureError(f"node index {node!r} is not an int")
+        if not 0 <= node < len(self.nodes):
+            raise NetStructureError(f"node index {node} out of range")
+        return node
 
     def out_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
         return tuple(self._out[self.index_of(node)])
@@ -283,7 +278,7 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
     """
     _check_budget(budget)
     layout = _layout(net)
-    return _walk(net, layout.steps, layout.counts(net.initial), budget)[0]
+    return _walk(net, layout.steps, layout.counts(net.initial), budget)
 
 
 def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -292,20 +287,19 @@ def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
     The walk of every row stops at the first state it keeps that enables a
     transition it has already fired, the source of the first edge that
     fires one twice (README, "How exploration works"); the first such
-    transition is the witness.
+    transition, read again at the walk's last node, is the witness.
     """
     _check_budget(budget)
     layout = _layout(net)
     guards = [(t, guard) for _, t, guard, _, _ in layout.steps]
 
-    def refired(counts: list[int], fired: tuple[int, ...]) -> TransitionId | None:
-        tokens = counts.__getitem__
-        return next((t for t, guard in compress(guards, fired) if all(map(tokens, guard))), None)
+    def refired(node: Node) -> TransitionId | None:
+        tokens = node._counts.__getitem__
+        return next((t for t, guard in compress(guards, node._vector) if all(map(tokens, guard))), None)
 
-    graph, flagged = _walk(net, layout.steps, layout.counts(net.initial), budget, refired, stop=True)
-    if flagged:
-        node = graph.nodes[flagged[0]]
-        t = refired(node._counts, node._vector)
+    graph = _walk(net, layout.steps, layout.counts(net.initial), budget, refired)
+    t = refired(graph.nodes[-1])
+    if t is not None:
         return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
     if not graph.complete:
         return Verdict.inconclusive(f"exploration budget {budget} exhausted")
@@ -426,20 +420,19 @@ def _urgent(labels: Mapping[TransitionId, Atom], parts: Iterable[tuple]) -> froz
     """Labels, by ``labels``, of first steps from a chosen state of some part that keep an
     honored state reachable.
 
-    Each part is ``(graph, honored, chosen)``: a walk's ``ReachGraph``, a
-    function giving the indices of its honored states, and the indices of
-    the states to step from; an incomplete part raises before its honored
-    states are read.  A product state can reach an
-    honored state exactly when each of its parts can, and every root is
+    Each part is ``(graph, chosen)``: a walk's ``ReachGraph`` and the
+    indices of the states to step from; an incomplete part raises before its
+    honored states (``honored_nodes``) are read.  A product state can reach
+    an honored state exactly when each of its parts can, and every root is
     honored, since no initial count is below 0; so the answer for a product
     of parts chosen at their roots is the union of the parts' answers.
     """
     urgent = set()
-    for graph, honored, chosen in parts:
+    for graph, chosen in parts:
         if not graph.complete:
             raise IncompleteExplorationError("urgency needs a complete reachability graph")
         out = graph._out
-        can_honor = _reaching(out, set(honored()))
+        can_honor = _reaching(out, set(honored_nodes(graph)))
         urgent.update(labels[t] for i in chosen for t, j in out[i] if t in labels and j in can_honor)
     return frozenset(urgent)
 
@@ -535,15 +528,15 @@ def _split(net: LendingNet) -> list[tuple]:
 
 
 def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
-          flag: Callable | None = None, stop: bool = False) -> tuple[ReachGraph, list[int]]:
+          flag: Callable[[Node], object] | None = None) -> ReachGraph:
     """Breadth-first search of the layout ``rows`` of ``net``, one component or every row, from
     ``start``, the counts of the layout's places, keeping at most ``budget`` states.
 
     Only the component's transitions fire, so only its places change; the
     other consumed places keep their start counts, and each kept state is the
-    product node with every other component at its root.  Returns the graph
-    and the indices of the states where ``flag(counts, fired)`` holds; with
-    ``stop`` the walk ends, incomplete, at the first of them.
+    product node with every other component at its root.  The walk ends,
+    incomplete, at the first kept node where ``flag(node)`` holds, after the
+    edge that found it: that node is the graph's last.
 
     A queued state carries the bitmask of its enabled rows, expanded in
     ascending (sorted transition) order, and its debt, the number of owing
@@ -565,9 +558,8 @@ def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
     enabled = sum([1 << k for k, _, guard, _, _ in rows if all(map(tokens, guard))])
     debt = sum([start[k] < 0 for k in layout.owing.values()])
     nodes = [Node(start, fired, not debt, layout)]
-    flagged = [0] if flag is not None and flag(start, fired) else []
-    edges, complete = [], not (stop and flagged)
-    index = {0: 0}
+    complete = flag is None or not flag(nodes[0])
+    edges, index = [], {0: 0}
     queue = deque([(0, start, fired, 0, enabled, debt)] if complete else ())
     while queue:
         i, counts, fired, key, enabled, debt = queue.popleft()
@@ -604,33 +596,32 @@ def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
                 succ_fired[k] += 1
                 succ_fired = tuple(succ_fired)
                 j = index[succ_key] = len(nodes)
-                if flag is not None and flag(succ, succ_fired):
-                    flagged.append(j)
                 nodes.append(Node(succ, succ_fired, not succ_debt, layout))
-                queue.append((j, succ, succ_fired, succ_key, succ_enabled, succ_debt))
+                if flag is not None and flag(nodes[j]):
+                    # The walk ends once the edge to the flagged node is kept.
+                    complete, todo = False, 0
+                    queue.clear()
+                else:
+                    queue.append((j, succ, succ_fired, succ_key, succ_enabled, succ_debt))
             edges.append((i, move[0], j))
-            if stop and flagged:
-                complete = False
-                queue.clear()
-                break
-    return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete), flagged
+    return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete)
 
 
 def _walk_components(net: LendingNet, parts: list[tuple[tuple, Callable | None]], start: Mapping[PlaceId, int],
-                     budget: int, stop: bool = False) -> list[tuple[ReachGraph, list[int]]]:
+                     budget: int) -> list[ReachGraph]:
     """Walk each ``(rows, flag)`` of ``parts``, one component's rows and its flag, in turn
     from the marking ``start`` under one budget.
 
     The components share their root, so the budget counts it once plus each
     component's further states.  The walks end after one that the budget cut
-    short or, with ``stop``, after one that found no flagged state.
+    short or, with a flag, after one whose last node is not flagged.
     """
     walks, marking = [], _layout(net).counts(start)
     for rows, flag in parts:
-        graph, flagged = walk = _walk(net, rows, marking, budget, flag, stop)
-        walks.append(walk)
+        graph = _walk(net, rows, marking, budget, flag)
+        walks.append(graph)
         budget -= len(graph.nodes) - 1
-        if not (flagged if stop else graph.complete):
+        if not (graph.complete if flag is None else flag(graph.nodes[-1])):
             break
     return walks
 
@@ -655,7 +646,7 @@ def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET,
     replaces the initial marking as the root."""
     _check_budget(budget)
     walks = _walk_components(net, [(c, None) for c in _components(net)], net.initial if start is None else start, budget)
-    return _urgent(net.transition_labels, ((graph, partial(honored_nodes, graph), (0,)) for graph, _ in walks))
+    return _urgent(net.transition_labels, ((graph, (0,)) for graph in walks))
 
 
 def weakly_terminates(
@@ -685,7 +676,7 @@ def honored_nodes(graph: ReachGraph) -> list[int]:
 
 def urgent_at(graph: ReachGraph, node: Node | int) -> frozenset[Atom]:
     """Labels of first steps from ``node`` that can still end in an honored marking."""
-    return _urgent(graph.net.transition_labels, [(graph, lambda: honored_nodes(graph), [graph.index_of(node)])])
+    return _urgent(graph.net.transition_labels, [(graph, [graph.index_of(node)])])
 
 
 def honored_always_reachable(graph: ReachGraph) -> Verdict:
@@ -712,7 +703,7 @@ def urgent_for_done_set(
     if graph is None:
         graph = explore(net, budget)
     chosen = [i for i, node in enumerate(graph.nodes) if _done_set(net, node) == wanted]
-    return _urgent(net.transition_labels, [(graph, lambda: honored_nodes(graph), chosen)])
+    return _urgent(net.transition_labels, [(graph, chosen)])
 
 
 def trace_set(net: LendingNet, budget: int = DEFAULT_BUDGET) -> tuple[frozenset[tuple[Atom, ...]], bool]:

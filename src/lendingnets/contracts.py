@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from operator import attrgetter
 from math import prod
 
 from .analysis import (
@@ -198,36 +198,40 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
     return ContractNet(net=oplus(left, right), **terms)
 
 
+def _credit_free(net: LendingNet, layout: _Layout) -> Callable[[Node], bool]:
+    """The test that a node of ``layout`` is below 0 on none of the places a credit is read on
+    (``_credit_places``), by ``net``'s labels.  When every place that can owe there is
+    labeled, as in a valid contract net, it is the ``honored`` flag."""
+    owing = list(_credit_places(net, layout))
+    if len(owing) == len(layout.owing):
+        return attrgetter("honored")
+    return lambda node: node.honored or all(node._counts[k] >= 0 for k in owing)
+
+
 def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[Atom]]]:
-    """Index and done set of each credit-free node: one below 0 on none of the places a
-    credit is read on (``_credit_places``), by ``cn.net``'s labels.
+    """Index and done set of each credit-free node (``_credit_free``), by ``cn.net``'s labels.
 
     Every node of the graph was walked on ``graph.net``, so all share its
-    layout.  When every place that can owe there is labeled, as in a valid
-    contract net, credit-free is the ``honored`` flag.  Done sets are built
-    only for credit-free nodes, with ``cn.net``'s labels, as ``configuration``
-    reads them.  When ``cn.net`` is the graph's own net, the pairs are kept in
-    its instance dict.
+    layout.  Done sets are built only for credit-free nodes, with
+    ``cn.net``'s labels, as ``configuration`` reads them.  When ``cn.net`` is
+    the graph's own net, the pairs are kept in its instance dict.
     """
     net = cn.net
 
     def credit_free() -> list[tuple[int, frozenset[Atom]]]:
-        layout = _layout(graph.net)
-        owing = list(_credit_places(net, layout))
-        all_labeled = len(owing) == len(layout.owing)
-        return [(i, _done_set(net, node)) for i, node in enumerate(graph.nodes)
-                if node.honored or not all_labeled and all(node._counts[k] >= 0 for k in owing)]
+        free = _credit_free(net, _layout(graph.net))
+        return [(i, _done_set(net, node)) for i, node in enumerate(graph.nodes) if free(node)]
 
     return _kept(graph, "_credit_free", credit_free) if net is graph.net else credit_free()
 
 
-def _parts(cn: ContractNet, reached: Callable) -> list[tuple[tuple, Callable]]:
-    """Each component of the net, as its layout rows, with the test of its goal states.
+def _parts(cn: ContractNet) -> list[tuple[tuple, frozenset]]:
+    """Each component of the net, as its layout rows, with its share of the goal sets.
 
-    A goal state owes on no labeled place and its done set ``done`` passes
-    ``reached(done, share)``, where ``share`` projects onto the component's
-    labels the goal sets that transitions can grant.  When that family is not
-    the product of its shares, the components merge into one.
+    A share projects onto the component's labels the goal sets that
+    transitions can grant; a component's goal states are its credit-free
+    states whose done sets the share reaches.  When that family is not the
+    product of its shares, the components merge into one.
     """
     net, layout = cn.net, _layout(cn.net)
     granted = frozenset(net.transition_labels.values())
@@ -239,21 +243,7 @@ def _parts(cn: ContractNet, reached: Callable) -> list[tuple[tuple, Callable]]:
         shares.append(frozenset(g & labels for g in goals))
     if prod(map(len, shares)) != len(goals):
         components, shares = [layout.steps], [goals]
-    return [(c, _goal_flag(net, share, reached)) for c, share in zip(components, shares)]
-
-
-def _goal_flag(net: LendingNet, goals: frozenset, reached: Callable) -> Callable:
-    """The test of a walk state on ``net``: it is credit-free (``_credit_places``) and
-    ``reached(done, goals)``."""
-    layout = _layout(net)
-    labels, owing = layout.labels, list(_credit_places(net, layout))
-
-    def flag(marking: list[int], fired: tuple[int, ...]) -> bool:
-        if any(marking[k] < 0 for k in owing):
-            return False
-        return reached(frozenset(filter(None, compress(labels, fired))), goals)
-
-    return flag
+    return list(zip(components, shares))
 
 
 def _is_goal_set(done: frozenset[Atom], goals: frozenset[frozenset[Atom]]) -> bool:
@@ -269,13 +259,18 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reach
         cfg = configuration(cn, stuck)
         return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
 
+    def targets(graph: ReachGraph, goals: frozenset) -> Callable:
+        return lambda: [i for i, done in _honored(cn, graph) if reached(done, goals)]
+
     _check_budget(budget)
     if graph is None:
-        parts = [(g, flagged.__iter__) for g, flagged in _walk_components(cn.net, _parts(cn, reached), cn.net.initial, budget)]
+        parts = _parts(cn)
+        walks = _walk_components(cn.net, [(rows, None) for rows, _ in parts], cn.net.initial, budget)
+        shares = [share for _, share in parts]
     else:
-        parts = [(graph, lambda: [i for i, done in _honored(cn, graph) if reached(done, cn.goals)])]
-        budget = len(graph.nodes)
-    return _first_stuck(parts, f"exploration budget {budget} exhausted", stuck_detail)
+        walks, shares, budget = [graph], [cn.goals], len(graph.nodes)
+    return _first_stuck([(g, targets(g, share)) for g, share in zip(walks, shares)],
+                        f"exploration budget {budget} exhausted", stuck_detail)
 
 
 def weakly_terminates_in(
@@ -308,15 +303,23 @@ def agreement_reachable(
 
     This is the net-side agreement check: reachability of a covering honored
     configuration, with the node found as witness.  Without a ``graph`` each
-    component's walk stops at its first such state, and the witness joins them.
+    component's walk stops at its first credit-free state whose done set covers
+    a goal set of its share (``_parts``), and the witness joins them.
     """
     _check_budget(budget)
     if graph is None:
-        walks = _walk_components(cn.net, _parts(cn, _covers_goal_set), cn.net.initial, budget, stop=True)
-        if all(flagged for _, flagged in walks):
-            found = _join(cn.net, cn.net.initial, [g.nodes[flagged[0]] for g, flagged in walks])
-            return Verdict.holds(detail=found.describe())
-        complete = walks[-1][0].complete
+        net = cn.net
+        free = _credit_free(net, _layout(net))
+
+        def goal(share: frozenset) -> Callable[[Node], bool]:
+            return lambda node: free(node) and _covers_goal_set(_done_set(net, node), share)
+
+        parts = [(rows, goal(share)) for rows, share in _parts(cn)]
+        walks = _walk_components(net, parts, net.initial, budget)
+        # The walks go on only past one that ends at a flagged node, so only the last walk's end is left to test.
+        if len(walks) == len(parts) and (not parts or parts[-1][1](walks[-1].nodes[-1])):
+            return Verdict.holds(detail=_join(net, net.initial, [g.nodes[-1] for g in walks]).describe())
+        complete = walks[-1].complete
     else:
         for i, done in _honored(cn, graph):
             if _covers_goal_set(done, cn.goals):

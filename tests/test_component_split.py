@@ -98,7 +98,7 @@ def kept_states(monkeypatch):
 
     def counting(*args, **kwargs):
         walks = walk(*args, **kwargs)
-        kept.append(1 + sum(len(graph.nodes) - 1 for graph, _ in walks))
+        kept.append(1 + sum(len(graph.nodes) - 1 for graph in walks))
         return walks
 
     for module in (lendingnets.analysis, lendingnets.contracts):

@@ -1,7 +1,7 @@
 """Graph nodes that keep the walk's dense vectors, against eagerly built nodes.
 
 ``explore`` stores each kept node's token counts and fired vector in one
-order per graph and builds the sparse ``(id, count)`` fields on first read;
+order per graph and builds the sparse ``(id, count)`` fields on each read;
 ``honored`` and credits are read only on the places that can owe.
 ``node_oracle`` keeps the earlier ``explore``, which built every node's
 ``(marking, fired, honored)`` fields up front and took ``honored`` from every
@@ -26,6 +26,7 @@ from lendingnets import (
     reachable_configurations,
     weakly_terminates_in,
 )
+from lendingnets.analysis import Node, _Layout
 from lendingnets.contracts import configuration
 from lendingnets.nets import DEFAULT_BUDGET
 
@@ -134,23 +135,41 @@ def test_credits_read_on_the_places_that_can_owe_equal_the_whole_marking(budget)
             assert result_of(new, cn, budget) == expected, new.__name__
 
 
-def test_the_checks_on_a_graph_build_sparse_fields_only_for_the_witness():
-    def built(graph):
-        return [node for node in graph.nodes if node._marking is not None or node._fired is not None]
+def test_the_checks_on_a_graph_build_sparse_fields_only_for_the_witness(monkeypatch):
+    """Each id-keyed marking ``_Layout.marking`` builds, and each read of ``Node.fired`` (as
+    ``ReachGraph._index`` makes of every node), is recorded as its node's (counts, fired) pair."""
+    built, read = [], []
+    marking, fired = _Layout.marking, Node.fired.fget
 
+    def counting(layout, counts, vector):
+        built.append((counts, vector))
+        return marking(layout, counts, vector)
+
+    def reading(node):
+        read.append(state(node))
+        return fired(node)
+
+    def state(node):
+        return node._counts, node._vector
+
+    monkeypatch.setattr(_Layout, "marking", counting)
+    monkeypatch.setattr(Node, "fired", property(reading))
     cn = compile_contract(pairs_contract(4))
     graph = explore(cn.net)
     assert weakly_terminates_in(cn, graph=graph).outcome is Outcome.HOLDS
     assert len(honored_done_sets(cn, graph=graph)) == 2 ** 4
     assert len(reachable_configurations(cn, graph=graph)) == 3 ** 4
-    assert built(graph) == []
+    assert built == read == []
     found = agreement_reachable(cn, graph=graph)
     assert found.outcome is Outcome.HOLDS
-    [witness] = built(graph)
+    [witness] = [node for node in graph.nodes if state(node) in built]
+    assert built == read == [state(witness)]
     assert found.detail == witness.describe()
 
     graph = explore(cn.net)
+    built.clear()
+    read.clear()
     narrow = ContractNet(net=cn.net, participants=cn.participants, ownership=cn.ownership,
                          goals={frozenset({"a0"})})
     failed = weakly_terminates_in(narrow, graph=graph)
-    assert failed.outcome is Outcome.FAILS and built(graph) == [failed.witness]
+    assert failed.outcome is Outcome.FAILS and built == read == [state(failed.witness)]

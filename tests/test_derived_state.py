@@ -28,6 +28,7 @@ from lendingnets import (
     contract,
     explore,
     honored_always_reachable,
+    urgent_at,
     weakly_terminates,
     weakly_terminates_covering,
     weakly_terminates_in,
@@ -234,12 +235,14 @@ def test_backward_sweep_equals_the_breadth_first_closure():
             assert backward_closure(graph, targets) == reference_backward_closure(graph, targets)
 
 
-@pytest.mark.parametrize("outside", [-1, "len", True])
+@pytest.mark.parametrize("outside", [-1, "len", True, 1.0, None, "0"])
 def test_a_target_outside_the_graph_is_rejected(outside):
     graph = explore(compile_contract(pairs_contract(2)).net)
     target = len(graph.nodes) if outside == "len" else outside
     with pytest.raises(NetStructureError, match="out of range|not an int"):
         backward_closure(graph, [0, target])
+    with pytest.raises(NetStructureError, match="out of range|not an int"):
+        urgent_at(graph, target)
 
 
 def test_incomplete_verdicts_name_the_budget_of_the_graph_they_read():

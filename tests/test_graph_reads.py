@@ -134,14 +134,13 @@ def reaching_oracle(out, reached):
 
 
 def component_outs():
-    """The out-edge lists of the component walks of seeded compiled contracts, with their flagged states."""
+    """The out-edge lists of the component walks of seeded compiled contracts, with their states that owe nowhere."""
     rng = random.Random(180)
     cns = [compile_contract(random_contract(rng)) for _ in range(150)]
     cns += [compile_contract(pairs_contract(n)) for n in (1, 2, 3)]
     for cn in cns:
-        parts = [(c, lambda marking, fired: min(marking, default=0) >= 0) for c in _components(cn.net)]
-        for graph, flagged in _walk_components(cn.net, parts, cn.net.initial, DEFAULT_BUDGET):
-            yield graph._out, set(flagged)
+        for graph in _walk_components(cn.net, [(c, None) for c in _components(cn.net)], cn.net.initial, DEFAULT_BUDGET):
+            yield graph._out, {i for i, node in enumerate(graph.nodes) if min(node._counts, default=0) >= 0}
 
 
 def random_outs(rng: random.Random):

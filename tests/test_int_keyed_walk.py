@@ -6,10 +6,11 @@ and its debt, and re-tests only the rows whose guard the fired row touches.
 guard at every state; the walk then read each state's honored flag as the
 ``min`` over the owing counts.  On whole nets and on each component, both
 must give the same edges, keep the same (counts, fired) states in the same
-order, and agree on completeness and honored flags; ``is_occurrence_net``,
-now a walk that stops at the first kept state enabling a transition it
-already fired, must give ``bfs_oracle.is_occurrence_net``'s verdict and
-witness.  The pump nets fire one transition again and again, so a count
+order, and agree on completeness and honored flags.  A walk with a flag
+must keep the same states up to the first flagged one, its last node, and
+none after it; ``is_occurrence_net``, a walk that stops at the first kept
+state enabling a transition it already fired, must give
+``bfs_oracle.is_occurrence_net``'s verdict and witness.  The pump nets fire one transition again and again, so a count
 reaches the largest value its field can hold; a carry into the next field
 would merge two states.  The drain nets keep a transition enabled after it
 fires, so it must re-test its own guard.
@@ -32,42 +33,37 @@ BUDGETS = (1, 2, 3, 4, 7, 8, 15, 16, DEFAULT_BUDGET)
 CYCLIC_BUDGET = 1_000
 
 
-def oracle_walk(net: LendingNet, rows, budget, flag=None, stop=False):
+def oracle_walk(net: LendingNet, rows, budget):
     """What ``_walk`` returned when it ran ``bfs_oracle._bfs``: the edges, the kept
-    (counts, fired) states with their honored flags, the completeness flag and the flagged
-    states; and every step the search yielded."""
+    (counts, fired) states with their honored flags and the completeness flag; and every
+    step the search yielded."""
     layout = _layout(net)
     owing = layout.owing.values()
-    kept, flagged = [], []
+    kept = []
 
     def keep(counts, fired):
         # The search sized fired vectors from the last row it walked; the walk sizes them from the layout.
         fired = fired + (0,) * (len(layout.transitions) - len(fired))
-        if flag is not None and flag(counts, fired):
-            flagged.append(len(kept))
         kept.append((tuple(counts), fired, min(map(counts.__getitem__, owing), default=0) >= 0))
 
     start = layout.counts(net.initial)
     keep(start, ())
-    steps, edges, complete = [], [], not (stop and flagged)
-    for step in bfs_oracle._bfs(rows, start, budget, keep) if complete else ():
+    steps, edges, complete = [], [], True
+    for step in bfs_oracle._bfs(rows, start, budget, keep):
         steps.append(step)
         i, t, j, _ = step
         if j is None:
             complete = False
             continue
         edges.append((i, t, j))
-        if stop and flagged:
-            complete = False
-            break
-    return edges, kept, complete, flagged, steps
+    return edges, kept, complete, steps
 
 
-def walked(net: LendingNet, rows, budget, flag=None, stop=False):
+def walked(net: LendingNet, rows, budget, flag=None):
     """``_walk``'s graph read as ``oracle_walk`` reads the search."""
-    graph, flagged = _walk(net, rows, _layout(net).counts(net.initial), budget, flag, stop)
+    graph = _walk(net, rows, _layout(net).counts(net.initial), budget, flag)
     kept = [(tuple(node._counts), node._vector, node.honored) for node in graph.nodes]
-    return list(graph.edges), kept, graph.complete, flagged
+    return list(graph.edges), kept, graph.complete
 
 
 def pump(transitions: int) -> LendingNet:
@@ -101,25 +97,42 @@ def sample_nets() -> list[tuple[LendingNet, int]]:
     return nets
 
 
-def every_other(counts, fired) -> bool:
-    """A flag that holds at some states and not at others, in no order the walk favours."""
+def odd(counts, fired) -> bool:
+    """A test that holds at some states and not at others, in no order the walk favours."""
     return (sum(counts) + 3 * sum(fired)) % 2 == 1
+
+
+def every_other(node) -> bool:
+    """``odd`` read off a kept node: the flag the walks are stopped with."""
+    return odd(node._counts, node._vector)
 
 
 def assert_same_walk(net: LendingNet, budget):
     """The walk of every row and of each component equals the oracle's, and with a flag
-    (up to ``CYCLIC_BUDGET`` states) too, and the occurrence check gives the oracle's
-    verdict; returns the whole net's steps."""
+    (up to ``CYCLIC_BUDGET`` states) stops at the oracle's first flagged state, and the
+    occurrence check gives the oracle's verdict; returns the whole net's steps."""
     whole = _layout(net).steps
     for rows in (whole, *_components(net)):
         want = oracle_walk(net, rows, budget)
-        assert walked(net, rows, budget) == want[:4]
+        assert walked(net, rows, budget) == want[:3]
         whole = want if rows is whole else whole
-        for stop in (False, True):
-            flagged = min(budget, CYCLIC_BUDGET)
-            assert walked(net, rows, flagged, every_other, stop) == oracle_walk(net, rows, flagged, every_other, stop)[:4]
+        assert_stops_at_the_first_flagged_state(net, rows, min(budget, CYCLIC_BUDGET))
     assert is_occurrence_net(net, budget) == bfs_oracle.is_occurrence_net(net, budget)
     return whole
+
+
+def assert_stops_at_the_first_flagged_state(net: LendingNet, rows, budget) -> int | None:
+    """The walk with ``every_other`` keeps the oracle's states up to and including the first
+    flagged one, its last node, and the edges up to the one that found it, and is
+    incomplete; with no flagged state it is the flagless walk.  Returns the flagged state's index or None."""
+    edges, kept, complete, _ = oracle_walk(net, rows, budget)
+    first = next((i for i, (counts, fired, _) in enumerate(kept) if odd(counts, fired)), None)
+    if first is None:
+        assert walked(net, rows, budget, every_other) == (edges, kept, complete)
+        return None
+    found = [dst for _, _, dst in edges].index(first) + 1 if first else 0
+    assert walked(net, rows, budget, every_other) == (edges[:found], kept[:first + 1], False)
+    return first
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -132,6 +145,17 @@ def test_the_walk_equals_the_search_that_retested_every_guard(budget):
     # Some cyclic nets fire a transition again, and some walks keep a state that owes,
     # within the budget, except where only the root is kept.
     assert (fired_twice and owing) or budget == 1
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_a_flagged_walk_ends_at_its_first_flagged_state(budget):
+    firsts = set()
+    for net, _ in sample_nets():
+        for rows in (_layout(net).steps, *_components(net)):
+            first = assert_stops_at_the_first_flagged_state(net, rows, min(budget, CYCLIC_BUDGET))
+            firsts.add(first if first is None else min(first, 1))
+    # Some walks keep no flagged state, some stop at the root and some later, once more than the root is kept.
+    assert firsts == {None, 0, 1} or budget == 1
 
 
 def test_a_firing_re_tests_its_own_guard():
@@ -150,7 +174,7 @@ def test_a_count_fills_its_field_without_a_carry(k):
     for budget in (2 ** k - 1, 2 ** k):
         for transitions in (1, 2, 3):
             net = pump(transitions)
-            edges, kept, complete, _, steps = assert_same_walk(net, budget)
+            edges, kept, complete, steps = assert_same_walk(net, budget)
             assert len(kept) == len(set(kept)) == budget and not complete
             assert is_occurrence_net(net, budget).witness == "t0" or budget == 1
             if transitions == 1:

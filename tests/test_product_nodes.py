@@ -31,7 +31,7 @@ def test_every_walk_state_is_a_node_of_the_product_graph():
         full = explore(net)
         walks = _walk_components(net, [(c, None) for c in _components(net)], net.initial, DEFAULT_BUDGET)
         split += len(walks) >= 2
-        for graph, _ in walks:
+        for graph in walks:
             assert graph.complete
             for node in graph.nodes:
                 found = full.nodes[full.index_of(node)]

@@ -94,7 +94,7 @@ def test_one_walk_of_the_smaller_net(monkeypatch):
 
     def counting_walk(*args, **kwargs):
         walks = walk_components(*args, **kwargs)
-        kept.append(1 + sum(len(graph.nodes) - 1 for graph, _ in walks))
+        kept.append(1 + sum(len(graph.nodes) - 1 for graph in walks))
         return walks
 
     def counting_explore(net, budget=DEFAULT_BUDGET):

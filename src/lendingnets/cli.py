@@ -67,38 +67,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="validate a document and echo its normal form")
+    p.set_defaults(handler=cmd_parse)
     p.add_argument("file")
 
     p = sub.add_parser("compile", help="translate a contract document into a net document")
+    p.set_defaults(handler=cmd_compile)
     p.add_argument("file")
     p.add_argument("-o", "--output")
     p.add_argument("--prune", action="store_true",
                    help="keep only the delivery places of clause heads and of each clause's own body")
 
     p = sub.add_parser("compose", help="compose two or more documents of the same kind")
+    p.set_defaults(handler=cmd_compose)
     p.add_argument("files", nargs="+")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("check", help="decide a property of a document")
     kinds = p.add_subparsers(dest="property", required=True)
     wt = kinds.add_parser("wt", help="weak termination toward the stated goals")
+    wt.set_defaults(handler=cmd_check_wt)
     wt.add_argument("file")
     wt.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ag = kinds.add_parser("agreement", help="does the contract admit an agreement")
+    ag.set_defaults(handler=cmd_check_agreement)
     ag.add_argument("file")
     ag.add_argument("--via", choices=("logic", "net", "both"), default="both")
     ag.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("urgent", help="atoms that must be offered next at a done set")
+    p.set_defaults(handler=cmd_urgent)
     p.add_argument("file")
     p.add_argument("--done", default="", help="comma separated atoms already granted")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("traces", help="enumerate the observable words of a document")
+    p.set_defaults(handler=cmd_traces)
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("dot", help="render a document as Graphviz input")
+    p.set_defaults(handler=cmd_dot)
     p.add_argument("file")
     p.add_argument("-o", "--output")
 
@@ -248,16 +256,6 @@ def cmd_dot(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "parse": cmd_parse,
-    "compile": cmd_compile,
-    "compose": cmd_compose,
-    "urgent": cmd_urgent,
-    "traces": cmd_traces,
-    "dot": cmd_dot,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -267,10 +265,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "budget"):
             _check_budget(args.budget)
-        if args.command == "check":
-            handler = cmd_check_wt if args.property == "wt" else cmd_check_agreement
-            return handler(args)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except IncompleteExplorationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

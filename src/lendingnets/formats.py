@@ -12,7 +12,8 @@ Net documents::
 
 Each ``goal`` line is one alternative, a conjunction of token constraints:
 ``PLACE=0``, ``PLACE>=1``, ``PLACE>=0``, ``honored`` (no place in debt), or
-``false`` (an unsatisfiable alternative).
+``false`` (an unsatisfiable alternative).  ``serialize_net`` writes them in
+this order, the places of each kind sorted.
 
 Contract documents::
 
@@ -25,13 +26,14 @@ Contract documents::
 
 Atoms start lowercase, participants start uppercase.  Every mentioned atom
 needs an ``owner`` line, clause heads must be owned by declared participants,
-and a document with no ``goal`` line gets the empty goal set.
+and a document with no ``goal`` line gets the empty goal set.  So a contract
+with no goal set at all has no document, and ``serialize_contract`` rejects it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .analysis import HONORED_GOAL, MarkingPredicate
 from .compiler import star_pid
@@ -47,14 +49,15 @@ NET_EXTENSION = ".lpn"
 CONTRACT_EXTENSION = ".pcl"
 
 
+# Goal constraints in the order a goal line writes them, each with the
+# ``MarkingPredicate`` field it sets: a place constraint is a place id and
+# this suffix, a flag is this word alone.
+_GOAL_FIELD = {"=0": "zero", ">=1": "positive", ">=0": "nonneg", "honored": "honored", "false": "unsat"}
+
+
 def _predicate_key(p: MarkingPredicate) -> tuple:
-    return (
-        tuple(sorted(p.zero)),
-        tuple(sorted(p.positive)),
-        tuple(sorted(p.nonneg)),
-        p.honored,
-        p.unsat,
-    )
+    values = (getattr(p, f.name) for f in fields(p))
+    return tuple(v if isinstance(v, bool) else tuple(sorted(v)) for v in values)
 
 
 @dataclass(frozen=True)
@@ -74,13 +77,7 @@ class NetDocument:
 
 
 def conjoin(first: MarkingPredicate, second: MarkingPredicate) -> MarkingPredicate:
-    return MarkingPredicate(
-        zero=first.zero | second.zero,
-        positive=first.positive | second.positive,
-        nonneg=first.nonneg | second.nonneg,
-        honored=first.honored or second.honored,
-        unsat=first.unsat or second.unsat,
-    )
+    return MarkingPredicate(**{f.name: getattr(first, f.name) | getattr(second, f.name) for f in fields(first)})
 
 
 def combine_goals(
@@ -131,13 +128,16 @@ def parse_net(text: str) -> NetDocument:
                 raise DocumentError("alphabet line needs at least one atom", lineno)
             saw_alphabet = True
             alphabet.update(rest)
-        elif keyword == "place":
+        elif keyword in ("place", "transition"):
             if not rest:
-                raise DocumentError("place line needs an id", lineno)
-            pid = rest[0]
-            if pid in places or pid in transitions:
-                raise DocumentError(f"duplicate id {pid!r}", lineno)
-            attrs = places[pid] = _attributes(rest[1:], ("label=", "tokens=", "lending"), "place", lineno)
+                raise DocumentError(f"{keyword} line needs an id", lineno)
+            xid = rest[0]
+            if xid in places or xid in transitions:
+                raise DocumentError(f"duplicate id {xid!r}", lineno)
+            if keyword == "transition":
+                transitions[xid] = _attributes(rest[1:], ("label=",), "transition", lineno).get("label")
+                continue
+            attrs = places[xid] = _attributes(rest[1:], ("label=", "tokens=", "lending"), "place", lineno)
             count = attrs.get("tokens", "0")
             if re.fullmatch("-[0-9]+", count):
                 raise DocumentError("token count must be non-negative", lineno)
@@ -147,13 +147,6 @@ def parse_net(text: str) -> NetDocument:
                 attrs["tokens"] = int(count)
             except ValueError:
                 raise DocumentError(f"token count of {len(count)} digits is too large", lineno) from None
-        elif keyword == "transition":
-            if not rest:
-                raise DocumentError("transition line needs an id", lineno)
-            tid = rest[0]
-            if tid in transitions or tid in places:
-                raise DocumentError(f"duplicate id {tid!r}", lineno)
-            transitions[tid] = _attributes(rest[1:], ("label=",), "transition", lineno).get("label")
         elif keyword == "arc":
             if len(rest) != 2:
                 raise DocumentError("arc line needs a source and a target", lineno)
@@ -183,43 +176,25 @@ def parse_net(text: str) -> NetDocument:
 
 
 def _parse_goal(tokens: list[str], places: dict, lineno: int) -> MarkingPredicate:
-    zero, positive, nonneg = set(), set(), set()
-    honored = False
-    unsat = False
     if not tokens:
         raise DocumentError("goal line needs at least one constraint", lineno)
+    found: dict[str, set[str] | bool] = {}
     for token in tokens:
-        if token == "honored":
-            honored = True
+        if "=" not in token:
+            if token not in _GOAL_FIELD:
+                raise DocumentError(f"unreadable goal constraint {token!r}", lineno)
+            found[_GOAL_FIELD[token]] = True
             continue
-        if token == "false":
-            unsat = True
-            continue
-        if ">=" in token:
-            pid, _, bound = token.rpartition(">=")
-            if bound == "0":
-                target = nonneg
-            elif bound == "1":
-                target = positive
-            else:
-                raise DocumentError(f"unsupported bound in {token!r}", lineno)
-        elif "=" in token:
-            pid, _, bound = token.rpartition("=")
-            if bound != "0":
-                raise DocumentError(f"unsupported constraint {token!r}", lineno)
-            target = zero
-        else:
-            raise DocumentError(f"unreadable goal constraint {token!r}", lineno)
+        sep = ">=" if ">=" in token else "="
+        pid, _, bound = token.rpartition(sep)
+        name = _GOAL_FIELD.get(sep + bound)
+        if name is None:
+            problem = "unsupported bound in" if sep == ">=" else "unsupported constraint"
+            raise DocumentError(f"{problem} {token!r}", lineno)
         if pid not in places:
             raise DocumentError(f"goal constrains unknown place {pid!r}", lineno)
-        target.add(pid)
-    return MarkingPredicate(
-        zero=frozenset(zero),
-        positive=frozenset(positive),
-        nonneg=frozenset(nonneg),
-        honored=honored,
-        unsat=unsat,
-    )
+        found.setdefault(name, set()).add(pid)
+    return MarkingPredicate(**{name: v if v is True else frozenset(v) for name, v in found.items()})
 
 
 def serialize_net(doc: NetDocument | LendingNet) -> str:
@@ -248,13 +223,12 @@ def serialize_net(doc: NetDocument | LendingNet) -> str:
         lines.append(f"arc {src} {dst}")
     for goal in doc.goals:
         parts = ["goal"]
-        parts.extend(f"{p}=0" for p in sorted(goal.zero))
-        parts.extend(f"{p}>=1" for p in sorted(goal.positive))
-        parts.extend(f"{p}>=0" for p in sorted(goal.nonneg))
-        if goal.honored:
-            parts.append("honored")
-        if goal.unsat:
-            parts.append("false")
+        for syntax, name in _GOAL_FIELD.items():
+            value = getattr(goal, name)
+            if value is True:
+                parts.append(syntax)
+            elif value:
+                parts.extend(p + syntax for p in sorted(value))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -327,21 +301,17 @@ def _parse_clause(body_text: str, lineno: int) -> HornClause:
     body_part, head_part = pieces[:split], pieces[split + 1 :]
     if len(head_part) != 1 or head_part[0] == "&":
         raise DocumentError("clause needs exactly one head atom", lineno)
-    expected_sep = False
-    body: list[str] = []
-    for piece in body_part:
-        if expected_sep:
-            if piece != "&":
-                raise DocumentError("body atoms must be separated by '&'", lineno)
-        else:
-            if piece == "&":
-                raise DocumentError("misplaced '&' in clause body", lineno)
-            body.append(_check_atom(piece, lineno))
-        expected_sep = not expected_sep
-    if body and not expected_sep:
-        raise DocumentError("clause body ends with a dangling '&'", lineno)
+    # The split leaves a separator between any two atoms, so a body that
+    # starts with an atom alternates atom and '&'.
+    body = body_part[::2]
     if not body:
         raise DocumentError("clause needs a non-empty body; use a fact line instead", lineno)
+    for piece in body:
+        if piece == "&":
+            raise DocumentError("misplaced '&' in clause body", lineno)
+        _check_atom(piece, lineno)
+    if len(body_part) % 2 == 0:
+        raise DocumentError("clause body ends with a dangling '&'", lineno)
     try:
         return HornClause(
             head=_check_atom(head_part[0], lineno),
@@ -353,21 +323,20 @@ def _parse_clause(body_text: str, lineno: int) -> HornClause:
 
 
 def serialize_contract(c: PCLContract) -> str:
+    if not c.goals:
+        raise ContractError("a contract with no goal set has no document form")
     lines: list[str] = []
     if c.participants:
         lines.append("participant " + " ".join(sorted(c.participants)))
     for atom in sorted(c.ownership):
         lines.append(f"owner {atom} {c.ownership[atom]}")
-    ordered = sorted(c.clauses, key=HornClause.sort_key)
-    for clause in ordered:
+    for clause in sorted(c.clauses, key=lambda cl: (not cl.is_fact, cl.sort_key())):
         if clause.is_fact:
             lines.append(f"fact {clause.head}")
-    for clause in ordered:
-        if clause.is_fact:
-            continue
-        arrow = "->>" if clause.contractual else "->"
-        body = " & ".join(sorted(clause.body))
-        lines.append(f"clause {body} {arrow} {clause.head}")
+        else:
+            arrow = "->>" if clause.contractual else "->"
+            body = " & ".join(sorted(clause.body))
+            lines.append(f"clause {body} {arrow} {clause.head}")
     if c.goals != frozenset({frozenset()}):
         for goal in sorted(c.goals, key=lambda g: tuple(sorted(g))):
             lines.append(("goal " + " ".join(sorted(goal))).rstrip())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,13 +33,28 @@ Trace = tuple[Atom, ...]
 
 Participant = str
 
+# An atom names places and transitions of its compiled net, so it holds no
+# character a net id forbids (``nets._ID_FORBIDDEN``) and none of the
+# separators ``&``, ``@``, ``-`` and ``>`` that the compiler writes between
+# atoms: two clauses never compile to one transition id.
+_ATOM_RE = re.compile(r'[^\s=#"\\&@>-]+\Z')
+
+
+def _check_atoms(atoms: Iterable, what: str) -> None:
+    bad = [a for a in atoms if not isinstance(a, str) or not _ATOM_RE.match(a)]
+    if bad:
+        raise ContractError(f"bad {what} {min(bad, key=repr)!r}")
+
 
 @dataclass(frozen=True)
 class HornClause:
     """One clause; ``contractual`` selects ``->>`` over ``->``.
 
     A fact is an intuitionistic clause with an empty body; contractual
-    clauses must have a non-empty body.
+    clauses must have a non-empty body.  The body is a collection of atoms,
+    never one ``str``, and every atom is a non-empty ``str`` without
+    whitespace or any of ``= # " \\ & @ - >``, so that the compiler names
+    each clause's transition and places apart from every other's.
     """
 
     head: Atom
@@ -46,9 +62,11 @@ class HornClause:
     contractual: bool = False
 
     def __post_init__(self):
+        if isinstance(self.body, str):
+            raise ContractError(f"clause body {self.body!r} is one string, not a collection of atoms")
         object.__setattr__(self, "body", frozenset(self.body))
-        if not self.head or not isinstance(self.head, str):
-            raise ContractError(f"bad clause head {self.head!r}")
+        _check_atoms([self.head], "clause head")
+        _check_atoms(self.body, "body atom")
         if self.contractual and not self.body:
             raise ContractError("a contractual clause needs a non-empty body")
 
@@ -96,7 +114,9 @@ class PCLContract(_Canonical):
 
     Ownership must cover every atom the theory or the goals mention, and the
     owner of every clause head must be one of the bound participants: a
-    contract can only promise what its own participants control.  Omitted
+    contract can only promise what its own participants control.  Every
+    owned atom gets delivery places in the compiled net, so ownership keys
+    are atoms by ``HornClause``'s rule.  Omitted
     fields are empty, except the goals: the one empty goal.  ``contract`` is
     this constructor under another name.
 
@@ -116,6 +136,7 @@ class PCLContract(_Canonical):
     def __post_init__(self):
         object.__setattr__(self, "clauses", frozenset(self.clauses))
         _store_terms(self)
+        _check_atoms(self.ownership, "owned atom")
         mentioned = clause_atoms(self.clauses) | frozenset(a for g in self.goals for a in g)
         unowned = sorted(mentioned - set(self.ownership))
         if unowned:

@@ -1,5 +1,7 @@
 """Compiling Horn theories into contract nets."""
 
+import random
+
 import pytest
 
 from lendingnets import (
@@ -38,6 +40,9 @@ from lendingnets.fixtures import (
     self_credit_contract,
     toy_swap_contracts,
 )
+from lendingnets.nets import _ID_FORBIDDEN
+
+from generators import random_contract
 
 
 def clause(head, *body, credit=False):
@@ -53,6 +58,40 @@ class TestNaming:
     def test_place_ids(self):
         assert star_pid("a") == "a@*"
         assert delivery_pid("x", clause("a", "b", credit=True)) == "x@b->>a"
+
+    def test_atoms_that_would_share_a_transition_id_are_rejected(self):
+        # ``b&c -> a`` and ``b & c -> a`` would both compile to ``b&c->a``.
+        with pytest.raises(ContractError, match="bad body atom 'b&c'"):
+            HornClause(head="a", body=frozenset({"b&c"}))
+        assert clause_tid(clause("a", "b", "c")) == "b&c->a"
+
+    @pytest.mark.parametrize(
+        "atom", ["b@c", "b-c", "b>c", "->", "b c", "b\tc", "b=c", "b#c", 'b"c', "b\\c", "", 1, None]
+    )
+    def test_atoms_are_nonempty_strings_free_of_separators_and_reserved_characters(self, atom):
+        with pytest.raises(ContractError, match="bad clause head"):
+            HornClause(head=atom)
+        with pytest.raises(ContractError, match="bad body atom"):
+            HornClause(head="a", body=frozenset({"b", atom}))
+        with pytest.raises(ContractError, match="bad owned atom"):
+            contract(ownership={atom: "A"})
+
+    def test_every_character_a_net_id_forbids_is_refused_in_atoms(self):
+        forbidden = [chr(i) for i in range(0x110000) if _ID_FORBIDDEN.search(chr(i))]
+        assert len(forbidden) > 5
+        for ch in forbidden:
+            with pytest.raises(ContractError):
+                HornClause(head=f"a{ch}")
+
+    def test_a_body_given_as_one_string_is_refused(self):
+        with pytest.raises(ContractError, match="one string"):
+            HornClause(head="a", body="bc")
+
+    def test_random_contracts_compile_one_transition_per_clause(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            c = random_contract(rng)
+            assert len(compile_contract(c).net.transitions) == len(c.clauses)
 
 
 class TestSelfCredit:

@@ -1,10 +1,12 @@
 """Reading and writing the textual net and contract formats."""
 
+import itertools
 import random
 
 import pytest
 
 from lendingnets import (
+    ContractError,
     DocumentError,
     HONORED_GOAL,
     MarkingPredicate,
@@ -30,7 +32,9 @@ from lendingnets.fixtures import (
     handshake_lending_a,
     toy_swap_contracts,
 )
+from lendingnets.formats import _parse_clause
 
+from clause_oracle import old_parse_clause
 from generators import random_contract, random_net
 
 SMALL_NET = """\
@@ -124,6 +128,20 @@ class TestParseNet:
             parse_net("place p\ntransition t\narc t p\n")
 
 
+def random_goal(rng: random.Random, places: list[str]) -> MarkingPredicate:
+    """A goal alternative with at least one constraint, each kind drawn on its own."""
+    while True:
+        goal = MarkingPredicate(
+            zero=frozenset(rng.sample(places, rng.randint(0, 2))),
+            positive=frozenset(rng.sample(places, rng.randint(0, 2))),
+            nonneg=frozenset(rng.sample(places, rng.randint(0, 2))),
+            honored=rng.random() < 0.5,
+            unsat=rng.random() < 0.2,
+        )
+        if goal != MarkingPredicate():
+            return goal
+
+
 class TestNetRoundTrip:
     def test_fixture_nets_round_trip(self):
         for net in fixture_nets():
@@ -141,9 +159,14 @@ class TestNetRoundTrip:
 
     def test_random_nets_round_trip(self):
         rng = random.Random(23)
+        goal_rng = random.Random(24)
         for i in range(30):
-            doc = NetDocument(net=random_net(rng, f"r{i}"))
-            assert parse_net(serialize_net(doc)) == doc
+            net = random_net(rng, f"r{i}")
+            goals = tuple(random_goal(goal_rng, sorted(net.places)) for _ in range(goal_rng.randint(1, 3)))
+            for doc in (NetDocument(net=net), NetDocument(net=net, goals=goals)):
+                text = serialize_net(doc)
+                assert parse_net(text) == doc
+                assert serialize_net(parse_net(text)) == text
 
     def test_bare_nets_serialize_like_their_documents(self):
         net = handshake_lending_a()
@@ -220,6 +243,33 @@ class TestContractRoundTrip:
         for _ in range(30):
             c = random_contract(rng)
             assert parse_contract(serialize_contract(c)) == c
+
+    def test_a_contract_without_goal_sets_has_no_document(self):
+        c = contract(clauses={fact("a")}, participants={"A"}, ownership={"a": "A"}, goals=())
+        with pytest.raises(ContractError, match="no goal set"):
+            serialize_contract(c)
+
+
+# Every clause line of up to five pieces over these is parsed as the oracle
+# parses it: arrows, '&', atoms, a non-atom, and the characters of arrows.
+CLAUSE_PIECES = ("a", "b", "A", "_", "&", "-", ">", " ", "->", "->>")
+
+
+def _clause_outcome(parse, text: str):
+    try:
+        return parse(text, 3)
+    except DocumentError as exc:
+        return str(exc)
+
+
+def test_clause_lines_parse_as_the_oracle_parses_them():
+    compared = 0
+    for n in range(1, 6):
+        for pieces in itertools.product(CLAUSE_PIECES, repeat=n):
+            text = "".join(pieces)
+            assert _clause_outcome(_parse_clause, text) == _clause_outcome(old_parse_clause, text), text
+            compared += 1
+    assert compared == 111_110
 
 
 class TestCompiledDocuments:

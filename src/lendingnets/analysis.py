@@ -81,8 +81,8 @@ class _Layout:
     their labels (None when unlabeled) in ``labels`` and their ``_steps``
     rows over ``places`` in ``steps``; ``owing`` maps each place that can
     owe (a lending place some transition consumes) to its index.  A node's
-    dense vectors are in this order.  The other places are read by the state
-    equation, from the net's ``initial`` counts and its postset table
+    dense vectors are in this order.  ``marking`` reads the other places by the
+    state equation, from the net's ``initial`` counts and its postset table
     ``post``: the layout is kept with the net, so it holds no reference to it.
 
     ``moves[k]`` is ``(t, takes, gives, touch, retest, lends, repays)``:
@@ -106,13 +106,6 @@ class _Layout:
     def counts(self, marking: Mapping[PlaceId, int]) -> list[int]:
         """The counts of ``marking`` on ``places``, a walk's start."""
         return [marking.get(p, 0) for p in self.places]
-
-    def state_equation(self, place: PlaceId, fired) -> int:
-        """The count of ``place``, which no transition consumes, by the state equation:
-        its initial count plus its producers' firings (0 for an id that is no place)."""
-        post = self.post
-        return self.initial.get(place, 0) + sum(
-            [n for t, n in compress(zip(self.transitions, fired), fired) if place in post[t]])
 
     def marking(self, counts, fired) -> tuple[tuple[PlaceId, int], ...]:
         """The nonzero counts of every place, by id, from a node's consumed counts and fired vector.
@@ -138,9 +131,9 @@ class Node:
     are the nonzero counts as ``(id, count)`` pairs sorted by id, built on
     each read; ``honored`` is not part of ``==``, ``hash`` or ``repr``.
     ``tokens`` looks a consumed place up by index and reads any other place
-    by the state equation (no transition consumes it, so it holds its
-    initial count plus its producers' firings), and ``fired_set`` reads the
-    fired vector.
+    off ``marking`` (no transition consumes it, so by the state equation it
+    holds its initial count plus its producers' firings), and ``fired_set``
+    reads the fired vector.
     """
 
     __slots__ = ("_honored", "_counts", "_vector", "_layout")
@@ -175,7 +168,7 @@ class Node:
 
     def tokens(self, place: PlaceId) -> int:
         k = self._layout.at.get(place)
-        return self._layout.state_equation(place, self._vector) if k is None else self._counts[k]
+        return dict(self.marking).get(place, 0) if k is None else self._counts[k]
 
     def fired_multiset(self) -> Counter:
         return Counter(dict(self.fired))
@@ -409,9 +402,10 @@ def _first_stuck(parts: list[tuple], incomplete: str, detail: Callable[[Node], s
 def _least_path(graph: ReachGraph, i: int) -> tuple[int, list[TransitionId]]:
     """Node ``i``'s rank by least run, first by length, then by ids: its breadth-first path,
     read back along each node's first in-edge, the edge that found it."""
+    first = {dst: (t, src) for src, t, dst in reversed(graph.edges)}
     path = []
     while i:
-        t, i = graph.in_edges(i)[0]
+        t, i = first[i]
         path.append(t)
     return len(path), path[::-1]
 

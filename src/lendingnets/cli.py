@@ -131,7 +131,11 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _verdict_exit(verdict: Verdict) -> int:
+def _answer(line: str, verdict: Verdict) -> int:
+    """Print the verdict ``line``, and the detail on stderr unless the verdict holds; return its exit code."""
+    print(line)
+    if verdict.outcome is not Outcome.HOLDS and verdict.detail:
+        print(f"  {verdict.detail}", file=sys.stderr)
     return _EXIT_BY_OUTCOME[verdict.outcome]
 
 
@@ -185,10 +189,7 @@ def cmd_check_wt(args) -> int:
         verdict = weakly_terminates(doc.net, doc.goal_like(), args.budget)
     else:
         verdict = weakly_terminates_in(compile_contract(doc), args.budget)
-    print(f"weak termination: {verdict.outcome.value}")
-    if verdict.outcome is not Outcome.HOLDS and verdict.detail:
-        print(f"  {verdict.detail}", file=sys.stderr)
-    return _verdict_exit(verdict)
+    return _answer(f"weak termination: {verdict.outcome.value}", verdict)
 
 
 def cmd_check_agreement(args) -> int:
@@ -203,10 +204,7 @@ def cmd_check_agreement(args) -> int:
     logical = admits_agreement(doc) if args.via == "both" else None
     verdict = agreement_via_net(doc, args.budget)
     if args.via == "net" or verdict.outcome is Outcome.INCONCLUSIVE:
-        print(f"agreement (net): {_NET_ANSWER[verdict.outcome]}")
-        if verdict.outcome is not Outcome.HOLDS and verdict.detail:
-            print(f"  {verdict.detail}", file=sys.stderr)
-        return _verdict_exit(verdict)
+        return _answer(f"agreement (net): {_NET_ANSWER[verdict.outcome]}", verdict)
     net_answer = verdict.outcome is Outcome.HOLDS
     if net_answer is not logical:
         raise AssertionError(

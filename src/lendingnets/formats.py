@@ -229,6 +229,8 @@ def serialize_net(doc: NetDocument | LendingNet) -> str:
                 parts.append(syntax)
             elif value:
                 parts.extend(p + syntax for p in sorted(value))
+        if len(parts) == 1:
+            raise DocumentError("an always-true goal alternative has no document form")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -312,14 +314,11 @@ def _parse_clause(body_text: str, lineno: int) -> HornClause:
         _check_atom(piece, lineno)
     if len(body_part) % 2 == 0:
         raise DocumentError("clause body ends with a dangling '&'", lineno)
-    try:
-        return HornClause(
-            head=_check_atom(head_part[0], lineno),
-            body=frozenset(body),
-            contractual=(arrow == "->>"),
-        )
-    except ContractError as exc:
-        raise DocumentError(str(exc), lineno) from exc
+    return HornClause(
+        head=_check_atom(head_part[0], lineno),
+        body=frozenset(body),
+        contractual=(arrow == "->>"),
+    )
 
 
 def serialize_contract(c: PCLContract) -> str:

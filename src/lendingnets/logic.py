@@ -137,8 +137,7 @@ class PCLContract(_Canonical):
         object.__setattr__(self, "clauses", frozenset(self.clauses))
         _store_terms(self)
         _check_atoms(self.ownership, "owned atom")
-        mentioned = clause_atoms(self.clauses) | frozenset(a for g in self.goals for a in g)
-        unowned = sorted(mentioned - set(self.ownership))
+        unowned = sorted(self.atoms() - set(self.ownership))
         if unowned:
             raise ContractError(f"atoms without an owner: {unowned}")
         for c in sorted(self.clauses, key=HornClause.sort_key):
@@ -247,13 +246,7 @@ def compose_contracts(first: PCLContract, second: PCLContract) -> PCLContract:
 
 def dedupe(word: Iterable[Atom]) -> Trace:
     """Drop repeated atoms, keeping each one's first occurrence."""
-    seen: set[Atom] = set()
-    out = []
-    for a in word:
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    return tuple(out)
+    return tuple(dict.fromkeys(word))
 
 
 def concat(left: Iterable[Atom], right: Iterable[Atom]) -> Trace:

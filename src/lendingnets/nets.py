@@ -265,13 +265,18 @@ class FiringSequence:
         return tuple(t for t, _ in self.steps)
 
 
-def enabled(net: LendingNet, marking: Mapping[PlaceId, int], transition: TransitionId) -> bool:
-    """True when every input place has a token or lends one."""
+def _blocking(net: LendingNet, marking: Mapping[PlaceId, int], transition: TransitionId) -> PlaceId | None:
+    """The first input place, in sorted order, that holds no token and does not lend; None when enabled."""
     if transition not in net.transitions:
         raise NetStructureError(f"unknown transition {transition!r}")
-    return all(
-        marking.get(s, 0) >= 1 or s in net.lending for s in net.preset(transition)
+    return next(
+        (s for s in sorted(net.preset(transition)) if marking.get(s, 0) < 1 and s not in net.lending), None
     )
+
+
+def enabled(net: LendingNet, marking: Mapping[PlaceId, int], transition: TransitionId) -> bool:
+    """True when every input place has a token or lends one."""
+    return _blocking(net, marking, transition) is None
 
 
 def enabled_transitions(net: LendingNet, marking: Mapping[PlaceId, int]) -> list[TransitionId]:
@@ -280,11 +285,9 @@ def enabled_transitions(net: LendingNet, marking: Mapping[PlaceId, int]) -> list
 
 def fire(net: LendingNet, marking: Mapping[PlaceId, int], transition: TransitionId) -> Marking:
     """Successor marking; raises FiringError naming a blocking place if disabled."""
-    if transition not in net.transitions:
-        raise NetStructureError(f"unknown transition {transition!r}")
-    for s in sorted(net.preset(transition)):
-        if marking.get(s, 0) < 1 and s not in net.lending:
-            raise FiringError(transition, s)
+    blocking = _blocking(net, marking, transition)
+    if blocking is not None:
+        raise FiringError(transition, blocking)
     result = {p: marking.get(p, 0) for p in net.places}
     for s in net.preset(transition):
         result[s] -= 1

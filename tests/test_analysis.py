@@ -9,6 +9,7 @@ from lendingnets import (
     HONORED_GOAL,
     IncompleteExplorationError,
     MarkingPredicate,
+    NetStructureError,
     Outcome,
     backward_closure,
     explore,
@@ -26,6 +27,7 @@ from lendingnets.fixtures import (
     handshake_strict_b,
     prepaid_choice_net,
 )
+from lendingnets.analysis import as_goal_fn
 
 from generators import random_net
 
@@ -215,3 +217,8 @@ def test_goal_predicate_forms():
     assert not any(unsat.holds_at(node) for node in graph.nodes)
     verdict = weakly_terminates(net, unsat, graph=graph)
     assert verdict.outcome is Outcome.FAILS
+
+
+def test_a_goal_disjunct_that_is_no_marking_predicate_is_refused():
+    with pytest.raises(NetStructureError, match="not a marking predicate: 'honored'"):
+        as_goal_fn([HONORED_GOAL, "honored"])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lendingnets import cli, parse_contract, parse_net, serialize_contract
+from lendingnets import LendingNet, cli, export_dot, parse_contract, parse_net, serialize_contract
 from lendingnets.cli import main
 from lendingnets.fixtures import exchange_pair_contract, toy_swap_composite
 
@@ -241,6 +241,11 @@ class TestDot:
         code, out, _ = run(capsys, "dot", str(odd))
         assert code == 0
         assert out.startswith('digraph "odd\\\\" {\n')
+
+    def test_a_place_with_two_tokens_draws_its_count(self):
+        out = export_dot(LendingNet(places=["p", "q"], initial={"p": 2, "q": 1}))
+        assert '"p" [shape=circle, peripheries=1, label="p\\n2•"];' in out
+        assert '"q" [shape=circle, peripheries=1, label="q\\n•"];' in out
 
 
 class TestDeterminism:

@@ -31,10 +31,10 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.analysis import _components
+from lendingnets.analysis import _components, _layout, _least_path, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
-from generators import credit_ring, pairs_contract, random_contract
+from generators import credit_ring, pairs_contract, random_contract, settled_pairs
 
 CHECKS = (
     (agreement_reachable, oracle.agreement_reachable),
@@ -234,6 +234,44 @@ def test_a_tie_in_firings_goes_to_the_least_path():
     assert [tuple(row[1] for row in c) for c in _components(net)] == [("a1", "z1"), ("m",)]
     assert_same_verdicts(cn)
     assert weakly_terminates_in(cn).witness.fired == (("m", 1),)
+
+
+def overshot_pairs(n: int) -> PCLContract:
+    """Two disjoint copies of ``settled_pairs(n)`` plus the overshoot ``z -> c``, each with every
+    atom but ``c`` as its goal: each component can get stuck, the deepest after 2n + 2 firings."""
+    part = settled_pairs(n)
+    part = PCLContract(
+        clauses=part.clauses | {HornClause("c", frozenset({"z"}))},
+        participants=part.participants | {"Pc"},
+        ownership={**part.ownership, "c": "Pc"},
+        goals=part.goals,
+    )
+    return compose_contracts(part, renamed(part, "w"))
+
+
+def in_edge_path(graph, i: int):
+    """``_least_path`` as it read each step's first in-edge from ``graph.in_edges``."""
+    path = []
+    while i:
+        t, i = graph.in_edges(i)[0]
+        path.append(t)
+    return len(path), path[::-1]
+
+
+def test_least_paths_follow_each_node_s_first_in_edge():
+    rng = random.Random(31)
+    family = [overshot_pairs(n) for n in (1, 2, 3, 4)]
+    for c in [random_contract(rng) for _ in range(40)] + disjoint_pairs(40, seed=8) + family:
+        net = compile_contract(c).net
+        for rows in _components(net):
+            graph = _walk(net, rows, _layout(net).counts(net.initial), DEFAULT_BUDGET)
+            assert graph.complete
+            for i in range(len(graph.nodes)):
+                assert _least_path(graph, i) == in_edge_path(graph, i)
+    verdict = weakly_terminates_in(compile_contract(family[-1]))
+    assert verdict.outcome is Outcome.FAILS
+    assert sum(n for _, n in verdict.witness.fired) == 10
+    assert_same_verdicts(compile_contract(family[1]))
 
 
 def test_an_unvalidated_net_whose_components_share_a_label_merges():

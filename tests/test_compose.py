@@ -206,6 +206,10 @@ class TestTracePreorder:
         with pytest.raises(NetStructureError):
             approximates(circular_lending_net(), handshake_strict_a())
 
+    def test_equivalence_over_different_alphabets_is_structural(self):
+        with pytest.raises(NetStructureError, match="shared label universe"):
+            trace_equivalent(circular_lending_net(), handshake_strict_a())
+
     def test_budget_exhaustion_is_inconclusive(self):
         verdict = approximates(handshake_lending_a(), handshake_lending_a(), budget=1)
         assert verdict.outcome is Outcome.INCONCLUSIVE

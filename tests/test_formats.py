@@ -168,6 +168,11 @@ class TestNetRoundTrip:
                 assert parse_net(text) == doc
                 assert serialize_net(parse_net(text)) == text
 
+    def test_an_always_true_goal_alternative_has_no_document(self):
+        doc = NetDocument(net=handshake_lending_a(), goals=(handshake_goal_lending_a(), MarkingPredicate()))
+        with pytest.raises(DocumentError, match="^an always-true goal alternative has no document form$"):
+            serialize_net(doc)
+
     def test_bare_nets_serialize_like_their_documents(self):
         net = handshake_lending_a()
         assert serialize_net(net) == serialize_net(NetDocument(net=net))
@@ -202,6 +207,7 @@ class TestParseContract:
         "text, fragment",
         [
             ("participant a\n", "capitalized"),
+            ("participant\n", "participant line needs at least one name"),
             ("owner A B\n", "lowercase"),
             ("owner a\n", "an atom and a participant"),
             ("participant A B\nowner a A\nowner a B\nfact a\n", "two owners"),

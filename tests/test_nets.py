@@ -87,6 +87,30 @@ class TestFiringErrors:
         assert exc.value.transition == "b"
         assert exc.value.place == "p1"
 
+    def test_fire_names_the_first_blocking_place_by_id(self):
+        """Whatever order a set keeps, the place named is the least blocking id."""
+        for prefix in "abcdefghij":
+            inputs = [f"{prefix}{k}" for k in range(8)]
+            net = LendingNet(places=inputs, transitions=["t"], flow=[(p, "t") for p in inputs],
+                             initial={inputs[0]: 1})
+            assert not enabled(net, net.initial_marking(), "t")
+            with pytest.raises(FiringError, match=f"place '{prefix}1' has no token") as exc:
+                fire(net, net.initial_marking(), "t")
+            assert exc.value.place == f"{prefix}1"
+            assert enabled(net, dict.fromkeys(inputs, 1), "t")
+
+    def test_unknown_ids_are_structural(self):
+        net = circular_lending_net()
+        for read in (net.preset, net.postset):
+            with pytest.raises(NetStructureError, match="unknown node 'nope'"):
+                read("nope")
+        with pytest.raises(NetStructureError, match="unknown transition 'nope'"):
+            trace_of(net, ["c", "nope"])
+        with pytest.raises(NetStructureError, match="unknown transition 'nope'"):
+            marking_of_state(net, {"nope": 1})
+        with pytest.raises(NetStructureError, match="negative firing count for 'c'"):
+            marking_of_state(net, {"c": -1})
+
     def test_lending_place_does_not_block(self):
         net = circular_lending_net()
         m = fire(net, net.initial_marking(), "c")
@@ -138,6 +162,25 @@ def test_unsafe_net_is_detected():
     assert verdict.witness == "s"
 
 
+def test_a_place_that_starts_with_two_tokens_is_unsafe():
+    verdict = is_safe(LendingNet(places=["s"], initial={"s": 2}))
+    assert verdict.outcome is Outcome.FAILS
+    assert verdict.witness == "s"
+    assert verdict.detail == "place 's' initially holds 2 tokens"
+
+
+def test_a_marking_met_twice_is_kept_once():
+    """Two independent transitions reach one marking in either order: 4 markings, not 5."""
+    net = LendingNet(
+        places=["a", "b", "c", "d"],
+        transitions=["ta", "tb"],
+        flow=[("a", "ta"), ("ta", "c"), ("b", "tb"), ("tb", "d")],
+        initial={"a": 1, "b": 1},
+    )
+    assert is_safe(net, budget=4).outcome is Outcome.HOLDS
+    assert is_safe(net, budget=3).outcome is Outcome.INCONCLUSIVE
+
+
 def test_budget_exhaustion_is_inconclusive_not_false():
     net = LendingNet.build(
         places=["s0", "s1"],
@@ -186,6 +229,20 @@ class TestStructuralValidation:
     def test_lending_must_be_places(self):
         with pytest.raises(NetStructureError):
             LendingNet.build(places=["p"], lending=["q"])
+
+    @pytest.mark.parametrize(
+        "fields, fragment",
+        [
+            (dict(places=["x"], transitions=["x"]), "used both as place and transition"),
+            (dict(places=["p"], place_labels={"q": "a"}), "label on unknown place 'q'"),
+            (dict(places=["p"], transition_labels={"t": "a"}), "label on unknown transition 't'"),
+            (dict(places=["p"], initial={"q": 1}), "initial marking on unknown place 'q'"),
+            (dict(places=["p"], transitions=["t"], flow=[("p", "t", "p")]), "is not a pair"),
+        ],
+    )
+    def test_malformed_nets_are_rejected_with_their_reason(self, fields, fragment):
+        with pytest.raises(NetStructureError, match=fragment):
+            LendingNet(**fields)
 
 
 def test_correct_labeling_violation():
@@ -350,3 +407,11 @@ def test_net_equality_is_componentwise():
     widened = circular_lending_net().with_alphabet({"a", "b", "c", "d"})
     assert widened != circular_lending_net()
     assert widened.places == circular_lending_net().places
+
+
+def test_nets_and_nodes_differ_from_values_of_other_types():
+    net = circular_lending_net()
+    root = explore(net).root
+    for value in (net, root):
+        assert (value == "net") is False
+        assert value != object()

@@ -103,6 +103,16 @@ def test_validate_reports_the_search_where_the_rule_does_not_apply():
         assert ("occurrence" in [v.code for v in violations]) is (outcome is Outcome.FAILS)
 
 
+def test_validate_reports_a_search_the_budget_cut_short():
+    """A self-loop on a marked place is outside the rule, and one state is too few to decide it."""
+    net = LendingNet(places=["s"], transitions=["t"], flow=[("s", "t"), ("t", "s")], initial={"s": 1})
+    assert not _fires_at_most_once(net)
+    cn = ContractNet(net=net, participants=(), ownership={}, goals=())
+    occurrence = [v for v in validate(cn, budget=1) if v.code == "occurrence"]
+    assert [(v.subject, v.message) for v in occurrence] == [("", "exploration budget 1 exhausted")]
+    assert [v.subject for v in validate(cn) if v.code == "occurrence"] == ["t"]
+
+
 @pytest.mark.parametrize("contract", [pairs_contract(11), settled_pairs(12), pairs_contract(40)],
                          ids=["pairs11", "settled12", "pairs40"])
 def test_validate_decides_large_compiled_nets_at_once(contract):

@@ -33,16 +33,18 @@ table the net keeps besides its components, both in its instance dict
 (``nets._kept``).
 
 Each edge fires one more transition than its source, so breadth-first order
-is topological: ``src < dst`` for every edge.  A graph holds only its net,
-nodes, edges and completeness flag; out-edges and the node index (keyed by
-fired pairs, so building it builds no marking) are built on first use and
-kept in its instance dict (``nets._kept``).
+is topological: ``src < dst`` for every edge.  A walk lists a node's edges
+while it expands the node, in index order, so a graph's edges are in order
+of their source.  A graph holds only its net, nodes, edges and completeness
+flag; its readers take out-edges from the edge list, and the node index
+(keyed by fired pairs, so building it builds no marking) is built on first
+use and kept in its instance dict (``nets._kept``).
 
 The "all nodes can reach a target" checks share one stuck routine,
 ``_first_stuck``, and urgency one routine, ``_urgent``.  Each decides a
 product of parts, a part being one walk's graph with its target states; an
 explored graph is the one-part case.  Each takes one backward closure per
-part, and a closure is one sweep from the last state to the first.
+part, and a closure is one pass over the edges from the last to the first.
 
 A ``budget`` counts the states a search may keep: graph nodes, (node, word)
 pairs in ``trace_set``, or for the component walks the shared root once plus
@@ -54,10 +56,12 @@ flag stopped ends at the flagged node, its last.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 
 from .errors import IncompleteExplorationError, NetStructureError
 from .nets import (
@@ -131,8 +135,8 @@ class Node:
     are the nonzero counts as ``(id, count)`` pairs sorted by id, built on
     each read; ``honored`` is not part of ``==``, ``hash`` or ``repr``.
     ``tokens`` looks a consumed place up by index and reads any other place
-    off ``marking`` (no transition consumes it, so by the state equation it
-    holds its initial count plus its producers' firings), and ``fired_set``
+    by the state equation, with no marking built: no transition consumes it,
+    so it holds its initial count plus its producers' firings.  ``fired_set``
     reads the fired vector.
     """
 
@@ -167,8 +171,16 @@ class Node:
         return f"{type(self).__qualname__}(marking={self.marking!r}, fired={self.fired!r})"
 
     def tokens(self, place: PlaceId) -> int:
-        k = self._layout.at.get(place)
-        return dict(self.marking).get(place, 0) if k is None else self._counts[k]
+        layout = self._layout
+        k = layout.at.get(place)
+        if k is not None:
+            return self._counts[k]
+        # A plain loop: in CPython 3.11 a comprehension in this method slows the lookup above by half.
+        n = layout.initial.get(place, 0)
+        for t, m in compress(zip(layout.transitions, self._vector), self._vector):
+            if place in layout.post[t]:
+                n += m
+        return n
 
     def fired_multiset(self) -> Counter:
         return Counter(dict(self.fired))
@@ -184,7 +196,8 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class ReachGraph:
-    """Deterministic breadth-first reachability graph of a lending net; every edge leads to a later node."""
+    """Deterministic breadth-first reachability graph of a lending net; every edge leads to a
+    later node, and edges are listed by source, so a node's out-edges are one slice of ``edges``."""
 
     net: LendingNet
     nodes: tuple[Node, ...]
@@ -192,21 +205,13 @@ class ReachGraph:
     complete: bool
 
     def __post_init__(self):
-        n = len(self.nodes)
+        n, last = len(self.nodes), 0
         for src, t, dst in self.edges:
             if not 0 <= src < dst < n:
                 raise NetStructureError(f"edge {src} -{t}-> {dst} does not lead to a later node of the graph")
-
-    @property
-    def _out(self) -> list[list[tuple[TransitionId, int]]]:
-        """Each node's out-edges as ``(t, dst)`` pairs, built on first use and kept (``_kept``)."""
-        def build() -> list[list[tuple[TransitionId, int]]]:
-            out: list[list] = [[] for _ in self.nodes]
-            for src, t, dst in self.edges:
-                out[src].append((t, dst))
-            return out
-
-        return _kept(self, "_out", build)
+            if src < last:
+                raise NetStructureError(f"edge {src} -{t}-> {dst} is listed after an edge out of node {last}")
+            last = src
 
     @property
     def _index(self) -> dict[tuple[tuple[TransitionId, int], ...], int]:
@@ -231,7 +236,9 @@ class ReachGraph:
         return node
 
     def out_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
-        return tuple(self._out[self.index_of(node)])
+        i, edges = self.index_of(node), self.edges
+        first = bisect_left(edges, i, key=itemgetter(0))
+        return tuple([(t, dst) for _, t, dst in edges[first:bisect_right(edges, i, first, key=itemgetter(0))]])
 
     def in_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
         i = self.index_of(node)
@@ -355,22 +362,19 @@ def as_goal_fn(goal: GoalLike) -> Callable[[Node], bool]:
 
 def backward_closure(graph: ReachGraph, targets: Iterable[int]) -> set[int]:
     """Indices of all nodes from which some target node is reachable."""
-    return _reaching(graph._out, {graph.index_of(i) for i in targets})
+    return _reaching(graph, {graph.index_of(i) for i in targets})
 
 
-def _reaching(out: list[list[tuple[TransitionId, int]]], reached: set[int]) -> set[int]:
-    """Add to ``reached`` every state with a path into it, given each state's out-edges.
+def _reaching(graph: ReachGraph, reached: set[int]) -> set[int]:
+    """Add to ``reached`` every state of ``graph`` with a path into it.
 
-    Edges lead to later states, so one sweep from the last state to the first
-    sees every successor of a state before the state itself; a state's scan
-    stops at its first successor already reached.
+    Edges lead to later states and are listed by source, so read from the
+    end, every edge out of a state comes after the edges out of every later
+    state: the edge's target is settled when the edge is read.
     """
-    for i in range(len(out) - 1, -1, -1):
-        if i not in reached:
-            for _, j in out[i]:
-                if j in reached:
-                    reached.add(i)
-                    break
+    for src, _, dst in reversed(graph.edges):
+        if dst in reached:
+            reached.add(src)
     return reached
 
 
@@ -388,7 +392,7 @@ def _first_stuck(parts: list[tuple], incomplete: str, detail: Callable[[Node], s
         return Verdict.inconclusive(incomplete)
     stuck = []
     for graph, targets in parts:
-        good = _reaching(graph._out, set(targets()))
+        good = _reaching(graph, set(targets()))
         i = next((i for i in range(len(graph.nodes)) if i not in good), None)
         if i is not None:
             stuck.append((graph, i))
@@ -425,9 +429,8 @@ def _urgent(labels: Mapping[TransitionId, Atom], parts: Iterable[tuple]) -> froz
     for graph, chosen in parts:
         if not graph.complete:
             raise IncompleteExplorationError("urgency needs a complete reachability graph")
-        out = graph._out
-        can_honor = _reaching(out, set(honored_nodes(graph)))
-        urgent.update(labels[t] for i in chosen for t, j in out[i] if t in labels and j in can_honor)
+        can_honor = _reaching(graph, set(honored_nodes(graph)))
+        urgent.update(labels[t] for i in chosen for t, j in graph.out_edges(i) if t in labels and j in can_honor)
     return frozenset(urgent)
 
 
@@ -710,13 +713,15 @@ def trace_set(net: LendingNet, budget: int = DEFAULT_BUDGET) -> tuple[frozenset[
     graph = explore(net, budget)
     complete = graph.complete
     # A search of its own: it walks (node, word) pairs of the built graph, not the net.
+    steps: list[list[tuple[Atom | None, int]]] = [[] for _ in graph.nodes]
+    for src, t, dst in graph.edges:
+        steps[src].append((net.transition_labels.get(t), dst))
     words: set[tuple[Atom, ...]] = {()}
     seen = {(0, ())}
     queue = deque([(0, ())])
     while queue:
         i, word = queue.popleft()
-        for t, j in graph.out_edges(i):
-            label = graph.net.transition_labels.get(t)
+        for label, j in steps[i]:
             nxt = word + (label,) if label is not None else word
             key = (j, nxt)
             if key in seen:

@@ -96,6 +96,8 @@ def commands() -> list[list[str]]:
         ["check", "agreement", "samples/toy_swap.pcl", "--via", "bogus"],
         ["check", "wt", "samples/toy_swap.pcl", "--budget", "abc"],
     ]
+    # A goal on an output place, which a node reads by the state equation.
+    cases += [["check", "wt", "tests/golden/output_goal.lpn"]]
     return cases
 
 

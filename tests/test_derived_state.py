@@ -1,7 +1,7 @@
 """Value classes built from their defining fields alone.
 
 ``LendingNet``, ``PCLContract``, ``ContractNet`` and ``ReachGraph`` take only
-their public fields; the sort keys, edge indexes and done sets are computed
+their public fields; the sort keys, node index and done sets are computed
 on first read.  The references below are the earlier code, kept as oracles:
 the normalising ``LendingNet.build`` and ``contract``, the field-by-field
 ``with_alphabet``, and the breadth-first ``backward_closure`` over in-edges.
@@ -14,6 +14,7 @@ from dataclasses import fields
 
 import pytest
 
+import lendingnets.analysis
 from lendingnets import (
     ContractNet,
     LendingNet,
@@ -28,7 +29,9 @@ from lendingnets import (
     contract,
     explore,
     honored_always_reachable,
+    trace_set,
     urgent_at,
+    urgent_for_done_set,
     weakly_terminates,
     weakly_terminates_covering,
     weakly_terminates_in,
@@ -156,11 +159,30 @@ def test_sort_keys_are_built_on_first_comparison():
 
 def test_graph_indexes_are_built_on_first_use():
     graph = explore(compile_contract(pairs_contract(2)).net)
-    assert not {"_out", "_index"} & set(vars(graph))
-    assert graph.out_edges(0)
-    assert "_out" in vars(graph) and "_index" not in vars(graph)
+    assert "_index" not in vars(graph)
     assert graph.index_of(graph.nodes[4]) == 4
     assert "_index" in vars(graph)
+
+
+def test_graph_readers_keep_no_out_edge_table(monkeypatch):
+    """Every reader takes out-edges from the edge list: a graph keeps its node index and its credit-free
+    nodes (``contracts._honored``), and no other table."""
+    cn = compile_contract(pairs_contract(2))
+    graph = explore(cn.net)
+    traced = []
+
+    def recording(*args):
+        traced.append(explore(*args))
+        return traced[-1]
+
+    monkeypatch.setattr(lendingnets.analysis, "explore", recording)
+    assert trace_set(cn.net)[1]
+    agreement_reachable(cn, graph=graph)
+    weakly_terminates_in(cn, graph=graph)
+    assert urgent_at(graph, 0) == urgent_for_done_set(cn.net, (), graph=graph)
+    assert backward_closure(graph, [len(graph.nodes) - 1]) and graph.out_edges(graph.nodes[4])
+    for read in (graph, *traced):
+        assert set(vars(read)) <= {"net", "nodes", "edges", "complete", "_index", "_credit_free"}
 
 
 def test_omitted_fields_are_empty():
@@ -211,10 +233,11 @@ def test_every_edge_leads_to_a_later_node():
         assert all(src < dst < len(graph.nodes) for src, _, dst in graph.edges)
 
 
-@pytest.mark.parametrize("edge", [(1, "t", 0), (0, "t", 0), (0, "t", 9), (-1, "t", 0)])
+# ``(0, "t", 2)`` leads forward but is listed after the edge out of node 1.
+@pytest.mark.parametrize("edge", [(1, "t", 0), (0, "t", 0), (0, "t", 9), (-1, "t", 0), (0, "t", 2)])
 def test_a_graph_with_an_edge_that_does_not_lead_forward_is_rejected(edge):
     graph = explore(compile_contract(pairs_contract(1)).net)
-    assert len(graph.nodes) == 3
+    assert len(graph.nodes) == 3 and graph.edges[-1][0] == 1
     with pytest.raises(NetStructureError):
         ReachGraph(graph.net, graph.nodes, graph.edges + (edge,), graph.complete)
 

@@ -6,9 +6,10 @@ for the credit-free nodes.  ``honored_oracle`` keeps the earlier rule, which
 read every owing node's credits, over its whole marking, and every node's
 done set.  Both must give the same (index, done set) list, and every
 check on a graph the same outcome, witness and detail, whichever check reads
-the graph first.  ``analysis._reaching`` now stops scanning a state at its
-first reached successor; it must add the states that ``any()`` over all of
-them added.
+the graph first.  ``analysis._reaching`` now reads the edge list once,
+from the last edge to the first; it must add the states that ``any()`` over
+each state's out-edge list added, and ``out_edges``, a slice of the edge
+list, must equal that list.
 """
 
 import random
@@ -23,6 +24,7 @@ from lendingnets import (
     ContractNet,
     LendingNet,
     Outcome,
+    ReachGraph,
     agreement_reachable,
     compile_contract,
     compose_contracts,
@@ -33,11 +35,12 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.analysis import _components, _reaching, _walk_components
+from lendingnets.analysis import _components, _layout, _reaching, _walk, _walk_components
+from lendingnets.fixtures import fixture_nets
 from lendingnets.contracts import _honored
 from lendingnets.nets import DEFAULT_BUDGET
 
-from generators import compatible_contract_pair, credit_ring, pairs_contract, random_contract
+from generators import compatible_contract_pair, credit_ring, pairs_contract, random_contract, random_cyclic_net
 from test_node_reading import result_of, unlabeled_debt_net
 
 BUDGETS = (1, 2, 3, 5, 8, DEFAULT_BUDGET)
@@ -125,35 +128,79 @@ def test_valid_contract_nets_read_the_honored_flag_alone():
         assert [i for i, _ in _honored(cn, graph)] == [i for i, node in enumerate(graph.nodes) if node.honored]
 
 
+def out_lists(graph: ReachGraph) -> list[list]:
+    """Each node's out-edges as ``(t, dst)`` pairs: the table ``ReachGraph._out`` kept, built from the edges."""
+    out: list[list] = [[] for _ in graph.nodes]
+    for src, t, dst in graph.edges:
+        out[src].append((t, dst))
+    return out
+
+
 def reaching_oracle(out, reached):
-    """``_reaching`` as it was: ``any()`` over every successor of each state."""
+    """``_reaching`` as it was: ``any()`` over every successor of each state, over each state's out-edge list."""
     for i in range(len(out) - 1, -1, -1):
         if i not in reached and any(j in reached for _, j in out[i]):
             reached.add(i)
     return reached
 
 
-def component_outs():
-    """The out-edge lists of the component walks of seeded compiled contracts, with their states that owe nowhere."""
+def component_walks() -> list[ReachGraph]:
+    """The component walks of seeded compiled contracts."""
     rng = random.Random(180)
     cns = [compile_contract(random_contract(rng)) for _ in range(150)]
     cns += [compile_contract(pairs_contract(n)) for n in (1, 2, 3)]
-    for cn in cns:
-        for graph in _walk_components(cn.net, [(c, None) for c in _components(cn.net)], cn.net.initial, DEFAULT_BUDGET):
-            yield graph._out, {i for i, node in enumerate(graph.nodes) if min(node._counts, default=0) >= 0}
+    return [graph for cn in cns
+            for graph in _walk_components(cn.net, [(c, None) for c in _components(cn.net)], cn.net.initial,
+                                          DEFAULT_BUDGET)]
+
+
+def component_outs():
+    """The component walks, with their states that owe nowhere."""
+    for graph in component_walks():
+        yield graph, {i for i, node in enumerate(graph.nodes) if min(node._counts, default=0) >= 0}
 
 
 def random_outs(rng: random.Random):
-    """Random forward-edge lists (every edge leads to a later state) with random target sets."""
+    """Graphs of random forward edges (every edge leads to a later state), listed by source, with random
+    target sets.  The graph's states are one node repeated: ``_reaching`` reads only the edges."""
+    root = explore(LendingNet()).root
     for _ in range(500):
         n = rng.randint(1, 30)
-        out = [[(f"t{k}", rng.randint(i + 1, n - 1)) for k in range(rng.randint(0, 3))] if i < n - 1 else []
-               for i in range(n)]
-        yield out, {i for i in range(n) if rng.random() < 0.2}
+        edges = [(i, f"t{k}", rng.randint(i + 1, n - 1)) for i in range(n - 1) for k in range(rng.randint(0, 3))]
+        yield ReachGraph(LendingNet(), (root,) * n, tuple(edges), True), {i for i in range(n) if rng.random() < 0.2}
 
 
 def test_reaching_equals_the_any_form():
     cases = [*component_outs(), *random_outs(random.Random(18))]
     assert len(cases) > 500
-    for out, targets in cases:
-        assert _reaching(out, set(targets)) == reaching_oracle(out, set(targets))
+    for graph, targets in cases:
+        assert _reaching(graph, set(targets)) == reaching_oracle(out_lists(graph), set(targets))
+
+
+def flag_stopped_walks() -> list[ReachGraph]:
+    """Walks of every row of seeded compiled contracts that a flag ended at their first node of each depth."""
+    rng = random.Random(27)
+    graphs = []
+    for c in [pairs_contract(3), credit_ring(4, 3)] + [random_contract(rng) for _ in range(30)]:
+        net = compile_contract(c).net
+        layout = _layout(net)
+        for depth in (0, 1, 2, 3, 5):
+            graph = _walk(net, layout.steps, layout.counts(net.initial), DEFAULT_BUDGET,
+                          lambda node, depth=depth: sum(node._vector) >= depth)
+            assert not graph.complete or max(sum(node._vector) for node in graph.nodes) < depth
+            graphs.append(graph)
+    return graphs
+
+
+def test_out_edges_are_the_kept_out_lists():
+    """``out_edges`` slices the edge list where ``ReachGraph._out`` kept a list per node."""
+    rng = random.Random(72)
+    graphs = [explore(net) for net in fixture_nets()] + [explore(compile_contract(pairs_contract(4)).net)]
+    graphs += [explore(cn.net, budget) for cn in contract_nets()[::6] for budget in (3, DEFAULT_BUDGET)]
+    graphs += [explore(random_cyclic_net(rng, f"c{k}"), rng.choice((1, 2, 5, 12, 30))) for k in range(40)]
+    graphs += component_walks() + flag_stopped_walks()
+    assert any(len(graph.nodes) >= 81 for graph in graphs) and not all(graph.complete for graph in graphs)
+    for graph in graphs:
+        out = out_lists(graph)
+        assert [graph.out_edges(i) for i in range(len(graph.nodes))] == [tuple(edges) for edges in out]
+        assert [graph.out_edges(node) for node in graph.nodes] == [tuple(edges) for edges in out]

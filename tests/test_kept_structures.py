@@ -204,6 +204,23 @@ def test_the_node_index_finds_every_node_without_building_a_marking(markings):
     assert all(graph.index_of(node) == i for i, node in enumerate(again.nodes))
 
 
+def test_a_place_that_no_transition_consumes_is_read_without_building_a_marking(markings):
+    """``tokens`` reads such a place by the state equation, also one that starts marked."""
+    rng = random.Random(0x2F)
+    net = compile_contract(pairs_contract(6)).net
+    sink = min(p for p in net.places if not net.postset(p))
+    nets = [net, replace(net, initial={**net.initial, sink: 2})]
+    nets += [compile_contract(random_contract(rng)).net for _ in range(20)]
+    for net in nets:
+        graph = explore(net)
+        others = sorted(net.places - set(graph.root._layout.at))
+        reads = [[node.tokens(p) for p in others] for node in graph.nodes]
+        assert markings == []
+        counts = [dict(node.marking) for node in graph.nodes]
+        assert reads == [[count.get(p, 0) for p in others] for count in counts]
+        markings.clear()
+
+
 def test_a_node_of_another_net_with_the_same_firings_is_not_found():
     net = compile_contract(pairs_contract(6)).net
     sink = min(p for p in net.places if not net.postset(p))

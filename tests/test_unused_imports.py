@@ -1,6 +1,7 @@
 """Every name a library or test module imports at module level is read in that
-module, and every private function or class a library module defines, and every
-private method or property of its classes, is read somewhere in the package.
+module, and every private function, class or constant a library module defines,
+and every private method or property of its classes, is read somewhere in the
+package.
 
 ``__init__.py`` is skipped: its imports are the package's public names.
 """
@@ -41,22 +42,22 @@ def test_an_unread_import_is_reported():
 
 
 def private_definitions(source: str) -> set[str]:
-    """The module-level functions and classes, and the methods and properties of
-    module-level classes, whose names start with one underscore."""
+    """The module-level functions, classes and assigned names, and the methods and
+    properties of module-level classes, whose names start with one underscore."""
     body = ast.parse(source).body
     members = [statement for cls in body if isinstance(cls, ast.ClassDef) for statement in cls.body]
-    return {
-        statement.name
-        for statement in body + members
-        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-        and statement.name.startswith("_") and not statement.name.startswith("__")
-    }
+    names = {statement.name for statement in body + members if isinstance(statement, (ast.FunctionDef, ast.ClassDef))}
+    for statement in body:
+        if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            names.update(node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
 def read_names(source: str) -> set[str]:
-    """The names the source reads, bare or as an attribute."""
+    """The names the source reads, bare (not as an assignment's target) or as an attribute."""
     tree = ast.parse(source)
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
         node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
     }
 
@@ -68,9 +69,12 @@ def test_every_private_definition_is_read_in_the_package():
 
 
 def test_an_unread_private_definition_is_reported():
-    source = "def _used():\n    pass\n\n\nclass _Unused:\n    pass\n\n\ndef __dunder__():\n    _used()\n"
-    assert private_definitions(source) == {"_used", "_Unused"}
-    assert sorted(private_definitions(source) - read_names(source)) == ["_Unused"]
+    source = (
+        "def _used():\n    pass\n\n\nclass _Unused:\n    pass\n\n\ndef __dunder__():\n    _used(_READ)\n\n\n"
+        "_READ, public = 1, 2\n_UNREAD: dict = {}\n__all__ = []\n"
+    )
+    assert private_definitions(source) == {"_used", "_Unused", "_READ", "_UNREAD"}
+    assert sorted(private_definitions(source) - read_names(source)) == ["_UNREAD", "_Unused"]
 
 
 def test_an_unread_private_member_is_reported():

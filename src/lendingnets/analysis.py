@@ -22,15 +22,18 @@ re-tests only the guards it touches.
 
 Without a built graph, the contract checks and net-side urgency split the
 net into independent components (no place one consumes is touched by
-another, and no label is shared) and walk each alone.  A component is a
-tuple of the layout's rows, and ``explore`` is the walk of all of them, the
-whole net.  A row keeps its index in the layout, so each state a component's
-walk keeps is the product node with every other component at its root.  The
-README, "How independent components are decided", proves the answers equal
-those of the product graph.  Every ``Node`` is built by a walk, or joined
-from walks' nodes (``_join``), and shares its net's ``_Layout``, the one
-table the net keeps besides its components, both in its instance dict
-(``nets._kept``).
+another, and no label is shared), and one ``_walk`` call walks each of them
+in turn from one shared root.  A component is a tuple of the layout's rows,
+and ``explore`` is the one-part walk of all of them, the whole net.  A row
+keeps its index in the layout, so each state a component's walk keeps is the
+product node with every other component at its root.  The README, "How
+independent components are decided", proves the answers equal those of the
+product graph.  Every ``Node`` is built by a walk, or joined from walks'
+nodes (``_join``), and shares its net's ``_Layout``, the one table the net
+keeps besides its components, both in its instance dict (``nets._kept``).
+This module is the one reader of the layout: the goal split (``_parts``)
+and the credit reads (``_credits``, ``_credit_free``) are here, and other
+modules pass nets and nodes.
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A walk lists a node's edges
@@ -47,8 +50,9 @@ explored graph is the one-part case.  Each takes one backward closure per
 part, and a closure is one pass over the edges from the last to the first.
 
 A ``budget`` counts the states a search may keep: graph nodes, (node, word)
-pairs in ``trace_set``, or for the component walks the shared root once plus
-each component's further states, never more than the product graph's nodes.
+pairs in ``trace_set``, or for one walk call over several parts the shared
+root once plus each part's further states, never more than the product
+graph's nodes.
 A search the budget cut short keeps exactly ``budget`` states; a walk that a
 flag stopped ends at the flagged node, its last.
 """
@@ -61,7 +65,8 @@ from collections import Counter, deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
+from math import prod
+from operator import attrgetter, itemgetter
 
 from .errors import IncompleteExplorationError, NetStructureError
 from .nets import (
@@ -277,8 +282,7 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
     row of the layout, the whole net.
     """
     _check_budget(budget)
-    layout = _layout(net)
-    return _walk(net, layout.steps, layout.counts(net.initial), budget)
+    return _walk(net, [(_layout(net).steps, None)], net.initial, budget)[0]
 
 
 def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -297,7 +301,7 @@ def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
         tokens = node._counts.__getitem__
         return next((t for t, guard in compress(guards, node._vector) if all(map(tokens, guard))), None)
 
-    graph = _walk(net, layout.steps, layout.counts(net.initial), budget, refired)
+    graph = _walk(net, [(layout.steps, refired)], net.initial, budget)[0]
     t = refired(graph.nodes[-1])
     if t is not None:
         return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
@@ -524,16 +528,41 @@ def _split(net: LendingNet) -> list[tuple]:
     return [tuple(rows) for rows in members.values()]
 
 
-def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
-          flag: Callable[[Node], object] | None = None) -> ReachGraph:
-    """Breadth-first search of the layout ``rows`` of ``net``, one component or every row, from
-    ``start``, the counts of the layout's places, keeping at most ``budget`` states.
+def _parts(net: LendingNet, goals: Iterable[frozenset[Atom]]) -> list[tuple[tuple, frozenset]]:
+    """Each component of ``net``, as its layout rows, with its share of ``goals``.
 
-    Only the component's transitions fire, so only its places change; the
-    other consumed places keep their start counts, and each kept state is the
-    product node with every other component at its root.  The walk ends,
-    incomplete, at the first kept node where ``flag(node)`` holds, after the
-    edge that found it: that node is the graph's last.
+    A share projects onto the component's labels the goal sets that
+    transitions can grant; a component's goal states are its credit-free
+    states whose done sets the share reaches.  When that family is not the
+    product of its shares, the components merge into one.
+    """
+    layout = _layout(net)
+    granted = frozenset(net.transition_labels.values())
+    goals = frozenset(g for g in goals if g <= granted)
+    components = _components(net)
+    shares = []
+    for rows in components:
+        labels = {layout.labels[row[0]] for row in rows}
+        shares.append(frozenset(g & labels for g in goals))
+    if prod(map(len, shares)) != len(goals):
+        components, shares = [layout.steps], [goals]
+    return list(zip(components, shares))
+
+
+def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[Node], object] | None]],
+          start: Mapping[PlaceId, int], budget: int) -> list[ReachGraph]:
+    """Breadth-first search of each ``(rows, flag)`` of ``parts`` in turn, a component's layout
+    rows or every row with its flag, from the marking ``start``, keeping at most ``budget`` states.
+
+    One call walks every part of a question, and the set-up is done once: the
+    parts share one root ``Node``, so the budget counts it once plus each
+    part's further states.  The walks end after one that the budget cut short
+    or, with a flag, after one whose last node is not flagged.  Only a part's
+    transitions fire, so only its places change; the other consumed places
+    keep their start counts, and each kept state is the product node with
+    every other part at its root.  A part's walk ends, incomplete, at the
+    first kept node where ``flag(node)`` holds, after the edge that found it:
+    that node is the part's last.
 
     A queued state carries the bitmask of its enabled rows, expanded in
     ascending (sorted transition) order, and its debt, the number of owing
@@ -546,79 +575,68 @@ def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
     field carries: the path to a kept state runs through distinct kept
     states, so no count of a successor exceeds ``len(index)``, which is below
     ``2 ** width`` (README, "How exploration works").  The walk never writes
-    to a count list once a node holds it (nor to ``start``).
+    to a count list once a node holds it.
     """
     layout = _layout(net)
     moves, width = layout.moves, min(budget, sys.maxsize).bit_length()
-    fired = (0,) * len(layout.transitions)
-    tokens = start.__getitem__
-    enabled = sum([1 << k for k, _, guard, _, _ in rows if all(map(tokens, guard))])
-    debt = sum([start[k] < 0 for k in layout.owing.values()])
-    nodes = [Node(start, fired, not debt, layout)]
-    complete = flag is None or not flag(nodes[0])
-    edges, index = [], {0: 0}
-    queue = deque([(0, start, fired, 0, enabled, debt)] if complete else ())
-    while queue:
-        i, counts, fired, key, enabled, debt = queue.popleft()
-        todo = enabled
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            k = bit.bit_length() - 1
-            move = moves[k]
-            succ_key = key + (1 << k * width)
-            j = index.get(succ_key)
-            if j is None:
-                if len(nodes) >= budget:
-                    complete = False
-                    continue
-                _, takes, gives, touch, retest, lends, repays = move
-                succ = counts.copy()
-                for p in takes:
-                    succ[p] -= 1
-                for p in gives:
-                    succ[p] += 1
-                succ_debt = debt
-                for p in lends:
-                    succ_debt += succ[p] == -1
-                for p in repays:
-                    succ_debt -= succ[p] == 0
-                tokens = succ.__getitem__
-                succ_enabled = enabled & ~touch
-                for row, guard in retest:
-                    # Non-lending places lose tokens only past a guard, so never go negative.
-                    if all(map(tokens, guard)):
-                        succ_enabled |= row
-                succ_fired = list(fired)
-                succ_fired[k] += 1
-                succ_fired = tuple(succ_fired)
-                j = index[succ_key] = len(nodes)
-                nodes.append(Node(succ, succ_fired, not succ_debt, layout))
-                if flag is not None and flag(nodes[j]):
-                    # The walk ends once the edge to the flagged node is kept.
-                    complete, todo = False, 0
-                    queue.clear()
-                else:
-                    queue.append((j, succ, succ_fired, succ_key, succ_enabled, succ_debt))
-            edges.append((i, move[0], j))
-    return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete)
-
-
-def _walk_components(net: LendingNet, parts: list[tuple[tuple, Callable | None]], start: Mapping[PlaceId, int],
-                     budget: int) -> list[ReachGraph]:
-    """Walk each ``(rows, flag)`` of ``parts``, one component's rows and its flag, in turn
-    from the marking ``start`` under one budget.
-
-    The components share their root, so the budget counts it once plus each
-    component's further states.  The walks end after one that the budget cut
-    short or, with a flag, after one whose last node is not flagged.
-    """
-    walks, marking = [], _layout(net).counts(start)
+    start = layout.counts(start)
+    zero = (0,) * len(layout.transitions)
+    start_debt = sum([start[k] < 0 for k in layout.owing.values()])
+    root = Node(start, zero, not start_debt, layout)
+    walks = []
     for rows, flag in parts:
-        graph = _walk(net, rows, marking, budget, flag)
-        walks.append(graph)
-        budget -= len(graph.nodes) - 1
-        if not (graph.complete if flag is None else flag(graph.nodes[-1])):
+        tokens = start.__getitem__
+        enabled = sum([1 << k for k, _, guard, _, _ in rows if all(map(tokens, guard))])
+        nodes = [root]
+        complete = flag is None or not flag(root)
+        edges, index = [], {0: 0}
+        queue = deque([(0, start, zero, 0, enabled, start_debt)] if complete else ())
+        while queue:
+            i, counts, fired, key, enabled, debt = queue.popleft()
+            todo = enabled
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                k = bit.bit_length() - 1
+                move = moves[k]
+                succ_key = key + (1 << k * width)
+                j = index.get(succ_key)
+                if j is None:
+                    if len(nodes) >= budget:
+                        complete = False
+                        continue
+                    _, takes, gives, touch, retest, lends, repays = move
+                    succ = counts.copy()
+                    for p in takes:
+                        succ[p] -= 1
+                    for p in gives:
+                        succ[p] += 1
+                    succ_debt = debt
+                    for p in lends:
+                        succ_debt += succ[p] == -1
+                    for p in repays:
+                        succ_debt -= succ[p] == 0
+                    tokens = succ.__getitem__
+                    succ_enabled = enabled & ~touch
+                    for row, guard in retest:
+                        # Non-lending places lose tokens only past a guard, so never go negative.
+                        if all(map(tokens, guard)):
+                            succ_enabled |= row
+                    succ_fired = list(fired)
+                    succ_fired[k] += 1
+                    succ_fired = tuple(succ_fired)
+                    j = index[succ_key] = len(nodes)
+                    nodes.append(Node(succ, succ_fired, not succ_debt, layout))
+                    if flag is not None and flag(nodes[j]):
+                        # The walk ends once the edge to the flagged node is kept.
+                        complete, todo = False, 0
+                        queue.clear()
+                    else:
+                        queue.append((j, succ, succ_fired, succ_key, succ_enabled, succ_debt))
+                edges.append((i, move[0], j))
+        walks.append(ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete))
+        budget -= len(nodes) - 1
+        if not (complete if flag is None else flag(nodes[-1])):
             break
     return walks
 
@@ -637,12 +655,36 @@ def _join(net: LendingNet, start: Mapping[PlaceId, int], parts: Iterable[Node]) 
     return Node(counts, tuple(fired), min(map(counts.__getitem__, layout.owing.values()), default=0) >= 0, layout)
 
 
+def _credit_places(net: LendingNet, layout: _Layout) -> dict[int, Atom]:
+    """The index in ``layout`` and the label of each place that can owe there (``owing``) and
+    that ``net`` labels: the one credit-free rule is that none of them is below 0."""
+    labels = net.place_labels
+    return {k: labels[p] for p, k in layout.owing.items() if p in labels}
+
+
+def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
+    """The labels of the places a credit is read on (``_credit_places``) where ``node`` is below 0."""
+    counts = node._counts
+    return frozenset([label for k, label in _credit_places(net, node._layout).items() if counts[k] < 0])
+
+
+def _credit_free(net: LendingNet, walked: LendingNet) -> Callable[[Node], bool]:
+    """The test that a node walked on ``walked`` is below 0 on none of the places a credit is
+    read on (``_credit_places``), by ``net``'s labels.  When every place that can owe there is
+    labeled, as in a valid contract net, it is the ``honored`` flag."""
+    layout = _layout(walked)
+    owing = list(_credit_places(net, layout))
+    if len(owing) == len(layout.owing):
+        return attrgetter("honored")
+    return lambda node: node.honored or all(node._counts[k] >= 0 for k in owing)
+
+
 def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET,
                     start: Mapping[PlaceId, int] | None = None) -> frozenset[Atom]:
-    """``urgent_at(explore(net, budget), 0)``, one component at a time; ``start``
-    replaces the initial marking as the root."""
+    """``urgent_at(explore(net, budget), 0)``, by one walk call over the net's components;
+    ``start`` replaces the initial marking as the root."""
     _check_budget(budget)
-    walks = _walk_components(net, [(c, None) for c in _components(net)], net.initial if start is None else start, budget)
+    walks = _walk(net, [(c, None) for c in _components(net)], net.initial if start is None else start, budget)
     return _urgent(net.transition_labels, ((graph, (0,)) for graph in walks))
 
 

@@ -18,16 +18,17 @@ among them.  ``compile_contract`` compiles a contract once per ``prune``
 flag and keeps the net with the contract.  Net-side urgency reads only the
 consumed part: it walks the components of a compilation that is already
 kept, or else compiles and keeps a net of the body delivery places alone,
-and starts each done set's walks from that set's marking.  Compiling a
-composition and composing the compilations give nets with the same consumed
-part, which decides their traces without listing a word.
+and starts each done set's walk from that set's marking, whose places are
+named from the clauses.  Compiling a composition and composing the
+compilations give nets with the same consumed part, which decides their
+traces without listing a word.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .analysis import _consumed_part, _layout, _urgent_at_root
+from .analysis import _consumed_part, _urgent_at_root
 from .compose import oplus, trace_equivalent, widen_alphabet
 from .contracts import ContractNet, agreement_reachable
 from .logic import HornClause, PCLContract, _owned, compose_contracts, with_facts
@@ -132,21 +133,22 @@ def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_B
 
     That start, the done marking, dominates every node with done set ``done``
     of the net recompiled with the done atoms as facts (README, "How net-side
-    urgency works"), so it alone gives their union of urgent steps.  The net
-    is decided one independent component at a time: the answer is the union
-    of the components' urgent steps, since every component's start is
-    honored (README, "How independent components are decided").  The
+    urgency works"), so it alone gives their union of urgent steps.  One walk
+    call walks each independent component of the net in turn: the answer is
+    the union of the components' urgent steps, since every component's start
+    is honored (README, "How independent components are decided").  The
     components read only the places some transition consumes, and every
     compilation of ``c`` has the same ones, so any net of ``c`` that is
     already kept will do (``_urgency_net``).  The done marking, the only part
     that depends on ``done``, is set on those places alone: the control places
     of the done atoms empty and each of their body delivery places holding one
-    token.  A done atom's body delivery places are exactly the consumed places
-    labeled with it, so they are read off the net's layout.
+    token.  A done atom's body delivery places are the consumed places labeled
+    with it, one for each clause whose body holds it, so they are named from
+    the clauses (``delivery_pid``).
     """
     done = _owned(c, done)
     net = _urgency_net(c)
-    delivered = {p: 1 for p in _layout(net).places if net.place_labels.get(p) in done}
+    delivered = {delivery_pid(a, cl): 1 for cl in c.clauses for a in cl.body & done}
     start = net.initial | {star_pid(a): 0 for a in done} | delivered
     return _urgent_at_root(net, budget, start)
 

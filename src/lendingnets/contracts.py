@@ -13,20 +13,18 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
-from math import prod
 
 from .analysis import (
     Node,
     ReachGraph,
-    _Layout,
-    _components,
+    _credit_free,
+    _credits,
     _done_set,
     _first_stuck,
     _fires_at_most_once,
     _join,
-    _layout,
-    _walk_components,
+    _parts,
+    _walk,
     explore,
     is_occurrence_net,
     urgent_for_done_set,
@@ -162,19 +160,6 @@ def configuration(cn: ContractNet, node: Node) -> Configuration:
     return Configuration(done=_done_set(cn.net, node), credits=_credits(cn.net, node))
 
 
-def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
-    """The labels of the places a credit is read on (``_credit_places``) where ``node`` is below 0."""
-    counts = node._counts
-    return frozenset([label for k, label in _credit_places(net, node._layout).items() if counts[k] < 0])
-
-
-def _credit_places(net: LendingNet, layout: _Layout) -> dict[int, Atom]:
-    """The index in ``layout`` and the label of each place that can owe there (``owing``) and
-    that ``net`` labels: the one credit-free rule is that none of them is below 0."""
-    labels = net.place_labels
-    return {k: labels[p] for p, k in layout.owing.items() if p in labels}
-
-
 def configuration_from_marking(cn: ContractNet, node: Node) -> frozenset[Atom]:
     """Recover the done set from token counts alone.
 
@@ -198,16 +183,6 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
     return ContractNet(net=oplus(left, right), **terms)
 
 
-def _credit_free(net: LendingNet, layout: _Layout) -> Callable[[Node], bool]:
-    """The test that a node of ``layout`` is below 0 on none of the places a credit is read on
-    (``_credit_places``), by ``net``'s labels.  When every place that can owe there is
-    labeled, as in a valid contract net, it is the ``honored`` flag."""
-    owing = list(_credit_places(net, layout))
-    if len(owing) == len(layout.owing):
-        return attrgetter("honored")
-    return lambda node: node.honored or all(node._counts[k] >= 0 for k in owing)
-
-
 def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[Atom]]]:
     """Index and done set of each credit-free node (``_credit_free``), by ``cn.net``'s labels.
 
@@ -219,31 +194,10 @@ def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[At
     net = cn.net
 
     def credit_free() -> list[tuple[int, frozenset[Atom]]]:
-        free = _credit_free(net, _layout(graph.net))
+        free = _credit_free(net, graph.net)
         return [(i, _done_set(net, node)) for i, node in enumerate(graph.nodes) if free(node)]
 
     return _kept(graph, "_credit_free", credit_free) if net is graph.net else credit_free()
-
-
-def _parts(cn: ContractNet) -> list[tuple[tuple, frozenset]]:
-    """Each component of the net, as its layout rows, with its share of the goal sets.
-
-    A share projects onto the component's labels the goal sets that
-    transitions can grant; a component's goal states are its credit-free
-    states whose done sets the share reaches.  When that family is not the
-    product of its shares, the components merge into one.
-    """
-    net, layout = cn.net, _layout(cn.net)
-    granted = frozenset(net.transition_labels.values())
-    goals = frozenset(g for g in cn.goals if g <= granted)
-    components = _components(net)
-    shares = []
-    for rows in components:
-        labels = {layout.labels[row[0]] for row in rows}
-        shares.append(frozenset(g & labels for g in goals))
-    if prod(map(len, shares)) != len(goals):
-        components, shares = [layout.steps], [goals]
-    return list(zip(components, shares))
 
 
 def _is_goal_set(done: frozenset[Atom], goals: frozenset[frozenset[Atom]]) -> bool:
@@ -264,8 +218,8 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reach
 
     _check_budget(budget)
     if graph is None:
-        parts = _parts(cn)
-        walks = _walk_components(cn.net, [(rows, None) for rows, _ in parts], cn.net.initial, budget)
+        parts = _parts(cn.net, cn.goals)
+        walks = _walk(cn.net, [(rows, None) for rows, _ in parts], cn.net.initial, budget)
         shares = [share for _, share in parts]
     else:
         walks, shares, budget = [graph], [cn.goals], len(graph.nodes)
@@ -309,13 +263,13 @@ def agreement_reachable(
     _check_budget(budget)
     if graph is None:
         net = cn.net
-        free = _credit_free(net, _layout(net))
+        free = _credit_free(net, net)
 
         def goal(share: frozenset) -> Callable[[Node], bool]:
             return lambda node: free(node) and _covers_goal_set(_done_set(net, node), share)
 
-        parts = [(rows, goal(share)) for rows, share in _parts(cn)]
-        walks = _walk_components(net, parts, net.initial, budget)
+        parts = [(rows, goal(share)) for rows, share in _parts(net, cn.goals)]
+        walks = _walk(net, parts, net.initial, budget)
         # The walks go on only past one that ends at a flagged node, so only the last walk's end is left to test.
         if len(walks) == len(parts) and (not parts or parts[-1][1](walks[-1].nodes[-1])):
             return Verdict.holds(detail=_join(net, net.initial, [g.nodes[-1] for g in walks]).describe())

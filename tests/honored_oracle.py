@@ -5,9 +5,9 @@ its result under, its done sets and its credits.  It reads every owing
 node's credits, counts a node as credit-free when it is honored or has no
 credits, and keeps the indices in the graph's instance dict when the
 contract's net is the graph's own.  Credits are the labels of the labeled
-places below 0 over the node's whole marking, as ``contracts._credits`` read
-them for a node that held its marking; it now reads them on the places that
-can owe alone.  Every node's done set is read with the labels of the graph's
+places below 0 over the node's whole marking, as ``_credits`` read them for
+a node that held its marking; it now reads them (``analysis._credits``) on
+the places that can owe alone.  Every node's done set is read with the labels of the graph's
 net, built inline where it read the graph's ``_done_sets`` list, which meant
 the same and is gone.  Its key, ``_oracle_credit_free``, differs from the one
 ``contracts._honored`` keeps its (index, done set) pairs under, so the two

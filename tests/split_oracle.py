@@ -16,9 +16,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import replace
 
-from lendingnets.analysis import Node, ReachGraph, _done_set, backward_closure, explore, urgent_at
+from lendingnets.analysis import Node, ReachGraph, _credits, _done_set, backward_closure, explore, urgent_at
 from lendingnets.compiler import compile_contract, star_pid
-from lendingnets.contracts import ContractNet, _credits, configuration
+from lendingnets.contracts import ContractNet, configuration
 from lendingnets.logic import PCLContract, _owned
 from lendingnets.nets import DEFAULT_BUDGET, Atom, Verdict
 

@@ -5,11 +5,15 @@ or a body that holds its own head; this suite checks all of them (the small
 scope hypothesis).  Over the atoms ``a``, ``b`` and ``c`` there are 24
 strict clauses and 21 contractual ones, whose body is not empty, and 2,651
 theories of at most 3 of them up to renaming of the atoms.  Each atom has
-its own owner, and each theory is checked under three goal families: every
-atom; ``{a}``; and ``{a, b}`` or ``{c}``.  A mismatch is reported with the
+its own owner, and each theory is checked under five goal families: every
+atom; ``{a}``; ``{a, b}`` or ``{c}``; ``{b}``; and ``{c}``.  Its proof traces
+are checked against the inductive rules of ``trace_oracle``.  The compiled
+net does not depend on the goals, so each theory is compiled and explored
+once and every family is read on that net.  A mismatch is reported with the
 check that failed and the contract as a ``.pcl`` document.
 """
 
+from dataclasses import replace
 from itertools import combinations, permutations
 
 from lendingnets import (
@@ -21,6 +25,7 @@ from lendingnets import (
     compile_contract,
     explore,
     honored_done_sets,
+    proof_traces,
     serialize_contract,
     trace_atom_sets,
     urgent_logic,
@@ -29,11 +34,14 @@ from lendingnets import (
     weakly_terminates_in,
 )
 
+from trace_oracle import _traces
+
 ATOMS = "abc"
 SUBSETS = [frozenset(s) for n in range(len(ATOMS) + 1) for s in combinations(ATOMS, n)]
 CLAUSES = [HornClause(head=h, body=body, contractual=contractual)
            for h in ATOMS for body in SUBSETS for contractual in (False, True) if body or not contractual]
-GOAL_FAMILIES = ({frozenset(ATOMS)}, {frozenset("a")}, {frozenset("ab"), frozenset("c")})
+GOAL_FAMILIES = ({frozenset(ATOMS)}, {frozenset("a")}, {frozenset("ab"), frozenset("c")},
+                 {frozenset("b")}, {frozenset("c")})
 
 
 def renamed(clause: HornClause, rename: dict) -> HornClause:
@@ -42,13 +50,15 @@ def renamed(clause: HornClause, rename: dict) -> HornClause:
 
 def theories() -> list[frozenset[HornClause]]:
     """One theory of each renaming class: the one whose sorted clause keys are least."""
-    renames = [dict(zip(ATOMS, p)) for p in permutations(ATOMS)]
+    own = [c.sort_key() for c in CLAUSES]
+    # Each clause's sort key under each renaming, by the clause's position in ``CLAUSES``.
+    keys = [[renamed(c, dict(zip(ATOMS, p))).sort_key() for c in CLAUSES] for p in permutations(ATOMS)]
     found = []
     for n in range(4):
-        for theory in combinations(CLAUSES, n):
-            key = sorted(c.sort_key() for c in theory)
-            if all(key <= sorted(renamed(c, r).sort_key() for c in theory) for r in renames):
-                found.append(frozenset(theory))
+        for theory in combinations(range(len(CLAUSES)), n):
+            key = sorted([own[i] for i in theory])
+            if all(key <= sorted([k[i] for i in theory]) for k in keys):
+                found.append(frozenset([CLAUSES[i] for i in theory]))
     return found
 
 
@@ -56,11 +66,13 @@ def mismatches(theory: frozenset[HornClause]) -> list[tuple[str, str]]:
     """The checks on which the logic side and the net side, or a net check with and without a built
     graph, disagree, each with the contract it disagreed on."""
     found = []
-    for k, goals in enumerate(GOAL_FAMILIES):
-        c = PCLContract(clauses=theory, participants=set(ATOMS.upper()), ownership={a: a.upper() for a in ATOMS},
-                        goals=goals)
-        cn = compile_contract(c)
-        graph = explore(cn.net)
+    contracts = [PCLContract(clauses=theory, participants=set(ATOMS.upper()), ownership={a: a.upper() for a in ATOMS},
+                             goals=goals) for goals in GOAL_FAMILIES]
+    # Every atom is owned, so the compiled net does not depend on the goals: each family reads the first one's.
+    first = compile_contract(contracts[0])
+    graph = explore(first.net)
+    for k, c in enumerate(contracts):
+        cn = replace(first, goals=c.goals)
         agree = admits_agreement(c)
         covering = weakly_terminates_covering(cn, graph=graph).outcome is Outcome.HOLDS
         checks = {
@@ -73,6 +85,7 @@ def mismatches(theory: frozenset[HornClause]) -> list[tuple[str, str]]:
         if k == 0:
             # Neither side of these reads the goals.
             checks["honored done sets"] = honored_done_sets(cn, graph=graph) == trace_atom_sets(theory)
+            checks["proof traces"] = proof_traces(theory) == _traces(theory, MEMO)
             checks |= {f"urgency at {''.join(sorted(done))!r}": urgent_logic(c, done) == urgent_via_net(c, done)
                        for done in SUBSETS}
         found += [(name, serialize_contract(c)) for name, ok in checks.items() if not ok]
@@ -80,6 +93,7 @@ def mismatches(theory: frozenset[HornClause]) -> list[tuple[str, str]]:
 
 
 THEORIES = theories()
+MEMO: dict = {}
 
 
 def test_the_theories_are_every_one_of_at_most_three_clauses_up_to_renaming():

@@ -35,7 +35,7 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.analysis import _components, _layout, _reaching, _walk, _walk_components
+from lendingnets.analysis import _components, _layout, _reaching, _walk
 from lendingnets.fixtures import fixture_nets
 from lendingnets.contracts import _honored
 from lendingnets.nets import DEFAULT_BUDGET
@@ -150,8 +150,7 @@ def component_walks() -> list[ReachGraph]:
     cns = [compile_contract(random_contract(rng)) for _ in range(150)]
     cns += [compile_contract(pairs_contract(n)) for n in (1, 2, 3)]
     return [graph for cn in cns
-            for graph in _walk_components(cn.net, [(c, None) for c in _components(cn.net)], cn.net.initial,
-                                          DEFAULT_BUDGET)]
+            for graph in _walk(cn.net, [(c, None) for c in _components(cn.net)], cn.net.initial, DEFAULT_BUDGET)]
 
 
 def component_outs():
@@ -183,10 +182,9 @@ def flag_stopped_walks() -> list[ReachGraph]:
     graphs = []
     for c in [pairs_contract(3), credit_ring(4, 3)] + [random_contract(rng) for _ in range(30)]:
         net = compile_contract(c).net
-        layout = _layout(net)
         for depth in (0, 1, 2, 3, 5):
-            graph = _walk(net, layout.steps, layout.counts(net.initial), DEFAULT_BUDGET,
-                          lambda node, depth=depth: sum(node._vector) >= depth)
+            [graph] = _walk(net, [(_layout(net).steps, lambda node, depth=depth: sum(node._vector) >= depth)],
+                            net.initial, DEFAULT_BUDGET)
             assert not graph.complete or max(sum(node._vector) for node in graph.nodes) < depth
             graphs.append(graph)
     return graphs

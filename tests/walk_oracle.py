@@ -1,0 +1,117 @@
+"""The walk of one component per call, kept as the oracle for the one walk call.
+
+These are the definitions ``lendingnets.analysis`` ran on before one ``_walk``
+call walked every part of a question: ``_walk`` walked one ``rows`` tuple from
+a start count list, and ``_walk_components`` called it once per component, each
+walk with its own set-up and root.  Both are copied unchanged apart from their
+imports.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import deque
+from collections.abc import Callable, Mapping
+
+from lendingnets.analysis import Node, ReachGraph, _layout
+from lendingnets.nets import LendingNet, PlaceId
+
+
+def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
+          flag: Callable[[Node], object] | None = None) -> ReachGraph:
+    """Breadth-first search of the layout ``rows`` of ``net``, one component or every row, from
+    ``start``, the counts of the layout's places, keeping at most ``budget`` states.
+
+    Only the component's transitions fire, so only its places change; the
+    other consumed places keep their start counts, and each kept state is the
+    product node with every other component at its root.  The walk ends,
+    incomplete, at the first kept node where ``flag(node)`` holds, after the
+    edge that found it: that node is the graph's last.
+
+    A queued state carries the bitmask of its enabled rows, expanded in
+    ascending (sorted transition) order, and its debt, the number of owing
+    places below 0.  Firing row k re-tests only the rows it touches
+    (``_Layout.moves``), all in its component, and moves the debt only on
+    the owing places it lowers or raises (README, "How exploration works").
+
+    States are keyed by one int, the fired vector packed into fields of
+    ``width`` bits, and the fired tuple is built only for kept states.  No
+    field carries: the path to a kept state runs through distinct kept
+    states, so no count of a successor exceeds ``len(index)``, which is below
+    ``2 ** width`` (README, "How exploration works").  The walk never writes
+    to a count list once a node holds it (nor to ``start``).
+    """
+    layout = _layout(net)
+    moves, width = layout.moves, min(budget, sys.maxsize).bit_length()
+    fired = (0,) * len(layout.transitions)
+    tokens = start.__getitem__
+    enabled = sum([1 << k for k, _, guard, _, _ in rows if all(map(tokens, guard))])
+    debt = sum([start[k] < 0 for k in layout.owing.values()])
+    nodes = [Node(start, fired, not debt, layout)]
+    complete = flag is None or not flag(nodes[0])
+    edges, index = [], {0: 0}
+    queue = deque([(0, start, fired, 0, enabled, debt)] if complete else ())
+    while queue:
+        i, counts, fired, key, enabled, debt = queue.popleft()
+        todo = enabled
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            k = bit.bit_length() - 1
+            move = moves[k]
+            succ_key = key + (1 << k * width)
+            j = index.get(succ_key)
+            if j is None:
+                if len(nodes) >= budget:
+                    complete = False
+                    continue
+                _, takes, gives, touch, retest, lends, repays = move
+                succ = counts.copy()
+                for p in takes:
+                    succ[p] -= 1
+                for p in gives:
+                    succ[p] += 1
+                succ_debt = debt
+                for p in lends:
+                    succ_debt += succ[p] == -1
+                for p in repays:
+                    succ_debt -= succ[p] == 0
+                tokens = succ.__getitem__
+                succ_enabled = enabled & ~touch
+                for row, guard in retest:
+                    # Non-lending places lose tokens only past a guard, so never go negative.
+                    if all(map(tokens, guard)):
+                        succ_enabled |= row
+                succ_fired = list(fired)
+                succ_fired[k] += 1
+                succ_fired = tuple(succ_fired)
+                j = index[succ_key] = len(nodes)
+                nodes.append(Node(succ, succ_fired, not succ_debt, layout))
+                if flag is not None and flag(nodes[j]):
+                    # The walk ends once the edge to the flagged node is kept.
+                    complete, todo = False, 0
+                    queue.clear()
+                else:
+                    queue.append((j, succ, succ_fired, succ_key, succ_enabled, succ_debt))
+            edges.append((i, move[0], j))
+    return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete)
+
+
+def _walk_components(net: LendingNet, parts: list[tuple[tuple, Callable | None]], start: Mapping[PlaceId, int],
+                     budget: int) -> list[ReachGraph]:
+    """Walk each ``(rows, flag)`` of ``parts``, one component's rows and its flag, in turn
+    from the marking ``start`` under one budget.
+
+    The components share their root, so the budget counts it once plus each
+    component's further states.  The walks end after one that the budget cut
+    short or, with a flag, after one whose last node is not flagged.
+    """
+    walks, marking = [], _layout(net).counts(start)
+    for rows, flag in parts:
+        graph = _walk(net, rows, marking, budget, flag)
+        walks.append(graph)
+        budget -= len(graph.nodes) - 1
+        if not (graph.complete if flag is None else flag(graph.nodes[-1])):
+            break
+    return walks
+

@@ -9,16 +9,14 @@ One breadth-first walk (``_walk``) does every search over a net's states,
 the occurrence check included, and returns a ``ReachGraph``.  It works on
 integer indices over the places that some transition consumes: once per net,
 ``_layout`` sorts those places and the transitions and tabulates, per
-transition, one row of the indices of its non-lending input places (the
-enabledness test) and of its input and consumed output places (the firing
-delta), and what a firing changes.  A place that no transition consumes is
-in no guard, so the walk sees the same states, steps and order without it.
-Non-lending places cannot go negative, since they start at zero or more and
-lose tokens only to transitions that passed the enabledness test, so the
-walk checks no firing for debt on them.  A node is identified by its fired
-vector alone (the state equation gives its marking), and the walk keys each
-state by one int, its fired vector packed into fixed-width fields.  A firing
-re-tests only the guards it touches.
+transition, one row of the indices of its non-lending input places (its
+guard) and of its input and consumed output places.  A place that no
+transition consumes is in no guard, so the walk sees the same states, steps
+and order without it.  A node is identified by its fired vector alone (the
+state equation gives its marking).  The walk keeps each state as two ints
+(``_Fields``): its counts, a biased field per consumed place, and its key,
+the fired vector.  A firing adds one int to each, a guard or the honored
+test is one mask, and a firing re-tests only the guards it touches.
 
 Without a built graph, the contract checks and net-side urgency split the
 net into independent components (no place one consumes is touched by
@@ -66,7 +64,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import compress
 from math import prod
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mul
 
 from .errors import IncompleteExplorationError, NetStructureError
 from .nets import (
@@ -80,26 +78,22 @@ from .nets import (
     _kept,
 )
 
+# The memoryview formats of key fields wider than a byte, and the fewest bytes a key field needs by bit length.
+_FORMATS, _SIZES = {2: "H", 4: "I", 8: "Q"}, (1,) * 9 + (2,) * 8 + (4,) * 16 + (8,) * 32
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(eq=False, slots=True)
 class _Layout:
     """The one table of a net that every walk on it reads, built once per net (``_layout``).
 
-    ``places`` are the places some transition consumes, sorted, with each
-    one's index in ``at``; ``transitions`` are all transitions, sorted, with
-    their labels (None when unlabeled) in ``labels`` and their ``_steps``
-    rows over ``places`` in ``steps``; ``owing`` maps each place that can
-    owe (a lending place some transition consumes) to its index.  A node's
-    dense vectors are in this order.  ``marking`` reads the other places by the
-    state equation, from the net's ``initial`` counts and its postset table
-    ``post``: the layout is kept with the net, so it holds no reference to it.
-
-    ``moves[k]`` is ``(t, takes, gives, touch, retest, lends, repays)``:
-    the places whose count firing row k lowers and raises, the bitmask of
-    the rows whose guard holds one of them with each one's ``(1 << j,
-    guard)``, and the owing places it can take to -1 and lift to 0.  A
-    touched row consumes a place that row k consumes or produces, so it is
-    in row k's ``_split`` component.
+    ``places`` are the places some transition consumes, sorted, with each one's index in
+    ``at``; ``transitions`` are all transitions, sorted, with their labels (None when
+    unlabeled) in ``labels`` and their ``_steps`` rows over ``places`` in ``steps``; ``owing``
+    maps each place that can owe (a lending place some transition consumes) to its index, and
+    ``credits`` the index of each of those that the net labels to its label; ``once`` is
+    ``_fires_at_most_once``, and ``tables`` keeps the walks' ``_Fields`` by width.  ``marking``
+    reads the other places by the state equation, from the net's ``initial`` counts and
+    postset table ``post``: the layout is kept with the net, so it holds no reference to it.
     """
 
     initial: Mapping[PlaceId, int]
@@ -109,8 +103,10 @@ class _Layout:
     transitions: tuple[TransitionId, ...]
     labels: tuple[Atom | None, ...]
     owing: dict[PlaceId, int]
+    credits: dict[int, Atom]
+    once: bool
     steps: tuple[tuple, ...]
-    moves: tuple[tuple, ...]
+    tables: dict[tuple[int, int], _Fields]
 
     def counts(self, marking: Mapping[PlaceId, int]) -> list[int]:
         """The counts of ``marking`` on ``places``, a walk's start."""
@@ -132,23 +128,65 @@ class _Layout:
         return tuple(sorted([*compress(zip(self.places, counts), counts), *others.items()]))
 
 
+@dataclass(eq=False, slots=True)
+class _Fields:
+    """How a walk packs each state into two ints (``_fields``; README, "How exploration works").
+
+    Counts: consumed place k's count plus ``bias`` in the ``width`` bits from bit k·width
+    (``units[k]``).  Key: transition k's firings in the ``size`` bytes from byte k·size.  Firing
+    ``rows[k] = (t, step, delta, touch, retest)`` adds ``step`` to the key and ``delta`` to the
+    counts and re-tests the guards of the rows in ``touch``.  Guard ``(1 << j, add, mask)``
+    holds when ``(counts + add) & mask == mask``; so does ``owe`` at an honored state.
+    """
+
+    width: int
+    bias: int
+    size: int
+    units: tuple[int, ...]
+    rows: tuple[tuple, ...]
+    guards: tuple[tuple[int, int, int], ...]
+    owe: tuple[int, int]
+
+    def pack(self, counts: list[int]) -> int:
+        return sum(self.units) * self.bias + sum(map(mul, counts, self.units))
+
+    def count(self, packed: int, k: int) -> int:
+        return (packed >> k * self.width & (self.bias << 2) - 1) - self.bias
+
+    def counts(self, packed: int) -> list[int]:
+        width, bias, full = self.width, self.bias, (self.bias << 2) - 1
+        return [(packed >> shift & full) - bias for shift in range(0, len(self.units) * width, width)]
+
+    def fired(self, key: int) -> bytes | memoryview:
+        """The fired vector packed in ``key``, one int per transition in layout order."""
+        vector = key.to_bytes(self.size * len(self.rows), sys.byteorder)
+        return vector if self.size == 1 else memoryview(vector).cast(_FORMATS[self.size])
+
+
 class Node:
     """Reachability graph node: marking, fired multiset, and whether no place owes.
 
-    A walk (or ``_join``) builds each node from its dense counts over the
-    consumed places, its fired vector and the net's ``_Layout``.  ``marking`` and ``fired``
-    are the nonzero counts as ``(id, count)`` pairs sorted by id, built on
-    each read; ``honored`` is not part of ``==``, ``hash`` or ``repr``.
-    ``tokens`` looks a consumed place up by index and reads any other place
-    by the state equation, with no marking built: no transition consumes it,
-    so it holds its initial count plus its producers' firings.  ``fired_set``
-    reads the fired vector.
+    A walk (or ``_join``) builds each node from its two ints (``_Fields``),
+    its honored flag, the walk's fields and the net's ``_Layout``.
+    ``marking`` and ``fired`` are the nonzero counts as ``(id, count)``
+    pairs sorted by id, decoded on each read; ``honored`` is not part of
+    ``==``, ``hash`` or ``repr``.  ``tokens`` reads a consumed place's field
+    and any other place by the state equation: no transition consumes it, so
+    it holds its initial count plus its producers' firings.
     """
 
-    __slots__ = ("_honored", "_counts", "_vector", "_layout")
+    __slots__ = ("_packed", "_key", "_honored", "_fields", "_layout")
 
-    def __init__(self, counts: list[int], vector: tuple[int, ...], honored: bool, layout: _Layout):
-        self._counts, self._vector, self._honored, self._layout = counts, vector, honored, layout
+    def __init__(self, packed: int, key: int, honored: bool, fields: _Fields, layout: _Layout):
+        self._packed, self._key, self._honored, self._fields, self._layout = packed, key, honored, fields, layout
+
+    @property
+    def _counts(self) -> list[int]:
+        return self._fields.counts(self._packed)
+
+    @property
+    def _vector(self) -> tuple[int, ...]:
+        return tuple(self._fields.fired(self._key))
 
     @property
     def marking(self) -> tuple[tuple[PlaceId, int], ...]:
@@ -156,9 +194,10 @@ class Node:
 
     @property
     def fired(self) -> tuple[tuple[TransitionId, int], ...]:
+        vector = self._fields.fired(self._key)
         # Through a list: tuple() of an iterator of unknown length shrinks its
         # result in place, which fragments the heap of a long-lived process.
-        return tuple(list(compress(zip(self._layout.transitions, self._vector), self._vector)))
+        return tuple(list(compress(zip(self._layout.transitions, vector), vector)))
 
     @property
     def honored(self) -> bool:
@@ -179,10 +218,11 @@ class Node:
         layout = self._layout
         k = layout.at.get(place)
         if k is not None:
-            return self._counts[k]
+            return self._fields.count(self._packed, k)
         # A plain loop: in CPython 3.11 a comprehension in this method slows the lookup above by half.
         n = layout.initial.get(place, 0)
-        for t, m in compress(zip(layout.transitions, self._vector), self._vector):
+        vector = self._fields.fired(self._key)
+        for t, m in compress(zip(layout.transitions, vector), vector):
             if place in layout.post[t]:
                 n += m
         return n
@@ -191,7 +231,7 @@ class Node:
         return Counter(dict(self.fired))
 
     def fired_set(self) -> frozenset[TransitionId]:
-        return frozenset(compress(self._layout.transitions, self._vector))
+        return frozenset(compress(self._layout.transitions, self._fields.fired(self._key)))
 
     def describe(self) -> str:
         marks = ", ".join(f"{p}={n}" for p, n in self.marking) or "empty"
@@ -251,14 +291,14 @@ class ReachGraph:
 
 
 def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
-    """The labels, by ``net``, of the transitions fired to reach ``node``, read off its fired
-    vector: with the layout's labels when the node was walked on ``net`` (its layout is the
-    one kept on ``net``, ``_layout``), and with ``net.transition_labels`` otherwise."""
-    layout = node._layout
+    """The labels, by ``net``, of the transitions fired to reach ``node``, read off its key:
+    with the layout's labels when the node was walked on ``net`` (its layout is the one kept
+    on ``net``, ``_layout``), and with ``net.transition_labels`` otherwise."""
+    layout, fired = node._layout, node._fields.fired(node._key)
     if layout is vars(net).get("_layout"):
-        return frozenset(filter(None, compress(layout.labels, node._vector)))
+        return frozenset(filter(None, compress(layout.labels, fired)))
     labels = net.transition_labels
-    return frozenset([labels[t] for t in compress(layout.transitions, node._vector) if t in labels])
+    return frozenset([labels[t] for t in compress(layout.transitions, fired) if t in labels])
 
 
 def _steps(net: LendingNet, places: Iterable[PlaceId], transitions: Iterable[TransitionId]) -> list[tuple]:
@@ -295,11 +335,10 @@ def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
     """
     _check_budget(budget)
     layout = _layout(net)
-    guards = [(t, guard) for _, t, guard, _, _ in layout.steps]
 
     def refired(node: Node) -> TransitionId | None:
-        tokens = node._counts.__getitem__
-        return next((t for t, guard in compress(guards, node._vector) if all(map(tokens, guard))), None)
+        fired = compress(zip(layout.transitions, node._fields.guards), node._fields.fired(node._key))
+        return next((t for t, (_, add, mask) in fired if (node._packed + add) & mask == mask), None)
 
     graph = _walk(net, [(layout.steps, refired)], net.initial, budget)[0]
     t = refired(graph.nodes[-1])
@@ -312,16 +351,13 @@ def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 def _fires_at_most_once(net: LendingNet) -> bool:
     """Whether every transition consumes a place that does not lend, has no
-    producer and starts with at most 1 token.
+    producer and starts with at most 1 token, a fact the layout keeps (``once``).
 
     Such a place never gains a token and each firing of its consumers takes
     one, so each transition fires at most once in any run: the net is an
     occurrence net, with no search (README, "How exploration works").
     """
-    return all(
-        any(p not in net.lending and not net.preset(p) and net.initial.get(p, 0) <= 1 for p in net.preset(t))
-        for t in net.transitions
-    )
+    return _layout(net).once
 
 
 @dataclass(frozen=True)
@@ -445,31 +481,48 @@ def _layout(net: LendingNet) -> _Layout:
         transitions = tuple(sorted(net.transitions))
         at = {p: k for k, p in enumerate(places)}
         owing = {p: k for p, k in at.items() if p in net.lending}
+        shots = {k for p, k in at.items() if not net._pre[p] and p not in net.lending and net.initial.get(p, 0) <= 1}
         steps = tuple(_steps(net, places, transitions))
         return _Layout(net.initial, net._post, places, at, transitions,
-                       tuple(map(net.transition_labels.get, transitions)), owing, steps, _moves(steps, owing))
+                       tuple(map(net.transition_labels.get, transitions)), owing,
+                       {k: net.place_labels[p] for p, k in owing.items() if p in net.place_labels},
+                       not any(map(shots.isdisjoint, map(itemgetter(3), steps))), steps, {})
 
     return _kept(net, "_layout", build)
 
 
-def _moves(steps: tuple[tuple, ...], owing: dict[PlaceId, int]) -> tuple[tuple, ...]:
-    """Per row of ``steps``, what firing it does to a walk state (``_Layout.moves``)."""
-    guarded: dict[int, int] = {}
-    for k, _, guard, _, _ in steps:
+def _fields(layout: _Layout, start: list[int], budget: int) -> _Fields:
+    """The packing of the walks from the consumed counts ``start`` under ``budget``, built once per
+    layout and widths and kept with it.  No path a walk keeps or tests fires more than ``bound``
+    transitions: ``budget``, or with ``once`` each transition at most as often as a place it takes
+    from and nothing refills holds tokens.  So no count moves further (README, "How exploration works")."""
+    reach = max(map(abs, start)) if start else 0
+    bound = min(budget, sys.maxsize, len(layout.transitions) * max(reach, 1) if layout.once else sys.maxsize)
+    width, size = (reach + bound).bit_length() + 2, _SIZES[bound.bit_length()]
+    if (width, size) in layout.tables:
+        return layout.tables[width, size]
+    bias, top = 1 << width - 2, width - 1
+    units = tuple(map((1).__lshift__, range(0, len(layout.places) * width, width)))
+    unit, guards, guarded = units.__getitem__, [], [0] * len(units)
+    for k, _, guard, _, _ in layout.steps:
+        ones = sum(map(unit, guard))
+        guards.append((1 << k, ones * (bias - 1), ones << top))
         for p in guard:
-            guarded[p] = guarded.get(p, 0) | 1 << k
-    owes = set(owing.values())
-    moves = []
-    for k, t, _, pre, post in steps:
-        takes = tuple([p for p in pre if p not in post])
-        gives = tuple([p for p in post if p not in pre])
-        touch = 0
-        for p in (*takes, *gives):
-            touch |= guarded.get(p, 0)
-        retest = tuple([(1 << j, guard) for j, _, guard, _, _ in steps if touch >> j & 1])
-        moves.append((t, takes, gives, touch, retest,
-                      tuple([p for p in takes if p in owes]), tuple([p for p in gives if p in owes])))
-    return tuple(moves)
+            guarded[p] |= 1 << k
+    rows = []
+    for k, t, _, pre, post in layout.steps:
+        # Row k touches the guards of the places whose count it changes.
+        touch = delta = 0
+        for p in pre:
+            if p not in post:
+                touch, delta = touch | guarded[p], delta - units[p]
+        for p in post:
+            if p not in pre:
+                touch, delta = touch | guarded[p], delta + units[p]
+        rows.append((t, 1 << 8 * size * k, delta, touch, tuple([g for g in guards if touch & g[0]])))
+    ones = sum(map(unit, layout.owing.values()))
+    layout.tables[width, size] = _Fields(width, bias, size, units, tuple(rows), tuple(guards), (ones * bias, ones << top))
+    return layout.tables[width, size]
 
 
 def _consumed_part(net: LendingNet) -> tuple:
@@ -564,76 +617,51 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[Node], object]
     first kept node where ``flag(node)`` holds, after the edge that found it:
     that node is the part's last.
 
-    A queued state carries the bitmask of its enabled rows, expanded in
-    ascending (sorted transition) order, and its debt, the number of owing
-    places below 0.  Firing row k re-tests only the rows it touches
-    (``_Layout.moves``), all in its component, and moves the debt only on
-    the owing places it lowers or raises (README, "How exploration works").
-
-    States are keyed by one int, the fired vector packed into fields of
-    ``width`` bits, and the fired tuple is built only for kept states.  No
-    field carries: the path to a kept state runs through distinct kept
-    states, so no count of a successor exceeds ``len(index)``, which is below
-    ``2 ** width`` (README, "How exploration works").  The walk never writes
-    to a count list once a node holds it.
+    A queued state is its two ints (``_fields``) and the bitmask of its
+    enabled rows, expanded in ascending (sorted transition) order.  Firing
+    row k adds one int to each and re-tests, one mask each, only the rows
+    whose guard it touches, all in its component (README, "How exploration works").
     """
     layout = _layout(net)
-    moves, width = layout.moves, min(budget, sys.maxsize).bit_length()
-    start = layout.counts(start)
-    zero = (0,) * len(layout.transitions)
-    start_debt = sum([start[k] < 0 for k in layout.owing.values()])
-    root = Node(start, zero, not start_debt, layout)
+    counts = layout.counts(start)
+    fields = _fields(layout, counts, budget)
+    rows, guards, (owe, owed) = fields.rows, fields.guards, fields.owe
+    start = fields.pack(counts)
+    root = Node(start, 0, (start + owe) & owed == owed, fields, layout)
     walks = []
-    for rows, flag in parts:
-        tokens = start.__getitem__
-        enabled = sum([1 << k for k, _, guard, _, _ in rows if all(map(tokens, guard))])
+    for part, flag in parts:
+        enabled = sum([bit for bit, add, mask in [guards[row[0]] for row in part] if (start + add) & mask == mask])
         nodes = [root]
         complete = flag is None or not flag(root)
         edges, index = [], {0: 0}
-        queue = deque([(0, start, zero, 0, enabled, start_debt)] if complete else ())
+        queue = deque([(0, start, 0, enabled)] if complete else ())
         while queue:
-            i, counts, fired, key, enabled, debt = queue.popleft()
+            i, counts, key, enabled = queue.popleft()
             todo = enabled
             while todo:
                 bit = todo & -todo
                 todo ^= bit
-                k = bit.bit_length() - 1
-                move = moves[k]
-                succ_key = key + (1 << k * width)
+                t, step, delta, touch, retest = rows[bit.bit_length() - 1]
+                succ_key = key + step
                 j = index.get(succ_key)
                 if j is None:
                     if len(nodes) >= budget:
                         complete = False
                         continue
-                    _, takes, gives, touch, retest, lends, repays = move
-                    succ = counts.copy()
-                    for p in takes:
-                        succ[p] -= 1
-                    for p in gives:
-                        succ[p] += 1
-                    succ_debt = debt
-                    for p in lends:
-                        succ_debt += succ[p] == -1
-                    for p in repays:
-                        succ_debt -= succ[p] == 0
-                    tokens = succ.__getitem__
+                    succ = counts + delta
                     succ_enabled = enabled & ~touch
-                    for row, guard in retest:
-                        # Non-lending places lose tokens only past a guard, so never go negative.
-                        if all(map(tokens, guard)):
+                    for row, add, mask in retest:
+                        if (succ + add) & mask == mask:
                             succ_enabled |= row
-                    succ_fired = list(fired)
-                    succ_fired[k] += 1
-                    succ_fired = tuple(succ_fired)
                     j = index[succ_key] = len(nodes)
-                    nodes.append(Node(succ, succ_fired, not succ_debt, layout))
-                    if flag is not None and flag(nodes[j]):
+                    nodes.append(node := Node(succ, succ_key, (succ + owe) & owed == owed, fields, layout))
+                    if flag is not None and flag(node):
                         # The walk ends once the edge to the flagged node is kept.
                         complete, todo = False, 0
                         queue.clear()
                     else:
-                        queue.append((j, succ, succ_fired, succ_key, succ_enabled, succ_debt))
-                edges.append((i, move[0], j))
+                        queue.append((j, succ, succ_key, succ_enabled))
+                edges.append((i, t, j))
         walks.append(ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete))
         budget -= len(nodes) - 1
         if not (complete if flag is None else flag(nodes[-1])):
@@ -642,30 +670,33 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[Node], object]
 
 
 def _join(net: LendingNet, start: Mapping[PlaceId, int], parts: Iterable[Node]) -> Node:
-    """The product node of ``parts``, nodes of distinct components' walks on ``net`` from ``start``:
-    the start counts plus each part's deltas, and the sum of the parts' fired vectors."""
-    layout = _layout(net)
-    root = layout.counts(start)
-    counts, fired = root.copy(), [0] * len(layout.transitions)
-    for node in parts:
-        for k, n in enumerate(node._counts):
-            counts[k] += n - root[k]
-        for k, n in enumerate(node._vector):
-            fired[k] += n
-    return Node(counts, tuple(fired), min(map(counts.__getitem__, layout.owing.values()), default=0) >= 0, layout)
+    """The product node of ``parts``, nodes of distinct components' walks in one ``_walk`` call on
+    ``net`` from ``start``: the start counts plus each part's change, and the sum of their keys."""
+    layout, parts = _layout(net), list(parts)
+    counts = layout.counts(start)
+    fields = parts[0]._fields if parts else _fields(layout, counts, 1)
+    root, (add, mask) = fields.pack(counts), fields.owe
+    packed = root + sum([node._packed - root for node in parts])
+    return Node(packed, sum([node._key for node in parts]), (packed + add) & mask == mask, fields, layout)
 
 
 def _credit_places(net: LendingNet, layout: _Layout) -> dict[int, Atom]:
-    """The index in ``layout`` and the label of each place that can owe there (``owing``) and
-    that ``net`` labels: the one credit-free rule is that none of them is below 0."""
-    labels = net.place_labels
-    return {k: labels[p] for p, k in layout.owing.items() if p in labels}
+    """The index in ``layout`` and the label of each place that can owe there (``owing``) and that
+    ``net`` labels, kept as the layout's ``credits`` when it is ``net``'s: the one credit-free rule
+    is that none of them is below 0."""
+    if layout is vars(net).get("_layout"):
+        return layout.credits
+    return {k: net.place_labels[p] for p, k in layout.owing.items() if p in net.place_labels}
 
 
 def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
-    """The labels of the places a credit is read on (``_credit_places``) where ``node`` is below 0."""
-    counts = node._counts
-    return frozenset([label for k, label in _credit_places(net, node._layout).items() if counts[k] < 0])
+    """The labels of the places a credit is read on (``_credit_places``) where ``node`` is below 0:
+    the owing fields whose guard bit the honored test leaves clear."""
+    if node._honored:
+        return frozenset()
+    (add, mask), width = node._fields.owe, node._fields.width
+    below, places = mask & ~(node._packed + add), _credit_places(net, node._layout)
+    return frozenset([label for k, label in places.items() if below >> (k + 1) * width - 1 & 1])
 
 
 def _credit_free(net: LendingNet, walked: LendingNet) -> Callable[[Node], bool]:
@@ -673,10 +704,9 @@ def _credit_free(net: LendingNet, walked: LendingNet) -> Callable[[Node], bool]:
     read on (``_credit_places``), by ``net``'s labels.  When every place that can owe there is
     labeled, as in a valid contract net, it is the ``honored`` flag."""
     layout = _layout(walked)
-    owing = list(_credit_places(net, layout))
-    if len(owing) == len(layout.owing):
+    if len(_credit_places(net, layout)) == len(layout.owing):
         return attrgetter("honored")
-    return lambda node: node.honored or all(node._counts[k] >= 0 for k in owing)
+    return lambda node: not _credits(net, node)
 
 
 def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET,

@@ -64,6 +64,6 @@ def test_honored_flag_means_no_place_owes():
 def test_honored_flag_stays_out_of_equality_hash_and_repr():
     node = explore(compile_contract(pairs_contract(1)).net).nodes[1]
     assert not node.honored
-    twin = type(node)(node._counts, node._vector, True, node._layout)
+    twin = type(node)(node._packed, node._key, True, node._fields, node._layout)
     assert twin == node and hash(twin) == hash(node) and repr(twin) == repr(node)
     assert "honored" not in repr(node)

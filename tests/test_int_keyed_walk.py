@@ -1,7 +1,8 @@
-"""The walk that keeps each state's enabled rows and debt, against the search it replaced.
+"""The walk that keeps each state's enabled rows and packed counts, against the search it replaced.
 
 ``analysis._walk`` carries per queued state the bitmask of its enabled rows
-and its debt, and re-tests only the rows whose guard the fired row touches.
+and its counts packed into one int, and re-tests only the rows whose guard
+the fired row touches.
 ``bfs_oracle._bfs`` keeps the earlier search, which re-tested every row's
 guard at every state; the walk then read each state's honored flag as the
 ``min`` over the owing counts.  On whole nets and on each component, both
@@ -23,7 +24,7 @@ import sys
 import pytest
 
 import bfs_oracle
-from lendingnets import LendingNet, Outcome, compile_contract, is_occurrence_net
+from lendingnets import LendingNet, Outcome, compile_contract, explore, is_occurrence_net
 from lendingnets.analysis import _components, _layout, _split, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
@@ -209,16 +210,17 @@ def test_the_occurrence_check_stops_at_its_witness():
 
 
 def test_a_firing_touches_only_rows_of_its_own_component():
-    """``touch[k]`` holds the rows whose guard meets a place that row k changes; each
+    """``touch`` of row k holds the rows whose guard meets a place that row k changes; each
     consumes a place that row k consumes or produces, so ``_split`` joins it with row k."""
     nets = [net for net, _ in sample_nets()] + [compile_contract(settled_pairs(n)).net for n in range(1, 7)]
     touched = 0
     for net in nets:
         layout = _layout(net)
         component = {row[0]: {r[0] for r in rows} for rows in _split(net) for row in rows}
-        for k, (_, _, _, touch, retest, _, _) in enumerate(layout.moves):
+        fields = explore(net, 1).root._fields
+        for k, (_, _, _, touch, retest) in enumerate(fields.rows):
             rows = {j for j in range(len(layout.steps)) if touch >> j & 1}
             assert rows <= component[k]
-            assert [bit for bit, _ in retest] == [1 << j for j in sorted(rows)]
+            assert [bit for bit, _, _ in retest] == [1 << j for j in sorted(rows)]
             touched += len(rows)
     assert touched

@@ -1,0 +1,147 @@
+"""The walk's packed fields at their limits, against the search that kept plain count lists.
+
+``analysis._walk`` packs each state's counts into one int, a biased field
+per consumed place, and its fired vector into another.  The fields are sized
+from a bound on the firings along a path and the largest start count; a
+carry or borrow between two fields would merge two states, change a count or
+flip a guard or honored test.  ``bfs_oracle._bfs`` keeps each state as a list,
+so on nets built to reach each limit, at every budget and without one, the
+walk must keep the same (counts, fired) states in the same order, with the
+same edges, honored flags and completeness:
+
+* a lending place that many consumers drive down to minus the bound;
+* a place that starts with ``2**40`` tokens, so a count field must widen;
+* starts above the initial marking, as urgency's done marking is, given
+  to ``_walk`` as its ``start``.
+"""
+
+import math
+
+import pytest
+
+import bfs_oracle
+from lendingnets import LendingNet, compile_contract
+from lendingnets.analysis import _components, _layout, _walk
+from lendingnets.compiler import delivery_pid, star_pid
+from test_int_keyed_walk import BUDGETS, CYCLIC_BUDGET
+
+from generators import pairs_contract
+
+BIG = 2 ** 40
+
+
+def lenders(n: int) -> LendingNet:
+    """``n`` transitions, each taking its own place's one token and one from the shared lending place
+    ``l``: each fires at most once, so at most ``n`` times in all, and all of them drive ``l`` to ``-n``.
+    ``l`` is the lowest field, so a borrow out of it would lower ``s0``."""
+    names = [f"t{k}" for k in range(n)]
+    flow = {arc for k, t in enumerate(names) for arc in ((f"s{k}", t), ("l", t), (t, f"q{k}"))}
+    return LendingNet.build(places=("l", *(f"s{k}" for k in range(n)), *(f"q{k}" for k in range(n))),
+                            transitions=names, flow=flow, initial={f"s{k}": 1 for k in range(n)}, lending={"l"})
+
+
+def chain(tokens: int) -> LendingNet:
+    """One transition taking a token of ``p`` and one of the lending place ``l`` until ``p`` is empty:
+    a chain of ``tokens + 1`` states, so under a budget ``l`` falls as far as the budget allows."""
+    return LendingNet.build(places=("l", "p", "q"), transitions=("t",), flow={("p", "t"), ("l", "t"), ("t", "q")},
+                            initial={"p": tokens}, lending={"l"})
+
+
+def wide(once: bool) -> LendingNet:
+    """``t`` moves a token from ``b``, which starts with ``2**40``, to ``r`` and ``u`` takes it on
+    to ``b`` again; with ``once``, each also takes the token of a place of its own, so each fires
+    at most once."""
+    flow = {("b", "t"), ("t", "r"), ("r", "u"), ("u", "b")}
+    if once:
+        flow |= {("s", "t"), ("v", "u")}
+    return LendingNet.build(places=("b", "r", "s", "v"), transitions=("t", "u"), flow=flow,
+                            initial={"b": BIG, "s": 1, "v": 1} if once else {"b": BIG})
+
+
+def above_initial(net: LendingNet, extra: int) -> dict:
+    """The initial marking with ``extra`` more tokens on every consumed place."""
+    return net.initial | {p: net.initial.get(p, 0) + extra for p in _layout(net).places}
+
+
+def oracle(net: LendingNet, rows, start, budget):
+    """The edges, kept (counts, fired, honored) states and completeness of ``bfs_oracle._bfs`` from ``start``."""
+    layout = _layout(net)
+    kept = []
+
+    def keep(counts, fired):
+        fired = fired + (0,) * (len(layout.transitions) - len(fired))
+        kept.append((tuple(counts), fired, min(map(counts.__getitem__, layout.owing.values()), default=0) >= 0))
+
+    counts = layout.counts(start)
+    keep(counts, ())
+    edges, complete = [], True
+    for i, t, j, _ in bfs_oracle._bfs(rows, counts, budget, keep):
+        if j is None:
+            complete = False
+        else:
+            edges.append((i, t, j))
+    return edges, kept, complete
+
+
+def walked(net: LendingNet, rows, start, budget):
+    [graph] = _walk(net, [(rows, None)], start, budget)
+    nodes = [(tuple(node._counts), node._vector, node.honored) for node in graph.nodes]
+    layout = _layout(net)
+    assert [[node.tokens(p) for p in layout.places] for node in graph.nodes] == [list(c) for c, _, _ in nodes]
+    return list(graph.edges), nodes, graph.complete
+
+
+def assert_same_walks(net: LendingNet, start, budget):
+    """Every row and each component walk alike from ``start``; returns the whole net's kept states."""
+    whole = _layout(net).steps
+    for rows in (whole, *_components(net)):
+        want = oracle(net, rows, start, budget)
+        assert walked(net, rows, start, budget) == want
+        kept = want[1] if rows is whole else kept
+    return kept
+
+
+@pytest.mark.parametrize("budget", (*BUDGETS, math.inf))
+def test_a_lending_place_falls_to_minus_the_bound(budget):
+    for n in (1, 2, 3, 6):
+        kept = assert_same_walks(lenders(n), lenders(n).initial, budget)
+        # One state per set of fired transitions; the last fired them all, so l is at -n there.
+        assert len(kept) == min(2 ** n, budget)
+        assert kept[-1][0][0] == -n or len(kept) < 2 ** n
+    for tokens in (1, 5, 40):
+        kept = assert_same_walks(chain(tokens), chain(tokens).initial, budget)
+        # A chain keeps one state per firing: under a budget, l falls to one less than the budget.
+        assert [counts[0] for counts, _, _ in kept] == [-k for k in range(min(tokens + 1, budget))]
+        assert [honored for *_, honored in kept] == [True] + [False] * (len(kept) - 1)
+
+
+@pytest.mark.parametrize("budget", (*BUDGETS, math.inf))
+def test_a_count_of_two_to_the_forty_widens_its_field(budget):
+    # Without ``once`` the net has about 2**41 states: it is walked to at most ``CYCLIC_BUDGET``.
+    for net, most in ((wide(True), budget), (wide(False), min(budget, CYCLIC_BUDGET))):
+        kept = assert_same_walks(net, net.initial, most)
+        assert kept[0][0][0] == BIG and (len(kept) == 1 or kept[1][0][0] == BIG - 1)
+
+
+def done_markings(c):
+    """Urgency's done marking of ``c``'s compiled net for each set of its atoms: the control places
+    of the done atoms empty, and a token on each of their body delivery places, which start empty."""
+    net = compile_contract(c).net
+    atoms = sorted({cl.head for cl in c.clauses})
+    for mask in range(2 ** len(atoms)):
+        done = {a for k, a in enumerate(atoms) if mask >> k & 1}
+        delivered = {delivery_pid(a, cl): 1 for cl in c.clauses for a in cl.body & done}
+        yield net, net.initial | {star_pid(a): 0 for a in done} | delivered
+
+
+@pytest.mark.parametrize("budget", (*BUDGETS, math.inf))
+def test_starts_above_the_initial_marking(budget):
+    """From a start above the initial marking a transition that fires at most once from the
+    initial marking may fire more often, and a count may start far above every initial count."""
+    starts = [(net, start, budget) for net, start in done_markings(pairs_contract(2))]
+    for net in (lenders(3), wide(True)):
+        starts += [(net, above_initial(net, extra), budget) for extra in (1, 2, 3)]
+        # BIG more tokens let a transition fire BIG times: walked to at most ``CYCLIC_BUDGET`` states.
+        starts.append((net, above_initial(net, BIG), min(budget, CYCLIC_BUDGET)))
+    for net, start, most in starts:
+        assert_same_walks(net, start, most)

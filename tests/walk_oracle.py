@@ -4,7 +4,9 @@ These are the definitions ``lendingnets.analysis`` ran on before one ``_walk``
 call walked every part of a question: ``_walk`` walked one ``rows`` tuple from
 a start count list, and ``_walk_components`` called it once per component, each
 walk with its own set-up and root.  Both are copied unchanged apart from their
-imports.
+imports, the moves table, which the walk no longer keeps and ``_moves`` below
+builds as it did, and the lines that build a ``Node``: a node now holds its
+counts and fired vector packed into two ints (``analysis._fields``).
 """
 
 from __future__ import annotations
@@ -13,8 +15,31 @@ import sys
 from collections import deque
 from collections.abc import Callable, Mapping
 
-from lendingnets.analysis import Node, ReachGraph, _layout
+from lendingnets.analysis import Node, ReachGraph, _fields, _layout
 from lendingnets.nets import LendingNet, PlaceId
+
+
+def _moves(steps: tuple[tuple, ...], owing: dict[PlaceId, int]) -> tuple[tuple, ...]:
+    """Per row ``(k, t, guard, pre, post)`` of ``steps``, ``(t, takes, gives, touch, retest, lends,
+    repays)``: the places whose count firing row k lowers and raises, the bitmask of the rows
+    whose guard holds one of them with each one's ``(1 << j, guard)``, and the owing places it
+    can take to -1 and lift to 0."""
+    guarded: dict[int, int] = {}
+    for k, _, guard, _, _ in steps:
+        for p in guard:
+            guarded[p] = guarded.get(p, 0) | 1 << k
+    owes = set(owing.values())
+    moves = []
+    for k, t, _, pre, post in steps:
+        takes = tuple([p for p in pre if p not in post])
+        gives = tuple([p for p in post if p not in pre])
+        touch = 0
+        for p in (*takes, *gives):
+            touch |= guarded.get(p, 0)
+        retest = tuple([(1 << j, guard) for j, _, guard, _, _ in steps if touch >> j & 1])
+        moves.append((t, takes, gives, touch, retest,
+                      tuple([p for p in takes if p in owes]), tuple([p for p in gives if p in owes])))
+    return tuple(moves)
 
 
 def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
@@ -42,12 +67,13 @@ def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
     to a count list once a node holds it (nor to ``start``).
     """
     layout = _layout(net)
-    moves, width = layout.moves, min(budget, sys.maxsize).bit_length()
+    moves, width = _moves(layout.steps, layout.owing), min(budget, sys.maxsize).bit_length()
+    packing = _fields(layout, start, budget)
     fired = (0,) * len(layout.transitions)
     tokens = start.__getitem__
     enabled = sum([1 << k for k, _, guard, _, _ in rows if all(map(tokens, guard))])
     debt = sum([start[k] < 0 for k in layout.owing.values()])
-    nodes = [Node(start, fired, not debt, layout)]
+    nodes = [Node(packing.pack(start), 0, not debt, packing, layout)]
     complete = flag is None or not flag(nodes[0])
     edges, index = [], {0: 0}
     queue = deque([(0, start, fired, 0, enabled, debt)] if complete else ())
@@ -86,7 +112,8 @@ def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
                 succ_fired[k] += 1
                 succ_fired = tuple(succ_fired)
                 j = index[succ_key] = len(nodes)
-                nodes.append(Node(succ, succ_fired, not succ_debt, layout))
+                nodes.append(Node(packing.pack(succ), sum([n << 8 * packing.size * k for k, n in enumerate(succ_fired)]),
+                                  not succ_debt, packing, layout))
                 if flag is not None and flag(nodes[j]):
                     # The walk ends once the edge to the flagged node is kept.
                     complete, todo = False, 0

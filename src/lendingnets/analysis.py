@@ -14,9 +14,10 @@ guard) and of its input and consumed output places.  A place that no
 transition consumes is in no guard, so the walk sees the same states, steps
 and order without it.  A node is identified by its fired vector alone (the
 state equation gives its marking).  The walk keeps each state as two ints
-(``_Fields``): its counts, a biased field per consumed place, and its key,
-the fired vector.  A firing adds one int to each, a guard or the honored
-test is one mask, and a firing re-tests only the guards it touches.
+of one field width (``_Fields``): its counts, a biased field per consumed
+place, and its key, a field per transition.  A firing adds one int to each,
+a guard or the honored test is one mask, and a firing re-tests only the
+guards it touches.
 
 Without a built graph, the contract checks and net-side urgency split the
 net into independent components (no place one consumes is touched by
@@ -78,10 +79,6 @@ from .nets import (
     _kept,
 )
 
-# The memoryview formats of key fields wider than a byte, and the fewest bytes a key field needs by bit length.
-_FORMATS, _SIZES = {2: "H", 4: "I", 8: "Q"}, (1,) * 9 + (2,) * 8 + (4,) * 16 + (8,) * 32
-
-
 @dataclass(eq=False, slots=True)
 class _Layout:
     """The one table of a net that every walk on it reads, built once per net (``_layout``).
@@ -106,14 +103,14 @@ class _Layout:
     credits: dict[int, Atom]
     once: bool
     steps: tuple[tuple, ...]
-    tables: dict[tuple[int, int], _Fields]
+    tables: dict[int, _Fields]
 
     def counts(self, marking: Mapping[PlaceId, int]) -> list[int]:
         """The counts of ``marking`` on ``places``, a walk's start."""
         return [marking.get(p, 0) for p in self.places]
 
     def marking(self, counts, fired) -> tuple[tuple[PlaceId, int], ...]:
-        """The nonzero counts of every place, by id, from a node's consumed counts and fired vector.
+        """The nonzero counts of every place, by id, from a node's consumed counts and fired pairs.
 
         The places that no transition consumes are read by the state equation,
         over the transitions that fired: no per-graph table is built, since
@@ -121,7 +118,7 @@ class _Layout:
         """
         at = self.at
         others = {p: n for p, n in self.initial.items() if p not in at}
-        for t, n in compress(zip(self.transitions, fired), fired):
+        for t, n in fired:
             for p in self.post[t]:
                 if p not in at:
                     others[p] = others.get(p, 0) + n
@@ -132,16 +129,15 @@ class _Layout:
 class _Fields:
     """How a walk packs each state into two ints (``_fields``; README, "How exploration works").
 
-    Counts: consumed place k's count plus ``bias`` in the ``width`` bits from bit k·width
-    (``units[k]``).  Key: transition k's firings in the ``size`` bytes from byte k·size.  Firing
-    ``rows[k] = (t, step, delta, touch, retest)`` adds ``step`` to the key and ``delta`` to the
-    counts and re-tests the guards of the rows in ``touch``.  Guard ``(1 << j, add, mask)``
-    holds when ``(counts + add) & mask == mask``; so does ``owe`` at an honored state.
+    Both are ``width``-bit fields from bit 0, read by one rule (``decode``).  Counts: consumed
+    place k's count plus ``bias`` in field k (``units[k]``).  Key: transition k's firings in field
+    k.  Firing ``rows[k] = (t, step, delta, touch, retest)`` adds ``step`` to the key and ``delta``
+    to the counts and re-tests the guards of the rows in ``touch``.  Guard ``(1 << j, add, mask)``
+    holds when ``(counts + add) & mask == mask``; so does ``owe`` at an honored state (``owed``).
     """
 
     width: int
     bias: int
-    size: int
     units: tuple[int, ...]
     rows: tuple[tuple, ...]
     guards: tuple[tuple[int, int, int], ...]
@@ -150,78 +146,81 @@ class _Fields:
     def pack(self, counts: list[int]) -> int:
         return sum(self.units) * self.bias + sum(map(mul, counts, self.units))
 
-    def count(self, packed: int, k: int) -> int:
-        return (packed >> k * self.width & (self.bias << 2) - 1) - self.bias
+    def decode(self, packed: int, n: int, bias: int) -> list[int]:
+        """The first ``n`` fields of ``packed`` less ``bias``: the counts, or the key's fired vector."""
+        width, full = self.width, (self.bias << 2) - 1
+        return [(packed >> shift & full) - bias for shift in range(0, n * width, width)]
 
-    def counts(self, packed: int) -> list[int]:
-        width, bias, full = self.width, self.bias, (self.bias << 2) - 1
-        return [(packed >> shift & full) - bias for shift in range(0, len(self.units) * width, width)]
-
-    def fired(self, key: int) -> bytes | memoryview:
-        """The fired vector packed in ``key``, one int per transition in layout order."""
-        vector = key.to_bytes(self.size * len(self.rows), sys.byteorder)
-        return vector if self.size == 1 else memoryview(vector).cast(_FORMATS[self.size])
+    def owed(self, packed: int) -> int:
+        add, mask = self.owe
+        return mask & ~(packed + add)
 
 
 class Node:
     """Reachability graph node: marking, fired multiset, and whether no place owes.
 
     A walk (or ``_join``) builds each node from its two ints (``_Fields``),
-    its honored flag, the walk's fields and the net's ``_Layout``.
-    ``marking`` and ``fired`` are the nonzero counts as ``(id, count)``
-    pairs sorted by id, decoded on each read; ``honored`` is not part of
+    the walk's fields and the net's ``_Layout``, and reads all else off them:
+    ``marking`` and ``fired``, the nonzero counts as ``(id, count)`` pairs
+    sorted by id, decoded once per read, and ``honored``, which is not part of
     ``==``, ``hash`` or ``repr``.  ``tokens`` reads a consumed place's field
     and any other place by the state equation: no transition consumes it, so
     it holds its initial count plus its producers' firings.
     """
 
-    __slots__ = ("_packed", "_key", "_honored", "_fields", "_layout")
+    __slots__ = ("_packed", "_key", "_fields", "_layout")
 
-    def __init__(self, packed: int, key: int, honored: bool, fields: _Fields, layout: _Layout):
-        self._packed, self._key, self._honored, self._fields, self._layout = packed, key, honored, fields, layout
+    def __init__(self, packed: int, key: int, fields: _Fields, layout: _Layout):
+        self._packed, self._key, self._fields, self._layout = packed, key, fields, layout
 
     @property
     def _counts(self) -> list[int]:
-        return self._fields.counts(self._packed)
+        return self._fields.decode(self._packed, len(self._fields.units), self._fields.bias)
 
     @property
-    def _vector(self) -> tuple[int, ...]:
-        return tuple(self._fields.fired(self._key))
+    def _vector(self) -> list[int]:
+        return self._fields.decode(self._key, len(self._layout.transitions), 0)
+
+    def _read(self) -> tuple[tuple[tuple[PlaceId, int], ...], tuple[tuple[TransitionId, int], ...]]:
+        """``(marking, fired)``, decoding each int once."""
+        fired = self.fired
+        return self._layout.marking(self._counts, fired), fired
 
     @property
     def marking(self) -> tuple[tuple[PlaceId, int], ...]:
-        return self._layout.marking(self._counts, self._vector)
+        return self._layout.marking(self._counts, self.fired)
 
     @property
     def fired(self) -> tuple[tuple[TransitionId, int], ...]:
-        vector = self._fields.fired(self._key)
+        vector = self._vector
         # Through a list: tuple() of an iterator of unknown length shrinks its
         # result in place, which fragments the heap of a long-lived process.
         return tuple(list(compress(zip(self._layout.transitions, vector), vector)))
 
     @property
     def honored(self) -> bool:
-        return self._honored
+        return not self._fields.owed(self._packed)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.marking == other.marking and self.fired == other.fired
+        return self._read() == other._read()
 
     def __hash__(self):
-        return hash((self.marking, self.fired))
+        return hash(self._read())
 
     def __repr__(self):
-        return f"{type(self).__qualname__}(marking={self.marking!r}, fired={self.fired!r})"
+        marking, fired = self._read()
+        return f"{type(self).__qualname__}(marking={marking!r}, fired={fired!r})"
 
     def tokens(self, place: PlaceId) -> int:
         layout = self._layout
         k = layout.at.get(place)
         if k is not None:
-            return self._fields.count(self._packed, k)
+            return self._counts[k]
         # A plain loop: in CPython 3.11 a comprehension in this method slows the lookup above by half.
         n = layout.initial.get(place, 0)
-        vector = self._fields.fired(self._key)
+        vector = self._vector
         for t, m in compress(zip(layout.transitions, vector), vector):
             if place in layout.post[t]:
                 n += m
@@ -231,11 +230,12 @@ class Node:
         return Counter(dict(self.fired))
 
     def fired_set(self) -> frozenset[TransitionId]:
-        return frozenset(compress(self._layout.transitions, self._fields.fired(self._key)))
+        return frozenset(compress(self._layout.transitions, self._vector))
 
     def describe(self) -> str:
-        marks = ", ".join(f"{p}={n}" for p, n in self.marking) or "empty"
-        fires = ", ".join(t if n == 1 else f"{t}x{n}" for t, n in self.fired) or "none"
+        marking, fired = self._read()
+        marks = ", ".join(f"{p}={n}" for p, n in marking) or "empty"
+        fires = ", ".join(t if n == 1 else f"{t}x{n}" for t, n in fired) or "none"
         return f"marking [{marks}] fired [{fires}]"
 
 
@@ -294,7 +294,7 @@ def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
     """The labels, by ``net``, of the transitions fired to reach ``node``, read off its key:
     with the layout's labels when the node was walked on ``net`` (its layout is the one kept
     on ``net``, ``_layout``), and with ``net.transition_labels`` otherwise."""
-    layout, fired = node._layout, node._fields.fired(node._key)
+    layout, fired = node._layout, node._vector
     if layout is vars(net).get("_layout"):
         return frozenset(filter(None, compress(layout.labels, fired)))
     labels = net.transition_labels
@@ -337,7 +337,7 @@ def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
     layout = _layout(net)
 
     def refired(node: Node) -> TransitionId | None:
-        fired = compress(zip(layout.transitions, node._fields.guards), node._fields.fired(node._key))
+        fired = compress(zip(layout.transitions, node._fields.guards), node._vector)
         return next((t for t, (_, add, mask) in fired if (node._packed + add) & mask == mask), None)
 
     graph = _walk(net, [(layout.steps, refired)], net.initial, budget)[0]
@@ -398,6 +398,18 @@ def as_goal_fn(goal: GoalLike) -> Callable[[Node], bool]:
         if not isinstance(d, MarkingPredicate):
             raise NetStructureError(f"not a marking predicate: {d!r}")
     return lambda node: any(d.holds_at(node) for d in disjuncts)
+
+
+def _goal_fn(net: LendingNet, goal: GoalLike) -> Callable[[Node], bool]:
+    """``as_goal_fn(goal)`` for the nodes of ``net``: a marking predicate of ``goal`` that
+    constrains a place ``net`` lacks raises, as a goal in a net document does."""
+    if callable(goal):
+        return goal
+    disjuncts = (goal,) if isinstance(goal, MarkingPredicate) else tuple(goal)
+    named = {p for d in disjuncts if isinstance(d, MarkingPredicate) for p in (*d.zero, *d.positive, *d.nonneg)}
+    if not named <= net.places:
+        raise NetStructureError(f"goal constrains unknown places: {sorted(named - net.places)}")
+    return as_goal_fn(disjuncts)
 
 
 def backward_closure(graph: ReachGraph, targets: Iterable[int]) -> set[int]:
@@ -493,14 +505,14 @@ def _layout(net: LendingNet) -> _Layout:
 
 def _fields(layout: _Layout, start: list[int], budget: int) -> _Fields:
     """The packing of the walks from the consumed counts ``start`` under ``budget``, built once per
-    layout and widths and kept with it.  No path a walk keeps or tests fires more than ``bound``
+    layout and width and kept with it.  No path a walk keeps or tests fires more than ``bound``
     transitions: ``budget``, or with ``once`` each transition at most as often as a place it takes
     from and nothing refills holds tokens.  So no count moves further (README, "How exploration works")."""
     reach = max(map(abs, start)) if start else 0
     bound = min(budget, sys.maxsize, len(layout.transitions) * max(reach, 1) if layout.once else sys.maxsize)
-    width, size = (reach + bound).bit_length() + 2, _SIZES[bound.bit_length()]
-    if (width, size) in layout.tables:
-        return layout.tables[width, size]
+    width = (reach + bound).bit_length() + 2
+    if width in layout.tables:
+        return layout.tables[width]
     bias, top = 1 << width - 2, width - 1
     units = tuple(map((1).__lshift__, range(0, len(layout.places) * width, width)))
     unit, guards, guarded = units.__getitem__, [], [0] * len(units)
@@ -519,10 +531,10 @@ def _fields(layout: _Layout, start: list[int], budget: int) -> _Fields:
         for p in post:
             if p not in pre:
                 touch, delta = touch | guarded[p], delta + units[p]
-        rows.append((t, 1 << 8 * size * k, delta, touch, tuple([g for g in guards if touch & g[0]])))
+        rows.append((t, 1 << width * k, delta, touch, tuple([g for g in guards if touch & g[0]])))
     ones = sum(map(unit, layout.owing.values()))
-    layout.tables[width, size] = _Fields(width, bias, size, units, tuple(rows), tuple(guards), (ones * bias, ones << top))
-    return layout.tables[width, size]
+    layout.tables[width] = _Fields(width, bias, units, tuple(rows), tuple(guards), (ones * bias, ones << top))
+    return layout.tables[width]
 
 
 def _consumed_part(net: LendingNet) -> tuple:
@@ -625,9 +637,9 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[Node], object]
     layout = _layout(net)
     counts = layout.counts(start)
     fields = _fields(layout, counts, budget)
-    rows, guards, (owe, owed) = fields.rows, fields.guards, fields.owe
+    rows, guards = fields.rows, fields.guards
     start = fields.pack(counts)
-    root = Node(start, 0, (start + owe) & owed == owed, fields, layout)
+    root = Node(start, 0, fields, layout)
     walks = []
     for part, flag in parts:
         enabled = sum([bit for bit, add, mask in [guards[row[0]] for row in part] if (start + add) & mask == mask])
@@ -654,7 +666,7 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[Node], object]
                         if (succ + add) & mask == mask:
                             succ_enabled |= row
                     j = index[succ_key] = len(nodes)
-                    nodes.append(node := Node(succ, succ_key, (succ + owe) & owed == owed, fields, layout))
+                    nodes.append(node := Node(succ, succ_key, fields, layout))
                     if flag is not None and flag(node):
                         # The walk ends once the edge to the flagged node is kept.
                         complete, todo = False, 0
@@ -675,9 +687,8 @@ def _join(net: LendingNet, start: Mapping[PlaceId, int], parts: Iterable[Node]) 
     layout, parts = _layout(net), list(parts)
     counts = layout.counts(start)
     fields = parts[0]._fields if parts else _fields(layout, counts, 1)
-    root, (add, mask) = fields.pack(counts), fields.owe
-    packed = root + sum([node._packed - root for node in parts])
-    return Node(packed, sum([node._key for node in parts]), (packed + add) & mask == mask, fields, layout)
+    root = fields.pack(counts)
+    return Node(root + sum([node._packed - root for node in parts]), sum([node._key for node in parts]), fields, layout)
 
 
 def _credit_places(net: LendingNet, layout: _Layout) -> dict[int, Atom]:
@@ -691,11 +702,11 @@ def _credit_places(net: LendingNet, layout: _Layout) -> dict[int, Atom]:
 
 def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
     """The labels of the places a credit is read on (``_credit_places``) where ``node`` is below 0:
-    the owing fields whose guard bit the honored test leaves clear."""
-    if node._honored:
+    the owing fields whose guard bit the honored test leaves clear (``_Fields.owed``)."""
+    below = node._fields.owed(node._packed)
+    if not below:
         return frozenset()
-    (add, mask), width = node._fields.owe, node._fields.width
-    below, places = mask & ~(node._packed + add), _credit_places(net, node._layout)
+    width, places = node._fields.width, _credit_places(net, node._layout)
     return frozenset([label for k, label in places.items() if below >> (k + 1) * width - 1 & 1])
 
 
@@ -728,12 +739,14 @@ def weakly_terminates(
 
     FAILS returns the first explored node that cannot; an exhausted budget
     yields INCONCLUSIVE since unexplored continuations could still succeed.
+    A goal that constrains a place ``net`` lacks raises ``NetStructureError``.
     """
     _check_budget(budget)
+    goal = _goal_fn(net, goal)
     if graph is None:
         graph = explore(net, budget)
     return _first_stuck(
-        [(graph, lambda: compress(range(len(graph.nodes)), map(as_goal_fn(goal), graph.nodes)))],
+        [(graph, lambda: compress(range(len(graph.nodes)), map(goal, graph.nodes)))],
         f"exploration budget {len(graph.nodes)} exhausted",
         lambda stuck: f"no goal reachable from {stuck.describe()}",
     )
@@ -766,6 +779,8 @@ def urgent_for_done_set(
 
     Nodes and steps are read with ``net``'s labels, also on a ``graph`` of another net."""
     _check_budget(budget)
+    if isinstance(done, str):
+        raise NetStructureError(f"done set {done!r} is one string, not a collection of atoms")
     wanted = frozenset(done)
     if not wanted <= net.alphabet:
         raise NetStructureError(f"done atoms outside the alphabet: {sorted(wanted - net.alphabet)}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .analysis import GoalLike, as_goal_fn, trace_set, weakly_terminates
+from .analysis import GoalLike, _goal_fn, trace_set, weakly_terminates
 from .errors import CompositionError, NetStructureError
 from .nets import DEFAULT_BUDGET, LendingNet, Outcome, Verdict
 
@@ -173,11 +173,12 @@ def is_strategy(
     """Does composing with ``candidate`` let ``target`` always reach both goals?
 
     Goals of raw nets do not compose on their own, so both arguments carry an
-    explicit goal; the composite goal is their conjunction.
+    explicit goal; the composite goal is their conjunction.  Each goal is
+    checked against its own net, as ``weakly_terminates`` checks one.
     """
     target_net, target_goal = target
     candidate_net, candidate_goal = candidate
+    tg = _goal_fn(target_net, target_goal)
+    cg = _goal_fn(candidate_net, candidate_goal)
     composite = oplus(target_net, candidate_net)
-    tg = as_goal_fn(target_goal)
-    cg = as_goal_fn(candidate_goal)
     return weakly_terminates(composite, lambda node: tg(node) and cg(node), budget)

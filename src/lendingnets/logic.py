@@ -46,6 +46,13 @@ def _check_atoms(atoms: Iterable, what: str) -> None:
         raise ContractError(f"bad {what} {min(bad, key=repr)!r}")
 
 
+def _atom_set(atoms: Iterable[Atom], what: str) -> frozenset[Atom]:
+    """``atoms`` as a set; one string, which would read as a set of its characters, raises."""
+    if isinstance(atoms, str):
+        raise ContractError(f"{what} {atoms!r} is one string, not a collection of atoms")
+    return frozenset(atoms)
+
+
 @dataclass(frozen=True)
 class HornClause:
     """One clause; ``contractual`` selects ``->>`` over ``->``.
@@ -62,9 +69,7 @@ class HornClause:
     contractual: bool = False
 
     def __post_init__(self):
-        if isinstance(self.body, str):
-            raise ContractError(f"clause body {self.body!r} is one string, not a collection of atoms")
-        object.__setattr__(self, "body", frozenset(self.body))
+        object.__setattr__(self, "body", _atom_set(self.body, "clause body"))
         _check_atoms([self.head], "clause head")
         _check_atoms(self.body, "body atom")
         if self.contractual and not self.body:
@@ -337,7 +342,7 @@ def trace_atom_sets(clauses: Iterable[HornClause]) -> frozenset[frozenset[Atom]]
 
 
 def with_facts(clauses: Iterable[HornClause], atoms: Iterable[Atom]) -> frozenset[HornClause]:
-    return frozenset(clauses) | {fact(a) for a in atoms}
+    return frozenset(clauses) | {fact(a) for a in _atom_set(atoms, "facts")}
 
 
 def urgent_atoms(clauses: Iterable[HornClause], done: Iterable[Atom]) -> frozenset[Atom]:
@@ -348,14 +353,14 @@ def urgent_atoms(clauses: Iterable[HornClause], done: Iterable[Atom]) -> frozens
     is, when it has a ``->`` clause with its body in ``done`` or a ``->>``
     clause with its body granted by that theory.
     """
-    done = frozenset(done)
+    done = _atom_set(done, "done set")
     theory = with_facts(clauses, done)
     granted = _granted(theory)
     return frozenset(c.head for c in theory if c.body <= (granted if c.contractual else done)) - done
 
 
 def _owned(c: PCLContract, atoms: Iterable[Atom]) -> frozenset[Atom]:
-    atoms = frozenset(atoms)
+    atoms = _atom_set(atoms, "atoms")
     unknown = sorted(a for a in atoms if a not in c.ownership)
     if unknown:
         raise ContractError(f"cannot assume unowned atoms: {unknown}")

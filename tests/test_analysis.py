@@ -219,6 +219,18 @@ def test_goal_predicate_forms():
     assert verdict.outcome is Outcome.FAILS
 
 
+@pytest.mark.parametrize("constraint", ["zero", "positive", "nonneg"])
+def test_a_goal_on_a_place_the_net_lacks_is_refused(constraint):
+    """A missing place would read as 0 tokens: ``zero`` would hold there and ``positive`` fail."""
+    net = circular_lending_net()
+    typo = MarkingPredicate(**{constraint: frozenset({"typo", "p0"})})
+    for graph in (None, explore(net)):
+        for goal in (typo, [HONORED_GOAL, typo], iter([typo])):
+            with pytest.raises(NetStructureError, match=r"goal constrains unknown places: \['typo'\]"):
+                weakly_terminates(net, goal, graph=graph)
+    assert weakly_terminates(net, iter([HONORED_GOAL])) == weakly_terminates(net, [HONORED_GOAL])
+
+
 def test_a_goal_disjunct_that_is_no_marking_predicate_is_refused():
     with pytest.raises(NetStructureError, match="not a marking predicate: 'honored'"):
         as_goal_fn([HONORED_GOAL, "honored"])

@@ -8,6 +8,7 @@ from lendingnets import (
     Configuration,
     ContractError,
     HornClause,
+    NetStructureError,
     Outcome,
     agreement_reachable,
     agreement_via_net,
@@ -27,6 +28,7 @@ from lendingnets import (
     trace_atom_sets,
     trace_equivalent,
     urgent,
+    urgent_for_done_set,
     urgent_logic,
     urgent_via_net,
     validate,
@@ -220,6 +222,21 @@ class TestExtendWithFacts:
     def test_unowned_atoms_are_rejected(self):
         with pytest.raises(ContractError, match="unowned"):
             extend_with_facts(exchange_pair_contract(), {"z"})
+
+
+@pytest.mark.parametrize("entry, error", [
+    (extend_with_facts, ContractError),
+    (urgent_logic, ContractError),
+    (urgent_via_net, ContractError),
+    (lambda c, done: urgent(compile_contract(c), done), NetStructureError),
+    (lambda c, done: urgent_for_done_set(compile_contract(c).net, done), NetStructureError),
+], ids=["extend_with_facts", "urgent_logic", "urgent_via_net", "urgent", "urgent_for_done_set"])
+def test_one_string_is_not_a_set_of_atoms(entry, error):
+    """``"ab"`` would read as the atoms ``a`` and ``b``, both owned here: it raises, as a clause body does."""
+    c = exchange_pair_contract()
+    with pytest.raises(error, match="'ab' is one string, not a collection of atoms"):
+        entry(c, "ab")
+    entry(c, ["a", "b"])
 
 
 class TestUrgencyViaNet:

@@ -10,6 +10,7 @@ from lendingnets import (
     CompositionError,
     DEFAULT_BUDGET,
     LendingNet,
+    MarkingPredicate,
     NetStructureError,
     Outcome,
     Verdict,
@@ -254,6 +255,16 @@ class TestIsStrategy:
             (handshake_strict_b(), handshake_goal_strict_b()),
         )
         assert verdict.outcome is Outcome.FAILS
+
+    def test_each_goal_is_checked_against_its_own_net(self):
+        # The composite holds both nets' places, but each goal must name places of its own net.
+        lending = (handshake_lending_a(), handshake_goal_lending_a())
+        strict = (handshake_strict_b(), handshake_goal_strict_b())
+        swapped = [((lending[0], strict[1]), strict), (lending, (strict[0], lending[1])),
+                   ((lending[0], MarkingPredicate(positive=frozenset({"typo"}))), strict)]
+        for candidate, target in swapped:
+            with pytest.raises(NetStructureError, match="goal constrains unknown places"):
+                is_strategy(candidate, target)
 
     def test_empty_partner_with_satisfied_goal(self):
         empty = LendingNet.build(

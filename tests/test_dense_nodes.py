@@ -141,16 +141,16 @@ def test_the_checks_on_a_graph_build_sparse_fields_only_for_the_witness(monkeypa
     built, read = [], []
     marking, fired = _Layout.marking, Node.fired.fget
 
-    def counting(layout, counts, vector):
-        built.append((counts, vector))
-        return marking(layout, counts, vector)
+    def counting(layout, counts, pairs):
+        built.append((counts, pairs))
+        return marking(layout, counts, pairs)
 
     def reading(node):
         read.append(state(node))
         return fired(node)
 
     def state(node):
-        return node._counts, node._vector
+        return node._counts, fired(node)
 
     monkeypatch.setattr(_Layout, "marking", counting)
     monkeypatch.setattr(Node, "fired", property(reading))

@@ -63,7 +63,7 @@ def oracle_walk(net: LendingNet, rows, budget):
 def walked(net: LendingNet, rows, budget, flag=None):
     """``_walk``'s graph read as ``oracle_walk`` reads the search."""
     [graph] = _walk(net, [(rows, flag)], net.initial, budget)
-    kept = [(tuple(node._counts), node._vector, node.honored) for node in graph.nodes]
+    kept = [(tuple(node._counts), tuple(node._vector), node.honored) for node in graph.nodes]
     return list(graph.edges), kept, graph.complete
 
 

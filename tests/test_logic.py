@@ -54,6 +54,13 @@ class TestClauses:
         with pytest.raises(ContractError):
             HornClause(head="")
 
+    def test_one_string_is_not_a_set_of_facts_or_done_atoms(self):
+        theory = [HornClause(head="a"), HornClause(head="b", body={"a"})]
+        for call in (lambda: with_facts(theory, "ab"), lambda: urgent_atoms(theory, "ab")):
+            with pytest.raises(ContractError, match="'ab' is one string, not a collection of atoms"):
+                call()
+        assert urgent_atoms(theory, ["a"]) == frozenset({"b"})
+
 
 class TestProvability:
     def test_empty_theory(self):

@@ -12,7 +12,9 @@ same edges, honored flags and completeness:
 * a lending place that many consumers drive down to minus the bound;
 * a place that starts with ``2**40`` tokens, so a count field must widen;
 * starts above the initial marking, as urgency's done marking is, given
-  to ``_walk`` as its ``start``.
+  to ``_walk`` as its ``start``;
+* one transition fired B times, at the top of its key field's range, and
+  once more.
 """
 
 import math
@@ -85,7 +87,7 @@ def oracle(net: LendingNet, rows, start, budget):
 
 def walked(net: LendingNet, rows, start, budget):
     [graph] = _walk(net, [(rows, None)], start, budget)
-    nodes = [(tuple(node._counts), node._vector, node.honored) for node in graph.nodes]
+    nodes = [(tuple(node._counts), tuple(node._vector), node.honored) for node in graph.nodes]
     layout = _layout(net)
     assert [[node.tokens(p) for p in layout.places] for node in graph.nodes] == [list(c) for c, _, _ in nodes]
     return list(graph.edges), nodes, graph.complete
@@ -145,3 +147,52 @@ def test_starts_above_the_initial_marking(budget):
         starts.append((net, above_initial(net, BIG), min(budget, CYCLIC_BUDGET)))
     for net, start, most in starts:
         assert_same_walks(net, start, most)
+
+
+def spin(transitions: int) -> LendingNet:
+    """``transitions`` transitions that each take a token of the lending place ``l`` and give it back:
+    every count stays at 0, so M is 0, and each transition can fire as often as the budget allows."""
+    names = [f"t{k}" for k in range(transitions)]
+    return LendingNet.build(places=("l",), transitions=names, flow={arc for t in names for arc in (("l", t), (t, "l"))},
+                            lending={"l"})
+
+
+def shot() -> LendingNet:
+    """``t`` takes a token of ``s``, which does not lend and has no producer: ``t`` fires at most
+    once from the initial marking, and from a start of M tokens on ``s`` exactly M times."""
+    return LendingNet.build(places=("s", "q"), transitions=("t",), flow={("s", "t"), ("t", "q")}, initial={"s": 1})
+
+
+def width(net: LendingNet, start, budget) -> int:
+    return _walk(net, [(_layout(net).steps, None)], start, budget)[0].root._fields.width
+
+
+@pytest.mark.parametrize("budget", (*BUDGETS, math.inf))
+def test_a_key_field_holds_the_bound_at_its_top(budget):
+    """A key field holds a transition's firings with no bias, up to the bound B < 2**(F - 2).
+
+    Under a budget, ``t0`` of ``spin`` fires B = budget times on the successor the budget keeps
+    out; with M = 0, F is the bit length of B plus 2, so at B = 2**k - 1 the field holds B at
+    the top of that range, and at B = 2**k, one more firing, F widens by one bit.  Without a
+    budget, ``shot`` from M tokens is bounded by ``once`` to B = M firings, all of them walked:
+    at M = 2**k - 1 the walk keeps B firings of ``t``, and at 2**k one more.
+    """
+    if budget != math.inf:
+        most = min(budget, CYCLIC_BUDGET)
+        for n in (1, 2, 3):
+            kept = assert_same_walks(spin(n), spin(n).initial, most)
+            assert len(kept) == most
+            # The budget keeps out the successor of the last state: ``spin(1)``'s fires t0 ``most`` times.
+            assert kept[-1][1] == (most - 1,) or n > 1
+        f = width(spin(1), spin(1).initial, most)
+        assert most < 2 ** (f - 2)
+        if most & (most + 1) == 0:
+            assert most == 2 ** (f - 2) - 1
+        elif most & (most - 1) == 0:
+            assert f == width(spin(1), spin(1).initial, most - 1) + 1
+    for k in range(1, 11):
+        for m in (2 ** k - 1, 2 ** k):
+            net = shot()
+            start = net.initial | {"s": m}
+            kept = assert_same_walks(net, start, budget)
+            assert [fired for _, fired, _ in kept] == [(n,) for n in range(min(m + 1, budget))]

@@ -1,7 +1,8 @@
 """Every name a library or test module imports at module level is read in that
 module, and every private function, class or constant a library module defines,
 and every private method or property of its classes, is read somewhere in the
-package.
+package.  So is every field of a private class and every slot of a class: a
+node or table keeps no state that no function reads.
 
 ``__init__.py`` is skipped: its imports are the package's public names.
 """
@@ -87,3 +88,45 @@ def test_an_unread_private_member_is_reported():
     )
     assert private_definitions(source) == {"_read", "_unread"}
     assert sorted(private_definitions(source) - read_names(source)) == ["_unread"]
+
+
+def kept_state(source: str) -> set[str]:
+    """The annotated fields of the module-level classes whose names start with one underscore,
+    and the ``__slots__`` of every module-level class."""
+    names = set()
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for statement in cls.body:
+            if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                if cls.name.startswith("_") and not cls.name.startswith("__"):
+                    names.add(statement.target.id)
+            elif isinstance(statement, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in statement.targets):
+                names.update(ast.literal_eval(statement.value))
+    return names
+
+
+def loaded_attributes(source: str) -> set[str]:
+    """The attributes the source reads: an attribute assigned to is not read."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_field_and_slot_is_read_in_the_package():
+    package = [p.read_text(encoding="utf-8") for p in Path(lendingnets.__file__).parent.glob("*.py")]
+    kept = set().union(*map(kept_state, package))
+    assert {"_packed", "_key", "_fields", "_layout", "width", "owe", "tables"} <= kept
+    assert sorted(kept - set().union(*map(loaded_attributes, package))) == []
+
+
+def test_an_unread_field_or_slot_is_reported():
+    source = (
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass _Table:\n    read: int\n    unread: int\n\n\n"
+        "@dataclass\nclass Public:\n    field: int\n\n\n"
+        "class Node:\n    __slots__ = ('_kept', '_stored')\n\n"
+        "    def __init__(self, table):\n        self._kept, self._stored = table, table.read\n\n"
+        "    def public(self):\n        return self._kept\n"
+    )
+    assert kept_state(source) == {"read", "unread", "_kept", "_stored"}
+    assert sorted(kept_state(source) - loaded_attributes(source)) == ["_stored", "unread"]

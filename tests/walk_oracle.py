@@ -6,7 +6,9 @@ a start count list, and ``_walk_components`` called it once per component, each
 walk with its own set-up and root.  Both are copied unchanged apart from their
 imports, the moves table, which the walk no longer keeps and ``_moves`` below
 builds as it did, and the lines that build a ``Node``: a node now holds its
-counts and fired vector packed into two ints (``analysis._fields``).
+counts and fired vector packed into two ints of one field width
+(``analysis._fields``) and reads its honored flag off the counts, so each
+node built here is checked to be honored exactly when the oracle's debt is 0.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
     tokens = start.__getitem__
     enabled = sum([1 << k for k, _, guard, _, _ in rows if all(map(tokens, guard))])
     debt = sum([start[k] < 0 for k in layout.owing.values()])
-    nodes = [Node(packing.pack(start), 0, not debt, packing, layout)]
+    nodes = [Node(packing.pack(start), 0, packing, layout)]
+    assert nodes[0].honored == (not debt)
     complete = flag is None or not flag(nodes[0])
     edges, index = [], {0: 0}
     queue = deque([(0, start, fired, 0, enabled, debt)] if complete else ())
@@ -112,8 +115,9 @@ def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
                 succ_fired[k] += 1
                 succ_fired = tuple(succ_fired)
                 j = index[succ_key] = len(nodes)
-                nodes.append(Node(packing.pack(succ), sum([n << 8 * packing.size * k for k, n in enumerate(succ_fired)]),
-                                  not succ_debt, packing, layout))
+                nodes.append(Node(packing.pack(succ), sum([n << packing.width * k for k, n in enumerate(succ_fired)]),
+                                  packing, layout))
+                assert nodes[j].honored == (not succ_debt)
                 if flag is not None and flag(nodes[j]):
                     # The walk ends once the edge to the flagged node is kept.
                     complete, todo = False, 0

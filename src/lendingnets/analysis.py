@@ -17,7 +17,12 @@ state equation gives its marking).  The walk keeps each state as two ints
 of one field width (``_Fields``): its counts, a biased field per consumed
 place, and its key, a field per transition.  A firing adds one int to each,
 a guard or the honored test is one mask, and a firing re-tests only the
-guards it touches.
+guards it touches.  A walk's graph (``_Walked``) is those ints, in two lists,
+with the walk's fields, layout and edges; a ``Node`` is built only when read.
+Every question on a graph reads the ints by mask: honored and credit-free
+states by one test of the counts (``_credit_free``), done sets, and goal
+sets covered or equalled, by the nonzero-field read of the key
+(``_granting``, ``_done_test``).
 
 Without a built graph, the contract checks and net-side urgency split the
 net into independent components (no place one consumes is touched by
@@ -27,20 +32,21 @@ and ``explore`` is the one-part walk of all of them, the whole net.  A row
 keeps its index in the layout, so each state a component's walk keeps is the
 product node with every other component at its root.  The README, "How
 independent components are decided", proves the answers equal those of the
-product graph.  Every ``Node`` is built by a walk, or joined from walks'
-nodes (``_join``), and shares its net's ``_Layout``, the one table the net
-keeps besides its components, both in its instance dict (``nets._kept``).
-This module is the one reader of the layout: the goal split (``_parts``)
-and the credit reads (``_credits``, ``_credit_free``) are here, and other
-modules pass nets and nodes.
+product graph.  Every ``Node`` is read off a walk's states, or joined from
+walks' last states (``_covering_walks``), and shares its net's ``_Layout``,
+the one table the net keeps besides its components, both in its instance
+dict (``nets._kept``).  This module is the one reader of the layout: the goal
+split (``_parts``), the credit reads (``_credits``, ``_credit_free``) and the
+goal reads (``_goal_states``) are here, and other modules pass nets, graphs
+and nodes.
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A walk lists a node's edges
 while it expands the node, in index order, so a graph's edges are in order
-of their source.  A graph holds only its net, nodes, edges and completeness
-flag; its readers take out-edges from the edge list, and the node index
-(keyed by fired pairs, so building it builds no marking) is built on first
-use and kept in its instance dict (``nets._kept``).
+of their source, and they are not checked again.  Its readers take
+out-edges from the edge list, and the node index (keyed by the key int, so
+building it builds no node) is built on first use and kept in its instance
+dict (``nets._kept``).
 
 The "all nodes can reach a target" checks share one stuck routine,
 ``_first_stuck``, and urgency one routine, ``_urgent``.  Each decides a
@@ -65,7 +71,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import compress
 from math import prod
-from operator import attrgetter, itemgetter, mul
+from operator import itemgetter, mul
 
 from .errors import IncompleteExplorationError, NetStructureError
 from .nets import (
@@ -134,6 +140,7 @@ class _Fields:
     k.  Firing ``rows[k] = (t, step, delta, touch, retest)`` adds ``step`` to the key and ``delta``
     to the counts and re-tests the guards of the rows in ``touch``.  Guard ``(1 << j, add, mask)``
     holds when ``(counts + add) & mask == mask``; so does ``owe`` at an honored state (``owed``).
+    ``granting`` keeps the done-set read of the layout's own labels (``_granting``), built on first use.
     """
 
     width: int
@@ -142,6 +149,7 @@ class _Fields:
     rows: tuple[tuple, ...]
     guards: tuple[tuple[int, int, int], ...]
     owe: tuple[int, int]
+    granting: tuple[int, dict[Atom, int]] | None = None
 
     def pack(self, counts: list[int]) -> int:
         return sum(self.units) * self.bias + sum(map(mul, counts, self.units))
@@ -159,8 +167,10 @@ class _Fields:
 class Node:
     """Reachability graph node: marking, fired multiset, and whether no place owes.
 
-    A walk (or ``_join``) builds each node from its two ints (``_Fields``),
-    the walk's fields and the net's ``_Layout``, and reads all else off them:
+    A node is built when read, from one state of a walk: its two ints
+    (``_Fields``), the walk's fields and the net's ``_Layout``.  ``nodes`` of
+    a graph builds them all, and the library's checks build only a node they
+    report (``ReachGraph._node``), such as a witness.  It reads all else off them:
     ``marking`` and ``fired``, the nonzero counts as ``(id, count)`` pairs
     sorted by id, decoded once per read, and ``honored``, which is not part of
     ``==``, ``hash`` or ``repr``.  ``tokens`` reads a consumed place's field
@@ -242,7 +252,13 @@ class Node:
 @dataclass(frozen=True, eq=False)
 class ReachGraph:
     """Deterministic breadth-first reachability graph of a lending net; every edge leads to a
-    later node, and edges are listed by source, so a node's out-edges are one slice of ``edges``."""
+    later node, and edges are listed by source, so a node's out-edges are one slice of ``edges``.
+
+    Its questions read its states' two ints by mask: ``_packs`` and ``_keys`` hold them in node
+    order, with the walk's ``_fields`` and the net's ``_layout``.  A graph built from nodes takes
+    them from its nodes, which must share one packing (walks of one net at one field width), and
+    has its edges checked; a walk's graph (``_Walked``) holds the walk's lists.
+    """
 
     net: LendingNet
     nodes: tuple[Node, ...]
@@ -257,37 +273,80 @@ class ReachGraph:
             if src < last:
                 raise NetStructureError(f"edge {src} -{t}-> {dst} is listed after an edge out of node {last}")
             last = src
+        packings = {node._fields for node in self.nodes}
+        if len(packings) != 1:
+            raise NetStructureError("a graph needs a root, and nodes walked on one net at one field width")
+        vars(self).update(_packs=[node._packed for node in self.nodes], _keys=[node._key for node in self.nodes],
+                          _fields=packings.pop(), _layout=self.nodes[0]._layout)
 
     @property
-    def _index(self) -> dict[tuple[tuple[TransitionId, int], ...], int]:
-        """Each node's index by its fired pairs, unique in a graph of one net: its marking
-        follows from them.  No marking is built; ``index_of`` compares the one node it finds."""
-        return _kept(self, "_index", lambda: {n.fired: i for i, n in enumerate(self.nodes)})
+    def _index(self) -> dict[int, int]:
+        """Each state's index by its key, unique in a graph: a state's counts follow from its key and
+        the root's.  No node is built; ``index_of`` compares the counts of the one state it finds."""
+        return _kept(self, "_index", lambda: dict(zip(self._keys, range(len(self._keys)))))
+
+    def _node(self, i: int) -> Node:
+        """Node ``i``: the one ``nodes`` holds once built, else one built alone."""
+        nodes = vars(self).get("nodes")
+        return nodes[i] if nodes is not None else Node(self._packs[i], self._keys[i], self._fields, self._layout)
 
     @property
     def root(self) -> Node:
-        return self.nodes[0]
+        return self._node(0)
 
     def index_of(self, node: Node | int) -> int:
         if isinstance(node, Node):
-            i = self._index.get(node.fired)
-            if i is None or (self.nodes[i] is not node and self.nodes[i] != node):
-                raise NetStructureError("node does not belong to this graph")
-            return i
+            if node._fields is self._fields:
+                i = self._index.get(node._key)
+                if i is not None and self._packs[i] == node._packed:
+                    return i
+            else:
+                # A node of another packing is compared decoded, with each node of the graph.
+                i = next((i for i, other in enumerate(self.nodes) if other == node), None)
+                if i is not None:
+                    return i
+            raise NetStructureError("node does not belong to this graph")
         if not isinstance(node, int) or isinstance(node, bool):
             raise NetStructureError(f"node index {node!r} is not an int")
-        if not 0 <= node < len(self.nodes):
+        if not 0 <= node < len(self._keys):
             raise NetStructureError(f"node index {node} out of range")
         return node
 
     def out_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
-        i, edges = self.index_of(node), self.edges
-        first = bisect_left(edges, i, key=itemgetter(0))
-        return tuple([(t, dst) for _, t, dst in edges[first:bisect_right(edges, i, first, key=itemgetter(0))]])
+        return tuple([(t, dst) for _, t, dst in _out(self.edges, self.index_of(node))])
 
     def in_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
         i = self.index_of(node)
         return tuple((t, src) for src, t, dst in self.edges if dst == i)
+
+
+def _out(edges: tuple[tuple[int, TransitionId, int], ...], i: int) -> tuple[tuple[int, TransitionId, int], ...]:
+    """The edges out of state ``i``: one slice of ``edges``, which are listed by source."""
+    first = bisect_left(edges, i, key=itemgetter(0))
+    return edges[first:bisect_right(edges, i, first, key=itemgetter(0))]
+
+
+class _Walked(ReachGraph):
+    """A graph as ``_walk`` returns it: the walk's lists of the states' two ints, its fields, layout
+    and edges.  The walk writes each state's edges as it expands it, in state order, so they are
+    not checked again, and ``nodes`` is built on first read.  The lists are slots, so the instance
+    dict holds only the graph's fields and what its readers keep (``nets._kept``)."""
+
+    __slots__ = ("_packs", "_keys", "_fields", "_layout")
+
+    def __init__(self, net: LendingNet, packs: list[int], keys: list[int], fields: _Fields, layout: _Layout,
+                 edges: tuple, complete: bool):
+        vars(self).update(net=net, edges=edges, complete=complete)
+        for name, value in zip(self.__slots__, (packs, keys, fields, layout)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        def build() -> tuple[Node, ...]:
+            return tuple([Node(packed, key, fields, layout) for packed, key in zip(self._packs, self._keys)])
+
+        fields, layout = self._fields, self._layout
+        return _kept(self, "nodes", build)
 
 
 def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
@@ -335,13 +394,14 @@ def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
     """
     _check_budget(budget)
     layout = _layout(net)
+    fields = _fields(layout, layout.counts(net.initial), budget)
 
-    def refired(node: Node) -> TransitionId | None:
-        fired = compress(zip(layout.transitions, node._fields.guards), node._vector)
-        return next((t for t, (_, add, mask) in fired if (node._packed + add) & mask == mask), None)
+    def refired(packed: int, key: int) -> TransitionId | None:
+        fired = compress(zip(layout.transitions, fields.guards), fields.decode(key, len(layout.transitions), 0))
+        return next((t for t, (_, add, mask) in fired if (packed + add) & mask == mask), None)
 
     graph = _walk(net, [(layout.steps, refired)], net.initial, budget)[0]
-    t = refired(graph.nodes[-1])
+    t = refired(graph._packs[-1], graph._keys[-1])
     if t is not None:
         return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
     if not graph.complete:
@@ -445,13 +505,13 @@ def _first_stuck(parts: list[tuple], incomplete: str, detail: Callable[[Node], s
     stuck = []
     for graph, targets in parts:
         good = _reaching(graph, set(targets()))
-        i = next((i for i in range(len(graph.nodes)) if i not in good), None)
+        i = next((i for i in range(len(graph._keys)) if i not in good), None)
         if i is not None:
             stuck.append((graph, i))
     if not stuck:
         return Verdict.holds()
     graph, i = stuck[0] if len(stuck) == 1 else min(stuck, key=lambda s: _least_path(*s))
-    node = graph.nodes[i]
+    node = graph._node(i)
     return Verdict.fails(witness=node, detail=detail(node))
 
 
@@ -482,7 +542,7 @@ def _urgent(labels: Mapping[TransitionId, Atom], parts: Iterable[tuple]) -> froz
         if not graph.complete:
             raise IncompleteExplorationError("urgency needs a complete reachability graph")
         can_honor = _reaching(graph, set(honored_nodes(graph)))
-        urgent.update(labels[t] for i in chosen for t, j in graph.out_edges(i) if t in labels and j in can_honor)
+        urgent.update(labels[t] for i in chosen for _, t, j in _out(graph.edges, i) if t in labels and j in can_honor)
     return frozenset(urgent)
 
 
@@ -614,37 +674,37 @@ def _parts(net: LendingNet, goals: Iterable[frozenset[Atom]]) -> list[tuple[tupl
     return list(zip(components, shares))
 
 
-def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[Node], object] | None]],
-          start: Mapping[PlaceId, int], budget: int) -> list[ReachGraph]:
+def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[int, int], object] | None]],
+          start: Mapping[PlaceId, int], budget: int) -> list[_Walked]:
     """Breadth-first search of each ``(rows, flag)`` of ``parts`` in turn, a component's layout
     rows or every row with its flag, from the marking ``start``, keeping at most ``budget`` states.
 
     One call walks every part of a question, and the set-up is done once: the
-    parts share one root ``Node``, so the budget counts it once plus each
+    parts share one root state, so the budget counts it once plus each
     part's further states.  The walks end after one that the budget cut short
-    or, with a flag, after one whose last node is not flagged.  Only a part's
+    or, with a flag, after one whose last state is not flagged.  Only a part's
     transitions fire, so only its places change; the other consumed places
     keep their start counts, and each kept state is the product node with
     every other part at its root.  A part's walk ends, incomplete, at the
-    first kept node where ``flag(node)`` holds, after the edge that found it:
-    that node is the part's last.
+    first kept state where ``flag(counts, key)`` holds, after the edge that
+    found it: that state is the part's last.
 
     A queued state is its two ints (``_fields``) and the bitmask of its
     enabled rows, expanded in ascending (sorted transition) order.  Firing
     row k adds one int to each and re-tests, one mask each, only the rows
     whose guard it touches, all in its component (README, "How exploration works").
+    A kept state is its two ints alone: no ``Node`` is built.
     """
     layout = _layout(net)
     counts = layout.counts(start)
     fields = _fields(layout, counts, budget)
     rows, guards = fields.rows, fields.guards
     start = fields.pack(counts)
-    root = Node(start, 0, fields, layout)
     walks = []
     for part, flag in parts:
         enabled = sum([bit for bit, add, mask in [guards[row[0]] for row in part] if (start + add) & mask == mask])
-        nodes = [root]
-        complete = flag is None or not flag(root)
+        packs = [start]
+        complete = flag is None or not flag(start, 0)
         edges, index = [], {0: 0}
         queue = deque([(0, start, 0, enabled)] if complete else ())
         while queue:
@@ -657,7 +717,7 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[Node], object]
                 succ_key = key + step
                 j = index.get(succ_key)
                 if j is None:
-                    if len(nodes) >= budget:
+                    if len(packs) >= budget:
                         complete = False
                         continue
                     succ = counts + delta
@@ -665,30 +725,21 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[Node], object]
                     for row, add, mask in retest:
                         if (succ + add) & mask == mask:
                             succ_enabled |= row
-                    j = index[succ_key] = len(nodes)
-                    nodes.append(node := Node(succ, succ_key, fields, layout))
-                    if flag is not None and flag(node):
-                        # The walk ends once the edge to the flagged node is kept.
+                    j = index[succ_key] = len(packs)
+                    packs.append(succ)
+                    if flag is not None and flag(succ, succ_key):
+                        # The walk ends once the edge to the flagged state is kept.
                         complete, todo = False, 0
                         queue.clear()
                     else:
                         queue.append((j, succ, succ_key, succ_enabled))
                 edges.append((i, t, j))
-        walks.append(ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete))
-        budget -= len(nodes) - 1
-        if not (complete if flag is None else flag(nodes[-1])):
+        # The index lists the keys in the order their states were kept.
+        walks.append(_Walked(net, packs, list(index), fields, layout, tuple(edges), complete))
+        budget -= len(packs) - 1
+        if not (complete if flag is None else flag(packs[-1], walks[-1]._keys[-1])):
             break
     return walks
-
-
-def _join(net: LendingNet, start: Mapping[PlaceId, int], parts: Iterable[Node]) -> Node:
-    """The product node of ``parts``, nodes of distinct components' walks in one ``_walk`` call on
-    ``net`` from ``start``: the start counts plus each part's change, and the sum of their keys."""
-    layout, parts = _layout(net), list(parts)
-    counts = layout.counts(start)
-    fields = parts[0]._fields if parts else _fields(layout, counts, 1)
-    root = fields.pack(counts)
-    return Node(root + sum([node._packed - root for node in parts]), sum([node._key for node in parts]), fields, layout)
 
 
 def _credit_places(net: LendingNet, layout: _Layout) -> dict[int, Atom]:
@@ -710,14 +761,118 @@ def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
     return frozenset([label for k, label in places.items() if below >> (k + 1) * width - 1 & 1])
 
 
-def _credit_free(net: LendingNet, walked: LendingNet) -> Callable[[Node], bool]:
-    """The test that a node walked on ``walked`` is below 0 on none of the places a credit is
-    read on (``_credit_places``), by ``net``'s labels.  When every place that can owe there is
-    labeled, as in a valid contract net, it is the ``honored`` flag."""
-    layout = _layout(walked)
-    if len(_credit_places(net, layout)) == len(layout.owing):
-        return attrgetter("honored")
-    return lambda node: not _credits(net, node)
+def _credit_free(net: LendingNet, layout: _Layout, fields: _Fields) -> tuple[int, int]:
+    """The test ``(add, mask)``, as ``_Fields.owe`` reads it, that a state is below 0 on none of
+    the places a credit is read on (``_credit_places``), by ``net``'s labels.  When every place that
+    can owe is labeled, as in a valid contract net, it is the honored test ``owe``."""
+    places = _credit_places(net, layout)
+    if len(places) == len(layout.owing):
+        return fields.owe
+    ones = sum([fields.units[k] for k in places])
+    return ones * fields.bias, ones << fields.width - 1
+
+
+def _credit_free_states(net: LendingNet, graph: ReachGraph) -> list[tuple[int, int]]:
+    """The index and key of each credit-free state of ``graph`` (``_credit_free``), by ``net``'s
+    labels.  For the graph's own net they are read once per graph and kept in its instance dict
+    (``nets._kept``): the checks that share a graph read them once between them."""
+    def read() -> list[tuple[int, int]]:
+        add, mask = _credit_free(net, graph._layout, graph._fields)
+        return [(i, key) for i, (packed, key) in enumerate(zip(graph._packs, graph._keys))
+                if (packed + add) & mask == mask]
+
+    return _kept(graph, "_credit_free", read) if net is graph.net else read()
+
+
+def _granting(net: LendingNet, layout: _Layout, fields: _Fields) -> tuple[int, dict[Atom, int]]:
+    """``(lift, masks)``: the done set of a state with key ``key``, by ``net``'s labels, is the
+    labels ``a`` for which ``(key + lift) & masks[a]`` is not 0.
+
+    ``lift`` puts 2^(F-1) - 1 into each key field, so a field's top bit is set
+    exactly when the field is 1 or more (README, "How exploration works"), and
+    ``masks[a]`` holds the top bits of the fields of the transitions labeled
+    ``a``.  For the layout's own net they are built once per ``_Fields``.
+    """
+    own = layout is vars(net).get("_layout")
+    if own and fields.granting is not None:
+        return fields.granting
+    top, masks = fields.width - 1, {}
+    labels = layout.labels if own else map(net.transition_labels.get, layout.transitions)
+    for label, row in zip(labels, fields.rows):
+        if label is not None:
+            masks[label] = masks.get(label, 0) | row[1] << top
+    granting = sum([row[1] for row in fields.rows]) * ((1 << top) - 1), masks
+    if own:
+        fields.granting = granting
+    return granting
+
+
+def _done_test(net: LendingNet, layout: _Layout, fields: _Fields, goals: Iterable[frozenset[Atom]],
+               covering: bool) -> Callable[[int], bool]:
+    """The test that a state's key has a done set (``_granting``) in ``goals`` or, ``covering``,
+    one that covers a set of ``goals``.
+
+    Per goal set, the read must meet the mask of each of its labels: the
+    masks of the labels that one transition grants are tested together, as
+    one mask, and those of several apart.  Unless ``covering``, it must meet
+    no mask of another label.  A goal set with a label that no transition
+    grants is never met.
+    """
+    lift, masks = _granting(net, layout, fields)
+    every, tests = sum(masks.values()), []
+    for goal in goals:
+        if goal <= masks.keys():
+            need = [masks[a] for a in goal]
+            several = [m for m in need if m & m - 1]
+            total = sum(need)
+            tests.append((total - sum(several), several, 0 if covering else every - total))
+
+    def holds(key: int) -> bool:
+        done = key + lift
+        for one, several, outside in tests:
+            if done & one == one and not done & outside:
+                for m in several:
+                    if not done & m:
+                        break
+                else:
+                    return True
+        return False
+
+    return holds
+
+
+def _goal_states(net: LendingNet, graph: ReachGraph, goals: Iterable[frozenset[Atom]], covering: bool) -> list[int]:
+    """The credit-free states of ``graph`` whose done set is in ``goals`` or, ``covering``, covers
+    a set of it, by ``net``'s labels (``_credit_free_states``, ``_done_test``), in node order."""
+    done = _done_test(net, graph._layout, graph._fields, goals, covering)
+    return [i for i, key in _credit_free_states(net, graph) if done(key)]
+
+
+def _covering_walks(net: LendingNet, goals: Iterable[frozenset[Atom]], budget: int) -> tuple[Node | None, bool]:
+    """Agreement without a graph: each part of the goal split (``_parts``) walked up to its first
+    credit-free state whose done set covers a set of its share, in one ``_walk`` call.
+
+    When every part has one, returns their product node, the start counts plus
+    each part's change and the sum of their keys (README, "The agreement
+    witness"), and True; otherwise None and whether the last walk was complete.
+    """
+    layout = _layout(net)
+    counts = layout.counts(net.initial)
+    fields = _fields(layout, counts, budget)
+    add, mask = _credit_free(net, layout, fields)
+
+    def flag(share: frozenset) -> Callable[[int, int], bool]:
+        covers = _done_test(net, layout, fields, share, True)
+        return lambda packed, key: (packed + add) & mask == mask and covers(key)
+
+    parts = [(rows, flag(share)) for rows, share in _parts(net, goals)]
+    walks = _walk(net, parts, net.initial, budget)
+    # The walks go on only past one that ends at a flagged state, so only the last walk's end is left to test.
+    if len(walks) == len(parts) and (not parts or parts[-1][1](walks[-1]._packs[-1], walks[-1]._keys[-1])):
+        root = fields.pack(counts)
+        packed = root + sum([graph._packs[-1] - root for graph in walks])
+        return Node(packed, sum([graph._keys[-1] for graph in walks]), fields, layout), True
+    return None, walks[-1].complete
 
 
 def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET,
@@ -746,14 +901,15 @@ def weakly_terminates(
     if graph is None:
         graph = explore(net, budget)
     return _first_stuck(
-        [(graph, lambda: compress(range(len(graph.nodes)), map(goal, graph.nodes)))],
-        f"exploration budget {len(graph.nodes)} exhausted",
+        [(graph, lambda: compress(range(len(graph._keys)), map(goal, graph.nodes)))],
+        f"exploration budget {len(graph._keys)} exhausted",
         lambda stuck: f"no goal reachable from {stuck.describe()}",
     )
 
 
 def honored_nodes(graph: ReachGraph) -> list[int]:
-    return [i for i, node in enumerate(graph.nodes) if node.honored]
+    add, mask = graph._fields.owe
+    return [i for i, packed in enumerate(graph._packs) if (packed + add) & mask == mask]
 
 
 def urgent_at(graph: ReachGraph, node: Node | int) -> frozenset[Atom]:
@@ -786,7 +942,8 @@ def urgent_for_done_set(
         raise NetStructureError(f"done atoms outside the alphabet: {sorted(wanted - net.alphabet)}")
     if graph is None:
         graph = explore(net, budget)
-    chosen = [i for i, node in enumerate(graph.nodes) if _done_set(net, node) == wanted]
+    done = _done_test(net, graph._layout, graph._fields, [wanted], covering=False)
+    chosen = [i for i, key in enumerate(graph._keys) if done(key)]
     return _urgent(net.transition_labels, [(graph, chosen)])
 
 
@@ -800,7 +957,7 @@ def trace_set(net: LendingNet, budget: int = DEFAULT_BUDGET) -> tuple[frozenset[
     graph = explore(net, budget)
     complete = graph.complete
     # A search of its own: it walks (node, word) pairs of the built graph, not the net.
-    steps: list[list[tuple[Atom | None, int]]] = [[] for _ in graph.nodes]
+    steps: list[list[tuple[Atom | None, int]]] = [[] for _ in graph._keys]
     for src, t, dst in graph.edges:
         steps[src].append((net.transition_labels.get(t), dst))
     words: set[tuple[Atom, ...]] = {()}

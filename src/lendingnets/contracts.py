@@ -5,7 +5,8 @@ participants, the set of participants actually bound by the net, and a
 family of goal sets of atoms.  Its shape is constrained so that every node
 of the reachability graph reads back as a pair (done atoms, atoms in debt):
 the configuration of the node.  The checks on a graph read only its
-credit-free nodes, those where no labeled place owes, and their done sets.
+credit-free states, those where no labeled place owes, and their done sets,
+by mask (``analysis._goal_states``): they build no node but the one they report.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from functools import cached_property
 from .analysis import (
     Node,
     ReachGraph,
-    _credit_free,
+    _covering_walks,
+    _credit_free_states,
     _credits,
     _done_set,
     _first_stuck,
     _fires_at_most_once,
-    _join,
+    _goal_states,
     _parts,
     _walk,
     explore,
@@ -40,7 +42,6 @@ from .nets import (
     Verdict,
     _Canonical,
     _check_budget,
-    _kept,
     is_correctly_labeled,
 )
 
@@ -183,38 +184,15 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
     return ContractNet(net=oplus(left, right), **terms)
 
 
-def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset[Atom]]]:
-    """Index and done set of each credit-free node (``_credit_free``), by ``cn.net``'s labels.
-
-    Every node of the graph was walked on ``graph.net``, so all share its
-    layout.  Done sets are built only for credit-free nodes, with
-    ``cn.net``'s labels, as ``configuration`` reads them.  When ``cn.net`` is
-    the graph's own net, the pairs are kept in its instance dict.
-    """
-    net = cn.net
-
-    def credit_free() -> list[tuple[int, frozenset[Atom]]]:
-        free = _credit_free(net, graph.net)
-        return [(i, _done_set(net, node)) for i, node in enumerate(graph.nodes) if free(node)]
-
-    return _kept(graph, "_credit_free", credit_free) if net is graph.net else credit_free()
-
-
-def _is_goal_set(done: frozenset[Atom], goals: frozenset[frozenset[Atom]]) -> bool:
-    return done in goals
-
-
-def _covers_goal_set(done: frozenset[Atom], goals: frozenset[frozenset[Atom]]) -> bool:
-    return any(goal <= done for goal in goals)
-
-
-def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reached: Callable) -> Verdict:
+def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, covering: bool) -> Verdict:
+    """Whether every state can reach a credit-free state whose done set is a goal set or,
+    ``covering``, covers one (``analysis._goal_states``), read per component without a ``graph``."""
     def stuck_detail(stuck: Node) -> str:
         cfg = configuration(cn, stuck)
         return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
 
     def targets(graph: ReachGraph, goals: frozenset) -> Callable:
-        return lambda: [i for i, done in _honored(cn, graph) if reached(done, goals)]
+        return lambda: _goal_states(cn.net, graph, goals, covering)
 
     _check_budget(budget)
     if graph is None:
@@ -222,7 +200,9 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, reach
         walks = _walk(cn.net, [(rows, None) for rows, _ in parts], cn.net.initial, budget)
         shares = [share for _, share in parts]
     else:
-        walks, shares, budget = [graph], [cn.goals], len(graph.nodes)
+        walks, shares = [graph], [cn.goals]
+        if not graph.complete:
+            budget = len(graph.nodes)
     return _first_stuck([(g, targets(g, share)) for g, share in zip(walks, shares)],
                         f"exploration budget {budget} exhausted", stuck_detail)
 
@@ -236,7 +216,7 @@ def weakly_terminates_in(
 
     Without a ``graph`` the net is decided one independent component at a time.
     """
-    return _all_can_reach(cn, budget, graph, _is_goal_set)
+    return _all_can_reach(cn, budget, graph, covering=False)
 
 
 def weakly_terminates_covering(
@@ -245,7 +225,7 @@ def weakly_terminates_covering(
     graph: ReachGraph | None = None,
 ) -> Verdict:
     """As weakly_terminates_in, but the done set may exceed the goal set."""
-    return _all_can_reach(cn, budget, graph, _covers_goal_set)
+    return _all_can_reach(cn, budget, graph, covering=True)
 
 
 def agreement_reachable(
@@ -262,26 +242,15 @@ def agreement_reachable(
     """
     _check_budget(budget)
     if graph is None:
-        net = cn.net
-        free = _credit_free(net, net)
-
-        def goal(share: frozenset) -> Callable[[Node], bool]:
-            return lambda node: free(node) and _covers_goal_set(_done_set(net, node), share)
-
-        parts = [(rows, goal(share)) for rows, share in _parts(net, cn.goals)]
-        walks = _walk(net, parts, net.initial, budget)
-        # The walks go on only past one that ends at a flagged node, so only the last walk's end is left to test.
-        if len(walks) == len(parts) and (not parts or parts[-1][1](walks[-1].nodes[-1])):
-            return Verdict.holds(detail=_join(net, net.initial, [g.nodes[-1] for g in walks]).describe())
-        complete = walks[-1].complete
+        witness, complete = _covering_walks(cn.net, cn.goals, budget)
     else:
-        for i, done in _honored(cn, graph):
-            if _covers_goal_set(done, cn.goals):
-                return Verdict.holds(detail=graph.nodes[i].describe())
-        complete, budget = graph.complete, len(graph.nodes)
+        found = _goal_states(cn.net, graph, cn.goals, covering=True)
+        witness, complete = graph._node(found[0]) if found else None, graph.complete
+    if witness is not None:
+        return Verdict.holds(detail=witness.describe())
     if complete:
         return Verdict.fails(detail="no honored node covers a goal set")
-    return Verdict.inconclusive(f"exploration budget {budget} exhausted")
+    return Verdict.inconclusive(f"exploration budget {budget if graph is None else len(graph.nodes)} exhausted")
 
 
 def urgent(
@@ -323,4 +292,6 @@ def honored_done_sets(
     graph: ReachGraph | None = None,
 ) -> frozenset[frozenset[Atom]]:
     """Done sets of all reachable honored configurations; raises when the graph is incomplete."""
-    return frozenset(done for _, done in _honored(cn, _complete(cn, budget, graph)))
+    graph = _complete(cn, budget, graph)
+    nodes = graph.nodes
+    return frozenset([_done_set(cn.net, nodes[i]) for i, _ in _credit_free_states(cn.net, graph)])

@@ -10,9 +10,9 @@ is honored when no place is in debt.
 Nets, contracts and contract nets are equal when their fields are: each
 compares and hashes a sorted key built on first comparison.  What the
 modules above derive from one of these immutable values (its compiled net,
-a net's consumed-places table and components, a graph's credit-free nodes,
-out-edges and node index) is built once and kept in the value's instance
-dict (``_kept``).
+a net's consumed-places table and components, a graph's nodes, node index
+and credit-free states) is built once and kept in the value's instance dict
+(``_kept``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, deque
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -53,6 +53,24 @@ def _check_id(value: str, kind: str) -> str:
     if _ID_FORBIDDEN.search(value):
         raise NetStructureError(f"{kind} id {value!r} contains whitespace or a reserved character")
     return value
+
+
+def _check_ids(values: Iterable, kind: str) -> frozenset[str]:
+    """``values`` as a set of ids of ``kind``.  One search over the joined ids finds a forbidden
+    character exactly when some id holds one; only then, or when some id is empty or no string,
+    does ``_check_id`` read each id in turn, to name the first that is wrong."""
+    values = tuple(values)
+    try:
+        if "" not in values and not _ID_FORBIDDEN.search("".join(values)):
+            return frozenset(values)
+    except TypeError:
+        pass
+    return frozenset([_check_id(value, kind) for value in values])
+
+
+def _first_outside(ids: Iterable[str], kept: Collection[str]) -> str:
+    """The first of ``ids`` that ``kept`` lacks, to name in an error."""
+    return next(x for x in ids if x not in kept)
 
 
 class Outcome(Enum):
@@ -142,61 +160,49 @@ class LendingNet(_Canonical):
         return cls(**kwargs)
 
     def __post_init__(self):
-        places = frozenset(_check_id(p, "place") for p in self.places)
-        transitions = frozenset(_check_id(t, "transition") for t in self.transitions)
+        places, transitions = _check_ids(self.places, "place"), _check_ids(self.transitions, "transition")
         if places & transitions:
             shared = sorted(places & transitions)
             raise NetStructureError(f"ids used both as place and transition: {shared}")
 
         place_labels = {p: a for p, a in dict(self.place_labels).items() if a is not None}
         transition_labels = {t: a for t, a in dict(self.transition_labels).items() if a is not None}
-        for p in place_labels:
-            if p not in places:
-                raise NetStructureError(f"label on unknown place {p!r}")
-        for t in transition_labels:
-            if t not in transitions:
-                raise NetStructureError(f"label on unknown transition {t!r}")
-        checked: set[Atom] = set()
-        for a in (*place_labels.values(), *transition_labels.values()):
-            if not isinstance(a, str) or a not in checked:
-                checked.add(_check_id(a, "atom"))
-
-        used = frozenset(place_labels.values()) | frozenset(transition_labels.values())
-        alphabet = used if self.alphabet is None else frozenset(_check_id(a, "atom") for a in self.alphabet)
+        if not place_labels.keys() <= places:
+            raise NetStructureError(f"label on unknown place {_first_outside(place_labels, places)!r}")
+        if not transition_labels.keys() <= transitions:
+            raise NetStructureError(f"label on unknown transition {_first_outside(transition_labels, transitions)!r}")
+        used = _check_ids((*place_labels.values(), *transition_labels.values()), "atom")
+        alphabet = used if self.alphabet is None else _check_ids(self.alphabet, "atom")
         if not used <= alphabet:
             raise NetStructureError(f"labels {sorted(used - alphabet)} missing from the alphabet")
 
-        initial = {}
-        for p, n in dict(self.initial).items():
-            if p not in places:
-                raise NetStructureError(f"initial marking on unknown place {p!r}")
+        initial = dict(self.initial)
+        if not initial.keys() <= places:
+            raise NetStructureError(f"initial marking on unknown place {_first_outside(initial, places)!r}")
+        for p, n in initial.items():
             if isinstance(n, bool) or not isinstance(n, int) or n < 0:
                 raise NetStructureError(f"initial token count of {p!r} must be a non-negative int")
-            if n:
-                initial[p] = n
+        initial = {p: n for p, n in initial.items() if n}
 
         lending = frozenset(self.lending)
         if not lending <= places:
             raise NetStructureError(f"lending ids {sorted(lending - places)} are not places")
 
         flow = frozenset(self.flow)
-        pre: dict[str, set[str]] = {x: set() for x in places | transitions}
-        post: dict[str, set[str]] = {x: set() for x in places | transitions}
+        pre: dict[str, list[str]] = {}
+        post: dict[str, list[str]] = {}
         for arc in flow:
             if not (isinstance(arc, tuple) and len(arc) == 2):
                 raise NetStructureError(f"arc {arc!r} is not a pair")
             src, dst = arc
-            src_place, dst_place = src in places, dst in places
-            src_trans, dst_trans = src in transitions, dst in transitions
-            if not ((src_place and dst_trans) or (src_trans and dst_place)):
+            if not (dst in transitions if src in places else src in transitions and dst in places):
                 raise NetStructureError(
                     f"arc {src!r} -> {dst!r} must connect one place and one transition of the net"
                 )
-            post[src].add(dst)
-            pre[dst].add(src)
-        for t in transitions:
-            if not pre[t]:
-                raise NetStructureError(f"transition {t!r} has no input place")
+            post.setdefault(src, []).append(dst)
+            pre.setdefault(dst, []).append(src)
+        if not transitions <= pre.keys():
+            raise NetStructureError(f"transition {_first_outside(transitions, pre.keys())!r} has no input place")
 
         object.__setattr__(self, "places", places)
         object.__setattr__(self, "transitions", transitions)
@@ -206,8 +212,10 @@ class LendingNet(_Canonical):
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "lending", lending)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_pre", {x: frozenset(v) for x, v in pre.items()})
-        object.__setattr__(self, "_post", {x: frozenset(v) for x, v in post.items()})
+        # A node with no arc on a side shares one empty set there.
+        empty = dict.fromkeys(places | transitions, frozenset())
+        object.__setattr__(self, "_pre", empty | {x: frozenset(v) for x, v in pre.items()})
+        object.__setattr__(self, "_post", empty | {x: frozenset(v) for x, v in post.items()})
 
     @cached_property
     def _canon(self) -> tuple:

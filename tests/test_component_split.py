@@ -92,7 +92,7 @@ def answer(fn, *args):
         return None
 
 
-COMPONENT_WALKERS = {"_all_can_reach", "agreement_reachable", "_urgent_at_root"}
+COMPONENT_WALKERS = {"_all_can_reach", "_covering_walks", "_urgent_at_root"}
 
 
 def kept_states(monkeypatch):

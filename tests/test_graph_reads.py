@@ -1,12 +1,13 @@
 """The graph checks' credit-free nodes and the closure sweep, against their earlier forms.
 
-``contracts._honored`` reads a node off the walk's counts on the places a
-credit is read on, the labeled places that can owe, and builds done sets only
-for the credit-free nodes.  ``honored_oracle`` keeps the earlier rule, which
-read every owing node's credits, over its whole marking, and every node's
-done set.  Both must give the same (index, done set) list, and every
-check on a graph the same outcome, witness and detail, whichever check reads
-the graph first.  ``analysis._reaching`` now reads the edge list once,
+The checks read a graph's credit-free states off the walk's counts, on the
+places a credit is read on, the labeled places that can owe, one mask test
+each (``analysis._credit_free_states``).  ``honored_oracle`` keeps the
+earlier rule, which read every owing node's credits, over its whole marking,
+and every node's done set.  Both must give the same (index, done set) list,
+and every check on a graph the same outcome, witness and detail as the
+checks of ``decode_oracle`` read with that rule, whichever check reads the
+graph first.  ``analysis._reaching`` now reads the edge list once,
 from the last edge to the first; it must add the states that ``any()`` over
 each state's out-edge list added, and ``out_edges``, a slice of the edge
 list, must equal that list.
@@ -18,8 +19,8 @@ from dataclasses import replace
 import pytest
 
 import contract_oracle
+import decode_oracle
 import honored_oracle
-import lendingnets.contracts
 from lendingnets import (
     ContractNet,
     LendingNet,
@@ -35,9 +36,8 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.analysis import _components, _layout, _reaching, _walk
+from lendingnets.analysis import _components, _credit_free_states, _done_set, _fields, _layout, _reaching, _walk
 from lendingnets.fixtures import fixture_nets
-from lendingnets.contracts import _honored
 from lendingnets.nets import DEFAULT_BUDGET
 
 from generators import compatible_contract_pair, credit_ring, pairs_contract, random_contract, random_cyclic_net
@@ -59,6 +59,11 @@ def contract_nets() -> list[ContractNet]:
     return out + [unlabeled_debt_net(False), unlabeled_debt_net(True)]
 
 
+def _honored(cn: ContractNet, graph: ReachGraph) -> list[tuple[int, frozenset]]:
+    """The index and done set of each credit-free state, as the checks read them."""
+    return [(i, _done_set(cn.net, graph.nodes[i])) for i, _ in _credit_free_states(cn.net, graph)]
+
+
 def assert_reads_equal(cn: ContractNet, build, monkeypatch):
     """Equal credit-free pairs and equal check results, with each check order, on fresh graphs per side."""
     assert _honored(cn, build()) == list(honored_oracle._honored(cn, build()))
@@ -66,8 +71,8 @@ def assert_reads_equal(cn: ContractNet, build, monkeypatch):
         graph, old_graph = build(), build()
         got = [result_of(check, cn, graph=graph) for check in order]
         with monkeypatch.context() as patched:
-            patched.setattr(lendingnets.contracts, "_honored", honored_oracle._honored)
-            want = [result_of(check, cn, graph=old_graph) for check in order]
+            patched.setattr(decode_oracle, "_honored", honored_oracle._honored)
+            want = [result_of(getattr(decode_oracle, check.__name__, check), cn, graph=old_graph) for check in order]
         assert got == want, cn
         # A second reading of the same graph gives the same pairs, kept or not,
         # and the oracle reads the graph the checks have read alike.
@@ -183,8 +188,10 @@ def flag_stopped_walks() -> list[ReachGraph]:
     for c in [pairs_contract(3), credit_ring(4, 3)] + [random_contract(rng) for _ in range(30)]:
         net = compile_contract(c).net
         for depth in (0, 1, 2, 3, 5):
-            [graph] = _walk(net, [(_layout(net).steps, lambda node, depth=depth: sum(node._vector) >= depth)],
-                            net.initial, DEFAULT_BUDGET)
+            layout = _layout(net)
+            fields = _fields(layout, layout.counts(net.initial), DEFAULT_BUDGET)
+            deep = lambda packed, key, depth=depth: sum(fields.decode(key, len(layout.transitions), 0)) >= depth
+            [graph] = _walk(net, [(layout.steps, deep)], net.initial, DEFAULT_BUDGET)
             assert not graph.complete or max(sum(node._vector) for node in graph.nodes) < depth
             graphs.append(graph)
     return graphs

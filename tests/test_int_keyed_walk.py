@@ -25,7 +25,7 @@ import pytest
 
 import bfs_oracle
 from lendingnets import LendingNet, Outcome, compile_contract, explore, is_occurrence_net
-from lendingnets.analysis import _components, _layout, _split, _walk
+from lendingnets.analysis import Node, _components, _fields, _layout, _split, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
 from generators import pairs_contract, random_contract, random_cyclic_net, random_net, settled_pairs
@@ -61,8 +61,12 @@ def oracle_walk(net: LendingNet, rows, budget):
 
 
 def walked(net: LendingNet, rows, budget, flag=None):
-    """``_walk``'s graph read as ``oracle_walk`` reads the search."""
-    [graph] = _walk(net, [(rows, flag)], net.initial, budget)
+    """``_walk``'s graph read as ``oracle_walk`` reads the search.  A ``flag`` is a test of a node;
+    the walk takes it on a state's two ints, through the node they make."""
+    layout = _layout(net)
+    fields = _fields(layout, layout.counts(net.initial), budget)
+    test = None if flag is None else lambda packed, key: flag(Node(packed, key, fields, layout))
+    [graph] = _walk(net, [(rows, test)], net.initial, budget)
     kept = [(tuple(node._counts), tuple(node._vector), node.honored) for node in graph.nodes]
     return list(graph.edges), kept, graph.complete
 

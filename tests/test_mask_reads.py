@@ -1,0 +1,211 @@
+"""Graph questions read by mask off the walk's ints, against the route that decoded each node.
+
+A walk's graph keeps each state as its two ints; the checks read credit-free
+states by one masked test of the counts, and done sets, and goal sets covered
+or equalled, by the nonzero-field read of the key (``analysis._granting``,
+``_done_test``).  ``decode_oracle`` keeps the route they replaced: every
+node built, its done set decoded (``_done_set``) and its credit-free flag
+read off the node.  Both must pick the same states, and the checks with a
+``graph`` must give equal verdicts, witnesses and details, on compiled
+contract families, seeded random contracts and nets (where one label names
+several transitions), at small budgets and the default.  Only the nodes a
+check reports are built.
+"""
+
+import math
+import random
+
+import pytest
+
+import decode_oracle
+import walk_oracle
+from lendingnets import (
+    ContractNet,
+    LendingNet,
+    NetStructureError,
+    Outcome,
+    ReachGraph,
+    agreement_reachable,
+    compile_contract,
+    explore,
+    urgent_for_done_set,
+    urgent_via_net,
+    weakly_terminates_covering,
+    weakly_terminates_in,
+)
+from lendingnets.analysis import (
+    Node,
+    _credit_free_states,
+    _done_test,
+    _fields,
+    _goal_states,
+    _granting,
+    _layout,
+    _walk,
+)
+from lendingnets.nets import DEFAULT_BUDGET
+
+from generators import credit_ring, pairs_contract, random_contract, random_cyclic_net, random_net, settled_pairs
+from test_node_reading import result_of, unlabeled_debt_net
+
+BUDGETS = (1, 2, 3, 5, 8, DEFAULT_BUDGET)
+# Most cyclic nets have unbounded graphs: they are walked to at most this many states.
+CYCLIC_BUDGET = 1_000
+CHECKS = (agreement_reachable, weakly_terminates_in, weakly_terminates_covering)
+
+
+def with_goals(cn: ContractNet, goals) -> ContractNet:
+    return ContractNet(net=cn.net, participants=cn.participants, ownership=cn.ownership,
+                       goals=frozenset(frozenset(g) for g in goals))
+
+
+def goal_families(atoms, rng: random.Random) -> list[list]:
+    """The empty goal, each atom alone, and two random families of random subsets."""
+    atoms = sorted(atoms)
+    families = [[()], [(a,) for a in atoms]]
+    for _ in range(2):
+        families.append([rng.sample(atoms, rng.randint(0, len(atoms))) for _ in range(rng.randint(1, 3))])
+    return families
+
+
+def contract_nets() -> list[tuple[ContractNet, int]]:
+    """Each contract net with the largest budget it is walked at, under its own goals and others."""
+    rng = random.Random(0x3A5C)
+    contracts = [pairs_contract(n) for n in range(1, 6)] + [settled_pairs(n) for n in range(1, 7)]
+    contracts += [credit_ring(n, side) for n in (3, 4, 5) for side in (None, 1)]
+    contracts += [random_contract(rng) for _ in range(40)]
+    nets = [(compile_contract(c), DEFAULT_BUDGET) for c in contracts]
+    for k in range(20):
+        drawn = ((random_net(rng, f"n{k}"), DEFAULT_BUDGET), (random_cyclic_net(rng, f"c{k}"), CYCLIC_BUDGET))
+        for net, largest in drawn:
+            nets.append((ContractNet(net=net, participants=(), ownership={}, goals=()), largest))
+    nets += [(unlabeled_debt_net(False), DEFAULT_BUDGET), (unlabeled_debt_net(True), DEFAULT_BUDGET)]
+    out = []
+    for cn, largest in nets:
+        out += [(with_goals(cn, goals), largest) for goals in [cn.goals, *goal_families(cn.net.alphabet, rng)]]
+    return out
+
+
+CONTRACT_NETS = contract_nets()
+
+
+def test_the_samples_name_one_label_on_several_transitions():
+    several = [cn for cn, _ in CONTRACT_NETS
+               if len(set(cn.net.transition_labels.values())) < len(cn.net.transition_labels)]
+    assert len(several) >= 20
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_mask_reads_equal_the_decoded_reads(budget):
+    covered = equal = 0
+    for cn, largest in CONTRACT_NETS:
+        graph = explore(cn.net, min(budget, largest))
+        net, nodes = cn.net, graph.nodes
+        lift, masks = _granting(net, graph._layout, graph._fields)
+        for key, node in zip(graph._keys, nodes):
+            assert {a for a, mask in masks.items() if (key + lift) & mask} == decode_oracle._done_set(net, node)
+        free = decode_oracle._credit_free(net, graph.net)
+        assert _credit_free_states(net, graph) == [(i, node._key) for i, node in enumerate(nodes) if free(node)]
+        pairs = decode_oracle._honored(cn, graph)
+        for covering, reached in ((True, decode_oracle._covers_goal_set), (False, decode_oracle._is_goal_set)):
+            want = [i for i, done in pairs if reached(done, cn.goals)]
+            assert list(_goal_states(net, graph, cn.goals, covering)) == want
+            covered, equal = covered + (covering and bool(want)), equal + (not covering and bool(want))
+    assert covered and equal
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_checks_on_a_graph_equal_the_decoded_checks(budget):
+    outcomes = set()
+    for cn, largest in CONTRACT_NETS:
+        graph, old_graph = explore(cn.net, min(budget, largest)), explore(cn.net, min(budget, largest))
+        for check in CHECKS:
+            got = result_of(check, cn, graph=graph)
+            assert got == result_of(getattr(decode_oracle, check.__name__), cn, graph=old_graph), check.__name__
+            outcomes.add((check.__name__, got.outcome))
+        for done in [(), *[(a,) for a in sorted(cn.net.alphabet)[:3]], sorted(cn.net.alphabet)]:
+            want = result_of(decode_oracle.urgent_for_done_set, cn.net, done, graph=old_graph)
+            assert result_of(urgent_for_done_set, cn.net, done, graph=graph) == want
+    assert {(check.__name__, o) for check in CHECKS for o in Outcome} <= outcomes or budget != DEFAULT_BUDGET
+
+
+def spin() -> LendingNet:
+    """``t0``, labeled ``a``, and ``t1``, labeled ``b``, each take the token of the lending place ``l`` and
+    give it back: both stay enabled, so a budget, not the net, bounds their firings."""
+    return LendingNet.build(places=("l",), transitions=("t0", "t1"), transition_labels={"t0": "a", "t1": "b"},
+                            flow={("l", "t0"), ("t0", "l"), ("l", "t1"), ("t1", "l")}, lending={"l"})
+
+
+def test_the_nonzero_read_of_a_field_at_the_top_of_its_range():
+    """A key field holds at most B = 2**(F - 2) - 1 firings, as ``spin`` fires ``t0`` under a budget
+    of B; at every value from 0 to B the field's top bit is set exactly when it is 1 or more, and no
+    other field's top bit is set."""
+    for k in range(1, 12):
+        bound = 2 ** k - 1
+        net = spin()
+        layout = _layout(net)
+        fields = _fields(layout, layout.counts(net.initial), bound)
+        assert bound == 2 ** (fields.width - 2) - 1
+        lift, masks = _granting(net, layout, fields)
+        for v in (0, 1, 2, bound - 1, bound):
+            for w in (0, bound):
+                key = v | w << fields.width
+                assert bool((key + lift) & masks["a"]) == (v >= 1) and bool((key + lift) & masks["b"]) == (w >= 1)
+                assert _done_test(net, layout, fields, [{"a"}], False)(key) == (v >= 1 and not w)
+                assert _done_test(net, layout, fields, [{"a"}], True)(key) == (v >= 1)
+        # The walk keeps states that fire ``t0`` up to B - 1 times, and reads their done sets alike.
+        graph = explore(net, bound)
+        for key, node in zip(graph._keys, graph.nodes):
+            assert {a for a, m in masks.items() if (key + lift) & m} == decode_oracle._done_set(net, node)
+
+
+def test_only_reported_nodes_are_built(monkeypatch):
+    built = []
+    init = Node.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Node, "__init__", counting)
+    c = pairs_contract(4)
+    cn = compile_contract(c)
+    graph = explore(cn.net)
+    assert built == []
+    found = agreement_reachable(cn, graph=graph)
+    assert found.outcome is Outcome.HOLDS and weakly_terminates_in(cn, graph=graph).outcome is Outcome.HOLDS
+    assert len(built) == 1
+    built.clear()
+    assert urgent_via_net(c, ()) == {"a0", "a1", "a2", "a3"} and urgent_via_net(c, {"a0"}) == {"b0", "a1", "a2", "a3"}
+    assert built == []
+    # Read in full, the graph's nodes are the oracle walk's, whose nodes were each built as the walk kept them.
+    layout = _layout(cn.net)
+    want = walk_oracle._walk(cn.net, layout.steps, layout.counts(cn.net.initial), DEFAULT_BUDGET)
+    assert graph.nodes == want.nodes and found.detail == graph.nodes[-1].describe()
+    assert [node.honored for node in graph.nodes] == [node.honored for node in want.nodes]
+
+
+@pytest.mark.parametrize("budget", (3, 50, DEFAULT_BUDGET, math.inf))
+def test_a_graph_of_nodes_reads_as_the_walk_it_came_from(budget):
+    """A graph built from a walk's nodes takes its ints from them, checks its edges, and reads alike."""
+    for cn, largest in CONTRACT_NETS[::7]:
+        walked = explore(cn.net, min(budget, largest))
+        graph = ReachGraph(walked.net, walked.nodes, walked.edges, walked.complete)
+        assert (graph._packs, graph._keys, graph._fields) == (walked._packs, walked._keys, walked._fields)
+        assert [result_of(check, cn, graph=graph) for check in CHECKS] == \
+               [result_of(check, cn, graph=walked) for check in CHECKS]
+        assert [graph.index_of(node) for node in walked.nodes] == list(range(len(walked.nodes)))
+
+
+def test_a_graph_of_nodes_walked_at_two_widths_is_refused():
+    net = spin()
+    narrow, wide = explore(net, 3), explore(net, 1_000)
+    assert narrow._fields.width != wide._fields.width
+    with pytest.raises(NetStructureError, match="one field width"):
+        ReachGraph(net, (narrow.nodes[0], wide.nodes[1]), (), False)
+    with pytest.raises(NetStructureError, match="needs a root"):
+        ReachGraph(net, (), (), True)
+    # A node of another packing is still found by its marking and firings.
+    assert wide.index_of(narrow.nodes[2]) == 2
+    [component] = _walk(net, [(_layout(net).steps, None)], net.initial, 3)
+    assert component._fields is narrow._fields and component.index_of(narrow.nodes[1]) == 1

@@ -238,6 +238,21 @@ class TestStructuralValidation:
             (dict(places=["p"], transition_labels={"t": "a"}), "label on unknown transition 't'"),
             (dict(places=["p"], initial={"q": 1}), "initial marking on unknown place 'q'"),
             (dict(places=["p"], transitions=["t"], flow=[("p", "t", "p")]), "is not a pair"),
+            (dict(places=["p q"]), "place id 'p q' contains whitespace or a reserved character"),
+            (dict(places=["p", ""]), "place id must be a non-empty string, got ''"),
+            (dict(places=["p", 3]), "place id must be a non-empty string, got 3"),
+            (dict(places=[["p"]]), r"place id must be a non-empty string, got \['p'\]"),
+            (dict(transitions=["t=1"]), "transition id 't=1' contains whitespace or a reserved character"),
+            (dict(places=["p"], place_labels={"p": "a#"}), "atom id 'a#' contains whitespace"),
+            (dict(places=["p"], place_labels={"p": 7}), "atom id must be a non-empty string, got 7"),
+            (dict(alphabet=["a", 'b"']), "atom id 'b\"' contains whitespace"),
+            (dict(places=["p"], place_labels={"p": "a"}, alphabet=["b"]), r"labels \['a'\] missing from the alphabet"),
+            (dict(places=["p"], initial={"p": -1}), "initial token count of 'p' must be a non-negative int"),
+            (dict(places=["p"], initial={"p": True}), "initial token count of 'p' must be a non-negative int"),
+            (dict(places=["p"], lending=["p", "q"]), r"lending ids \['q'\] are not places"),
+            (dict(places=["p", "q"], transitions=["t"], flow=[("p", "t"), ("p", "q")]),
+             "arc 'p' -> 'q' must connect one place and one transition of the net"),
+            (dict(places=["p"], transitions=["t"], flow=[("t", "p")]), "transition 't' has no input place"),
         ],
     )
     def test_malformed_nets_are_rejected_with_their_reason(self, fields, fragment):

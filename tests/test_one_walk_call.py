@@ -8,17 +8,19 @@ and honored flag, the edges and the completeness flag.  They are compared
 with no flag, over the components and over the goal split, and with the
 flags agreement stops its walks at, on the credit families and seeded random
 contracts at small budgets and the default.  Every graph the one call
-returns starts at the same root ``Node`` object.
+returns starts at the same root state, in the same packing.  A flag here is
+a test of a node, read by decoding it (``decode_oracle``); ``_walk`` takes
+it on a state's two ints, through the node they make.
 """
 
 import random
 
 import pytest
 
+import decode_oracle
 import walk_oracle
 from lendingnets import compile_contract
-from lendingnets.analysis import _components, _credit_free, _done_set, _parts, _walk
-from lendingnets.contracts import _covers_goal_set
+from lendingnets.analysis import Node, _components, _fields, _layout, _parts, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
 from generators import credit_ring, pairs_contract, random_contract, settled_pairs
@@ -37,12 +39,23 @@ def agreement_parts(cn) -> list[tuple]:
     """The parts agreement walks: each share of the goal split, flagged at its first credit-free
     state whose done set covers a goal set of the share."""
     net = cn.net
-    free = _credit_free(net, net)
+    free = decode_oracle._credit_free(net, net)
 
     def goal(share):
-        return lambda node: free(node) and _covers_goal_set(_done_set(net, node), share)
+        return lambda node: free(node) and decode_oracle._covers_goal_set(decode_oracle._done_set(net, node), share)
 
     return [(rows, goal(share)) for rows, share in _parts(net, cn.goals)]
+
+
+def on_ints(net, parts: list[tuple], budget: int) -> list[tuple]:
+    """``parts`` with each flag taken on a state's two ints, as ``_walk`` calls it."""
+    layout = _layout(net)
+    fields = _fields(layout, layout.counts(net.initial), budget)
+
+    def flag(test):
+        return None if test is None else lambda packed, key: test(Node(packed, key, fields, layout))
+
+    return [(rows, flag(test)) for rows, test in parts]
 
 
 def questions(cn) -> dict[str, list[tuple]]:
@@ -65,9 +78,11 @@ def test_one_call_returns_the_graphs_of_one_call_per_part(budget):
         net = cn.net
         for name, parts in questions(cn).items():
             want = walk_oracle._walk_components(net, parts, net.initial, budget)
-            got = _walk(net, parts, net.initial, budget)
+            got = _walk(net, on_ints(net, parts, budget), net.initial, budget)
             assert [read(graph) for graph in got] == [read(graph) for graph in want], (name, budget)
-            assert all(graph.net is net and graph.nodes[0] is got[0].nodes[0] for graph in got)
+            root = got[0]
+            assert all(graph.net is net and (graph._packs[0], graph._keys[0], graph._fields) ==
+                       (root._packs[0], 0, root._fields) for graph in got)
             split += len(got) >= 2
             cut += len(got) < len(parts)
             flagged += any(flag is not None and flag(graph.nodes[-1]) for (_, flag), graph in zip(parts, got))

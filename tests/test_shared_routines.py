@@ -251,8 +251,10 @@ def test_the_occurrence_check_builds_no_node(monkeypatch):
     cn = compile_contract(pairs_contract(4))
     assert validate(cn) == []
     assert built == []
-    explore(cn.net)
-    assert len(built) == 81
+    # A walk builds no node either: its graph builds them when they are read.
+    graph = explore(cn.net)
+    assert built == []
+    assert len(graph.nodes) == 81 and len(built) == 81
 
 
 def test_each_question_has_one_routine(monkeypatch):

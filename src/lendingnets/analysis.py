@@ -67,7 +67,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import compress
 from math import prod
@@ -96,11 +96,11 @@ class _Layout:
     ``credits`` the index of each of those that the net labels to its label; ``once`` is
     ``_fires_at_most_once``, and ``tables`` keeps the walks' ``_Fields`` by width.  ``marking``
     reads the other places by the state equation, from the net's ``initial`` counts and
-    postset table ``post``: the layout is kept with the net, so it holds no reference to it.
+    transitions' postsets ``post``: the layout is kept with the net, so it holds no reference to it.
     """
 
     initial: Mapping[PlaceId, int]
-    post: Mapping[str, frozenset[str]]
+    post: Mapping[TransitionId, frozenset[PlaceId]]
     places: tuple[PlaceId, ...]
     at: dict[PlaceId, int]
     transitions: tuple[TransitionId, ...]
@@ -284,6 +284,10 @@ class ReachGraph:
         """Each state's index by its key, unique in a graph: a state's counts follow from its key and
         the root's.  No node is built; ``index_of`` compares the counts of the one state it finds."""
         return _kept(self, "_index", lambda: dict(zip(self._keys, range(len(self._keys)))))
+
+    def __len__(self) -> int:
+        """The number of states, counted without building a node."""
+        return len(self._keys)
 
     def _node(self, i: int) -> Node:
         """Node ``i``: the one ``nodes`` holds once built, else one built alone."""
@@ -553,7 +557,8 @@ def _layout(net: LendingNet) -> _Layout:
         transitions = tuple(sorted(net.transitions))
         at = {p: k for k, p in enumerate(places)}
         owing = {p: k for p, k in at.items() if p in net.lending}
-        shots = {k for p, k in at.items() if not net._pre[p] and p not in net.lending and net.initial.get(p, 0) <= 1}
+        produced = {p for t in net.transitions for p in net.postset(t)}
+        shots = {k for p, k in at.items() if p not in produced and p not in net.lending and net.initial.get(p, 0) <= 1}
         steps = tuple(_steps(net, places, transitions))
         return _Layout(net.initial, net._post, places, at, transitions,
                        tuple(map(net.transition_labels.get, transitions)), owing,
@@ -841,11 +846,11 @@ def _done_test(net: LendingNet, layout: _Layout, fields: _Fields, goals: Iterabl
     return holds
 
 
-def _goal_states(net: LendingNet, graph: ReachGraph, goals: Iterable[frozenset[Atom]], covering: bool) -> list[int]:
+def _goal_states(net: LendingNet, graph: ReachGraph, goals: Iterable[frozenset[Atom]], covering: bool) -> Iterator[int]:
     """The credit-free states of ``graph`` whose done set is in ``goals`` or, ``covering``, covers
-    a set of it, by ``net``'s labels (``_credit_free_states``, ``_done_test``), in node order."""
+    a set of it, by ``net``'s labels (``_credit_free_states``, ``_done_test``), yielded in node order."""
     done = _done_test(net, graph._layout, graph._fields, goals, covering)
-    return [i for i, key in _credit_free_states(net, graph) if done(key)]
+    return (i for i, key in _credit_free_states(net, graph) if done(key))
 
 
 def _covering_walks(net: LendingNet, goals: Iterable[frozenset[Atom]], budget: int) -> tuple[Node | None, bool]:
@@ -901,8 +906,8 @@ def weakly_terminates(
     if graph is None:
         graph = explore(net, budget)
     return _first_stuck(
-        [(graph, lambda: compress(range(len(graph._keys)), map(goal, graph.nodes)))],
-        f"exploration budget {len(graph._keys)} exhausted",
+        [(graph, lambda: compress(range(len(graph)), map(goal, graph.nodes)))],
+        f"exploration budget {len(graph)} exhausted",
         lambda stuck: f"no goal reachable from {stuck.describe()}",
     )
 

@@ -44,41 +44,27 @@ def oplus(left: LendingNet, right: LendingNet) -> LendingNet:
     if problems:
         raise CompositionError(problems)
 
-    def dropped(net: LendingNet, other: LendingNet) -> frozenset[str]:
-        other_labels = frozenset(other.transition_labels.values())
-        return frozenset(
-            s
-            for s, atom in net.place_labels.items()
-            if not net.postset(s) and atom in other_labels
-        )
+    def dropped(net: LendingNet, other: LendingNet) -> set[str]:
+        """The labeled places of ``net`` that no transition consumes and whose label ``other`` grants."""
+        consumed, granted = {s for t in net.transitions for s in net.preset(t)}, set(other.transition_labels.values())
+        return {s for s, atom in net.place_labels.items() if s not in consumed and atom in granted}
 
     gone = dropped(left, right) | dropped(right, left)
     places = (left.places | right.places) - gone
-    transitions = left.transitions | right.transitions
-    flow = {
-        (x, y)
-        for x, y in left.flow | right.flow
-        if x not in gone and y not in gone
-    }
+    flow = {(x, y) for x, y in left.flow | right.flow if x not in gone and y not in gone}
     for src, dst in ((left, right), (right, left)):
         for t, atom in src.transition_labels.items():
             for s, place_atom in dst.place_labels.items():
                 if place_atom == atom and s in places:
                     flow.add((t, s))
-
-    place_labels = {
-        p: a
-        for p, a in {**left.place_labels, **right.place_labels}.items()
-        if p in places
-    }
     return LendingNet(
-        places=frozenset(places),
-        transitions=frozenset(transitions),
-        flow=frozenset(flow),
-        place_labels=place_labels,
+        places=places,
+        transitions=left.transitions | right.transitions,
+        flow=flow,
+        place_labels={p: a for p, a in {**left.place_labels, **right.place_labels}.items() if p in places},
         transition_labels={**left.transition_labels, **right.transition_labels},
         initial={p: n for p, n in {**left.initial, **right.initial}.items() if p in places},
-        lending=(left.lending | right.lending) & frozenset(places),
+        lending=(left.lending | right.lending) & places,
         alphabet=left.alphabet,
     )
 

@@ -96,8 +96,9 @@ def validate(cn: ContractNet, budget: int = DEFAULT_BUDGET) -> list[Violation]:
     net = cn.net
     out: list[Violation] = []
 
+    produced = {p for t in net.transitions for p in net.postset(t)}
     for p in sorted(net.initial):
-        if net.preset(p):
+        if p in produced:
             out.append(Violation("a", p, f"marked place {p!r} has producers"))
         if p in net.place_labels:
             out.append(Violation("a", p, f"marked place {p!r} is labeled"))
@@ -202,7 +203,7 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, cover
     else:
         walks, shares = [graph], [cn.goals]
         if not graph.complete:
-            budget = len(graph.nodes)
+            budget = len(graph)
     return _first_stuck([(g, targets(g, share)) for g, share in zip(walks, shares)],
                         f"exploration budget {budget} exhausted", stuck_detail)
 
@@ -244,13 +245,13 @@ def agreement_reachable(
     if graph is None:
         witness, complete = _covering_walks(cn.net, cn.goals, budget)
     else:
-        found = _goal_states(cn.net, graph, cn.goals, covering=True)
-        witness, complete = graph._node(found[0]) if found else None, graph.complete
+        found = next(_goal_states(cn.net, graph, cn.goals, covering=True), None)
+        witness, complete = None if found is None else graph._node(found), graph.complete
     if witness is not None:
         return Verdict.holds(detail=witness.describe())
     if complete:
         return Verdict.fails(detail="no honored node covers a goal set")
-    return Verdict.inconclusive(f"exploration budget {budget if graph is None else len(graph.nodes)} exhausted")
+    return Verdict.inconclusive(f"exploration budget {budget if graph is None else len(graph)} exhausted")
 
 
 def urgent(
@@ -293,5 +294,4 @@ def honored_done_sets(
 ) -> frozenset[frozenset[Atom]]:
     """Done sets of all reachable honored configurations; raises when the graph is incomplete."""
     graph = _complete(cn, budget, graph)
-    nodes = graph.nodes
-    return frozenset([_done_set(cn.net, nodes[i]) for i, _ in _credit_free_states(cn.net, graph)])
+    return frozenset([_done_set(cn.net, graph._node(i)) for i, _ in _credit_free_states(cn.net, graph)])

@@ -143,6 +143,10 @@ class LendingNet(_Canonical):
     to be composable.  Every field defaults to empty, except that an omitted
     ``alphabet`` is the set of labels in use; collections may be any
     iterables or mappings, and ``None`` labels are dropped.
+
+    The arcs are indexed once, by transition: ``_pre`` and ``_post`` map each transition, and
+    nothing else, to its input and its output places.  A compiled contract has many more places
+    than transitions, so a place keeps no arc table of its own (``preset``, ``postset``).
     """
 
     places: frozenset[PlaceId] = frozenset()
@@ -189,20 +193,22 @@ class LendingNet(_Canonical):
             raise NetStructureError(f"lending ids {sorted(lending - places)} are not places")
 
         flow = frozenset(self.flow)
-        pre: dict[str, list[str]] = {}
-        post: dict[str, list[str]] = {}
+        pre: dict[str, list[str]] = {t: [] for t in transitions}
+        post: dict[str, list[str]] = {t: [] for t in transitions}
         for arc in flow:
             if not (isinstance(arc, tuple) and len(arc) == 2):
                 raise NetStructureError(f"arc {arc!r} is not a pair")
             src, dst = arc
-            if not (dst in transitions if src in places else src in transitions and dst in places):
+            if src in places and dst in transitions:
+                pre[dst].append(src)
+            elif src in transitions and dst in places:
+                post[src].append(dst)
+            else:
                 raise NetStructureError(
                     f"arc {src!r} -> {dst!r} must connect one place and one transition of the net"
                 )
-            post.setdefault(src, []).append(dst)
-            pre.setdefault(dst, []).append(src)
-        if not transitions <= pre.keys():
-            raise NetStructureError(f"transition {_first_outside(transitions, pre.keys())!r} has no input place")
+        if not all(pre.values()):
+            raise NetStructureError(f"transition {next(t for t, v in pre.items() if not v)!r} has no input place")
 
         object.__setattr__(self, "places", places)
         object.__setattr__(self, "transitions", transitions)
@@ -212,10 +218,8 @@ class LendingNet(_Canonical):
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "lending", lending)
         object.__setattr__(self, "alphabet", alphabet)
-        # A node with no arc on a side shares one empty set there.
-        empty = dict.fromkeys(places | transitions, frozenset())
-        object.__setattr__(self, "_pre", empty | {x: frozenset(v) for x, v in pre.items()})
-        object.__setattr__(self, "_post", empty | {x: frozenset(v) for x, v in post.items()})
+        object.__setattr__(self, "_pre", {t: frozenset(v) for t, v in pre.items()})
+        object.__setattr__(self, "_post", {t: frozenset(v) for t, v in post.items()})
 
     @cached_property
     def _canon(self) -> tuple:
@@ -232,18 +236,23 @@ class LendingNet(_Canonical):
         )
 
     def preset(self, node: str) -> frozenset[str]:
-        """Sources of arcs entering ``node`` (a place or transition id)."""
-        try:
-            return self._pre[node]
-        except KeyError:
-            raise NetStructureError(f"unknown node {node!r}") from None
+        """Sources of arcs entering ``node`` (a place or transition id).  A transition's are kept;
+        a place's are read off the transitions' arcs, a scan per call with no table (``_arcs``)."""
+        return self._arcs(node, self._pre, self._post)
 
     def postset(self, node: str) -> frozenset[str]:
-        """Targets of arcs leaving ``node``."""
-        try:
-            return self._post[node]
-        except KeyError:
-            raise NetStructureError(f"unknown node {node!r}") from None
+        """Targets of arcs leaving ``node``, kept for a transition and read off the transitions'
+        arcs for a place, as in ``preset``."""
+        return self._arcs(node, self._post, self._pre)
+
+    def _arcs(self, node: str, own: dict, other: dict) -> frozenset[str]:
+        """``own[node]`` for a transition; for a place, the transitions whose ``other`` side holds it."""
+        arcs = own.get(node)
+        if arcs is not None:
+            return arcs
+        if node not in self.places:
+            raise NetStructureError(f"unknown node {node!r}")
+        return frozenset([t for t, places in other.items() if node in places])
 
     def initial_marking(self) -> Marking:
         """Initial marking as a total map over the places."""
@@ -358,12 +367,9 @@ def is_honored(net: LendingNet, marking: Mapping[PlaceId, int]) -> bool:
 
 
 def is_correctly_labeled(net: LendingNet) -> bool:
-    """Every producer of a labeled place carries that place's label."""
-    for s, atom in net.place_labels.items():
-        for t in net.preset(s):
-            if net.transition_labels.get(t) != atom:
-                return False
-    return True
+    """Every producer of a labeled place carries that place's label: one pass over each transition's postset."""
+    return all(net.place_labels[s] == net.transition_labels.get(t)
+               for t in net.transitions for s in net.postset(t) if s in net.place_labels)
 
 
 def _marking_key(marking: Mapping[PlaceId, int]) -> tuple:

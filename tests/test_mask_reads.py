@@ -28,6 +28,7 @@ from lendingnets import (
     agreement_reachable,
     compile_contract,
     explore,
+    honored_done_sets,
     urgent_for_done_set,
     urgent_via_net,
     weakly_terminates_covering,
@@ -159,7 +160,8 @@ def test_the_nonzero_read_of_a_field_at_the_top_of_its_range():
             assert {a for a, m in masks.items() if (key + lift) & m} == decode_oracle._done_set(net, node)
 
 
-def test_only_reported_nodes_are_built(monkeypatch):
+def counting_built(monkeypatch) -> list:
+    """A list that gets one entry for each ``Node`` built from now on."""
     built = []
     init = Node.__init__
 
@@ -168,6 +170,11 @@ def test_only_reported_nodes_are_built(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Node, "__init__", counting)
+    return built
+
+
+def test_only_reported_nodes_are_built(monkeypatch):
+    built = counting_built(monkeypatch)
     c = pairs_contract(4)
     cn = compile_contract(c)
     graph = explore(cn.net)
@@ -183,6 +190,26 @@ def test_only_reported_nodes_are_built(monkeypatch):
     want = walk_oracle._walk(cn.net, layout.steps, layout.counts(cn.net.initial), DEFAULT_BUDGET)
     assert graph.nodes == want.nodes and found.detail == graph.nodes[-1].describe()
     assert [node.honored for node in graph.nodes] == [node.honored for node in want.nodes]
+
+
+def test_an_incomplete_graph_is_counted_without_building_its_nodes(monkeypatch):
+    built = counting_built(monkeypatch)
+    cn = compile_contract(pairs_contract(4))
+    graph = explore(cn.net, 20)
+    assert not graph.complete
+    verdicts = [check(cn, graph=graph) for check in CHECKS]
+    assert built == []
+    assert {(v.outcome, v.detail) for v in verdicts} == {(Outcome.INCONCLUSIVE, "exploration budget 20 exhausted")}
+    assert len(graph) == len(graph.nodes) == 20
+
+
+def test_honored_done_sets_builds_only_the_credit_free_nodes(monkeypatch):
+    built = counting_built(monkeypatch)
+    cn = compile_contract(pairs_contract(4))
+    graph = explore(cn.net)
+    # Of the 3^4 states, the 2^4 where no handshake owes are credit-free, each with its own done set.
+    assert len(honored_done_sets(cn, graph=graph)) == 16 and len(built) == 16
+    assert len(graph) == 81
 
 
 @pytest.mark.parametrize("budget", (3, 50, DEFAULT_BUDGET, math.inf))

@@ -5,13 +5,17 @@ from returning the fields it set: it checked each id with ``_check_id``,
 each label key, initial place and arc in turn, and built a preset and a
 postset per node, empty ones included.  The constructor now checks each kind
 of id with one search over the joined ids and label keys, initial places and
-lending places by subset tests, and builds the presets and postsets from the
-arcs.  Valid inputs must give equal fields and tables, and an input with one
-fault the same exception and message.
+lending places by subset tests, and keeps the presets and postsets of the
+transitions only: a place's are read off them.  Valid inputs must give equal
+fields, the reference's preset and postset of every node through ``preset``
+and ``postset``, and the same error for an unknown id; an input with one fault
+must give the same exception and message.
 """
 
 import random
 from dataclasses import fields
+
+import pytest
 
 from lendingnets import LendingNet, NetStructureError, compile_contract
 from lendingnets.fixtures import fixture_nets
@@ -82,12 +86,17 @@ def reference(places=(), transitions=(), flow=(), place_labels=None, transition_
             raise NetStructureError(f"transition {t!r} has no input place")
     return dict(places=places, transitions=transitions, flow=flow, place_labels=place_labels,
                 transition_labels=transition_labels, initial=marking, lending=lending, alphabet=alphabet,
-                _pre={x: frozenset(v) for x, v in pre.items()}, _post={x: frozenset(v) for x, v in post.items()})
+                presets={x: frozenset(v) for x, v in pre.items()}, postsets={x: frozenset(v) for x, v in post.items()})
 
 
 def built(**kw) -> dict:
+    """The fields of the net built from ``kw``, and the preset and postset of each of its nodes."""
     net = LendingNet(**kw)
-    return {**{name: getattr(net, name) for name in NAMES}, "_pre": net._pre, "_post": net._post}
+    # The arcs are indexed by transition only: no place has a table of its own.
+    assert net._pre.keys() == net._post.keys() == net.transitions
+    nodes = net.places | net.transitions
+    return {**{name: getattr(net, name) for name in NAMES},
+            "presets": {x: net.preset(x) for x in nodes}, "postsets": {x: net.postset(x) for x in nodes}}
 
 
 def outcome(build, kw):
@@ -109,11 +118,16 @@ def valid_inputs() -> list[dict]:
 VALID = valid_inputs()
 
 
-def test_valid_nets_build_the_reference_fields_and_tables():
+def test_valid_nets_build_the_reference_fields_presets_and_postsets():
     for kw in VALID:
         as_lists = {k: list(v) if isinstance(v, frozenset) else v for k, v in kw.items()}
         for given in (kw, {**kw, "alphabet": None}, as_lists):
             assert built(**given) == reference(**given)
+        net = LendingNet(**kw)
+        # Ids hold no whitespace, so this one names no node.
+        for read in (net.preset, net.postset):
+            with pytest.raises(NetStructureError, match="^unknown node 'no such node'$"):
+                read("no such node")
 
 
 def faults(kw: dict, rng: random.Random) -> list[dict]:

@@ -20,9 +20,11 @@ a guard or the honored test is one mask, and a firing re-tests only the
 guards it touches.  A walk's graph (``_Walked``) is those ints, in two lists,
 with the walk's fields, layout and edges; a ``Node`` is built only when read.
 Every question on a graph reads the ints by mask: honored and credit-free
-states by one test of the counts (``_credit_free``), done sets, and goal
-sets covered or equalled, by the nonzero-field read of the key
-(``_granting``, ``_done_test``).
+states by one test of the counts, done sets, and goal sets covered or
+equalled, by the nonzero-field read of the key (``_done_test``).  A net's
+labels meet a walk's packing in one place, ``_reading``: the credit labels,
+the credit-free test and the done-set masks, kept with the fields for the
+walked net's own labels.
 
 Without a built graph, the contract checks and net-side urgency split the
 net into independent components (no place one consumes is touched by
@@ -36,9 +38,9 @@ product graph.  Every ``Node`` is read off a walk's states, or joined from
 walks' last states (``_covering_walks``), and shares its net's ``_Layout``,
 the one table the net keeps besides its components, both in its instance
 dict (``nets._kept``).  This module is the one reader of the layout: the goal
-split (``_parts``), the credit reads (``_credits``, ``_credit_free``) and the
-goal reads (``_goal_states``) are here, and other modules pass nets, graphs
-and nodes.
+split (``_parts``), the label reads (``_reading``, ``_credits``, ``_done_set``)
+and the goal reads (``_goal_states``) are here, and other modules pass nets,
+graphs and nodes.
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A walk lists a node's edges
@@ -92,9 +94,8 @@ class _Layout:
     ``places`` are the places some transition consumes, sorted, with each one's index in
     ``at``; ``transitions`` are all transitions, sorted, with their labels (None when
     unlabeled) in ``labels`` and their ``_steps`` rows over ``places`` in ``steps``; ``owing``
-    maps each place that can owe (a lending place some transition consumes) to its index, and
-    ``credits`` the index of each of those that the net labels to its label; ``once`` is
-    ``_fires_at_most_once``, and ``tables`` keeps the walks' ``_Fields`` by width.  ``marking``
+    maps each place that can owe (a lending place some transition consumes) to its index; ``once``
+    is ``_fires_at_most_once``, and ``tables`` keeps the walks' ``_Fields`` by width.  ``marking``
     reads the other places by the state equation, from the net's ``initial`` counts and
     transitions' postsets ``post``: the layout is kept with the net, so it holds no reference to it.
     """
@@ -106,7 +107,6 @@ class _Layout:
     transitions: tuple[TransitionId, ...]
     labels: tuple[Atom | None, ...]
     owing: dict[PlaceId, int]
-    credits: dict[int, Atom]
     once: bool
     steps: tuple[tuple, ...]
     tables: dict[int, _Fields]
@@ -140,7 +140,7 @@ class _Fields:
     k.  Firing ``rows[k] = (t, step, delta, touch, retest)`` adds ``step`` to the key and ``delta``
     to the counts and re-tests the guards of the rows in ``touch``.  Guard ``(1 << j, add, mask)``
     holds when ``(counts + add) & mask == mask``; so does ``owe`` at an honored state (``owed``).
-    ``granting`` keeps the done-set read of the layout's own labels (``_granting``), built on first use.
+    ``reading`` keeps the read of the layout's own net's labels (``_reading``), built on first use.
     """
 
     width: int
@@ -149,7 +149,7 @@ class _Fields:
     rows: tuple[tuple, ...]
     guards: tuple[tuple[int, int, int], ...]
     owe: tuple[int, int]
-    granting: tuple[int, dict[Atom, int]] | None = None
+    reading: tuple[dict[int, Atom], tuple[int, int], int, dict[Atom, int]] | None = None
 
     def pack(self, counts: list[int]) -> int:
         return sum(self.units) * self.bias + sum(map(mul, counts, self.units))
@@ -354,14 +354,11 @@ class _Walked(ReachGraph):
 
 
 def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
-    """The labels, by ``net``, of the transitions fired to reach ``node``, read off its key:
-    with the layout's labels when the node was walked on ``net`` (its layout is the one kept
-    on ``net``, ``_layout``), and with ``net.transition_labels`` otherwise."""
-    layout, fired = node._layout, node._vector
-    if layout is vars(net).get("_layout"):
-        return frozenset(filter(None, compress(layout.labels, fired)))
-    labels = net.transition_labels
-    return frozenset([labels[t] for t in compress(layout.transitions, fired) if t in labels])
+    """The labels, by ``net``, of the transitions fired to reach ``node``: the labels whose
+    mask the nonzero-field read of its key meets (``_reading``)."""
+    _, _, lift, masks = _reading(net, node._layout, node._fields)
+    done = node._key + lift
+    return frozenset([a for a, mask in masks.items() if done & mask])
 
 
 def _steps(net: LendingNet, places: Iterable[PlaceId], transitions: Iterable[TransitionId]) -> list[tuple]:
@@ -451,29 +448,20 @@ GoalLike = Callable[[Node], bool] | MarkingPredicate | Iterable[MarkingPredicate
 HONORED_GOAL = MarkingPredicate(honored=True)
 
 
-def as_goal_fn(goal: GoalLike) -> Callable[[Node], bool]:
-    """Normalize a goal: a predicate, one conjunction, or a disjunction of them."""
-    if callable(goal):
-        return goal
-    if isinstance(goal, MarkingPredicate):
-        return goal.holds_at
-    disjuncts = tuple(goal)
-    for d in disjuncts:
-        if not isinstance(d, MarkingPredicate):
-            raise NetStructureError(f"not a marking predicate: {d!r}")
-    return lambda node: any(d.holds_at(node) for d in disjuncts)
-
-
 def _goal_fn(net: LendingNet, goal: GoalLike) -> Callable[[Node], bool]:
-    """``as_goal_fn(goal)`` for the nodes of ``net``: a marking predicate of ``goal`` that
-    constrains a place ``net`` lacks raises, as a goal in a net document does."""
+    """A goal as a test of the nodes of ``net``: a predicate, one conjunction, or a disjunction
+    of them.  A marking predicate of ``goal`` that constrains a place ``net`` lacks raises, as a
+    goal in a net document does, and so, after that, does a disjunct that is no marking predicate."""
     if callable(goal):
         return goal
     disjuncts = (goal,) if isinstance(goal, MarkingPredicate) else tuple(goal)
     named = {p for d in disjuncts if isinstance(d, MarkingPredicate) for p in (*d.zero, *d.positive, *d.nonneg)}
     if not named <= net.places:
         raise NetStructureError(f"goal constrains unknown places: {sorted(named - net.places)}")
-    return as_goal_fn(disjuncts)
+    for d in disjuncts:
+        if not isinstance(d, MarkingPredicate):
+            raise NetStructureError(f"not a marking predicate: {d!r}")
+    return lambda node: any(d.holds_at(node) for d in disjuncts)
 
 
 def backward_closure(graph: ReachGraph, targets: Iterable[int]) -> set[int]:
@@ -562,7 +550,6 @@ def _layout(net: LendingNet) -> _Layout:
         steps = tuple(_steps(net, places, transitions))
         return _Layout(net.initial, net._post, places, at, transitions,
                        tuple(map(net.transition_labels.get, transitions)), owing,
-                       {k: net.place_labels[p] for p, k in owing.items() if p in net.place_labels},
                        not any(map(shots.isdisjoint, map(itemgetter(3), steps))), steps, {})
 
     return _kept(net, "_layout", build)
@@ -747,74 +734,64 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[int, int], obj
     return walks
 
 
-def _credit_places(net: LendingNet, layout: _Layout) -> dict[int, Atom]:
-    """The index in ``layout`` and the label of each place that can owe there (``owing``) and that
-    ``net`` labels, kept as the layout's ``credits`` when it is ``net``'s: the one credit-free rule
-    is that none of them is below 0."""
-    if layout is vars(net).get("_layout"):
-        return layout.credits
-    return {k: net.place_labels[p] for p, k in layout.owing.items() if p in net.place_labels}
+def _reading(net: LendingNet, layout: _Layout,
+             fields: _Fields) -> tuple[dict[int, Atom], tuple[int, int], int, dict[Atom, int]]:
+    """``(credits, free, lift, masks)``: how ``net``'s labels read the states of a walk packed by
+    ``fields`` over ``layout``, the one place they meet.  For the layout's own net (its layout is
+    the one kept on ``net``, ``_layout``) it is built once per ``_Fields`` and kept there.
+
+    ``credits`` maps the index of each place that can owe (``owing``) and that ``net`` labels to
+    its label.  ``free`` is the test ``(add, mask)``, as ``_Fields.owe`` reads it, that a state is
+    below 0 on none of them; when every place that can owe is labeled, as in a valid contract
+    net, it is the honored test ``owe``.  The done set of a state with key ``key`` is the labels
+    ``a`` for which ``(key + lift) & masks[a]`` is not 0: ``lift`` puts 2^(F-1) - 1 into each key
+    field, so a field's top bit is set exactly when the field is 1 or more (README, "How
+    exploration works"), and ``masks[a]`` holds the top bits of the fields of the transitions
+    labeled ``a``.
+    """
+    own = layout is vars(net).get("_layout")
+    if own and fields.reading is not None:
+        return fields.reading
+    credits = {k: net.place_labels[p] for p, k in layout.owing.items() if p in net.place_labels}
+    free = fields.owe
+    if len(credits) != len(layout.owing):
+        ones = sum([fields.units[k] for k in credits])
+        free = ones * fields.bias, ones << fields.width - 1
+    top, masks = fields.width - 1, {}
+    for label, row in zip(map(net.transition_labels.get, layout.transitions), fields.rows):
+        if label is not None:
+            masks[label] = masks.get(label, 0) | row[1] << top
+    reading = credits, free, sum([row[1] for row in fields.rows]) * ((1 << top) - 1), masks
+    if own:
+        fields.reading = reading
+    return reading
 
 
 def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
-    """The labels of the places a credit is read on (``_credit_places``) where ``node`` is below 0:
-    the owing fields whose guard bit the honored test leaves clear (``_Fields.owed``)."""
+    """The labels, by ``net``, of the places a credit is read on (``_reading``) where ``node`` is
+    below 0: the owing fields whose guard bit the honored test leaves clear (``_Fields.owed``)."""
     below = node._fields.owed(node._packed)
     if not below:
         return frozenset()
-    width, places = node._fields.width, _credit_places(net, node._layout)
-    return frozenset([label for k, label in places.items() if below >> (k + 1) * width - 1 & 1])
-
-
-def _credit_free(net: LendingNet, layout: _Layout, fields: _Fields) -> tuple[int, int]:
-    """The test ``(add, mask)``, as ``_Fields.owe`` reads it, that a state is below 0 on none of
-    the places a credit is read on (``_credit_places``), by ``net``'s labels.  When every place that
-    can owe is labeled, as in a valid contract net, it is the honored test ``owe``."""
-    places = _credit_places(net, layout)
-    if len(places) == len(layout.owing):
-        return fields.owe
-    ones = sum([fields.units[k] for k in places])
-    return ones * fields.bias, ones << fields.width - 1
+    width, credits = node._fields.width, _reading(net, node._layout, node._fields)[0]
+    return frozenset([label for k, label in credits.items() if below >> (k + 1) * width - 1 & 1])
 
 
 def _credit_free_states(net: LendingNet, graph: ReachGraph) -> list[tuple[int, int]]:
-    """The index and key of each credit-free state of ``graph`` (``_credit_free``), by ``net``'s
+    """The index and key of each credit-free state of ``graph`` (``_reading``), by ``net``'s
     labels.  For the graph's own net they are read once per graph and kept in its instance dict
     (``nets._kept``): the checks that share a graph read them once between them."""
     def read() -> list[tuple[int, int]]:
-        add, mask = _credit_free(net, graph._layout, graph._fields)
+        add, mask = _reading(net, graph._layout, graph._fields)[1]
         return [(i, key) for i, (packed, key) in enumerate(zip(graph._packs, graph._keys))
                 if (packed + add) & mask == mask]
 
     return _kept(graph, "_credit_free", read) if net is graph.net else read()
 
 
-def _granting(net: LendingNet, layout: _Layout, fields: _Fields) -> tuple[int, dict[Atom, int]]:
-    """``(lift, masks)``: the done set of a state with key ``key``, by ``net``'s labels, is the
-    labels ``a`` for which ``(key + lift) & masks[a]`` is not 0.
-
-    ``lift`` puts 2^(F-1) - 1 into each key field, so a field's top bit is set
-    exactly when the field is 1 or more (README, "How exploration works"), and
-    ``masks[a]`` holds the top bits of the fields of the transitions labeled
-    ``a``.  For the layout's own net they are built once per ``_Fields``.
-    """
-    own = layout is vars(net).get("_layout")
-    if own and fields.granting is not None:
-        return fields.granting
-    top, masks = fields.width - 1, {}
-    labels = layout.labels if own else map(net.transition_labels.get, layout.transitions)
-    for label, row in zip(labels, fields.rows):
-        if label is not None:
-            masks[label] = masks.get(label, 0) | row[1] << top
-    granting = sum([row[1] for row in fields.rows]) * ((1 << top) - 1), masks
-    if own:
-        fields.granting = granting
-    return granting
-
-
 def _done_test(net: LendingNet, layout: _Layout, fields: _Fields, goals: Iterable[frozenset[Atom]],
                covering: bool) -> Callable[[int], bool]:
-    """The test that a state's key has a done set (``_granting``) in ``goals`` or, ``covering``,
+    """The test that a state's key has a done set (``_reading``) in ``goals`` or, ``covering``,
     one that covers a set of ``goals``.
 
     Per goal set, the read must meet the mask of each of its labels: the
@@ -823,7 +800,7 @@ def _done_test(net: LendingNet, layout: _Layout, fields: _Fields, goals: Iterabl
     no mask of another label.  A goal set with a label that no transition
     grants is never met.
     """
-    lift, masks = _granting(net, layout, fields)
+    _, _, lift, masks = _reading(net, layout, fields)
     every, tests = sum(masks.values()), []
     for goal in goals:
         if goal <= masks.keys():
@@ -864,7 +841,7 @@ def _covering_walks(net: LendingNet, goals: Iterable[frozenset[Atom]], budget: i
     layout = _layout(net)
     counts = layout.counts(net.initial)
     fields = _fields(layout, counts, budget)
-    add, mask = _credit_free(net, layout, fields)
+    add, mask = _reading(net, layout, fields)[1]
 
     def flag(share: frozenset) -> Callable[[int, int], bool]:
         covers = _done_test(net, layout, fields, share, True)

@@ -155,7 +155,7 @@ def validate(cn: ContractNet, budget: int = DEFAULT_BUDGET) -> list[Violation]:
 def configuration(cn: ContractNet, node: Node) -> Configuration:
     """Read a node of ``cn.net``'s reachability graph as (atoms granted, atoms in debt).
 
-    Debts are read only on the places a credit is read on (``_credit_places``):
+    Debts are read only on the places a credit is read on (``analysis._reading``):
     exact for the nodes of a net's graph, where no place outside the layout's
     ``owing`` places is ever below 0.
     """

@@ -55,11 +55,19 @@ def _check_id(value: str, kind: str) -> str:
     return value
 
 
+def _not_one_string(values: Iterable, kind: str) -> Iterable:
+    """``values``, a collection of ids of ``kind``; one string, which would read as a set of its
+    characters, raises."""
+    if isinstance(values, str):
+        raise NetStructureError(f"{kind} ids {values!r} are one string, not a collection of ids")
+    return values
+
+
 def _check_ids(values: Iterable, kind: str) -> frozenset[str]:
     """``values`` as a set of ids of ``kind``.  One search over the joined ids finds a forbidden
     character exactly when some id holds one; only then, or when some id is empty or no string,
     does ``_check_id`` read each id in turn, to name the first that is wrong."""
-    values = tuple(values)
+    values = tuple(_not_one_string(values, kind))
     try:
         if "" not in values and not _ID_FORBIDDEN.search("".join(values)):
             return frozenset(values)
@@ -188,7 +196,7 @@ class LendingNet(_Canonical):
                 raise NetStructureError(f"initial token count of {p!r} must be a non-negative int")
         initial = {p: n for p, n in initial.items() if n}
 
-        lending = frozenset(self.lending)
+        lending = frozenset(_not_one_string(self.lending, "lending"))
         if not lending <= places:
             raise NetStructureError(f"lending ids {sorted(lending - places)} are not places")
 
@@ -263,7 +271,7 @@ class LendingNet(_Canonical):
 
     def with_alphabet(self, atoms: Iterable[Atom]) -> "LendingNet":
         """Same net over a (usually wider) alphabet."""
-        return replace(self, alphabet=frozenset(atoms))
+        return replace(self, alphabet=frozenset(_not_one_string(atoms, "atom")))
 
 
 @dataclass(frozen=True)
@@ -352,6 +360,8 @@ def marking_of_state(net: LendingNet, state: Mapping[TransitionId, int]) -> Mark
     for t, count in dict(state).items():
         if t not in net.transitions:
             raise NetStructureError(f"unknown transition {t!r}")
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise NetStructureError(f"firing count for {t!r} must be an int, got {count!r}")
         if count < 0:
             raise NetStructureError(f"negative firing count for {t!r}")
         for s in net.preset(t):
@@ -412,7 +422,7 @@ def is_safe(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
 def subnet(net: LendingNet, generators: Iterable[TransitionId]) -> LendingNet:
     """Restrict the net to given transitions, their neighborhoods, and all
     initially marked places."""
-    chosen = frozenset(generators)
+    chosen = frozenset(_not_one_string(generators, "transition"))
     unknown = chosen - net.transitions
     if unknown:
         raise NetStructureError(f"unknown transitions {sorted(unknown)}")

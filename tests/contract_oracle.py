@@ -2,19 +2,42 @@
 
 These are the definitions that ``lendingnets.contracts`` and the stuck-node
 verdicts of ``lendingnets.analysis`` ran on before every check read a graph
-node once, copied unchanged apart from their imports.  Each check rebuilds
+node once, copied unchanged apart from their imports, with the goal
+normaliser ``as_goal_fn`` that ``weakly_terminates`` read goals through
+before ``analysis._goal_fn`` took its rules in.  Each check rebuilds
 ``configuration`` for every node it looks at, and counts a node as honored
 exactly when that configuration has no credits.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
-from lendingnets.analysis import GoalLike, Node, ReachGraph, as_goal_fn, backward_closure, explore, honored_nodes
+from lendingnets.analysis import (
+    GoalLike,
+    MarkingPredicate,
+    Node,
+    ReachGraph,
+    backward_closure,
+    explore,
+    honored_nodes,
+)
 from lendingnets.contracts import Configuration, ContractNet
-from lendingnets.errors import IncompleteExplorationError
+from lendingnets.errors import IncompleteExplorationError, NetStructureError
 from lendingnets.nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict
+
+
+def as_goal_fn(goal: GoalLike) -> Callable[[Node], bool]:
+    """Normalize a goal: a predicate, one conjunction, or a disjunction of them."""
+    if callable(goal):
+        return goal
+    if isinstance(goal, MarkingPredicate):
+        return goal.holds_at
+    disjuncts = tuple(goal)
+    for d in disjuncts:
+        if not isinstance(d, MarkingPredicate):
+            raise NetStructureError(f"not a marking predicate: {d!r}")
+    return lambda node: any(d.holds_at(node) for d in disjuncts)
 
 
 def _stuck_node(graph: ReachGraph, targets: Iterable[int]) -> Node | None:

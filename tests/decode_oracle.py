@@ -8,6 +8,9 @@ its credits otherwise; ``_done_set`` decoded the node's key; and
 ``urgent_for_done_set`` chose its nodes by that done set.  The definitions
 below are copied from there, graph paths only, unchanged apart from their
 imports and the key the pairs are kept under (``_decoded_credit_free``).
+``_credit_places``, which named the places a credit is read on, is copied
+too: the layout no longer keeps a table of them for its own net, so the copy
+builds it for every net, as it did for another net than the layout's.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from operator import attrgetter
 from lendingnets.analysis import (
     Node,
     ReachGraph,
-    _credit_places,
+    _Layout,
     _credits,
     _first_stuck,
     _layout,
@@ -36,6 +39,10 @@ def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
         return frozenset(filter(None, compress(layout.labels, fired)))
     labels = net.transition_labels
     return frozenset([labels[t] for t in compress(layout.transitions, fired) if t in labels])
+
+
+def _credit_places(net: LendingNet, layout: _Layout) -> dict[int, Atom]:
+    return {k: net.place_labels[p] for p, k in layout.owing.items() if p in net.place_labels}
 
 
 def _credit_free(net: LendingNet, walked: LendingNet) -> Callable[[Node], bool]:

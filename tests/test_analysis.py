@@ -27,7 +27,6 @@ from lendingnets.fixtures import (
     handshake_strict_b,
     prepaid_choice_net,
 )
-from lendingnets.analysis import as_goal_fn
 
 from generators import random_net
 
@@ -232,5 +231,10 @@ def test_a_goal_on_a_place_the_net_lacks_is_refused(constraint):
 
 
 def test_a_goal_disjunct_that_is_no_marking_predicate_is_refused():
-    with pytest.raises(NetStructureError, match="not a marking predicate: 'honored'"):
-        as_goal_fn([HONORED_GOAL, "honored"])
+    net = circular_lending_net()
+    for graph in (None, explore(net)):
+        with pytest.raises(NetStructureError, match="not a marking predicate: 'honored'"):
+            weakly_terminates(net, [HONORED_GOAL, "honored"], graph=graph)
+        # The unknown places are named first, whatever else the goal holds.
+        with pytest.raises(NetStructureError, match=r"goal constrains unknown places: \['typo'\]"):
+            weakly_terminates(net, ["honored", MarkingPredicate(zero=frozenset({"typo"}))], graph=graph)

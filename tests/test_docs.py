@@ -1,10 +1,13 @@
 """The README names only what exists: every backticked repository path, and
-every backticked ``module.name`` of a package module.
+every backticked ``module.name`` of a package module.  So do the package's
+own docstrings and comments: every double-backticked private name in them
+(``_x``, ``module._x`` or ``Class._x``) is defined in the package.
 
 Private names are renamed and removed as the code is simplified; this test
 catches the prose that would go stale with them.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -13,7 +16,8 @@ import lendingnets
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
-MODULES = {p.stem for p in Path(lendingnets.__file__).parent.glob("*.py")} - {"__init__"}
+SOURCES = sorted(Path(lendingnets.__file__).parent.glob("*.py"))
+MODULES = {p.stem for p in SOURCES} - {"__init__"}
 
 
 def test_readme_paths_exist():
@@ -35,3 +39,58 @@ def test_readme_module_names_resolve():
         if obj is None:
             unresolved.append(name)
     assert unresolved == []
+
+
+def defined_names() -> set[str]:
+    """Every name the package's source defines: each function and class, each name or attribute
+    assigned, each keyword argument, and each string constant that is an identifier (a slot, a
+    key a value is kept under, an attribute set by name)."""
+    names = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def stale_private_names(text: str, defined: set[str]) -> list[str]:
+    """Each double-backticked private name in ``text`` that the package does not define: a name
+    after a package module must be an attribute of it, and any other name must be defined."""
+    stale = set()
+    for name in re.findall(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``", text):
+        parts = name.split(".")
+        if not any(part.startswith("_") for part in parts):
+            continue
+        if parts[0] in MODULES:
+            obj = importlib.import_module(f"lendingnets.{parts[0]}")
+            for part in parts[1:]:
+                obj = getattr(obj, part, None)
+            if obj is None:
+                stale.add(name)
+        elif not defined.issuperset(parts):
+            stale.add(name)
+    return sorted(stale)
+
+
+def test_docstring_private_names_are_defined():
+    defined = defined_names()
+    stale = [f"{path.name}: {name}" for path in SOURCES
+             for name in stale_private_names(path.read_text(encoding="utf-8"), defined)]
+    assert stale == []
+
+
+def test_a_stale_private_name_is_reported():
+    text = (
+        '"""Credits are read on the places ``_credit_places`` names, and done sets by\n'
+        "``analysis._granting`` and ``_Fields.granting``; ``_reading``, ``analysis._done_set``,\n"
+        '``_Fields.owe`` and ``ReachGraph._node`` are defined, and ``Node`` is no private name."""\n'
+    )
+    assert stale_private_names(text, defined_names()) == ["_Fields.granting", "_credit_places", "analysis._granting"]

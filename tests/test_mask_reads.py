@@ -2,7 +2,7 @@
 
 A walk's graph keeps each state as its two ints; the checks read credit-free
 states by one masked test of the counts, and done sets, and goal sets covered
-or equalled, by the nonzero-field read of the key (``analysis._granting``,
+or equalled, by the nonzero-field read of the key (``analysis._reading``,
 ``_done_test``).  ``decode_oracle`` keeps the route they replaced: every
 node built, its done set decoded (``_done_set``) and its credit-free flag
 read off the node.  Both must pick the same states, and the checks with a
@@ -40,8 +40,8 @@ from lendingnets.analysis import (
     _done_test,
     _fields,
     _goal_states,
-    _granting,
     _layout,
+    _reading,
     _walk,
 )
 from lendingnets.nets import DEFAULT_BUDGET
@@ -102,7 +102,7 @@ def test_mask_reads_equal_the_decoded_reads(budget):
     for cn, largest in CONTRACT_NETS:
         graph = explore(cn.net, min(budget, largest))
         net, nodes = cn.net, graph.nodes
-        lift, masks = _granting(net, graph._layout, graph._fields)
+        _, _, lift, masks = _reading(net, graph._layout, graph._fields)
         for key, node in zip(graph._keys, nodes):
             assert {a for a, mask in masks.items() if (key + lift) & mask} == decode_oracle._done_set(net, node)
         free = decode_oracle._credit_free(net, graph.net)
@@ -147,7 +147,7 @@ def test_the_nonzero_read_of_a_field_at_the_top_of_its_range():
         layout = _layout(net)
         fields = _fields(layout, layout.counts(net.initial), bound)
         assert bound == 2 ** (fields.width - 2) - 1
-        lift, masks = _granting(net, layout, fields)
+        _, _, lift, masks = _reading(net, layout, fields)
         for v in (0, 1, 2, bound - 1, bound):
             for w in (0, bound):
                 key = v | w << fields.width

@@ -111,6 +111,12 @@ class TestFiringErrors:
         with pytest.raises(NetStructureError, match="negative firing count for 'c'"):
             marking_of_state(net, {"c": -1})
 
+    @pytest.mark.parametrize("count", [1.5, True, "1"], ids=repr)
+    def test_a_firing_count_must_be_an_int(self, count):
+        """A float would give a float marking, a bool read as 0 or 1, and a string fail inside the sum."""
+        with pytest.raises(NetStructureError, match=f"firing count for 'c' must be an int, got {count!r}"):
+            marking_of_state(circular_lending_net(), {"c": count})
+
     def test_lending_place_does_not_block(self):
         net = circular_lending_net()
         m = fire(net, net.initial_marking(), "c")
@@ -253,11 +259,19 @@ class TestStructuralValidation:
             (dict(places=["p", "q"], transitions=["t"], flow=[("p", "t"), ("p", "q")]),
              "arc 'p' -> 'q' must connect one place and one transition of the net"),
             (dict(places=["p"], transitions=["t"], flow=[("t", "p")]), "transition 't' has no input place"),
+            (dict(places="pq"), "place ids 'pq' are one string, not a collection of ids"),
+            (dict(transitions="tu"), "transition ids 'tu' are one string, not a collection of ids"),
+            (dict(places=["p", "q"], lending="pq"), "lending ids 'pq' are one string, not a collection of ids"),
+            (dict(alphabet="ab"), "atom ids 'ab' are one string, not a collection of ids"),
         ],
     )
     def test_malformed_nets_are_rejected_with_their_reason(self, fields, fragment):
         with pytest.raises(NetStructureError, match=fragment):
             LendingNet(**fields)
+
+    def test_one_string_is_no_alphabet_to_widen_to(self):
+        with pytest.raises(NetStructureError, match="atom ids 'ab' are one string, not a collection of ids"):
+            circular_lending_net().with_alphabet("ab")
 
 
 def test_correct_labeling_violation():
@@ -298,6 +312,13 @@ class TestSubnet:
     def test_unknown_generator_rejected(self):
         with pytest.raises(NetStructureError):
             subnet(circular_lending_net(), ["zz"])
+
+    def test_one_string_of_generators_is_rejected(self):
+        """``"tu"`` would pick both ``t`` and ``u`` of a net that has them."""
+        net = LendingNet.build(places=["s"], transitions=["t", "u"], flow=[("s", "t"), ("s", "u")])
+        with pytest.raises(NetStructureError, match="transition ids 'tu' are one string, not a collection of ids"):
+            subnet(net, "tu")
+        assert subnet(net, ["t", "u"]) == net
 
     def test_neighborhood_restriction(self):
         net = circular_lending_net()

@@ -6,7 +6,8 @@ the graph finite exactly for occurrence nets; nets that can fire a transition
 twice simply exhaust the exploration budget and report INCONCLUSIVE.
 
 One breadth-first walk (``_walk``) does every search over a net's states,
-the occurrence check included, and returns a ``ReachGraph``.  It works on
+the occurrence check included, and hands over each walk's lists, which
+``_graphs`` reads as a ``ReachGraph``.  It works on
 integer indices over the places that some transition consumes: once per net,
 ``_layout`` sorts those places and the transitions and tabulates, per
 transition, one row of the indices of its non-lending input places (its
@@ -52,9 +53,10 @@ dict (``nets._kept``).
 
 The "all nodes can reach a target" checks share one stuck routine,
 ``_first_stuck``, and urgency one routine, ``_urgent``.  Each decides a
-product of parts, a part being one walk's graph with its target states; an
-explored graph is the one-part case.  Each takes one backward closure per
-part, and a closure is one pass over the edges from the last to the first.
+product of parts, a part being one walk with its target states: a graph for
+the stuck checks, the walk's lists for urgency; an explored graph is the
+one-part case.  Each takes one backward closure per part (``_reaching``), a
+pass over the edges from the last to the first that flags states in a list.
 
 A ``budget`` counts the states a search may keep: graph nodes, (node, word)
 pairs in ``trace_set``, or for one walk call over several parts the shared
@@ -69,9 +71,9 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, takewhile
 from math import prod
 from operator import itemgetter, mul
 
@@ -95,7 +97,8 @@ class _Layout:
     ``at``; ``transitions`` are all transitions, sorted, with their labels (None when
     unlabeled) in ``labels`` and their ``_steps`` rows over ``places`` in ``steps``; ``owing``
     maps each place that can owe (a lending place some transition consumes) to its index; ``once``
-    is ``_fires_at_most_once``, and ``tables`` keeps the walks' ``_Fields`` by width.  ``marking``
+    is ``_fires_at_most_once``, ``tables`` keeps the walks' ``_Fields`` by width, and ``marks`` the
+    counts each done atom sets (``_done_marking``), built on first use.  ``marking``
     reads the other places by the state equation, from the net's ``initial`` counts and
     transitions' postsets ``post``: the layout is kept with the net, so it holds no reference to it.
     """
@@ -110,6 +113,7 @@ class _Layout:
     once: bool
     steps: tuple[tuple, ...]
     tables: dict[int, _Fields]
+    marks: dict[Atom, list[tuple[int, int]]] | None = None
 
     def counts(self, marking: Mapping[PlaceId, int]) -> list[int]:
         """The counts of ``marking`` on ``places``, a walk's start."""
@@ -331,10 +335,10 @@ def _out(edges: tuple[tuple[int, TransitionId, int], ...], i: int) -> tuple[tupl
 
 
 class _Walked(ReachGraph):
-    """A graph as ``_walk`` returns it: the walk's lists of the states' two ints, its fields, layout
-    and edges.  The walk writes each state's edges as it expands it, in state order, so they are
-    not checked again, and ``nodes`` is built on first read.  The lists are slots, so the instance
-    dict holds only the graph's fields and what its readers keep (``nets._kept``)."""
+    """A walk of ``_walk`` as a graph (``_graphs``): the walk's lists of the states' two ints, its
+    fields, layout and edges.  The walk writes each state's edges as it expands it, in state order,
+    so they are not checked again, and ``nodes`` is built on first read.  The lists are slots, so
+    the instance dict holds only the graph's fields and what its readers keep (``nets._kept``)."""
 
     __slots__ = ("_packs", "_keys", "_fields", "_layout")
 
@@ -353,12 +357,23 @@ class _Walked(ReachGraph):
         return _kept(self, "nodes", build)
 
 
+def _graphs(net: LendingNet, walked: tuple[_Fields, list[tuple]]) -> list[_Walked]:
+    """Each walk of a ``_walk`` call on ``net`` as a graph."""
+    fields, walks = walked
+    layout = _layout(net)
+    return [_Walked(net, packs, keys, fields, layout, tuple(edges), complete) for packs, keys, edges, complete in walks]
+
+
+def _labels(read: int, masks: Mapping[Atom, int]) -> frozenset[Atom]:
+    """The labels whose mask ``read`` meets: a done set or credits (``_reading``)."""
+    return frozenset([a for a, mask in masks.items() if read & mask])
+
+
 def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
     """The labels, by ``net``, of the transitions fired to reach ``node``: the labels whose
     mask the nonzero-field read of its key meets (``_reading``)."""
     _, _, lift, masks = _reading(net, node._layout, node._fields)
-    done = node._key + lift
-    return frozenset([a for a, mask in masks.items() if done & mask])
+    return _labels(node._key + lift, masks)
 
 
 def _steps(net: LendingNet, places: Iterable[PlaceId], transitions: Iterable[TransitionId]) -> list[tuple]:
@@ -382,7 +397,7 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
     row of the layout, the whole net.
     """
     _check_budget(budget)
-    return _walk(net, [(_layout(net).steps, None)], net.initial, budget)[0]
+    return _graphs(net, _walk(net, [(_layout(net).steps, None)], net.initial, budget))[0]
 
 
 def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -401,11 +416,11 @@ def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
         fired = compress(zip(layout.transitions, fields.guards), fields.decode(key, len(layout.transitions), 0))
         return next((t for t, (_, add, mask) in fired if (packed + add) & mask == mask), None)
 
-    graph = _walk(net, [(layout.steps, refired)], net.initial, budget)[0]
-    t = refired(graph._packs[-1], graph._keys[-1])
+    _, [(packs, keys, _, complete)] = _walk(net, [(layout.steps, refired)], net.initial, budget)
+    t = refired(packs[-1], keys[-1])
     if t is not None:
         return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
-    if not graph.complete:
+    if not complete:
         return Verdict.inconclusive(f"exploration budget {budget} exhausted")
     return Verdict.holds()
 
@@ -466,19 +481,27 @@ def _goal_fn(net: LendingNet, goal: GoalLike) -> Callable[[Node], bool]:
 
 def backward_closure(graph: ReachGraph, targets: Iterable[int]) -> set[int]:
     """Indices of all nodes from which some target node is reachable."""
-    return _reaching(graph, {graph.index_of(i) for i in targets})
+    return set(compress(range(len(graph)), _reaching(graph.edges, _flags(len(graph), map(graph.index_of, targets)))))
 
 
-def _reaching(graph: ReachGraph, reached: set[int]) -> set[int]:
-    """Add to ``reached`` every state of ``graph`` with a path into it.
+def _flags(n: int, targets: Iterable[int]) -> list[bool]:
+    """A flag per state of ``n``, set on ``targets``."""
+    flags = [False] * n
+    for i in targets:
+        flags[i] = True
+    return flags
+
+
+def _reaching(edges: Sequence[tuple[int, TransitionId, int]], reached: list[bool]) -> list[bool]:
+    """Flag in ``reached`` every state with a path into a flagged one, over ``edges``.
 
     Edges lead to later states and are listed by source, so read from the
     end, every edge out of a state comes after the edges out of every later
     state: the edge's target is settled when the edge is read.
     """
-    for src, _, dst in reversed(graph.edges):
-        if dst in reached:
-            reached.add(src)
+    for src, _, dst in reversed(edges):
+        if reached[dst]:
+            reached[src] = True
     return reached
 
 
@@ -496,10 +519,9 @@ def _first_stuck(parts: list[tuple], incomplete: str, detail: Callable[[Node], s
         return Verdict.inconclusive(incomplete)
     stuck = []
     for graph, targets in parts:
-        good = _reaching(graph, set(targets()))
-        i = next((i for i in range(len(graph._keys)) if i not in good), None)
-        if i is not None:
-            stuck.append((graph, i))
+        good = _reaching(graph.edges, _flags(len(graph), targets()))
+        if not all(good):
+            stuck.append((graph, good.index(False)))
     if not stuck:
         return Verdict.holds()
     graph, i = stuck[0] if len(stuck) == 1 else min(stuck, key=lambda s: _least_path(*s))
@@ -518,23 +540,31 @@ def _least_path(graph: ReachGraph, i: int) -> tuple[int, list[TransitionId]]:
     return len(path), path[::-1]
 
 
-def _urgent(labels: Mapping[TransitionId, Atom], parts: Iterable[tuple]) -> frozenset[Atom]:
+def _urgent(labels: Mapping[TransitionId, Atom], owe: tuple[int, int], parts: Iterable[tuple]) -> frozenset[Atom]:
     """Labels, by ``labels``, of first steps from a chosen state of some part that keep an
     honored state reachable.
 
-    Each part is ``(graph, chosen)``: a walk's ``ReachGraph`` and the
-    indices of the states to step from; an incomplete part raises before its
-    honored states (``honored_nodes``) are read.  A product state can reach
-    an honored state exactly when each of its parts can, and every root is
-    honored, since no initial count is below 0; so the answer for a product
-    of parts chosen at their roots is the union of the parts' answers.
+    Each part is ``(packs, edges, complete, chosen)``, as a walk hands them
+    over: its states' packed counts, its edges, whether it is complete, and
+    the indices of the states to step from, or None for its root, whose
+    steps are the leading edges.  An incomplete part raises before its
+    honored states (``owe``, ``_Fields.owed``) are read; the closure is one
+    flag per state.  A product state can reach an honored state exactly when
+    each of its parts can, and every root is honored, since no initial count
+    is below 0; so the answer for a product of parts chosen at their roots is
+    the union of the parts' answers.
     """
+    add, mask = owe
     urgent = set()
-    for graph, chosen in parts:
-        if not graph.complete:
+    for packs, edges, complete, chosen in parts:
+        if not complete:
             raise IncompleteExplorationError("urgency needs a complete reachability graph")
-        can_honor = _reaching(graph, set(honored_nodes(graph)))
-        urgent.update(labels[t] for i in chosen for _, t, j in _out(graph.edges, i) if t in labels and j in can_honor)
+        can_honor = _reaching(edges, [(packed + add) & mask == mask for packed in packs])
+        if chosen is None:
+            steps = takewhile(lambda edge: not edge[0], edges)
+        else:
+            steps = [edge for i in chosen for edge in _out(edges, i)]
+        urgent.update([labels[t] for _, t, j in steps if can_honor[j] and t in labels])
     return frozenset(urgent)
 
 
@@ -667,9 +697,15 @@ def _parts(net: LendingNet, goals: Iterable[frozenset[Atom]]) -> list[tuple[tupl
 
 
 def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[int, int], object] | None]],
-          start: Mapping[PlaceId, int], budget: int) -> list[_Walked]:
+          start: Mapping[PlaceId, int] | list[int], budget: int) -> tuple[_Fields, list[tuple]]:
     """Breadth-first search of each ``(rows, flag)`` of ``parts`` in turn, a component's layout
-    rows or every row with its flag, from the marking ``start``, keeping at most ``budget`` states.
+    rows or every row with its flag, from ``start``, a marking or the counts of the layout's places
+    (``_Layout.counts``), keeping at most ``budget`` states.
+
+    Returns the walks' ``_Fields`` and, per part walked, ``(packs, keys, edges,
+    complete)``: the kept states' two ints, in the order they were kept, the
+    edges, in the order of their source, and whether the walk is complete.
+    ``_graphs`` reads them as graphs; urgency reads them as they are.
 
     One call walks every part of a question, and the set-up is done once: the
     parts share one root state, so the budget counts it once plus each
@@ -688,7 +724,7 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[int, int], obj
     A kept state is its two ints alone: no ``Node`` is built.
     """
     layout = _layout(net)
-    counts = layout.counts(start)
+    counts = start if isinstance(start, list) else layout.counts(start)
     fields = _fields(layout, counts, budget)
     rows, guards = fields.rows, fields.guards
     start = fields.pack(counts)
@@ -727,37 +763,41 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[int, int], obj
                         queue.append((j, succ, succ_key, succ_enabled))
                 edges.append((i, t, j))
         # The index lists the keys in the order their states were kept.
-        walks.append(_Walked(net, packs, list(index), fields, layout, tuple(edges), complete))
+        keys = list(index)
+        walks.append((packs, keys, edges, complete))
         budget -= len(packs) - 1
-        if not (complete if flag is None else flag(packs[-1], walks[-1]._keys[-1])):
+        if not (complete if flag is None else flag(packs[-1], keys[-1])):
             break
-    return walks
+    return fields, walks
 
 
 def _reading(net: LendingNet, layout: _Layout,
-             fields: _Fields) -> tuple[dict[int, Atom], tuple[int, int], int, dict[Atom, int]]:
+             fields: _Fields) -> tuple[dict[Atom, int], tuple[int, int], int, dict[Atom, int]]:
     """``(credits, free, lift, masks)``: how ``net``'s labels read the states of a walk packed by
     ``fields`` over ``layout``, the one place they meet.  For the layout's own net (its layout is
     the one kept on ``net``, ``_layout``) it is built once per ``_Fields`` and kept there.
 
-    ``credits`` maps the index of each place that can owe (``owing``) and that ``net`` labels to
-    its label.  ``free`` is the test ``(add, mask)``, as ``_Fields.owe`` reads it, that a state is
-    below 0 on none of them; when every place that can owe is labeled, as in a valid contract
-    net, it is the honored test ``owe``.  The done set of a state with key ``key`` is the labels
-    ``a`` for which ``(key + lift) & masks[a]`` is not 0: ``lift`` puts 2^(F-1) - 1 into each key
-    field, so a field's top bit is set exactly when the field is 1 or more (README, "How
-    exploration works"), and ``masks[a]`` holds the top bits of the fields of the transitions
+    ``credits`` maps each label that ``net`` puts on a place that can owe (``owing``) to the top
+    bits of those places' count fields: a state's credits are the labels whose mask its owed read
+    (``_Fields.owed``) meets.  ``free`` is the test ``(add, mask)``, as ``_Fields.owe`` reads it,
+    that a state is below 0 on none of them; when every place that can owe is labeled, as in a
+    valid contract net, it is the honored test ``owe``.  The done set of a state with key ``key``
+    is the labels ``a`` for which ``(key + lift) & masks[a]`` is not 0: ``lift`` puts 2^(F-1) - 1
+    into each key field, so a field's top bit is set exactly when the field is 1 or more (README,
+    "How exploration works"), and ``masks[a]`` holds the top bits of the fields of the transitions
     labeled ``a``.
     """
     own = layout is vars(net).get("_layout")
     if own and fields.reading is not None:
         return fields.reading
-    credits = {k: net.place_labels[p] for p, k in layout.owing.items() if p in net.place_labels}
+    top, credits, masks = fields.width - 1, {}, {}
+    labeled = [(net.place_labels[p], fields.units[k]) for p, k in layout.owing.items() if p in net.place_labels]
+    for label, unit in labeled:
+        credits[label] = credits.get(label, 0) | unit << top
     free = fields.owe
-    if len(credits) != len(layout.owing):
-        ones = sum([fields.units[k] for k in credits])
-        free = ones * fields.bias, ones << fields.width - 1
-    top, masks = fields.width - 1, {}
+    if len(labeled) != len(layout.owing):
+        ones = sum([unit for _, unit in labeled])
+        free = ones * fields.bias, ones << top
     for label, row in zip(map(net.transition_labels.get, layout.transitions), fields.rows):
         if label is not None:
             masks[label] = masks.get(label, 0) | row[1] << top
@@ -770,11 +810,21 @@ def _reading(net: LendingNet, layout: _Layout,
 def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
     """The labels, by ``net``, of the places a credit is read on (``_reading``) where ``node`` is
     below 0: the owing fields whose guard bit the honored test leaves clear (``_Fields.owed``)."""
-    below = node._fields.owed(node._packed)
-    if not below:
-        return frozenset()
-    width, credits = node._fields.width, _reading(net, node._layout, node._fields)[0]
-    return frozenset([label for k, label in credits.items() if below >> (k + 1) * width - 1 & 1])
+    return _labels(node._fields.owed(node._packed), _reading(net, node._layout, node._fields)[0])
+
+
+def _configurations(net: LendingNet, graph: ReachGraph,
+                    credit_free: bool) -> Iterator[tuple[frozenset[Atom], frozenset[Atom]]]:
+    """The done set and credits, by ``net``'s labels, of each state of ``graph``, or of each
+    credit-free state (``_credit_free_states``) when ``credit_free``.  The labels are read once
+    per call (``_reading``), and the sets off the states' ints, as ``_done_set`` and ``_credits``
+    read a node's: no node is built."""
+    credits, _, lift, masks = _reading(net, graph._layout, graph._fields)
+    if credit_free:
+        return ((_labels(key + lift, masks), frozenset()) for _, key in _credit_free_states(net, graph))
+    owed = graph._fields.owed
+    return ((_labels(key + lift, masks), _labels(owed(packed), credits))
+            for packed, key in zip(graph._packs, graph._keys))
 
 
 def _credit_free_states(net: LendingNet, graph: ReachGraph) -> list[tuple[int, int]]:
@@ -848,22 +898,47 @@ def _covering_walks(net: LendingNet, goals: Iterable[frozenset[Atom]], budget: i
         return lambda packed, key: (packed + add) & mask == mask and covers(key)
 
     parts = [(rows, flag(share)) for rows, share in _parts(net, goals)]
-    walks = _walk(net, parts, net.initial, budget)
+    _, walks = _walk(net, parts, counts, budget)
     # The walks go on only past one that ends at a flagged state, so only the last walk's end is left to test.
-    if len(walks) == len(parts) and (not parts or parts[-1][1](walks[-1]._packs[-1], walks[-1]._keys[-1])):
+    if len(walks) == len(parts) and (not parts or parts[-1][1](walks[-1][0][-1], walks[-1][1][-1])):
         root = fields.pack(counts)
-        packed = root + sum([graph._packs[-1] - root for graph in walks])
-        return Node(packed, sum([graph._keys[-1] for graph in walks]), fields, layout), True
-    return None, walks[-1].complete
+        packed = root + sum([packs[-1] - root for packs, *_ in walks])
+        return Node(packed, sum([keys[-1] for _, keys, *_ in walks]), fields, layout), True
+    return None, walks[-1][3]
 
 
-def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET,
-                    start: Mapping[PlaceId, int] | None = None) -> frozenset[Atom]:
-    """``urgent_at(explore(net, budget), 0)``, by one walk call over the net's components;
-    ``start`` replaces the initial marking as the root."""
+def _done_marking(net: LendingNet, layout: _Layout, done: Iterable[Atom]) -> list[int]:
+    """The counts of ``layout``'s places at the done marking of ``done`` (README, "How net-side
+    urgency works"): each place labeled with a done atom holds 1, each place that a transition
+    labeled with a done atom consumes and that ``net`` marks at the start holds 0, and every other
+    place its initial count.  What each label sets is read once per net and kept (``marks``)."""
+    if layout.marks is None:
+        marks = {}
+        for k, p in enumerate(layout.places):
+            if p in net.place_labels:
+                marks.setdefault(net.place_labels[p], []).append((k, 1))
+        for k, _, _, pre, _ in layout.steps:
+            if layout.labels[k] is not None:
+                spent = [(j, 0) for j in pre if net.initial.get(layout.places[j], 0) >= 1]
+                marks.setdefault(layout.labels[k], []).extend(spent)
+        layout.marks = marks
+    counts = layout.counts(net.initial)
+    for a in done:
+        for k, n in layout.marks.get(a, ()):
+            counts[k] = n
+    return counts
+
+
+def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET, done: Iterable[Atom] = ()) -> frozenset[Atom]:
+    """``urgent_at(explore(net, budget), 0)`` for ``net`` started at the done marking of ``done``
+    (``_done_marking``), the initial marking when ``done`` is empty, by one walk call over the
+    net's components.  Each component's walk is read as ``_walk`` hands it over: no graph and no
+    node is built."""
     _check_budget(budget)
-    walks = _walk(net, [(c, None) for c in _components(net)], net.initial if start is None else start, budget)
-    return _urgent(net.transition_labels, ((graph, (0,)) for graph in walks))
+    start = _done_marking(net, _layout(net), done)
+    fields, walks = _walk(net, [(c, None) for c in _components(net)], start, budget)
+    parts = [(packs, edges, complete, None) for packs, _, edges, complete in walks]
+    return _urgent(net.transition_labels, fields.owe, parts)
 
 
 def weakly_terminates(
@@ -896,7 +971,8 @@ def honored_nodes(graph: ReachGraph) -> list[int]:
 
 def urgent_at(graph: ReachGraph, node: Node | int) -> frozenset[Atom]:
     """Labels of first steps from ``node`` that can still end in an honored marking."""
-    return _urgent(graph.net.transition_labels, [(graph, [graph.index_of(node)])])
+    return _urgent(graph.net.transition_labels, graph._fields.owe,
+                   [(graph._packs, graph.edges, graph.complete, [graph.index_of(node)])])
 
 
 def honored_always_reachable(graph: ReachGraph) -> Verdict:
@@ -926,7 +1002,7 @@ def urgent_for_done_set(
         graph = explore(net, budget)
     done = _done_test(net, graph._layout, graph._fields, [wanted], covering=False)
     chosen = [i for i, key in enumerate(graph._keys) if done(key)]
-    return _urgent(net.transition_labels, [(graph, chosen)])
+    return _urgent(net.transition_labels, graph._fields.owe, [(graph._packs, graph.edges, graph.complete, chosen)])
 
 
 def trace_set(net: LendingNet, budget: int = DEFAULT_BUDGET) -> tuple[frozenset[tuple[Atom, ...]], bool]:

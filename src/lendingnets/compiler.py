@@ -18,8 +18,8 @@ among them.  ``compile_contract`` compiles a contract once per ``prune``
 flag and keeps the net with the contract.  Net-side urgency reads only the
 consumed part: it walks the components of a compilation that is already
 kept, or else compiles and keeps a net of the body delivery places alone,
-and starts each done set's walk from that set's marking, whose places are
-named from the clauses.  Compiling a composition and composing the
+and starts each done set's walk from that set's marking, set by label
+(``analysis._done_marking``).  Compiling a composition and composing the
 compilations give nets with the same consumed part, which decides their
 traces without listing a word.
 """
@@ -140,17 +140,14 @@ def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_B
     components read only the places some transition consumes, and every
     compilation of ``c`` has the same ones, so any net of ``c`` that is
     already kept will do (``_urgency_net``).  The done marking, the only part
-    that depends on ``done``, is set on those places alone: the control places
-    of the done atoms empty and each of their body delivery places holding one
-    token.  A done atom's body delivery places are the consumed places labeled
-    with it, one for each clause whose body holds it, so they are named from
-    the clauses (``delivery_pid``).
+    that depends on ``done``, is set on those places alone, by label
+    (``analysis._done_marking``): the control place of each done atom, the
+    marked place its transitions consume, empty, and each consumed place
+    labeled with a done atom, one body delivery place per clause whose body
+    holds it, holding one token.  No place is named and no marking is built.
     """
     done = _owned(c, done)
-    net = _urgency_net(c)
-    delivered = {delivery_pid(a, cl): 1 for cl in c.clauses for a in cl.body & done}
-    start = net.initial | {star_pid(a): 0 for a in done} | delivered
-    return _urgent_at_root(net, budget, start)
+    return _urgent_at_root(_urgency_net(c), budget, done)
 
 
 def _urgency_net(c: PCLContract) -> LendingNet:

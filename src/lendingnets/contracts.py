@@ -18,13 +18,14 @@ from functools import cached_property
 from .analysis import (
     Node,
     ReachGraph,
+    _configurations,
     _covering_walks,
-    _credit_free_states,
     _credits,
     _done_set,
     _first_stuck,
     _fires_at_most_once,
     _goal_states,
+    _graphs,
     _parts,
     _walk,
     explore,
@@ -198,7 +199,7 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, cover
     _check_budget(budget)
     if graph is None:
         parts = _parts(cn.net, cn.goals)
-        walks = _walk(cn.net, [(rows, None) for rows, _ in parts], cn.net.initial, budget)
+        walks = _graphs(cn.net, _walk(cn.net, [(rows, None) for rows, _ in parts], cn.net.initial, budget))
         shares = [share for _, share in parts]
     else:
         walks, shares = [graph], [cn.goals]
@@ -282,9 +283,12 @@ def reachable_configurations(
     budget: int = DEFAULT_BUDGET,
     graph: ReachGraph | None = None,
 ) -> frozenset[Configuration]:
-    """Configurations of all reachable nodes; raises when the graph is incomplete."""
+    """Configurations of all reachable nodes; raises when the graph is incomplete.
+
+    Each is read off the graph's states, with the net's labels read once
+    (``analysis._configurations``): no node is built."""
     graph = _complete(cn, budget, graph)
-    return frozenset(configuration(cn, node) for node in graph.nodes)
+    return frozenset([Configuration(done, credits) for done, credits in _configurations(cn.net, graph, False)])
 
 
 def honored_done_sets(
@@ -292,6 +296,10 @@ def honored_done_sets(
     budget: int = DEFAULT_BUDGET,
     graph: ReachGraph | None = None,
 ) -> frozenset[frozenset[Atom]]:
-    """Done sets of all reachable honored configurations; raises when the graph is incomplete."""
+    """Done sets of all reachable honored configurations; raises when the graph is incomplete.
+
+    The done sets of the credit-free states are read off their keys, with the
+    net's labels read once per call, also for a net other than the graph's
+    own (``analysis._configurations``): no node is built."""
     graph = _complete(cn, budget, graph)
-    return frozenset([_done_set(cn.net, graph._node(i)) for i, _ in _credit_free_states(cn.net, graph)])
+    return frozenset([done for done, _ in _configurations(cn.net, graph, True)])

@@ -165,12 +165,15 @@ class PCLContract(_Canonical):
 contract = PCLContract
 
 
-def _granted(theory: Collection[HornClause]) -> frozenset[Atom]:
-    """Greatest set of atoms the justification rule accepts (argued in the README).
+def _granted(theory: Collection[HornClause], facts: frozenset[Atom] = frozenset()) -> frozenset[Atom]:
+    """Greatest set of atoms the justification rule accepts (argued in the README), over
+    ``theory`` with each atom of ``facts`` as a fact.
 
-    Grant every ``->>`` head on credit, close under ``->``, and withdraw each
-    credit without a ``->>`` clause whose body lies in the closure, until none
-    is withdrawn.
+    Grant every ``->>`` head on credit, close them and ``facts`` under
+    ``->``, and withdraw each credit without a ``->>`` clause whose body lies
+    in the closure, until none is withdrawn.  Each round grants ``facts`` as
+    it grants the heads of facts, so ``_granted(T, D)`` is
+    ``_granted(with_facts(T, D))`` with no fact clause built.
     """
     strict = [c for c in theory if not c.contractual]
     credit = [c for c in theory if c.contractual]
@@ -181,7 +184,7 @@ def _granted(theory: Collection[HornClause]) -> frozenset[Atom]:
     assumed = {c.head for c in credit}
     while True:
         missing = [len(c.body) for c in strict]
-        granted = assumed | {c.head for c in strict if not c.body}
+        granted = assumed | {c.head for c in strict if not c.body} | facts
         todo = list(granted)
         while todo:
             for i in waiting.get(todo.pop(), ()):
@@ -351,12 +354,14 @@ def urgent_atoms(clauses: Iterable[HornClause], done: Iterable[Atom]) -> frozens
     Judged over the theory extended with ``done`` as facts: an atom is urgent
     when some proof trace reaches the fired set and continues with it, that
     is, when it has a ``->`` clause with its body in ``done`` or a ``->>``
-    clause with its body granted by that theory.
+    clause with its body granted by that theory.  The extended theory is one
+    fixpoint with ``done`` as extra facts (``_granted``): no fact clause and
+    no extended theory is built.
     """
     done = _atom_set(done, "done set")
-    theory = with_facts(clauses, done)
-    granted = _granted(theory)
-    return frozenset(c.head for c in theory if c.body <= (granted if c.contractual else done)) - done
+    theory = frozenset(clauses)
+    granted = _granted(theory, done)
+    return frozenset([c.head for c in theory if c.body <= (granted if c.contractual else done)]) - done
 
 
 def _owned(c: PCLContract, atoms: Iterable[Atom]) -> frozenset[Atom]:

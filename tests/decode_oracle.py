@@ -11,6 +11,10 @@ imports and the key the pairs are kept under (``_decoded_credit_free``).
 ``_credit_places``, which named the places a credit is read on, is copied
 too: the layout no longer keeps a table of them for its own net, so the copy
 builds it for every net, as it did for another net than the layout's.
+``_credits``, which read a node's credits from that table field by field,
+and ``reachable_configurations``, which built every node and read its
+configuration, are copied as they were before the graph-level reader
+(``analysis._configurations``) replaced them.
 """
 
 from __future__ import annotations
@@ -23,12 +27,11 @@ from lendingnets.analysis import (
     Node,
     ReachGraph,
     _Layout,
-    _credits,
     _first_stuck,
     _layout,
     _urgent,
 )
-from lendingnets.contracts import ContractNet, configuration
+from lendingnets.contracts import Configuration, ContractNet
 from lendingnets.errors import IncompleteExplorationError, NetStructureError
 from lendingnets.nets import Atom, LendingNet, Verdict, _kept
 
@@ -43,6 +46,18 @@ def _done_set(net: LendingNet, node: Node) -> frozenset[Atom]:
 
 def _credit_places(net: LendingNet, layout: _Layout) -> dict[int, Atom]:
     return {k: net.place_labels[p] for p, k in layout.owing.items() if p in net.place_labels}
+
+
+def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
+    below = node._fields.owed(node._packed)
+    if not below:
+        return frozenset()
+    width, credits = node._fields.width, _credit_places(net, node._layout)
+    return frozenset([label for k, label in credits.items() if below >> (k + 1) * width - 1 & 1])
+
+
+def configuration(cn: ContractNet, node: Node) -> Configuration:
+    return Configuration(done=_done_set(cn.net, node), credits=_credits(cn.net, node))
 
 
 def _credit_free(net: LendingNet, walked: LendingNet) -> Callable[[Node], bool]:
@@ -105,6 +120,12 @@ def honored_done_sets(cn: ContractNet, graph: ReachGraph) -> frozenset[frozenset
     return frozenset(done for _, done in _honored(cn, graph))
 
 
+def reachable_configurations(cn: ContractNet, graph: ReachGraph) -> frozenset[Configuration]:
+    if not graph.complete:
+        raise IncompleteExplorationError("configurations need a complete reachability graph")
+    return frozenset(configuration(cn, node) for node in graph.nodes)
+
+
 def honored_nodes(graph: ReachGraph) -> list[int]:
     return [i for i, node in enumerate(graph.nodes) if node.honored]
 
@@ -114,4 +135,4 @@ def urgent_for_done_set(net: LendingNet, done: Iterable[Atom], graph: ReachGraph
     if not wanted <= net.alphabet:
         raise NetStructureError(f"done atoms outside the alphabet: {sorted(wanted - net.alphabet)}")
     chosen = [i for i, node in enumerate(graph.nodes) if _done_set(net, node) == wanted]
-    return _urgent(net.transition_labels, [(graph, chosen)])
+    return _urgent(net.transition_labels, graph._fields.owe, [(graph._packs, graph.edges, graph.complete, chosen)])

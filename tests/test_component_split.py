@@ -32,7 +32,7 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.analysis import _components, _least_path, _walk
+from lendingnets.analysis import _components, _graphs, _least_path, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
 from generators import credit_ring, pairs_contract, random_contract, settled_pairs
@@ -104,10 +104,10 @@ def kept_states(monkeypatch):
     walk = lendingnets.analysis._walk
 
     def counting(*args, **kwargs):
-        walks = walk(*args, **kwargs)
+        walked = walk(*args, **kwargs)
         if sys._getframe(1).f_code.co_name in COMPONENT_WALKERS:
-            kept.append(1 + sum(len(graph.nodes) - 1 for graph in walks))
-        return walks
+            kept.append(1 + sum(len(packs) - 1 for packs, *_ in walked[1]))
+        return walked
 
     for module in (lendingnets.analysis, lendingnets.contracts):
         monkeypatch.setattr(module, "_walk", counting)
@@ -272,7 +272,7 @@ def test_least_paths_follow_each_node_s_first_in_edge():
     for c in [random_contract(rng) for _ in range(40)] + disjoint_pairs(40, seed=8) + family:
         net = compile_contract(c).net
         for rows in _components(net):
-            [graph] = _walk(net, [(rows, None)], net.initial, DEFAULT_BUDGET)
+            [graph] = _graphs(net, _walk(net, [(rows, None)], net.initial, DEFAULT_BUDGET))
             assert graph.complete
             for i in range(len(graph.nodes)):
                 assert _least_path(graph, i) == in_edge_path(graph, i)

@@ -36,7 +36,16 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.analysis import _components, _credit_free_states, _done_set, _fields, _layout, _reaching, _walk
+from lendingnets.analysis import (
+    _components,
+    _credit_free_states,
+    _done_set,
+    _fields,
+    _graphs,
+    _layout,
+    _reaching,
+    _walk,
+)
 from lendingnets.fixtures import fixture_nets
 from lendingnets.nets import DEFAULT_BUDGET
 
@@ -155,7 +164,8 @@ def component_walks() -> list[ReachGraph]:
     cns = [compile_contract(random_contract(rng)) for _ in range(150)]
     cns += [compile_contract(pairs_contract(n)) for n in (1, 2, 3)]
     return [graph for cn in cns
-            for graph in _walk(cn.net, [(c, None) for c in _components(cn.net)], cn.net.initial, DEFAULT_BUDGET)]
+            for graph in _graphs(cn.net, _walk(cn.net, [(c, None) for c in _components(cn.net)], cn.net.initial,
+                                                DEFAULT_BUDGET))]
 
 
 def component_outs():
@@ -178,7 +188,8 @@ def test_reaching_equals_the_any_form():
     cases = [*component_outs(), *random_outs(random.Random(18))]
     assert len(cases) > 500
     for graph, targets in cases:
-        assert _reaching(graph, set(targets)) == reaching_oracle(out_lists(graph), set(targets))
+        reached = _reaching(graph.edges, [i in targets for i in range(len(graph))])
+        assert {i for i, flag in enumerate(reached) if flag} == reaching_oracle(out_lists(graph), set(targets))
 
 
 def flag_stopped_walks() -> list[ReachGraph]:
@@ -191,7 +202,7 @@ def flag_stopped_walks() -> list[ReachGraph]:
             layout = _layout(net)
             fields = _fields(layout, layout.counts(net.initial), DEFAULT_BUDGET)
             deep = lambda packed, key, depth=depth: sum(fields.decode(key, len(layout.transitions), 0)) >= depth
-            [graph] = _walk(net, [(layout.steps, deep)], net.initial, DEFAULT_BUDGET)
+            [graph] = _graphs(net, _walk(net, [(layout.steps, deep)], net.initial, DEFAULT_BUDGET))
             assert not graph.complete or max(sum(node._vector) for node in graph.nodes) < depth
             graphs.append(graph)
     return graphs

@@ -9,18 +9,26 @@ read off the node.  Both must pick the same states, and the checks with a
 ``graph`` must give equal verdicts, witnesses and details, on compiled
 contract families, seeded random contracts and nets (where one label names
 several transitions), at small budgets and the default.  Only the nodes a
-check reports are built.
+check reports are built.  ``honored_done_sets`` and ``reachable_configurations``
+read each state's done set and credits off the graph's ints with the net's
+labels read once (``analysis._configurations``), for the graph's own net and
+for an equal net built anew, and build no node; net-side urgency builds no
+graph, node or place name, and logic urgency no clause.
 """
 
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 import decode_oracle
+import lendingnets.compiler
 import walk_oracle
 from lendingnets import (
     ContractNet,
+    HornClause,
     LendingNet,
     NetStructureError,
     Outcome,
@@ -29,17 +37,21 @@ from lendingnets import (
     compile_contract,
     explore,
     honored_done_sets,
+    reachable_configurations,
     urgent_for_done_set,
+    urgent_logic,
     urgent_via_net,
     weakly_terminates_covering,
     weakly_terminates_in,
 )
 from lendingnets.analysis import (
     Node,
+    _Walked,
     _credit_free_states,
     _done_test,
     _fields,
     _goal_states,
+    _graphs,
     _layout,
     _reading,
     _walk,
@@ -203,13 +215,60 @@ def test_an_incomplete_graph_is_counted_without_building_its_nodes(monkeypatch):
     assert len(graph) == len(graph.nodes) == 20
 
 
-def test_honored_done_sets_builds_only_the_credit_free_nodes(monkeypatch):
+def test_honored_done_sets_builds_no_node(monkeypatch):
     built = counting_built(monkeypatch)
     cn = compile_contract(pairs_contract(4))
     graph = explore(cn.net)
     # Of the 3^4 states, the 2^4 where no handshake owes are credit-free, each with its own done set.
-    assert len(honored_done_sets(cn, graph=graph)) == 16 and len(built) == 16
+    assert len(honored_done_sets(cn, graph=graph)) == 16 and built == []
     assert len(graph) == 81
+
+
+@pytest.mark.parametrize("budget", (5, DEFAULT_BUDGET))
+def test_configuration_readers_equal_the_decoded_reads(budget):
+    read = 0
+    for cn, largest in CONTRACT_NETS:
+        graph = explore(cn.net, min(budget, largest))
+        anew = ContractNet(net=replace(cn.net), participants=cn.participants, ownership=cn.ownership, goals=cn.goals)
+        assert anew.net == cn.net and anew.net is not cn.net
+        for contract in (cn, anew):
+            for reader in (honored_done_sets, reachable_configurations):
+                got = result_of(reader, contract, graph=graph)
+                assert got == result_of(getattr(decode_oracle, reader.__name__), contract, graph), reader.__name__
+                read += isinstance(got, frozenset)
+    assert read
+
+
+def counting_calls(monkeypatch, owner, name: str, log: list) -> None:
+    """Append to ``log`` on each call of ``owner.name`` from now on."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        log.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_urgency_and_the_configuration_readers_build_no_set_up(monkeypatch):
+    c = pairs_contract(4)
+    cn = compile_contract(c)
+    graph = explore(cn.net)
+    honored = honored_done_sets(cn, graph=graph)
+    built, graphs, named, clauses = counting_built(monkeypatch), [], [], []
+    for cls in (ReachGraph, _Walked):
+        counting_calls(monkeypatch, cls, "__init__", graphs)
+    for name in ("delivery_pid", "clause_tid"):
+        counting_calls(monkeypatch, lendingnets.compiler, name, named)
+    counting_calls(monkeypatch, HornClause, "__post_init__", clauses)
+    atoms = sorted(c.ownership)
+    done_sets = [frozenset(s) for n in range(len(atoms) + 1) for s in itertools.combinations(atoms, n)]
+    net_side = {done: urgent_via_net(c, done) for done in done_sets}
+    assert net_side[frozenset()] == {"a0", "a1", "a2", "a3"} and net_side[frozenset({"a0"})] == {"b0", "a1", "a2", "a3"}
+    assert (built, graphs, named) == ([], [], [])
+    assert honored_done_sets(cn, graph=graph) == honored and len(honored) == 16
+    assert len(reachable_configurations(cn, graph=graph)) == 81 and built == []
+    assert all(urgent_logic(c, done) == net_side[done] for done in honored) and clauses == []
 
 
 @pytest.mark.parametrize("budget", (3, 50, DEFAULT_BUDGET, math.inf))
@@ -234,5 +293,5 @@ def test_a_graph_of_nodes_walked_at_two_widths_is_refused():
         ReachGraph(net, (), (), True)
     # A node of another packing is still found by its marking and firings.
     assert wide.index_of(narrow.nodes[2]) == 2
-    [component] = _walk(net, [(_layout(net).steps, None)], net.initial, 3)
+    [component] = _graphs(net, _walk(net, [(_layout(net).steps, None)], net.initial, 3))
     assert component._fields is narrow._fields and component.index_of(narrow.nodes[1]) == 1

@@ -177,10 +177,10 @@ def test_each_node_is_read_once_and_configurations_only_for_a_failure(monkeypatc
     assert agreement_reachable(cn, graph=graph).outcome is Outcome.HOLDS
     assert weakly_terminates_in(cn, graph=graph).outcome is Outcome.HOLDS
     assert len(honored_done_sets(cn, graph=graph)) == 2 ** 4
-    # Only the credit-free nodes have a done set built, once each, and no node has its credits read.
+    # No node has its done set or its credits read: the done sets are read off the graph's states.
     credit_free = [i for i, node in enumerate(graph.nodes) if node.honored]
     assert len(graph.nodes) == 81 and len(credit_free) == 16
-    assert sorted(map(graph.index_of, reads)) == credit_free
+    assert reads == []
     assert configurations == [] and credit_reads == []
 
     # The goal {a0} alone cannot be reached once anything else is done: one read, for the detail.
@@ -188,8 +188,8 @@ def test_each_node_is_read_once_and_configurations_only_for_a_failure(monkeypatc
     failed = weakly_terminates_in(narrow, graph=graph)
     assert failed.outcome is Outcome.FAILS and configurations == [failed.witness]
     assert weakly_terminates_covering(narrow, graph=graph).outcome is Outcome.HOLDS
-    # A contract over the same net reuses the graph's credit-free nodes; only the detail's configuration reads more.
-    assert reads[16:] == [failed.witness] and credit_reads == [failed.witness]
+    # Only the detail's configuration reads a node.
+    assert reads == [failed.witness] and credit_reads == [failed.witness]
 
 
 def test_done_atoms_outside_the_alphabet_are_refused():

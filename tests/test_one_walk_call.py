@@ -20,7 +20,7 @@ import pytest
 import decode_oracle
 import walk_oracle
 from lendingnets import compile_contract
-from lendingnets.analysis import Node, _components, _fields, _layout, _parts, _walk
+from lendingnets.analysis import Node, _components, _fields, _graphs, _layout, _parts, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
 from generators import credit_ring, pairs_contract, random_contract, settled_pairs
@@ -78,7 +78,7 @@ def test_one_call_returns_the_graphs_of_one_call_per_part(budget):
         net = cn.net
         for name, parts in questions(cn).items():
             want = walk_oracle._walk_components(net, parts, net.initial, budget)
-            got = _walk(net, on_ints(net, parts, budget), net.initial, budget)
+            got = _graphs(net, _walk(net, on_ints(net, parts, budget), net.initial, budget))
             assert [read(graph) for graph in got] == [read(graph) for graph in want], (name, budget)
             root = got[0]
             assert all(graph.net is net and (graph._packs[0], graph._keys[0], graph._fields) ==

@@ -95,10 +95,10 @@ def test_one_walk_of_the_smaller_net(monkeypatch):
 
     def counting_walk(*args, **kwargs):
         # Only the component walk counts, not the walk of ``explore``.
-        walks = walk(*args, **kwargs)
+        walked = walk(*args, **kwargs)
         if sys._getframe(1).f_code.co_name == "_urgent_at_root":
-            kept.append(1 + sum(len(graph.nodes) - 1 for graph in walks))
-        return walks
+            kept.append(1 + sum(len(packs) - 1 for packs, *_ in walked[1]))
+        return walked
 
     def counting_explore(net, budget=DEFAULT_BUDGET):
         graph = explore(net, budget)

@@ -6,8 +6,8 @@ the graph finite exactly for occurrence nets; nets that can fire a transition
 twice simply exhaust the exploration budget and report INCONCLUSIVE.
 
 One breadth-first walk (``_walk``) does every search over a net's states,
-the occurrence check included, and hands over each walk's lists, which
-``_graphs`` reads as a ``ReachGraph``.  It works on
+the occurrence check included, and hands over each walk's lists, which a
+``ReachGraph`` holds as they are.  It works on
 integer indices over the places that some transition consumes: once per net,
 ``_layout`` sorts those places and the transitions and tabulates, per
 transition, one row of the indices of its non-lending input places (its
@@ -18,8 +18,8 @@ state equation gives its marking).  The walk keeps each state as two ints
 of one field width (``_Fields``): its counts, a biased field per consumed
 place, and its key, a field per transition.  A firing adds one int to each,
 a guard or the honored test is one mask, and a firing re-tests only the
-guards it touches.  A walk's graph (``_Walked``) is those ints, in two lists,
-with the walk's fields, layout and edges; a ``Node`` is built only when read.
+guards it touches.  A graph is one walk's ints, in two lists, with the
+walk's fields, layout and edges; a ``Node`` is built only when read.
 Every question on a graph reads the ints by mask: honored and credit-free
 states by one test of the counts, done sets, and goal sets covered or
 equalled, by the nonzero-field read of the key (``_done_test``).  A net's
@@ -46,7 +46,7 @@ graphs and nodes.
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A walk lists a node's edges
 while it expands the node, in index order, so a graph's edges are in order
-of their source, and they are not checked again.  Its readers take
+of their source, and no check of them is needed.  Its readers take
 out-edges from the edge list, and the node index (keyed by the key int, so
 building it builds no node) is built on first use and kept in its instance
 dict (``nets._kept``).
@@ -171,15 +171,16 @@ class _Fields:
 class Node:
     """Reachability graph node: marking, fired multiset, and whether no place owes.
 
-    A node is built when read, from one state of a walk: its two ints
-    (``_Fields``), the walk's fields and the net's ``_Layout``.  ``nodes`` of
-    a graph builds them all, and the library's checks build only a node they
-    report (``ReachGraph._node``), such as a witness.  It reads all else off them:
-    ``marking`` and ``fired``, the nonzero counts as ``(id, count)`` pairs
-    sorted by id, decoded once per read, and ``honored``, which is not part of
-    ``==``, ``hash`` or ``repr``.  ``tokens`` reads a consumed place's field
-    and any other place by the state equation: no transition consumes it, so
-    it holds its initial count plus its producers' firings.
+    A node is built when read, from one state of a walk, and no graph is built
+    from nodes.  It keeps the state's two ints (``_Fields``), the walk's fields
+    and the net's ``_Layout``, and reads all else off them: ``marking`` and
+    ``fired``, the nonzero counts as ``(id, count)`` pairs sorted by id, decoded
+    once per read, and ``honored``, which is not part of ``==``, ``hash`` or
+    ``repr``.  ``tokens`` reads a consumed place's field and any other place by
+    the state equation: no transition consumes it, so it holds its initial
+    count plus its producers' firings.  ``nodes`` of a graph builds them all,
+    and the library's checks build only a node they report
+    (``ReachGraph._node``), such as a witness.
     """
 
     __slots__ = ("_packed", "_key", "_fields", "_layout")
@@ -253,35 +254,35 @@ class Node:
         return f"marking [{marks}] fired [{fires}]"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ReachGraph:
-    """Deterministic breadth-first reachability graph of a lending net; every edge leads to a
-    later node, and edges are listed by source, so a node's out-edges are one slice of ``edges``.
+    """Deterministic breadth-first reachability graph of a lending net: one ``walk``, a ``(packs,
+    keys, edges, complete)`` part of a ``_walk`` call on ``net``, with the call's ``fields``.
 
-    Its questions read its states' two ints by mask: ``_packs`` and ``_keys`` hold them in node
-    order, with the walk's ``_fields`` and the net's ``_layout``.  A graph built from nodes takes
-    them from its nodes, which must share one packing (walks of one net at one field width), and
-    has its edges checked; a walk's graph (``_Walked``) holds the walk's lists.
+    It holds the walk's lists of its states' two ints in node order (``_packs``, ``_keys``), the
+    walk's ``_fields`` and the net's ``_layout``, and its questions read the ints by mask.  The
+    walk writes each state's edges as it expands it, in state order, so every edge leads to a
+    later node and a node's out-edges are one slice of ``edges``.  ``nodes`` is built on first
+    read.  The lists are slots, so the instance dict holds only the graph's fields and what its
+    readers keep (``nets._kept``).
     """
 
+    __slots__ = ("_packs", "_keys", "_fields", "_layout", "__dict__")
     net: LendingNet
-    nodes: tuple[Node, ...]
     edges: tuple[tuple[int, TransitionId, int], ...]
     complete: bool
 
-    def __post_init__(self):
-        n, last = len(self.nodes), 0
-        for src, t, dst in self.edges:
-            if not 0 <= src < dst < n:
-                raise NetStructureError(f"edge {src} -{t}-> {dst} does not lead to a later node of the graph")
-            if src < last:
-                raise NetStructureError(f"edge {src} -{t}-> {dst} is listed after an edge out of node {last}")
-            last = src
-        packings = {node._fields for node in self.nodes}
-        if len(packings) != 1:
-            raise NetStructureError("a graph needs a root, and nodes walked on one net at one field width")
-        vars(self).update(_packs=[node._packed for node in self.nodes], _keys=[node._key for node in self.nodes],
-                          _fields=packings.pop(), _layout=self.nodes[0]._layout)
+    def __init__(self, net: LendingNet, fields: _Fields, walk: tuple[list[int], list[int], list[tuple], bool]):
+        packs, keys, edges, complete = walk
+        self.__dict__.update(net=net, edges=tuple(edges), complete=complete)
+        for name, value in zip(self.__slots__, (packs, keys, fields, _layout(net))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        fields, layout = self._fields, self._layout
+        return _kept(self, "nodes", lambda: tuple([Node(packed, key, fields, layout)
+                                                   for packed, key in zip(self._packs, self._keys)]))
 
     @property
     def _index(self) -> dict[int, int]:
@@ -309,9 +310,11 @@ class ReachGraph:
                 if i is not None and self._packs[i] == node._packed:
                     return i
             else:
-                # A node of another packing is compared decoded, with each node of the graph.
-                i = next((i for i, other in enumerate(self.nodes) if other == node), None)
-                if i is not None:
+                # A node of another packing is looked up by its firings packed at this graph's
+                # width (a transition the net lacks adds nothing), and compared decoded.
+                step = dict(zip(self._layout.transitions, [row[1] for row in self._fields.rows]))
+                i = self._index.get(sum([step.get(t, 0) * n for t, n in node.fired]))
+                if i is not None and self._node(i) == node:
                     return i
             raise NetStructureError("node does not belong to this graph")
         if not isinstance(node, int) or isinstance(node, bool):
@@ -323,45 +326,11 @@ class ReachGraph:
     def out_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
         return tuple([(t, dst) for _, t, dst in _out(self.edges, self.index_of(node))])
 
-    def in_edges(self, node: Node | int) -> tuple[tuple[TransitionId, int], ...]:
-        i = self.index_of(node)
-        return tuple((t, src) for src, t, dst in self.edges if dst == i)
-
 
 def _out(edges: tuple[tuple[int, TransitionId, int], ...], i: int) -> tuple[tuple[int, TransitionId, int], ...]:
     """The edges out of state ``i``: one slice of ``edges``, which are listed by source."""
     first = bisect_left(edges, i, key=itemgetter(0))
     return edges[first:bisect_right(edges, i, first, key=itemgetter(0))]
-
-
-class _Walked(ReachGraph):
-    """A walk of ``_walk`` as a graph (``_graphs``): the walk's lists of the states' two ints, its
-    fields, layout and edges.  The walk writes each state's edges as it expands it, in state order,
-    so they are not checked again, and ``nodes`` is built on first read.  The lists are slots, so
-    the instance dict holds only the graph's fields and what its readers keep (``nets._kept``)."""
-
-    __slots__ = ("_packs", "_keys", "_fields", "_layout")
-
-    def __init__(self, net: LendingNet, packs: list[int], keys: list[int], fields: _Fields, layout: _Layout,
-                 edges: tuple, complete: bool):
-        vars(self).update(net=net, edges=edges, complete=complete)
-        for name, value in zip(self.__slots__, (packs, keys, fields, layout)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def nodes(self) -> tuple[Node, ...]:
-        def build() -> tuple[Node, ...]:
-            return tuple([Node(packed, key, fields, layout) for packed, key in zip(self._packs, self._keys)])
-
-        fields, layout = self._fields, self._layout
-        return _kept(self, "nodes", build)
-
-
-def _graphs(net: LendingNet, walked: tuple[_Fields, list[tuple]]) -> list[_Walked]:
-    """Each walk of a ``_walk`` call on ``net`` as a graph."""
-    fields, walks = walked
-    layout = _layout(net)
-    return [_Walked(net, packs, keys, fields, layout, tuple(edges), complete) for packs, keys, edges, complete in walks]
 
 
 def _labels(read: int, masks: Mapping[Atom, int]) -> frozenset[Atom]:
@@ -397,7 +366,8 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
     row of the layout, the whole net.
     """
     _check_budget(budget)
-    return _graphs(net, _walk(net, [(_layout(net).steps, None)], net.initial, budget))[0]
+    fields, [walk] = _walk(net, [(_layout(net).steps, None)], net.initial, budget)
+    return ReachGraph(net, fields, walk)
 
 
 def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -705,7 +675,7 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[int, int], obj
     Returns the walks' ``_Fields`` and, per part walked, ``(packs, keys, edges,
     complete)``: the kept states' two ints, in the order they were kept, the
     edges, in the order of their source, and whether the walk is complete.
-    ``_graphs`` reads them as graphs; urgency reads them as they are.
+    ``ReachGraph`` holds one of them as a graph; urgency reads them as they are.
 
     One call walks every part of a question, and the set-up is done once: the
     parts share one root state, so the budget counts it once plus each

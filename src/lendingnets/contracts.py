@@ -25,7 +25,6 @@ from .analysis import (
     _first_stuck,
     _fires_at_most_once,
     _goal_states,
-    _graphs,
     _parts,
     _walk,
     explore,
@@ -199,7 +198,8 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, cover
     _check_budget(budget)
     if graph is None:
         parts = _parts(cn.net, cn.goals)
-        walks = _graphs(cn.net, _walk(cn.net, [(rows, None) for rows, _ in parts], cn.net.initial, budget))
+        fields, walked = _walk(cn.net, [(rows, None) for rows, _ in parts], cn.net.initial, budget)
+        walks = [ReachGraph(cn.net, fields, walk) for walk in walked]
         shares = [share for _, share in parts]
     else:
         walks, shares = [graph], [cn.goals]

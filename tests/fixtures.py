@@ -8,9 +8,9 @@ settle.  The contracts mirror the same exchanges in the logic.
 
 from __future__ import annotations
 
-from .analysis import MarkingPredicate
-from .logic import HornClause, PCLContract, compose_contracts
-from .nets import LendingNet
+from lendingnets.analysis import MarkingPredicate
+from lendingnets.logic import HornClause, PCLContract, compose_contracts
+from lendingnets.nets import LendingNet
 
 
 def circular_lending_net() -> LendingNet:

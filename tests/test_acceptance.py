@@ -49,7 +49,14 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.fixtures import (
+from lendingnets.cli import main
+from lendingnets.compiler import (
+    agreement_via_net,
+    compile_compose_commutes,
+    urgent_via_net,
+)
+
+from fixtures import (
     circular_lending_net,
     credit_chain_contract,
     exchange_pair_contract,
@@ -65,13 +72,6 @@ from lendingnets.fixtures import (
     toy_swap_composite,
     toy_swap_contracts,
 )
-from lendingnets.cli import main
-from lendingnets.compiler import (
-    agreement_via_net,
-    compile_compose_commutes,
-    urgent_via_net,
-)
-
 from generators import compatible_contract_pair, random_contract, random_net
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"

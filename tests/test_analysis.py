@@ -20,14 +20,14 @@ from lendingnets import (
     urgent_for_done_set,
     weakly_terminates,
 )
-from lendingnets.fixtures import (
+
+from fixtures import (
     circular_lending_net,
     handshake_lending_a,
     handshake_strict_a,
     handshake_strict_b,
     prepaid_choice_net,
 )
-
 from generators import random_net
 
 

@@ -11,7 +11,8 @@ import pytest
 
 from lendingnets import LendingNet, cli, export_dot, parse_contract, parse_net, serialize_contract
 from lendingnets.cli import main
-from lendingnets.fixtures import exchange_pair_contract, toy_swap_composite
+
+from fixtures import exchange_pair_contract, toy_swap_composite
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"

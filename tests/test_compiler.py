@@ -35,15 +35,15 @@ from lendingnets import (
     weakly_terminates_in,
     honored_done_sets,
 )
-from lendingnets.fixtures import (
+from lendingnets.nets import _ID_FORBIDDEN
+
+from fixtures import (
     credit_chain_contract,
     exchange_pair_contract,
     fixture_contracts,
     self_credit_contract,
     toy_swap_contracts,
 )
-from lendingnets.nets import _ID_FORBIDDEN
-
 from generators import random_contract
 
 

@@ -24,6 +24,7 @@ from lendingnets import (
     LendingNet,
     Outcome,
     PCLContract,
+    ReachGraph,
     agreement_reachable,
     agreement_via_net,
     compile_contract,
@@ -32,7 +33,7 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.analysis import _components, _graphs, _least_path, _walk
+from lendingnets.analysis import _components, _least_path, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
 from generators import credit_ring, pairs_contract, random_contract, settled_pairs
@@ -258,10 +259,13 @@ def overshot_pairs(n: int) -> PCLContract:
 
 
 def in_edge_path(graph, i: int):
-    """``_least_path`` as it read each step's first in-edge from ``graph.in_edges``."""
+    """``_least_path`` as it read each step's first in-edge from the graph's in-edges, in edge order."""
+    into = {}
+    for src, t, dst in graph.edges:
+        into.setdefault(dst, []).append((t, src))
     path = []
     while i:
-        t, i = graph.in_edges(i)[0]
+        t, i = into[i][0]
         path.append(t)
     return len(path), path[::-1]
 
@@ -272,7 +276,8 @@ def test_least_paths_follow_each_node_s_first_in_edge():
     for c in [random_contract(rng) for _ in range(40)] + disjoint_pairs(40, seed=8) + family:
         net = compile_contract(c).net
         for rows in _components(net):
-            [graph] = _graphs(net, _walk(net, [(rows, None)], net.initial, DEFAULT_BUDGET))
+            fields, [walk] = _walk(net, [(rows, None)], net.initial, DEFAULT_BUDGET)
+            graph = ReachGraph(net, fields, walk)
             assert graph.complete
             for i in range(len(graph.nodes)):
                 assert _least_path(graph, i) == in_edge_path(graph, i)

@@ -27,7 +27,8 @@ from lendingnets import (
     trace_equivalent,
     widen_alphabet,
 )
-from lendingnets.fixtures import (
+
+from fixtures import (
     circular_lending_net,
     fixture_nets,
     handshake_goal_lending_a,
@@ -37,7 +38,6 @@ from lendingnets.fixtures import (
     handshake_strict_a,
     handshake_strict_b,
 )
-
 from generators import compatible_contract_pair, random_net
 
 

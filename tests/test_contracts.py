@@ -26,12 +26,12 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.fixtures import (
+
+from fixtures import (
     handshake_lending_a,
     handshake_strict_a,
     handshake_strict_b,
 )
-
 from generators import pairs_contract
 
 OWNERS = {"a": "A", "b": "B"}

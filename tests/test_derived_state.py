@@ -1,7 +1,7 @@
 """Value classes built from their defining fields alone.
 
-``LendingNet``, ``PCLContract``, ``ContractNet`` and ``ReachGraph`` take only
-their public fields; the sort keys, node index and done sets are computed
+``LendingNet``, ``PCLContract`` and ``ContractNet`` take only their public
+fields; the sort keys, and a graph's node index and done sets, are computed
 on first read.  The references below are the earlier code, kept as oracles:
 the normalising ``LendingNet.build`` and ``contract``, the field-by-field
 ``with_alphabet``, and the breadth-first ``backward_closure`` over in-edges.
@@ -15,13 +15,13 @@ from dataclasses import fields
 import pytest
 
 import lendingnets.analysis
+import lendingnets.contracts
 from lendingnets import (
     ContractNet,
     LendingNet,
     NetStructureError,
     Outcome,
     PCLContract,
-    ReachGraph,
     agreement_reachable,
     backward_closure,
     compile_contract,
@@ -36,8 +36,8 @@ from lendingnets import (
     weakly_terminates_covering,
     weakly_terminates_in,
 )
-from lendingnets.fixtures import fixture_nets
 
+from fixtures import fixture_nets
 from generators import compatible_contract_pair, pairs_contract, random_contract, random_cyclic_net, random_net
 
 
@@ -95,6 +95,9 @@ def reference_with_alphabet(net, atoms):
 
 def reference_backward_closure(graph, targets):
     """Breadth-first search backwards along in-edges from the targets."""
+    into = {}
+    for src, _, dst in graph.edges:
+        into.setdefault(dst, []).append(src)
     reached = set()
     queue = deque()
     for i in targets:
@@ -103,7 +106,7 @@ def reference_backward_closure(graph, targets):
             queue.append(i)
     while queue:
         j = queue.popleft()
-        for _, src in graph.in_edges(j):
+        for src in into.get(j, ()):
             if src not in reached:
                 reached.add(src)
                 queue.append(src)
@@ -137,7 +140,6 @@ GRAPHS = sample_graphs()
     (LendingNet, ["places", "transitions", "flow", "place_labels", "transition_labels", "initial", "lending", "alphabet"]),
     (PCLContract, ["clauses", "participants", "ownership", "goals"]),
     (ContractNet, ["net", "participants", "ownership", "goals"]),
-    (ReachGraph, ["net", "nodes", "edges", "complete"]),
 ])
 def test_constructors_take_only_the_public_fields(cls, names):
     assert list(inspect.signature(cls).parameters) == names
@@ -227,25 +229,30 @@ def test_with_alphabet_equals_the_field_by_field_rebuild():
             assert widened == reference_with_alphabet(net, atoms)
 
 
-def test_every_edge_leads_to_a_later_node():
-    assert any(len(graph.nodes) >= 81 for graph in GRAPHS)
-    for graph in GRAPHS:
+def component_walks(monkeypatch) -> list:
+    """The graphs of the component walks that ``contracts._all_can_reach`` decides without a graph."""
+    graphs = []
+    stuck = lendingnets.contracts._first_stuck
+
+    def recording(parts, *args):
+        graphs.extend(graph for graph, _ in parts)
+        return stuck(parts, *args)
+
+    monkeypatch.setattr(lendingnets.contracts, "_first_stuck", recording)
+    for c in sample_contracts():
+        weakly_terminates_in(compile_contract(c))
+    return graphs
+
+
+def test_every_edge_leads_to_a_later_node(monkeypatch):
+    """And edges are listed by source.  No constructor checks a graph's edges: the walk writes them
+    in this order, and every reader (``analysis._out``, ``_reaching``) relies on it."""
+    walks = component_walks(monkeypatch)
+    assert any(len(graph.nodes) >= 81 for graph in GRAPHS) and any(len(graph) > 1 for graph in walks)
+    for graph in GRAPHS + walks:
         assert all(src < dst < len(graph.nodes) for src, _, dst in graph.edges)
-
-
-# ``(0, "t", 2)`` leads forward but is listed after the edge out of node 1.
-@pytest.mark.parametrize("edge", [(1, "t", 0), (0, "t", 0), (0, "t", 9), (-1, "t", 0), (0, "t", 2)])
-def test_a_graph_with_an_edge_that_does_not_lead_forward_is_rejected(edge):
-    graph = explore(compile_contract(pairs_contract(1)).net)
-    assert len(graph.nodes) == 3 and graph.edges[-1][0] == 1
-    with pytest.raises(NetStructureError):
-        ReachGraph(graph.net, graph.nodes, graph.edges + (edge,), graph.complete)
-
-
-def test_in_edges_are_the_edges_into_a_node():
-    for graph in GRAPHS[:20]:
-        for j in range(len(graph.nodes)):
-            assert graph.in_edges(j) == tuple((t, i) for i, t, k in graph.edges if k == j)
+        sources = [src for src, _, _ in graph.edges]
+        assert sources == sorted(sources)
 
 
 def test_backward_sweep_equals_the_breadth_first_closure():

@@ -1,5 +1,7 @@
-"""The README names only what exists: every backticked repository path, and
-every backticked ``module.name`` of a package module.  So do the package's
+"""The README names only what exists: every backticked repository path, every
+backticked ``module.name`` of a package module, and every backticked name
+with the ``lendingnets.`` prefix, whose module must be in the package; its
+"Package layout" table lists exactly the package's modules.  So do the package's
 own docstrings and comments: every double-backticked private name in them
 (``_x``, ``module._x`` or ``Class._x``) is defined in the package.
 
@@ -26,19 +28,37 @@ def test_readme_paths_exist():
     assert sorted(p for p in paths if not (ROOT / p).exists()) == []
 
 
-def test_readme_module_names_resolve():
-    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README))
+def unresolved_module_names(text: str) -> list[str]:
+    """Each backticked dotted name in ``text`` that names a package module, or has the
+    ``lendingnets.`` prefix, and does not resolve: its module is not in the package, or an
+    attribute after it is missing."""
     unresolved = []
-    for name in sorted(names):
+    for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text))):
         module, *rest = name.removeprefix("lendingnets.").split(".")
         if module not in MODULES:
+            if name.startswith("lendingnets."):
+                unresolved.append(name)
             continue
         obj = importlib.import_module(f"lendingnets.{module}")
         for part in rest:
             obj = getattr(obj, part, None)
         if obj is None:
             unresolved.append(name)
-    assert unresolved == []
+    return unresolved
+
+
+def test_readme_module_names_resolve():
+    assert unresolved_module_names(README) == []
+
+
+def test_a_stale_module_name_is_reported():
+    text = "`lendingnets.fixtures` moved; `lendingnets.analysis.explore`, `nets.LendingNet` and `os.path` resolve."
+    assert unresolved_module_names(text) == ["lendingnets.fixtures"]
+
+
+def test_the_package_layout_lists_every_module():
+    layout = README.split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r"^\| `lendingnets\.(\w+)` \|", layout, re.M)) == sorted(MODULES)
 
 
 def defined_names() -> set[str]:

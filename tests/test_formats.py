@@ -25,16 +25,16 @@ from lendingnets import (
     weakly_terminates,
     weakly_terminates_in,
 )
-from lendingnets.fixtures import (
+from lendingnets.formats import _parse_clause
+
+from clause_oracle import old_parse_clause
+from fixtures import (
     fixture_contracts,
     fixture_nets,
     handshake_goal_lending_a,
     handshake_lending_a,
     toy_swap_contracts,
 )
-from lendingnets.formats import _parse_clause
-
-from clause_oracle import old_parse_clause
 from generators import random_contract, random_net
 
 SMALL_NET = """\
@@ -280,7 +280,7 @@ def test_clause_lines_parse_as_the_oracle_parses_them():
 
 class TestCompiledDocuments:
     def test_goals_become_control_place_constraints(self):
-        from lendingnets.fixtures import toy_swap_composite
+        from fixtures import toy_swap_composite
 
         doc = contract_net_document(compile_contract(toy_swap_composite()))
         assert doc.goals == (

@@ -41,14 +41,13 @@ from lendingnets.analysis import (
     _credit_free_states,
     _done_set,
     _fields,
-    _graphs,
     _layout,
     _reaching,
     _walk,
 )
-from lendingnets.fixtures import fixture_nets
 from lendingnets.nets import DEFAULT_BUDGET
 
+from fixtures import fixture_nets
 from generators import compatible_contract_pair, credit_ring, pairs_contract, random_contract, random_cyclic_net
 from test_node_reading import result_of, unlabeled_debt_net
 
@@ -142,10 +141,10 @@ def test_valid_contract_nets_read_the_honored_flag_alone():
         assert [i for i, _ in _honored(cn, graph)] == [i for i, node in enumerate(graph.nodes) if node.honored]
 
 
-def out_lists(graph: ReachGraph) -> list[list]:
-    """Each node's out-edges as ``(t, dst)`` pairs: the table ``ReachGraph._out`` kept, built from the edges."""
-    out: list[list] = [[] for _ in graph.nodes]
-    for src, t, dst in graph.edges:
+def out_lists(n: int, edges) -> list[list]:
+    """Each of ``n`` nodes' out-edges as ``(t, dst)`` pairs: the table ``ReachGraph._out`` kept, built from the edges."""
+    out: list[list] = [[] for _ in range(n)]
+    for src, t, dst in edges:
         out[src].append((t, dst))
     return out
 
@@ -163,33 +162,34 @@ def component_walks() -> list[ReachGraph]:
     rng = random.Random(180)
     cns = [compile_contract(random_contract(rng)) for _ in range(150)]
     cns += [compile_contract(pairs_contract(n)) for n in (1, 2, 3)]
-    return [graph for cn in cns
-            for graph in _graphs(cn.net, _walk(cn.net, [(c, None) for c in _components(cn.net)], cn.net.initial,
-                                                DEFAULT_BUDGET))]
+    graphs = []
+    for cn in cns:
+        fields, walks = _walk(cn.net, [(c, None) for c in _components(cn.net)], cn.net.initial, DEFAULT_BUDGET)
+        graphs += [ReachGraph(cn.net, fields, walk) for walk in walks]
+    return graphs
 
 
 def component_outs():
-    """The component walks, with their states that owe nowhere."""
+    """The component walks' sizes and edges, with their states that owe nowhere."""
     for graph in component_walks():
-        yield graph, {i for i, node in enumerate(graph.nodes) if min(node._counts, default=0) >= 0}
+        yield len(graph), graph.edges, {i for i, node in enumerate(graph.nodes) if min(node._counts, default=0) >= 0}
 
 
 def random_outs(rng: random.Random):
-    """Graphs of random forward edges (every edge leads to a later state), listed by source, with random
-    target sets.  The graph's states are one node repeated: ``_reaching`` reads only the edges."""
-    root = explore(LendingNet()).root
+    """Random forward edges over ``n`` states (every edge leads to a later state), listed by source,
+    with random target sets: ``_reaching`` reads only the edges."""
     for _ in range(500):
         n = rng.randint(1, 30)
         edges = [(i, f"t{k}", rng.randint(i + 1, n - 1)) for i in range(n - 1) for k in range(rng.randint(0, 3))]
-        yield ReachGraph(LendingNet(), (root,) * n, tuple(edges), True), {i for i in range(n) if rng.random() < 0.2}
+        yield n, edges, {i for i in range(n) if rng.random() < 0.2}
 
 
 def test_reaching_equals_the_any_form():
     cases = [*component_outs(), *random_outs(random.Random(18))]
     assert len(cases) > 500
-    for graph, targets in cases:
-        reached = _reaching(graph.edges, [i in targets for i in range(len(graph))])
-        assert {i for i, flag in enumerate(reached) if flag} == reaching_oracle(out_lists(graph), set(targets))
+    for n, edges, targets in cases:
+        reached = _reaching(edges, [i in targets for i in range(n)])
+        assert {i for i, flag in enumerate(reached) if flag} == reaching_oracle(out_lists(n, edges), set(targets))
 
 
 def flag_stopped_walks() -> list[ReachGraph]:
@@ -202,7 +202,8 @@ def flag_stopped_walks() -> list[ReachGraph]:
             layout = _layout(net)
             fields = _fields(layout, layout.counts(net.initial), DEFAULT_BUDGET)
             deep = lambda packed, key, depth=depth: sum(fields.decode(key, len(layout.transitions), 0)) >= depth
-            [graph] = _graphs(net, _walk(net, [(layout.steps, deep)], net.initial, DEFAULT_BUDGET))
+            packing, [walk] = _walk(net, [(layout.steps, deep)], net.initial, DEFAULT_BUDGET)
+            graph = ReachGraph(net, packing, walk)
             assert not graph.complete or max(sum(node._vector) for node in graph.nodes) < depth
             graphs.append(graph)
     return graphs
@@ -217,6 +218,6 @@ def test_out_edges_are_the_kept_out_lists():
     graphs += component_walks() + flag_stopped_walks()
     assert any(len(graph.nodes) >= 81 for graph in graphs) and not all(graph.complete for graph in graphs)
     for graph in graphs:
-        out = out_lists(graph)
+        out = out_lists(len(graph), graph.edges)
         assert [graph.out_edges(i) for i in range(len(graph.nodes))] == [tuple(edges) for edges in out]
         assert [graph.out_edges(node) for node in graph.nodes] == [tuple(edges) for edges in out]

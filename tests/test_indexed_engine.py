@@ -23,8 +23,8 @@ from lendingnets import (
     honored_done_sets,
     reachable_configurations,
 )
-from lendingnets.fixtures import exchange_pair_contract
 
+from fixtures import exchange_pair_contract
 from generators import credit_ring, pairs_contract, random_contract
 
 BUDGETS = (1, 2, 3, 5, 40)

@@ -24,8 +24,8 @@ import sys
 import pytest
 
 import bfs_oracle
-from lendingnets import LendingNet, Outcome, compile_contract, explore, is_occurrence_net
-from lendingnets.analysis import Node, _components, _fields, _graphs, _layout, _split, _walk
+from lendingnets import LendingNet, Outcome, ReachGraph, compile_contract, explore, is_occurrence_net
+from lendingnets.analysis import Node, _components, _fields, _layout, _split, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
 from generators import pairs_contract, random_contract, random_cyclic_net, random_net, settled_pairs
@@ -66,7 +66,8 @@ def walked(net: LendingNet, rows, budget, flag=None):
     layout = _layout(net)
     fields = _fields(layout, layout.counts(net.initial), budget)
     test = None if flag is None else lambda packed, key: flag(Node(packed, key, fields, layout))
-    [graph] = _graphs(net, _walk(net, [(rows, test)], net.initial, budget))
+    packing, [walk] = _walk(net, [(rows, test)], net.initial, budget)
+    graph = ReachGraph(net, packing, walk)
     kept = [(tuple(node._counts), tuple(node._vector), node.honored) for node in graph.nodes]
     return list(graph.edges), kept, graph.complete
 

@@ -23,7 +23,8 @@ from lendingnets import (
     urgent_logic,
     with_facts,
 )
-from lendingnets.fixtures import (
+
+from fixtures import (
     credit_chain_contract,
     exchange_pair_contract,
     self_credit_contract,

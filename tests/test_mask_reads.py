@@ -17,7 +17,6 @@ graph, node or place name, and logic urgency no clause.
 """
 
 import itertools
-import math
 import random
 from dataclasses import replace
 
@@ -30,7 +29,6 @@ from lendingnets import (
     ContractNet,
     HornClause,
     LendingNet,
-    NetStructureError,
     Outcome,
     ReachGraph,
     agreement_reachable,
@@ -38,6 +36,7 @@ from lendingnets import (
     explore,
     honored_done_sets,
     reachable_configurations,
+    urgent_at,
     urgent_for_done_set,
     urgent_logic,
     urgent_via_net,
@@ -46,12 +45,10 @@ from lendingnets import (
 )
 from lendingnets.analysis import (
     Node,
-    _Walked,
     _credit_free_states,
     _done_test,
     _fields,
     _goal_states,
-    _graphs,
     _layout,
     _reading,
     _walk,
@@ -199,9 +196,10 @@ def test_only_reported_nodes_are_built(monkeypatch):
     assert built == []
     # Read in full, the graph's nodes are the oracle walk's, whose nodes were each built as the walk kept them.
     layout = _layout(cn.net)
-    want = walk_oracle._walk(cn.net, layout.steps, layout.counts(cn.net.initial), DEFAULT_BUDGET)
-    assert graph.nodes == want.nodes and found.detail == graph.nodes[-1].describe()
-    assert [node.honored for node in graph.nodes] == [node.honored for node in want.nodes]
+    nodes, edges, complete = walk_oracle._walk(cn.net, layout.steps, layout.counts(cn.net.initial), DEFAULT_BUDGET)
+    assert (graph.nodes, graph.edges, graph.complete) == (nodes, edges, complete)
+    assert found.detail == graph.nodes[-1].describe()
+    assert [node.honored for node in graph.nodes] == [node.honored for node in nodes]
 
 
 def test_an_incomplete_graph_is_counted_without_building_its_nodes(monkeypatch):
@@ -256,8 +254,7 @@ def test_urgency_and_the_configuration_readers_build_no_set_up(monkeypatch):
     graph = explore(cn.net)
     honored = honored_done_sets(cn, graph=graph)
     built, graphs, named, clauses = counting_built(monkeypatch), [], [], []
-    for cls in (ReachGraph, _Walked):
-        counting_calls(monkeypatch, cls, "__init__", graphs)
+    counting_calls(monkeypatch, ReachGraph, "__init__", graphs)
     for name in ("delivery_pid", "clause_tid"):
         counting_calls(monkeypatch, lendingnets.compiler, name, named)
     counting_calls(monkeypatch, HornClause, "__post_init__", clauses)
@@ -271,27 +268,22 @@ def test_urgency_and_the_configuration_readers_build_no_set_up(monkeypatch):
     assert all(urgent_logic(c, done) == net_side[done] for done in honored) and clauses == []
 
 
-@pytest.mark.parametrize("budget", (3, 50, DEFAULT_BUDGET, math.inf))
-def test_a_graph_of_nodes_reads_as_the_walk_it_came_from(budget):
-    """A graph built from a walk's nodes takes its ints from them, checks its edges, and reads alike."""
-    for cn, largest in CONTRACT_NETS[::7]:
-        walked = explore(cn.net, min(budget, largest))
-        graph = ReachGraph(walked.net, walked.nodes, walked.edges, walked.complete)
-        assert (graph._packs, graph._keys, graph._fields) == (walked._packs, walked._keys, walked._fields)
-        assert [result_of(check, cn, graph=graph) for check in CHECKS] == \
-               [result_of(check, cn, graph=walked) for check in CHECKS]
-        assert [graph.index_of(node) for node in walked.nodes] == list(range(len(walked.nodes)))
-
-
-def test_a_graph_of_nodes_walked_at_two_widths_is_refused():
+def test_a_node_of_another_packing_is_found():
+    """Two budgets give one net two field widths: a node of one graph is found in the other by its
+    firings, and read there alike."""
     net = spin()
     narrow, wide = explore(net, 3), explore(net, 1_000)
     assert narrow._fields.width != wide._fields.width
-    with pytest.raises(NetStructureError, match="one field width"):
-        ReachGraph(net, (narrow.nodes[0], wide.nodes[1]), (), False)
-    with pytest.raises(NetStructureError, match="needs a root"):
-        ReachGraph(net, (), (), True)
-    # A node of another packing is still found by its marking and firings.
     assert wide.index_of(narrow.nodes[2]) == 2
-    [component] = _graphs(net, _walk(net, [(_layout(net).steps, None)], net.initial, 3))
+    fields, [walk] = _walk(net, [(_layout(net).steps, None)], net.initial, 3)
+    component = ReachGraph(net, fields, walk)
     assert component._fields is narrow._fields and component.index_of(narrow.nodes[1]) == 1
+    cn = compile_contract(pairs_contract(4))
+    short, full = explore(cn.net, 3), explore(cn.net)
+    assert short._fields.width != full._fields.width and full.complete
+    for i, node in enumerate(short.nodes):
+        assert full.index_of(node) == i and urgent_at(full, node) == urgent_at(full, i)
+    assert urgent_at(full, short.nodes[1])
+    # A node of an equal net built anew, with a layout of its own, is found too.
+    anew = explore(replace(cn.net), 3)
+    assert anew._layout is not short._layout and full.index_of(anew.nodes[2]) == 2

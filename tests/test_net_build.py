@@ -18,9 +18,9 @@ from dataclasses import fields
 import pytest
 
 from lendingnets import LendingNet, NetStructureError, compile_contract
-from lendingnets.fixtures import fixture_nets
 from lendingnets.nets import _check_id
 
+from fixtures import fixture_nets
 from generators import pairs_contract, random_contract, random_cyclic_net, random_net
 
 NAMES = [f.name for f in fields(LendingNet)]

@@ -24,8 +24,8 @@ from lendingnets import (
     subnet,
     trace_of,
 )
-from lendingnets.fixtures import circular_lending_net, prepaid_choice_net
 
+from fixtures import circular_lending_net, prepaid_choice_net
 from generators import random_net, random_plain_net
 
 

@@ -19,8 +19,8 @@ import pytest
 
 import decode_oracle
 import walk_oracle
-from lendingnets import compile_contract
-from lendingnets.analysis import Node, _components, _fields, _graphs, _layout, _parts, _walk
+from lendingnets import ReachGraph, compile_contract
+from lendingnets.analysis import Node, _components, _fields, _layout, _parts, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
 from generators import credit_ring, pairs_contract, random_contract, settled_pairs
@@ -67,8 +67,8 @@ def questions(cn) -> dict[str, list[tuple]]:
     }
 
 
-def read(graph) -> tuple:
-    return [(node.marking, node._vector, node.honored) for node in graph.nodes], graph.edges, graph.complete
+def read(nodes, edges, complete) -> tuple:
+    return [(node.marking, node._vector, node.honored) for node in nodes], edges, complete
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -78,8 +78,9 @@ def test_one_call_returns_the_graphs_of_one_call_per_part(budget):
         net = cn.net
         for name, parts in questions(cn).items():
             want = walk_oracle._walk_components(net, parts, net.initial, budget)
-            got = _graphs(net, _walk(net, on_ints(net, parts, budget), net.initial, budget))
-            assert [read(graph) for graph in got] == [read(graph) for graph in want], (name, budget)
+            fields, walks = _walk(net, on_ints(net, parts, budget), net.initial, budget)
+            got = [ReachGraph(net, fields, walk) for walk in walks]
+            assert [read(g.nodes, g.edges, g.complete) for g in got] == [read(*w) for w in want], (name, budget)
             root = got[0]
             assert all(graph.net is net and (graph._packs[0], graph._keys[0], graph._fields) ==
                        (root._packs[0], 0, root._fields) for graph in got)

@@ -22,8 +22,8 @@ import math
 import pytest
 
 import bfs_oracle
-from lendingnets import LendingNet, compile_contract
-from lendingnets.analysis import _components, _graphs, _layout, _walk
+from lendingnets import LendingNet, ReachGraph, compile_contract
+from lendingnets.analysis import _components, _layout, _walk
 from lendingnets.compiler import delivery_pid, star_pid
 from test_int_keyed_walk import BUDGETS, CYCLIC_BUDGET
 
@@ -86,7 +86,8 @@ def oracle(net: LendingNet, rows, start, budget):
 
 
 def walked(net: LendingNet, rows, start, budget):
-    [graph] = _graphs(net, _walk(net, [(rows, None)], start, budget))
+    fields, [walk] = _walk(net, [(rows, None)], start, budget)
+    graph = ReachGraph(net, fields, walk)
     nodes = [(tuple(node._counts), tuple(node._vector), node.honored) for node in graph.nodes]
     layout = _layout(net)
     assert [[node.tokens(p) for p in layout.places] for node in graph.nodes] == [list(c) for c, _, _ in nodes]

@@ -10,8 +10,8 @@ targets, must read as the one found on the full graph.
 
 import random
 
-from lendingnets import Outcome, agreement_reachable, compile_contract, explore
-from lendingnets.analysis import _components, _graphs, _walk
+from lendingnets import Outcome, ReachGraph, agreement_reachable, compile_contract, explore
+from lendingnets.analysis import _components, _walk
 from lendingnets.nets import DEFAULT_BUDGET
 
 from generators import pairs_contract, random_contract, settled_pairs
@@ -29,7 +29,8 @@ def test_every_walk_state_is_a_node_of_the_product_graph():
     for cn in contract_nets():
         net = cn.net
         full = explore(net)
-        walks = _graphs(net, _walk(net, [(c, None) for c in _components(net)], net.initial, DEFAULT_BUDGET))
+        fields, walked = _walk(net, [(c, None) for c in _components(net)], net.initial, DEFAULT_BUDGET)
+        walks = [ReachGraph(net, fields, walk) for walk in walked]
         split += len(walks) >= 2
         for graph in walks:
             assert graph.complete

@@ -5,10 +5,12 @@ call walked every part of a question: ``_walk`` walked one ``rows`` tuple from
 a start count list, and ``_walk_components`` called it once per component, each
 walk with its own set-up and root.  Both are copied unchanged apart from their
 imports, the moves table, which the walk no longer keeps and ``_moves`` below
-builds as it did, and the lines that build a ``Node``: a node now holds its
-counts and fired vector packed into two ints of one field width
-(``analysis._fields``) and reads its honored flag off the counts, so each
-node built here is checked to be honored exactly when the oracle's debt is 0.
+builds as it did, the lines that build a ``Node``, and what a walk returns:
+a node now holds its counts and fired vector packed into two ints of one
+field width (``analysis._fields``) and reads its honored flag off the counts,
+so each node built here is checked to be honored exactly when the oracle's
+debt is 0, and a walk returns its nodes, edges and completeness, since a
+graph is built only from the library's own walk.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from collections import deque
 from collections.abc import Callable, Mapping
 
-from lendingnets.analysis import Node, ReachGraph, _fields, _layout
+from lendingnets.analysis import Node, _fields, _layout
 from lendingnets.nets import LendingNet, PlaceId
 
 
@@ -45,7 +47,7 @@ def _moves(steps: tuple[tuple, ...], owing: dict[PlaceId, int]) -> tuple[tuple, 
 
 
 def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
-          flag: Callable[[Node], object] | None = None) -> ReachGraph:
+          flag: Callable[[Node], object] | None = None) -> tuple[tuple[Node, ...], tuple[tuple], bool]:
     """Breadth-first search of the layout ``rows`` of ``net``, one component or every row, from
     ``start``, the counts of the layout's places, keeping at most ``budget`` states.
 
@@ -53,7 +55,8 @@ def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
     other consumed places keep their start counts, and each kept state is the
     product node with every other component at its root.  The walk ends,
     incomplete, at the first kept node where ``flag(node)`` holds, after the
-    edge that found it: that node is the graph's last.
+    edge that found it: that node is the walk's last.  Returns the kept nodes,
+    the edges and whether the walk is complete.
 
     A queued state carries the bitmask of its enabled rows, expanded in
     ascending (sorted transition) order, and its debt, the number of owing
@@ -125,11 +128,11 @@ def _walk(net: LendingNet, rows: tuple, start: list[int], budget: int,
                 else:
                     queue.append((j, succ, succ_fired, succ_key, succ_enabled, succ_debt))
             edges.append((i, move[0], j))
-    return ReachGraph(net=net, nodes=tuple(nodes), edges=tuple(edges), complete=complete)
+    return tuple(nodes), tuple(edges), complete
 
 
 def _walk_components(net: LendingNet, parts: list[tuple[tuple, Callable | None]], start: Mapping[PlaceId, int],
-                     budget: int) -> list[ReachGraph]:
+                     budget: int) -> list[tuple[tuple[Node, ...], tuple[tuple], bool]]:
     """Walk each ``(rows, flag)`` of ``parts``, one component's rows and its flag, in turn
     from the marking ``start`` under one budget.
 
@@ -139,10 +142,10 @@ def _walk_components(net: LendingNet, parts: list[tuple[tuple, Callable | None]]
     """
     walks, marking = [], _layout(net).counts(start)
     for rows, flag in parts:
-        graph = _walk(net, rows, marking, budget, flag)
-        walks.append(graph)
-        budget -= len(graph.nodes) - 1
-        if not (graph.complete if flag is None else flag(graph.nodes[-1])):
+        nodes, edges, complete = _walk(net, rows, marking, budget, flag)
+        walks.append((nodes, edges, complete))
+        budget -= len(nodes) - 1
+        if not (complete if flag is None else flag(nodes[-1])):
             break
     return walks
 

@@ -1,8 +1,8 @@
 """Value classes built from their defining fields alone.
 
 ``LendingNet``, ``PCLContract`` and ``ContractNet`` take only their public
-fields; the sort keys, and a graph's node index and done sets, are computed
-on first read.  The references below are the earlier code, kept as oracles:
+fields, and ``ReachGraph`` only its net, packing and walk; the sort keys, and
+a graph's nodes, node index and done sets, are computed on first read.  The references below are the earlier code, kept as oracles:
 the normalising ``LendingNet.build`` and ``contract``, the field-by-field
 ``with_alphabet``, and the breadth-first ``backward_closure`` over in-edges.
 """
@@ -22,6 +22,7 @@ from lendingnets import (
     NetStructureError,
     Outcome,
     PCLContract,
+    ReachGraph,
     agreement_reachable,
     backward_closure,
     compile_contract,
@@ -140,6 +141,7 @@ GRAPHS = sample_graphs()
     (LendingNet, ["places", "transitions", "flow", "place_labels", "transition_labels", "initial", "lending", "alphabet"]),
     (PCLContract, ["clauses", "participants", "ownership", "goals"]),
     (ContractNet, ["net", "participants", "ownership", "goals"]),
+    (ReachGraph, ["net", "fields", "walk"]),
 ])
 def test_constructors_take_only_the_public_fields(cls, names):
     assert list(inspect.signature(cls).parameters) == names
@@ -164,6 +166,16 @@ def test_graph_indexes_are_built_on_first_use():
     assert "_index" not in vars(graph)
     assert graph.index_of(graph.nodes[4]) == 4
     assert "_index" in vars(graph)
+
+
+def test_graph_nodes_are_built_on_first_read_and_kept():
+    """A root, a node or its out-edges are read without building ``nodes``; once built, they are kept."""
+    graph = explore(compile_contract(pairs_contract(2)).net)
+    assert graph.root == graph._node(0) and graph.out_edges(graph._node(4)) == graph.out_edges(4)
+    assert "nodes" not in vars(graph)
+    nodes = graph.nodes
+    assert "nodes" in vars(graph) and graph.nodes is nodes and len(nodes) == len(graph) == 9
+    assert graph.root is nodes[0] and all(graph._node(i) is node for i, node in enumerate(nodes))
 
 
 def test_graph_readers_keep_no_out_edge_table(monkeypatch):
@@ -250,9 +262,22 @@ def test_every_edge_leads_to_a_later_node(monkeypatch):
     walks = component_walks(monkeypatch)
     assert any(len(graph.nodes) >= 81 for graph in GRAPHS) and any(len(graph) > 1 for graph in walks)
     for graph in GRAPHS + walks:
-        assert all(src < dst < len(graph.nodes) for src, _, dst in graph.edges)
-        sources = [src for src, _, _ in graph.edges]
-        assert sources == sorted(sources)
+        assert leads_forward_by_source(len(graph.nodes), graph.edges)
+
+
+def leads_forward_by_source(n: int, edges) -> bool:
+    """Every edge leads from a node to a later one of the ``n``, and the edges are listed by source."""
+    sources = [src for src, _, _ in edges]
+    return all(0 <= src < dst < n for src, _, dst in edges) and sources == sorted(sources)
+
+
+# ``(0, "t", 2)`` leads forward but is listed after the edge out of node 1.
+@pytest.mark.parametrize("edge", [(1, "t", 0), (0, "t", 0), (0, "t", 9), (-1, "t", 0), (0, "t", 2)])
+def test_a_graph_with_an_edge_that_does_not_lead_forward_is_rejected(edge):
+    """By the guard above, which each such edge, planted in a walked graph's list, fires."""
+    graph = explore(compile_contract(pairs_contract(1)).net)
+    assert len(graph) == 3 and graph.edges[-1][0] == 1 and leads_forward_by_source(3, graph.edges)
+    assert not leads_forward_by_source(3, graph.edges + (edge,))
 
 
 def test_backward_sweep_equals_the_breadth_first_closure():

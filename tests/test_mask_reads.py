@@ -17,6 +17,7 @@ graph, node or place name, and logic urgency no clause.
 """
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -266,6 +267,23 @@ def test_urgency_and_the_configuration_readers_build_no_set_up(monkeypatch):
     assert honored_done_sets(cn, graph=graph) == honored and len(honored) == 16
     assert len(reachable_configurations(cn, graph=graph)) == 81 and built == []
     assert all(urgent_logic(c, done) == net_side[done] for done in honored) and clauses == []
+
+
+@pytest.mark.parametrize("budget", (3, 50, DEFAULT_BUDGET, math.inf))
+def test_a_graph_of_nodes_reads_as_the_walk_it_came_from(budget):
+    """A graph whose ``nodes`` were built and kept reads as one of the same walk whose nodes were not:
+    the nodes are the walk's states in order, and every check and ``index_of`` read alike."""
+    for cn, largest in CONTRACT_NETS[::7]:
+        walked = explore(cn.net, min(budget, largest))
+        graph = explore(cn.net, min(budget, largest))
+        nodes = graph.nodes
+        assert (graph._packs, graph._keys, graph.edges) == (walked._packs, walked._keys, walked.edges)
+        assert graph._fields is walked._fields and nodes == tuple(map(walked._node, range(len(walked))))
+        assert [result_of(check, cn, graph=graph) for check in CHECKS] == \
+               [result_of(check, cn, graph=walked) for check in CHECKS]
+        assert [graph.index_of(node) for node in nodes] == list(range(len(nodes))) == \
+               [walked.index_of(node) for node in nodes]
+        assert "nodes" not in vars(walked) and graph.nodes is nodes
 
 
 def test_a_node_of_another_packing_is_found():

@@ -93,9 +93,9 @@ from .nets import (
 class _Layout:
     """The one table of a net that every walk on it reads, built once per net (``_layout``).
 
-    ``places`` are the places some transition consumes, sorted, with each one's index in
-    ``at``; ``transitions`` are all transitions, sorted, with their labels (None when
-    unlabeled) in ``labels`` and their ``_steps`` rows over ``places`` in ``steps``; ``owing``
+    ``places`` are the places some transition consumes, sorted, with each one's index in ``at``
+    and initial count in ``start``; ``transitions`` are all transitions, sorted, with their labels (None
+    when unlabeled) in ``labels`` and their ``_steps`` rows over ``places`` in ``steps``; ``owing``
     maps each place that can owe (a lending place some transition consumes) to its index; ``once``
     is ``_fires_at_most_once``, ``tables`` keeps the walks' ``_Fields`` by width, and ``marks`` the
     counts each done atom sets (``_done_marking``), built on first use.  ``marking``
@@ -107,6 +107,7 @@ class _Layout:
     post: Mapping[TransitionId, frozenset[PlaceId]]
     places: tuple[PlaceId, ...]
     at: dict[PlaceId, int]
+    start: tuple[int, ...]
     transitions: tuple[TransitionId, ...]
     labels: tuple[Atom | None, ...]
     owing: dict[PlaceId, int]
@@ -116,7 +117,7 @@ class _Layout:
     marks: dict[Atom, list[tuple[int, int]]] | None = None
 
     def counts(self, marking: Mapping[PlaceId, int]) -> list[int]:
-        """The counts of ``marking`` on ``places``, a walk's start."""
+        """The counts of ``marking`` on ``places``, as ``_walk`` reads a marking it starts from."""
         return [marking.get(p, 0) for p in self.places]
 
     def marking(self, counts, fired) -> tuple[tuple[PlaceId, int], ...]:
@@ -144,7 +145,8 @@ class _Fields:
     k.  Firing ``rows[k] = (t, step, delta, touch, retest)`` adds ``step`` to the key and ``delta``
     to the counts and re-tests the guards of the rows in ``touch``.  Guard ``(1 << j, add, mask)``
     holds when ``(counts + add) & mask == mask``; so does ``owe`` at an honored state (``owed``).
-    ``reading`` keeps the read of the layout's own net's labels (``_reading``), built on first use.
+    ``root`` packs the layout's initial counts (``_Layout.start``), and ``reading`` keeps the read of
+    the layout's own net's labels (``_reading``), built on first use.
     """
 
     width: int
@@ -153,6 +155,7 @@ class _Fields:
     rows: tuple[tuple, ...]
     guards: tuple[tuple[int, int, int], ...]
     owe: tuple[int, int]
+    root: int = 0
     reading: tuple[dict[int, Atom], tuple[int, int], int, dict[Atom, int]] | None = None
 
     def pack(self, counts: list[int]) -> int:
@@ -366,7 +369,7 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
     row of the layout, the whole net.
     """
     _check_budget(budget)
-    fields, [walk] = _walk(net, [(_layout(net).steps, None)], net.initial, budget)
+    fields, [walk] = _walk(net, [(_layout(net).steps, None)], (), budget)
     return ReachGraph(net, fields, walk)
 
 
@@ -380,13 +383,13 @@ def is_occurrence_net(net: LendingNet, budget: int = DEFAULT_BUDGET) -> Verdict:
     """
     _check_budget(budget)
     layout = _layout(net)
-    fields = _fields(layout, layout.counts(net.initial), budget)
+    fields = _fields(layout, layout.start, budget)
 
     def refired(packed: int, key: int) -> TransitionId | None:
         fired = compress(zip(layout.transitions, fields.guards), fields.decode(key, len(layout.transitions), 0))
         return next((t for t, (_, add, mask) in fired if (packed + add) & mask == mask), None)
 
-    _, [(packs, keys, _, complete)] = _walk(net, [(layout.steps, refired)], net.initial, budget)
+    _, [(packs, keys, _, complete)] = _walk(net, [(layout.steps, refired)], (), budget)
     t = refired(packs[-1], keys[-1])
     if t is not None:
         return Verdict.fails(witness=t, detail=f"transition {t!r} can fire twice in one run")
@@ -540,22 +543,27 @@ def _urgent(labels: Mapping[TransitionId, Atom], owe: tuple[int, int], parts: It
 
 def _layout(net: LendingNet) -> _Layout:
     """The layout of the nodes walked on ``net``, with its rows, built once per net and kept with it."""
+    layout = vars(net).get("_layout")
+    if layout is not None:  # read before a builder is made: every walk's set-up reads it
+        return layout
+
     def build() -> _Layout:
-        places = tuple(sorted({p for t in net.transitions for p in net.preset(t)}))
+        places = tuple(sorted(frozenset().union(*net._pre.values())))
         transitions = tuple(sorted(net.transitions))
         at = {p: k for k, p in enumerate(places)}
         owing = {p: k for p, k in at.items() if p in net.lending}
-        produced = {p for t in net.transitions for p in net.postset(t)}
-        shots = {k for p, k in at.items() if p not in produced and p not in net.lending and net.initial.get(p, 0) <= 1}
         steps = tuple(_steps(net, places, transitions))
-        return _Layout(net.initial, net._post, places, at, transitions,
-                       tuple(map(net.transition_labels.get, transitions)), owing,
+        # ``shots`` reads only consumed places, so their producers are the steps' consumed outputs.
+        produced = frozenset().union(*map(itemgetter(4), steps))
+        shots = {k for p, k in at.items() if k not in produced and p not in net.lending and net.initial.get(p, 0) <= 1}
+        return _Layout(net.initial, net._post, places, at, tuple([net.initial.get(p, 0) for p in places]),
+                       transitions, tuple(map(net.transition_labels.get, transitions)), owing,
                        not any(map(shots.isdisjoint, map(itemgetter(3), steps))), steps, {})
 
     return _kept(net, "_layout", build)
 
 
-def _fields(layout: _Layout, start: list[int], budget: int) -> _Fields:
+def _fields(layout: _Layout, start: Sequence[int], budget: int) -> _Fields:
     """The packing of the walks from the consumed counts ``start`` under ``budget``, built once per
     layout and width and kept with it.  No path a walk keeps or tests fires more than ``bound``
     transitions: ``budget``, or with ``once`` each transition at most as often as a place it takes
@@ -585,8 +593,9 @@ def _fields(layout: _Layout, start: list[int], budget: int) -> _Fields:
                 touch, delta = touch | guarded[p], delta + units[p]
         rows.append((t, 1 << width * k, delta, touch, tuple([g for g in guards if touch & g[0]])))
     ones = sum(map(unit, layout.owing.values()))
-    layout.tables[width] = _Fields(width, bias, units, tuple(rows), tuple(guards), (ones * bias, ones << top))
-    return layout.tables[width]
+    fields = layout.tables[width] = _Fields(width, bias, units, tuple(rows), tuple(guards), (ones * bias, ones << top))
+    fields.root = fields.pack(layout.start)
+    return fields
 
 
 def _consumed_part(net: LendingNet) -> tuple:
@@ -601,7 +610,7 @@ def _consumed_part(net: LendingNet) -> tuple:
     return (
         net.alphabet,
         layout.places,
-        tuple(layout.counts(net.initial)),
+        layout.start,
         {(layout.labels[k], frozenset(pre), frozenset(guard), frozenset(post)) for k, _, guard, pre, post in layout.steps},
     )
 
@@ -667,10 +676,11 @@ def _parts(net: LendingNet, goals: Iterable[frozenset[Atom]]) -> list[tuple[tupl
 
 
 def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[int, int], object] | None]],
-          start: Mapping[PlaceId, int] | list[int], budget: int) -> tuple[_Fields, list[tuple]]:
+          start: Mapping[PlaceId, int] | tuple[tuple[int, int], ...], budget: int) -> tuple[_Fields, list[tuple]]:
     """Breadth-first search of each ``(rows, flag)`` of ``parts`` in turn, a component's layout
-    rows or every row with its flag, from ``start``, a marking or the counts of the layout's places
-    (``_Layout.counts``), keeping at most ``budget`` states.
+    rows or every row with its flag, keeping at most ``budget`` states, from ``start``: a marking, or
+    the ``(k, n)`` pairs that set count k of the layout's initial counts to n, each k once, packed as
+    ``_Fields.root`` plus each set count's change (``_done_marking``; ``()`` is the initial marking).
 
     Returns the walks' ``_Fields`` and, per part walked, ``(packs, keys, edges,
     complete)``: the kept states' two ints, in the order they were kept, the
@@ -694,10 +704,14 @@ def _walk(net: LendingNet, parts: Iterable[tuple[tuple, Callable[[int, int], obj
     A kept state is its two ints alone: no ``Node`` is built.
     """
     layout = _layout(net)
-    counts = start if isinstance(start, list) else layout.counts(start)
+    sets = start if isinstance(start, tuple) else tuple(enumerate(layout.counts(start)))
+    counts = list(layout.start)
+    for k, n in sets:
+        counts[k] = n
     fields = _fields(layout, counts, budget)
-    rows, guards = fields.rows, fields.guards
-    start = fields.pack(counts)
+    rows, guards, units, start = fields.rows, fields.guards, fields.units, fields.root
+    for k, n in sets:
+        start += (n - layout.start[k]) * units[k]
     walks = []
     for part, flag in parts:
         enabled = sum([bit for bit, add, mask in [guards[row[0]] for row in part] if (start + add) & mask == mask])
@@ -859,8 +873,7 @@ def _covering_walks(net: LendingNet, goals: Iterable[frozenset[Atom]], budget: i
     witness"), and True; otherwise None and whether the last walk was complete.
     """
     layout = _layout(net)
-    counts = layout.counts(net.initial)
-    fields = _fields(layout, counts, budget)
+    fields = _fields(layout, layout.start, budget)
     add, mask = _reading(net, layout, fields)[1]
 
     def flag(share: frozenset) -> Callable[[int, int], bool]:
@@ -868,20 +881,18 @@ def _covering_walks(net: LendingNet, goals: Iterable[frozenset[Atom]], budget: i
         return lambda packed, key: (packed + add) & mask == mask and covers(key)
 
     parts = [(rows, flag(share)) for rows, share in _parts(net, goals)]
-    _, walks = _walk(net, parts, counts, budget)
+    _, walks = _walk(net, parts, (), budget)
     # The walks go on only past one that ends at a flagged state, so only the last walk's end is left to test.
     if len(walks) == len(parts) and (not parts or parts[-1][1](walks[-1][0][-1], walks[-1][1][-1])):
-        root = fields.pack(counts)
-        packed = root + sum([packs[-1] - root for packs, *_ in walks])
+        packed = fields.root + sum([packs[-1] - fields.root for packs, *_ in walks])
         return Node(packed, sum([keys[-1] for _, keys, *_ in walks]), fields, layout), True
     return None, walks[-1][3]
 
 
-def _done_marking(net: LendingNet, layout: _Layout, done: Iterable[Atom]) -> list[int]:
-    """The counts of ``layout``'s places at the done marking of ``done`` (README, "How net-side
-    urgency works"): each place labeled with a done atom holds 1, each place that a transition
-    labeled with a done atom consumes and that ``net`` marks at the start holds 0, and every other
-    place its initial count.  What each label sets is read once per net and kept (``marks``)."""
+def _done_marking(net: LendingNet, layout: _Layout, done: Iterable[Atom]) -> tuple[tuple[int, int], ...]:
+    """The done marking of ``done`` (README, "How net-side urgency works") as a ``_walk`` start, the
+    ``(k, n)`` counts it sets: 1 on each place labeled with a done atom, 0 on each place ``net`` marks
+    that a transition labeled with one consumes.  What each label sets is kept per net (``marks``)."""
     if layout.marks is None:
         marks = {}
         for k, p in enumerate(layout.places):
@@ -892,11 +903,7 @@ def _done_marking(net: LendingNet, layout: _Layout, done: Iterable[Atom]) -> lis
                 spent = [(j, 0) for j in pre if net.initial.get(layout.places[j], 0) >= 1]
                 marks.setdefault(layout.labels[k], []).extend(spent)
         layout.marks = marks
-    counts = layout.counts(net.initial)
-    for a in done:
-        for k, n in layout.marks.get(a, ()):
-            counts[k] = n
-    return counts
+    return tuple({k: n for a in done for k, n in layout.marks.get(a, ())}.items())
 
 
 def _urgent_at_root(net: LendingNet, budget: int = DEFAULT_BUDGET, done: Iterable[Atom] = ()) -> frozenset[Atom]:

@@ -72,38 +72,34 @@ def _compile(c: PCLContract, extra: frozenset[Atom]) -> ContractNet:
     tids = [clause_tid(cl) for cl in clauses]
     heads = sorted({cl.head for cl in clauses})
 
+    # The loop that names the delivery places also labels them and lists each arc once.
     delivered: dict[Atom, list[str]] = {}
-    lending: set[str] = set()
-    flow: set[tuple[str, str]] = set()
+    place_labels: dict[str, Atom] = {}
+    lending: list[str] = []
+    flow: list[tuple[str, str]] = []
     for cl, tid in zip(clauses, tids):
-        flow.add((star_pid(cl.head), tid))
+        flow.append((star_pid(cl.head), tid))
         for atom in cl.body | extra:
             pid = f"{atom}@{tid}"
             delivered.setdefault(atom, []).append(pid)
+            place_labels[pid] = atom
             if atom in cl.body:
-                flow.add((pid, tid))
+                flow.append((pid, tid))
             if cl.contractual:
-                lending.add(pid)
-    for cl, tid in zip(clauses, tids):
-        flow.update((tid, pid) for pid in delivered.get(cl.head, ()))
+                lending.append(pid)
+    flow += [(tid, pid) for cl, tid in zip(clauses, tids) for pid in delivered.get(cl.head, ())]
 
-    place_labels = {pid: atom for atom, pids in delivered.items() for pid in pids}
     net = LendingNet(
         places=frozenset(place_labels).union(map(star_pid, heads)),
-        transitions=frozenset(tids),
-        flow=frozenset(flow),
+        transitions=tids,
+        flow=flow,
         place_labels=place_labels,
         transition_labels={tid: cl.head for cl, tid in zip(clauses, tids)},
         initial={star_pid(a): 1 for a in heads},
-        lending=frozenset(lending),
+        lending=lending,
         alphabet=c.atoms(),
     )
-    return ContractNet(
-        net=net,
-        participants=c.participants,
-        ownership=c.ownership,
-        goals=c.goals,
-    )
+    return ContractNet(net=net, participants=c.participants, ownership=c.ownership, goals=c.goals)
 
 
 def extend_with_facts(c: PCLContract, atoms: Iterable[Atom]) -> PCLContract:

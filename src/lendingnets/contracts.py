@@ -198,7 +198,7 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, cover
     _check_budget(budget)
     if graph is None:
         parts = _parts(cn.net, cn.goals)
-        fields, walked = _walk(cn.net, [(rows, None) for rows, _ in parts], cn.net.initial, budget)
+        fields, walked = _walk(cn.net, [(rows, None) for rows, _ in parts], (), budget)
         walks = [ReachGraph(cn.net, fields, walk) for walk in walked]
         shares = [share for _, share in parts]
     else:

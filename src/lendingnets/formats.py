@@ -93,9 +93,9 @@ def combine_goals(
 
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _attributes(attrs: list[str], known: tuple[str, ...], kind: str, lineno: int) -> dict[str, str]:
@@ -248,6 +248,8 @@ def _check_participant(token: str, lineno: int) -> str:
 
 
 _CLAUSE_SPLIT = re.compile(r"(->>|->|&)")
+# A well-formed clause line: atoms joined by '&', one arrow and one head atom, spaced in any way.
+_CLAUSE_RE = re.compile(r"\s*([a-z][a-z0-9_]*(?:\s*&\s*[a-z][a-z0-9_]*)*)\s*(->>?)\s*([a-z][a-z0-9_]*)\s*")
 
 
 def parse_contract(text: str) -> PCLContract:
@@ -293,6 +295,10 @@ def parse_contract(text: str) -> PCLContract:
 
 
 def _parse_clause(body_text: str, lineno: int) -> HornClause:
+    """A ``clause`` line's clause: one full match reads a sound line; a line it fails is split, to name the fault."""
+    match = _CLAUSE_RE.fullmatch(body_text)
+    if match:
+        return HornClause(match[3], frozenset([a.strip() for a in match[1].split("&")]), match[2] == "->>")
     pieces = [p.strip() for p in _CLAUSE_SPLIT.split(body_text)]
     pieces = [p for p in pieces if p]
     arrows = [p for p in pieces if p in ("->", "->>")]

@@ -40,6 +40,15 @@ Participant = str
 _ATOM_RE = re.compile(r'[^\s=#"\\&@>-]+\Z')
 
 
+def _atoms_pass(atoms: tuple) -> bool:
+    """Whether all of ``atoms`` are atoms, by one match of ``_ATOM_RE`` over their join, which holds
+    a forbidden character exactly when some atom does.  Only a failed screen is named (``_check_atoms``)."""
+    try:
+        return _ATOM_RE.match("".join(atoms)) is not None and "" not in atoms
+    except TypeError:
+        return False
+
+
 def _check_atoms(atoms: Iterable, what: str) -> None:
     bad = [a for a in atoms if not isinstance(a, str) or not _ATOM_RE.match(a)]
     if bad:
@@ -70,8 +79,9 @@ class HornClause:
 
     def __post_init__(self):
         object.__setattr__(self, "body", _atom_set(self.body, "clause body"))
-        _check_atoms([self.head], "clause head")
-        _check_atoms(self.body, "body atom")
+        if not _atoms_pass((self.head, *self.body)):
+            _check_atoms([self.head], "clause head")
+            _check_atoms(self.body, "body atom")
         if self.contractual and not self.body:
             raise ContractError("a contractual clause needs a non-empty body")
 
@@ -91,10 +101,7 @@ def fact(atom: Atom) -> HornClause:
 
 
 def clause_atoms(clauses: Iterable[HornClause]) -> frozenset[Atom]:
-    out: set[Atom] = set()
-    for c in clauses:
-        out |= c.atoms()
-    return frozenset(out)
+    return frozenset([a for c in clauses for a in (c.head, *c.body)])
 
 
 def _store_terms(x) -> None:
@@ -125,12 +132,13 @@ class PCLContract(_Canonical):
     fields are empty, except the goals: the one empty goal.  ``contract`` is
     this constructor under another name.
 
-    Besides ``_canon``, the instance dict keeps what the compiler builds
-    from the contract, each on first use (``nets._kept``): ``_compiled`` and
-    ``_pruned``, the contract nets of ``compile_contract`` without and with
-    ``prune``, and ``_urgency_net``, the consumed-places net that net-side
-    urgency compiles when neither is kept.  None takes part in ``==``,
-    ``hash`` or ``repr``.
+    Besides ``_canon``, the instance dict keeps ``_atoms``, the atoms that
+    ``atoms`` returns, read once by the validation, and what the compiler
+    builds from the contract, each on first use (``nets._kept``):
+    ``_compiled`` and ``_pruned``, the contract nets of ``compile_contract``
+    without and with ``prune``, and ``_urgency_net``, the consumed-places net
+    that net-side urgency compiles when neither is kept.  None takes part in
+    ``==``, ``hash`` or ``repr``.
     """
 
     clauses: frozenset[HornClause] = frozenset()
@@ -141,16 +149,17 @@ class PCLContract(_Canonical):
     def __post_init__(self):
         object.__setattr__(self, "clauses", frozenset(self.clauses))
         _store_terms(self)
-        _check_atoms(self.ownership, "owned atom")
-        unowned = sorted(self.atoms() - set(self.ownership))
-        if unowned:
-            raise ContractError(f"atoms without an owner: {unowned}")
-        for c in sorted(self.clauses, key=HornClause.sort_key):
-            owner = self.ownership[c.head]
-            if owner not in self.participants:
-                raise ContractError(
-                    f"head {c.head!r} is owned by {owner!r}, not a bound participant"
-                )
+        if not _atoms_pass(tuple(self.ownership)):
+            _check_atoms(self.ownership, "owned atom")
+        atoms = clause_atoms(self.clauses).union(*self.goals, self.ownership)
+        object.__setattr__(self, "_atoms", atoms)
+        if len(atoms) != len(self.ownership):
+            raise ContractError(f"atoms without an owner: {sorted(atoms.difference(self.ownership))}")
+        if not {self.ownership[c.head] for c in self.clauses} <= self.participants:
+            # Only a failed screen looks for the first bad head in clause order, to name it.
+            bad = [c for c in self.clauses if self.ownership[c.head] not in self.participants]
+            c = min(bad, key=HornClause.sort_key)
+            raise ContractError(f"head {c.head!r} is owned by {self.ownership[c.head]!r}, not a bound participant")
 
     @cached_property
     def _canon(self) -> tuple:
@@ -158,7 +167,7 @@ class PCLContract(_Canonical):
         return tuple(sorted(c.sort_key() for c in self.clauses)), *_terms_key(self)
 
     def atoms(self) -> frozenset[Atom]:
-        return clause_atoms(self.clauses) | frozenset(a for g in self.goals for a in g) | frozenset(self.ownership)
+        return self._atoms
 
 
 # The constructor under its older name.

@@ -64,12 +64,14 @@ def _not_one_string(values: Iterable, kind: str) -> Iterable:
 
 
 def _check_ids(values: Iterable, kind: str) -> frozenset[str]:
-    """``values`` as a set of ids of ``kind``.  One search over the joined ids finds a forbidden
-    character exactly when some id holds one; only then, or when some id is empty or no string,
-    does ``_check_id`` read each id in turn, to name the first that is wrong."""
+    """``values`` as a set of ids of ``kind``.  String operations screen the joined ids: ``in`` finds
+    a reserved character, and ``str.split`` whitespace, as it splits where ``str.isspace`` holds.  Only
+    when the screen fails, or an id is empty or no string, does ``_check_id`` name the first bad id."""
     values = tuple(_not_one_string(values, kind))
     try:
-        if "" not in values and not _ID_FORBIDDEN.search("".join(values)):
+        joined = "".join(values)
+        if ("" not in values and "=" not in joined and "#" not in joined and '"' not in joined
+                and "\\" not in joined and joined.split() == [joined]):
             return frozenset(values)
     except TypeError:
         pass

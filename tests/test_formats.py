@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from lendingnets import (
     weakly_terminates_in,
 )
 from lendingnets.formats import _parse_clause
+from lendingnets.logic import HornClause
 
 from clause_oracle import old_parse_clause
 from fixtures import (
@@ -268,6 +270,20 @@ def _clause_outcome(parse, text: str):
         return str(exc)
 
 
+# Lines that the pieces above do not build: glued operators, tabs and other
+# whitespace between tokens (every code point ``str.isspace`` accepts, and a
+# zero-width space, which it does not), repeated body atoms, a split arrow,
+# trailing and doubled '&', and two arrows.
+SPACES = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+CLAUSE_LINES = (
+    "a&b->>c", "a->b", "a&b->c", "ab_1&c2->>d_", "a\t&\tb\t->\tc", "\ta ->> b\t",
+    *(f"{ws}a{ws}&{ws}b{ws}->{ws}c{ws}" for ws in SPACES), "a\u200b&b->c", "a&b\u200b->c",
+    "a & a -> b", "a&b&a->>c", "b & a & b & a -> a",
+    "a - > b", "a -\t> b", "a & -> b", "a & b & -> c", "a -> b &", "a && b -> c", "a & & b -> c", "& a -> b",
+    "a -> b -> c", "a ->> b -> c", "a ->> b ->> c", "a ->-> b", "a ->>> b", "a -> ->> b",
+)
+
+
 def test_clause_lines_parse_as_the_oracle_parses_them():
     compared = 0
     for n in range(1, 6):
@@ -276,6 +292,12 @@ def test_clause_lines_parse_as_the_oracle_parses_them():
             assert _clause_outcome(_parse_clause, text) == _clause_outcome(old_parse_clause, text), text
             compared += 1
     assert compared == 111_110
+    outcomes = [_clause_outcome(_parse_clause, text) for text in CLAUSE_LINES]
+    assert outcomes == [_clause_outcome(old_parse_clause, text) for text in CLAUSE_LINES]
+    # Both a clause and every kind of error are among them.
+    assert HornClause("c", frozenset({"a", "b"}), True) in outcomes
+    for message in ("exactly one arrow", "exactly one head atom", "misplaced '&'", "dangling '&'", "is not an atom"):
+        assert any(isinstance(out, str) and message in out for out in outcomes), message
 
 
 class TestCompiledDocuments:

@@ -12,22 +12,25 @@ same edges, honored flags and completeness:
 * a lending place that many consumers drive down to minus the bound;
 * a place that starts with ``2**40`` tokens, so a count field must widen;
 * starts above the initial marking, as urgency's done marking is, given
-  to ``_walk`` as its ``start``;
+  to ``_walk`` as its ``start``, as a marking or as the fields it sets on
+  the layout's initial counts, which must walk alike;
 * one transition fired B times, at the top of its key field's range, and
   once more.
 """
 
+import itertools
 import math
+import random
 
 import pytest
 
 import bfs_oracle
 from lendingnets import LendingNet, ReachGraph, compile_contract
-from lendingnets.analysis import _components, _layout, _walk
+from lendingnets.analysis import _components, _done_marking, _layout, _walk
 from lendingnets.compiler import delivery_pid, star_pid
 from test_int_keyed_walk import BUDGETS, CYCLIC_BUDGET
 
-from generators import pairs_contract
+from generators import pairs_contract, random_contract
 
 BIG = 2 ** 40
 
@@ -148,6 +151,41 @@ def test_starts_above_the_initial_marking(budget):
         starts.append((net, above_initial(net, BIG), min(budget, CYCLIC_BUDGET)))
     for net, start, most in starts:
         assert_same_walks(net, start, most)
+
+
+def set_fields(net: LendingNet):
+    """Starts given as the ``(k, n)`` fields they set on the layout's initial counts: none, each done
+    marking of a set of at most two labels (``_done_marking``), and counts far above and below 0."""
+    layout = _layout(net)
+    labels = sorted(set(net.place_labels.values()) | set(net.transition_labels.values()))
+    yield ()
+    for n in (1, 2):
+        for done in itertools.combinations(labels, n):
+            yield _done_marking(net, layout, done)
+    for k, n in ((0, 2), (len(layout.places) - 1, BIG), (0, -3)):
+        if layout.places:
+            yield ((k, n),)
+
+
+@pytest.mark.parametrize("budget", (1, 3, 40, math.inf))
+def test_a_start_of_set_fields_walks_as_its_marking_does(budget):
+    """``_walk`` from the fields a start sets keeps the walk, fields included, of the same start
+    given as a marking: the root packed once per fields plus each set field's change."""
+    rng = random.Random(8)
+    nets = [lenders(3), chain(4), wide(True), shot(), compile_contract(pairs_contract(2)).net]
+    nets += [compile_contract(random_contract(rng, max_clauses=6)).net for _ in range(30)]
+    walked = 0
+    for net in nets:
+        layout = _layout(net)
+        for sets in set_fields(net):
+            marking = dict(zip(layout.places, layout.start)) | {layout.places[k]: n for k, n in sets}
+            parts = [(rows, None) for rows in (layout.steps, *_components(net))]
+            most = min(budget, CYCLIC_BUDGET)
+            fields, walks = _walk(net, parts, sets, most)
+            assert (fields, walks) == _walk(net, parts, marking, most), (net, sets)
+            assert {packs[0] for packs, *_ in walks} == {fields.pack(layout.counts(marking))}
+            walked += 1
+    assert walked > 200
 
 
 def spin(transitions: int) -> LendingNet:

@@ -5,9 +5,17 @@ when it fails, 2 on usage, syntax, or semantic errors (a ``--budget`` below 1
 among them), 3 when a bounded analysis ran out of budget and the answer is
 unknown, 4 on an internal error such as the logic and net sides disagreeing.
 
-The argument parser is built on the first ``main`` call and reused by every
-later one in the process.  Reuse is safe because ``parse_args`` fills a fresh
-namespace on each call and nothing writes to the parser.
+An argv is read by screen, then name (README, "What a contract costs before
+its walk"): a plain one, the command's words, exact option spellings with
+separate values and one run of positionals, is read into the namespace
+``parse_args`` would give, off a table of the parser's actions; argparse reads
+every other one and writes every usage, help and error text.  The parser and
+the table are built once per process: ``parse_args`` fills a fresh namespace
+on each call, and nothing writes to either.
+
+``check wt`` and ``check agreement`` decide a contract on its consumed-places
+net (``compiler._urgency_net``); only a failing ``check wt`` compiles the full
+net, whose stuck node its detail names.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .analysis import trace_set, urgent_for_done_set, weakly_terminates
-from .compiler import agreement_via_net, compile_contract
+from .compiler import _urgency_net, compile_contract
 from .compose import compose_many, widen_alphabet
 from .dot import export_dot
 from .errors import DocumentError, IncompleteExplorationError, ToolkitError
@@ -33,7 +41,7 @@ from .formats import (
     serialize_contract,
     serialize_net,
 )
-from .contracts import weakly_terminates_in
+from .contracts import agreement_reachable, weakly_terminates_in
 from .logic import admits_agreement, bounded_proof_traces, compose_contracts, urgent_logic
 from .nets import DEFAULT_BUDGET, Outcome, Verdict, _check_budget
 
@@ -113,6 +121,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_table() -> dict:
+    """``build_parser()``'s leaf commands by their words: (word count, namespace
+    defaults, options by exact spelling, the one positional action, of one
+    value or, with ``nargs="+"``, more).  Only options that store one value
+    or a constant are screened: any other, ``-h`` among them, goes to argparse."""
+    table = {}
+
+    def visit(parser, words, values):
+        actions = parser._actions
+        values = {**values, **parser._defaults,
+                  **{a.dest: a.default for a in actions if argparse.SUPPRESS not in (a.dest, a.default)}}
+        for a in actions:
+            if isinstance(a, argparse._SubParsersAction):
+                for name, child in a.choices.items():
+                    visit(child, (*words, name), {**values, a.dest: name})
+                return
+        options = {spelling: a for a in actions for spelling in a.option_strings
+                   if isinstance(a, argparse._StoreConstAction) or type(a) is argparse._StoreAction and a.nargs is None}
+        (positional,) = [a for a in actions if not a.option_strings]
+        table[words] = (len(words), values, options, positional)
+
+    visit(build_parser(), (), {})
+    return table
+
+
+def _value(action: argparse.Action, text: str):
+    """``text`` read as argparse reads it for ``action``; raises as argparse's reading fails."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    """The namespace ``parse_args(argv)`` gives when ``argv`` is plain, else None."""
+    table = _plain_table()
+    leaf = table.get(tuple(argv[:1])) or table.get(tuple(argv[:2]))
+    if leaf is None:
+        return None
+    i, values, options, positional = leaf
+    values, at = dict(values), []
+    try:
+        while i < len(argv):
+            arg = argv[i]
+            if arg[:1] != "-":
+                at.append(i)
+            elif (action := options.get(arg)) is None:
+                return None
+            elif action.nargs == 0:
+                values[action.dest] = action.const
+            else:
+                i += 1
+                if i == len(argv) or argv[i][:1] == "-":
+                    return None
+                values[action.dest] = _value(action, argv[i])
+            i += 1
+        if not at or at[-1] - at[0] != len(at) - 1 or positional.nargs is None and len(at) > 1:
+            return None
+        run = [_value(positional, argv[j]) for j in at]
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    values[positional.dest] = run if positional.nargs else run[0]
+    return argparse.Namespace(**values)
+
+
 def _read_document(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -188,7 +262,9 @@ def cmd_check_wt(args) -> int:
     if kind == "net":
         verdict = weakly_terminates(doc.net, doc.goal_like(), args.budget)
     else:
-        verdict = weakly_terminates_in(compile_contract(doc), args.budget)
+        verdict = weakly_terminates_in(_urgency_net(doc), args.budget)
+        if verdict.outcome is Outcome.FAILS:  # the stuck node's text lists the full net's sink places
+            verdict = weakly_terminates_in(compile_contract(doc), args.budget)
     return _answer(f"weak termination: {verdict.outcome.value}", verdict)
 
 
@@ -202,14 +278,12 @@ def cmd_check_agreement(args) -> int:
         print(f"agreement (logic): {'true' if answer else 'false'}")
         return EXIT_OK if answer else EXIT_FAILS
     logical = admits_agreement(doc) if args.via == "both" else None
-    verdict = agreement_via_net(doc, args.budget)
+    verdict = agreement_reachable(_urgency_net(doc), args.budget)
     if args.via == "net" or verdict.outcome is Outcome.INCONCLUSIVE:
         return _answer(f"agreement (net): {_NET_ANSWER[verdict.outcome]}", verdict)
     net_answer = verdict.outcome is Outcome.HOLDS
     if net_answer is not logical:
-        raise AssertionError(
-            f"logic and net disagree on agreement: logic={logical} net={net_answer}"
-        )
+        raise AssertionError(f"logic and net disagree on agreement: logic={logical} net={net_answer}")
     print(f"logic=net={'true' if logical else 'false'}")
     return EXIT_OK if logical else EXIT_FAILS
 
@@ -255,11 +329,12 @@ def cmd_dot(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else EXIT_OK
     try:
         if hasattr(args, "budget"):
             _check_budget(args.budget)

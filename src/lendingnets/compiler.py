@@ -143,21 +143,22 @@ def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_B
     holds it, holding one token.  No place is named and no marking is built.
     """
     done = _owned(c, done)
-    return _urgent_at_root(_urgency_net(c), budget, done)
+    return _urgent_at_root(_urgency_net(c).net, budget, done)
 
 
-def _urgency_net(c: PCLContract) -> LendingNet:
-    """A net of ``c`` whose walks give its urgency, kept in ``c``'s instance dict.
+def _urgency_net(c: PCLContract) -> ContractNet:
+    """A contract net of ``c`` whose walks decide it, kept in ``c``'s instance dict.
 
-    A net that ``compile_contract`` or an earlier urgency query kept is used
-    as it is.  Otherwise only the places some transition consumes are built,
-    since the full net is quadratic in size, and that net is kept.
+    Every walk reads only the consumed part, the same in every compilation of
+    ``c``, so any kept net will do; only a node's ``describe()`` also lists the
+    sink places.  Otherwise only the consumed places are built, since the full
+    net is quadratic in size, and that net is kept.
     """
     kept = vars(c)
     for name in ("_urgency_net", "_pruned", "_compiled"):
         if name in kept:
-            return kept[name].net
-    return _kept(c, "_urgency_net", lambda: _compile(c, frozenset())).net
+            return kept[name]
+    return _kept(c, "_urgency_net", lambda: _compile(c, frozenset()))
 
 
 def compile_compose_commutes(

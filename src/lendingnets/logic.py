@@ -137,7 +137,7 @@ class PCLContract(_Canonical):
     builds from the contract, each on first use (``nets._kept``):
     ``_compiled`` and ``_pruned``, the contract nets of ``compile_contract``
     without and with ``prune``, and ``_urgency_net``, the consumed-places net
-    that net-side urgency compiles when neither is kept.  None takes part in
+    that net-side urgency and ``lpn check`` compile when neither is kept.  None takes part in
     ``==``, ``hash`` or ``repr``.
     """
 

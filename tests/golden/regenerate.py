@@ -98,6 +98,17 @@ def commands() -> list[list[str]]:
     ]
     # A goal on an output place, which a node reads by the state equation.
     cases += [["check", "wt", "tests/golden/output_goal.lpn"]]
+    # A large contract, decided on its consumed places; budget 200 is one short
+    # of what its walks keep.
+    large = "tests/golden/pairs100.pcl"
+    cases += [
+        ["check", "wt", large],
+        ["check", "agreement", large, "--via", "both"],
+        ["check", "agreement", large, "--via", "net"],
+        ["check", "wt", large, "--budget", "200"],
+        ["check", "wt", large, "--budget", "201"],
+        ["check", "agreement", large, "--via", "net", "--budget", "200"],
+    ]
     return cases
 
 

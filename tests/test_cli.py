@@ -294,7 +294,7 @@ class TestExitCodes:
     def test_internal_errors_exit_4_with_one_line(self, monkeypatch, capsys):
         from lendingnets import Verdict, cli
 
-        monkeypatch.setattr(cli, "agreement_via_net", lambda doc, budget: Verdict.fails())
+        monkeypatch.setattr(cli, "agreement_reachable", lambda cn, budget: Verdict.fails())
         code, out, err = run(capsys, "check", "agreement", TOYS)
         assert code == 4
         assert out == ""

@@ -82,6 +82,7 @@ from .nets import (
     DEFAULT_BUDGET,
     Atom,
     LendingNet,
+    Outcome,
     PlaceId,
     TransitionId,
     Verdict,
@@ -499,7 +500,7 @@ def _first_stuck(parts: list[tuple], incomplete: str, detail: Callable[[Node], s
         return Verdict.holds()
     graph, i = stuck[0] if len(stuck) == 1 else min(stuck, key=lambda s: _least_path(*s))
     node = graph._node(i)
-    return Verdict.fails(witness=node, detail=detail(node))
+    return Verdict._on_read(Outcome.FAILS, node, lambda: detail(node))
 
 
 def _least_path(graph: ReachGraph, i: int) -> tuple[int, list[TransitionId]]:

@@ -206,10 +206,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _answer(line: str, verdict: Verdict) -> int:
-    """Print the verdict ``line``, and the detail on stderr unless the verdict holds; return its exit code."""
+    """Print ``line``, and the detail, read first, on stderr unless the verdict holds; return its exit code."""
+    detail = "" if verdict.outcome is Outcome.HOLDS else verdict.detail
     print(line)
-    if verdict.outcome is not Outcome.HOLDS and verdict.detail:
-        print(f"  {verdict.detail}", file=sys.stderr)
+    if detail:
+        print(f"  {detail}", file=sys.stderr)
     return _EXIT_BY_OUTCOME[verdict.outcome]
 
 

@@ -237,10 +237,10 @@ def agreement_reachable(
 ) -> Verdict:
     """Can the net reach an honored node whose done set covers some goal set?
 
-    This is the net-side agreement check: reachability of a covering honored
-    configuration, with the node found as witness.  Without a ``graph`` each
-    component's walk stops at its first credit-free state whose done set covers
-    a goal set of its share (``_parts``), and the witness joins them.
+    This is the net-side agreement check: reachability of a covering honored configuration,
+    with the node found as witness, whose ``describe()`` is the detail, built on first read.
+    Without a ``graph`` each component's walk stops at its first credit-free state whose done
+    set covers a goal set of its share (``_parts``), and the witness joins them.
     """
     _check_budget(budget)
     if graph is None:
@@ -249,7 +249,7 @@ def agreement_reachable(
         found = next(_goal_states(cn.net, graph, cn.goals, covering=True), None)
         witness, complete = None if found is None else graph._node(found), graph.complete
     if witness is not None:
-        return Verdict.holds(detail=witness.describe())
+        return Verdict._on_read(Outcome.HOLDS, None, witness.describe)
     if complete:
         return Verdict.fails(detail="no honored node covers a goal set")
     return Verdict.inconclusive(f"exploration budget {budget if graph is None else len(graph)} exhausted")

@@ -91,18 +91,41 @@ class Outcome(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+class _Detail:
+    """``detail`` of a ``Verdict._on_read`` verdict: the first read runs its builder and keeps the text."""
+
+    def __get__(self, verdict, owner=None) -> str:
+        if verdict is None:
+            return ""
+        kept = vars(verdict)
+        text = kept["detail"] = kept["_build"]()
+        kept.pop("_build", None)
+        return text
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Result of a bounded check.
 
-    A budget that runs out yields INCONCLUSIVE; incompleteness is never
-    silently reported as falsity.  ``witness`` carries a counterexample for
-    FAILS verdicts (a node, place, or transition depending on the check).
+    A budget that runs out yields INCONCLUSIVE; incompleteness is never silently reported as
+    falsity.  ``witness`` carries a counterexample for FAILS verdicts (a node, place, or
+    transition depending on the check).  ``detail`` is its text; a check that describes a node
+    builds it, and so the node's marking, on first read (``==``, ``hash`` and ``repr`` read it).
     """
 
     outcome: Outcome
     witness: object = None
-    detail: str = ""
+    detail: str = _Detail()
+
+    @classmethod
+    def _on_read(cls, outcome: Outcome, witness: object, build: Callable[[], str]) -> "Verdict":
+        """A verdict whose ``detail`` is ``build()``, run on first read; ``build`` should hold no graph."""
+        verdict = object.__new__(cls)
+        vars(verdict).update(outcome=outcome, witness=witness, _build=build)
+        return verdict
+
+    def __reduce__(self):
+        return type(self), (self.outcome, self.witness, self.detail)
 
     @staticmethod
     def holds(detail: str = "") -> "Verdict":

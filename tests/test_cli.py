@@ -302,6 +302,17 @@ class TestExitCodes:
         assert "logic and net disagree" in err
         assert err.count("\n") == 1
 
+    def test_a_detail_that_cannot_be_built_exits_4_before_the_verdict_line(self, monkeypatch, capsys):
+        """A verdict builds its detail on first read; the line is printed only after that read."""
+        from lendingnets.analysis import Node
+
+        def broken(node):
+            raise RuntimeError("no text")
+
+        monkeypatch.setattr(Node, "describe", broken)
+        code, out, err = run(capsys, "check", "wt", TOY_PARTS[0])
+        assert (code, out, err) == (4, "", "internal error: RuntimeError: no text\n")
+
 
 class TestSharedParser:
     """``main`` reuses one parser; every command must read as with a parser of its own."""

@@ -137,7 +137,8 @@ def test_credits_read_on_the_places_that_can_owe_equal_the_whole_marking(budget)
 
 def test_the_checks_on_a_graph_build_sparse_fields_only_for_the_witness(monkeypatch):
     """Each id-keyed marking ``_Layout.marking`` builds, and each read of ``Node.fired`` (as
-    ``ReachGraph._index`` makes of every node), is recorded as its node's (counts, fired) pair."""
+    ``ReachGraph._index`` makes of every node), is recorded as its node's (counts, fired) pair.
+    A check records none; the first read of its verdict's ``detail`` records the witness's, once."""
     built, read = [], []
     marking, fired = _Layout.marking, Node.fired.fget
 
@@ -161,10 +162,12 @@ def test_the_checks_on_a_graph_build_sparse_fields_only_for_the_witness(monkeypa
     assert len(reachable_configurations(cn, graph=graph)) == 3 ** 4
     assert built == read == []
     found = agreement_reachable(cn, graph=graph)
-    assert found.outcome is Outcome.HOLDS
+    assert found.outcome is Outcome.HOLDS and built == read == []
+    detail = found.detail
     [witness] = [node for node in graph.nodes if state(node) in built]
     assert built == read == [state(witness)]
-    assert found.detail == witness.describe()
+    assert found.detail is detail and built == read == [state(witness)]
+    assert detail == witness.describe()
 
     graph = explore(cn.net)
     built.clear()
@@ -172,4 +175,7 @@ def test_the_checks_on_a_graph_build_sparse_fields_only_for_the_witness(monkeypa
     narrow = ContractNet(net=cn.net, participants=cn.participants, ownership=cn.ownership,
                          goals={frozenset({"a0"})})
     failed = weakly_terminates_in(narrow, graph=graph)
-    assert failed.outcome is Outcome.FAILS and built == read == [state(failed.witness)]
+    assert failed.outcome is Outcome.FAILS and built == read == []
+    detail = failed.detail
+    assert built == read == [state(failed.witness)]
+    assert failed.detail is detail and built == read == [state(failed.witness)]

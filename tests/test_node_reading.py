@@ -183,13 +183,17 @@ def test_each_node_is_read_once_and_configurations_only_for_a_failure(monkeypatc
     assert reads == []
     assert configurations == [] and credit_reads == []
 
-    # The goal {a0} alone cannot be reached once anything else is done: one read, for the detail.
+    # The goal {a0} alone cannot be reached once anything else is done: the check reads no node,
+    # and the first read of its detail reads one configuration, the witness's.
     narrow = ContractNet(net=cn.net, participants=cn.participants, ownership=cn.ownership, goals={frozenset({"a0"})})
     failed = weakly_terminates_in(narrow, graph=graph)
-    assert failed.outcome is Outcome.FAILS and configurations == [failed.witness]
+    assert failed.outcome is Outcome.FAILS
     assert weakly_terminates_covering(narrow, graph=graph).outcome is Outcome.HOLDS
-    # Only the detail's configuration reads a node.
-    assert reads == [failed.witness] and credit_reads == [failed.witness]
+    assert configurations == reads == credit_reads == []
+    detail = failed.detail
+    assert configurations == reads == credit_reads == [failed.witness]
+    assert failed.detail is detail
+    assert configurations == reads == credit_reads == [failed.witness]
 
 
 def test_done_atoms_outside_the_alphabet_are_refused():

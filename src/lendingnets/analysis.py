@@ -30,12 +30,16 @@ walked net's own labels.
 Without a built graph, the contract checks and net-side urgency split the
 net into independent components (no place one consumes is touched by
 another, and no label is shared), and one ``_walk`` call walks each of them
-in turn from one shared root.  A component is a tuple of the layout's rows,
-and ``explore`` is the one-part walk of all of them, the whole net.  A row
-keeps its index in the layout, so each state a component's walk keeps is the
-product node with every other component at its root.  The README, "How
-independent components are decided", proves the answers equal those of the
-product graph.  Every ``Node`` is read off a walk's states, or joined from
+in turn from one shared root.  A component is a tuple of the layout's rows.
+A row keeps its index in the layout, so each state a component's walk keeps
+is the product node with every other component at its root.  ``explore``
+splits a net of four or more components of two or more rows each the same
+way: its graph holds the component walks, the contract checks and
+configuration readers read them (``_held_parts``, ``_configurations``), and
+the product, the one-part walk of every row, is walked when its lists or
+edges are first read.  Every other graph is that one-part walk.  The README,
+"How independent components are decided", proves the answers equal those of
+the product graph.  Every ``Node`` is read off a walk's states, or joined from
 walks' last states (``_covering_walks``), and shares its net's ``_Layout``,
 the one table the net keeps besides its components, both in its instance
 dict (``nets._kept``).  This module is the one reader of the layout: the goal
@@ -73,6 +77,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, takewhile
 from math import prod
 from operator import itemgetter, mul
@@ -268,7 +273,8 @@ class ReachGraph:
     walk writes each state's edges as it expands it, in state order, so every edge leads to a
     later node and a node's out-edges are one slice of ``edges``.  ``nodes`` is built on first
     read.  The lists are slots, so the instance dict holds only the graph's fields and what its
-    readers keep (``nets._kept``).
+    readers keep (``nets._kept``).  A graph of a split net holds its component walks instead
+    (``_SplitGraph``).
     """
 
     __slots__ = ("_packs", "_keys", "_fields", "_layout", "__dict__")
@@ -331,6 +337,45 @@ class ReachGraph:
         return tuple([(t, dst) for _, t, dst in _out(self.edges, self.index_of(node))])
 
 
+class _SplitGraph(ReachGraph):
+    """The complete graph ``explore`` gives a split net: it holds the net's component walks and not
+    yet their product (README, "A split graph").
+
+    ``_held`` is ``(parts, size, budget)``: per component its walk as a graph, or None when the
+    walk kept only the root, the product's node count, and the budget.  The product's lists and
+    ``edges``, and so its nodes, are walked under that budget on their first read (``_product``),
+    once, and the graph then reads as the one the whole walk gives.  The parts are a slot, so the
+    instance dict holds what a ``ReachGraph``'s does.  Only this class looks up a missing
+    attribute (``__getattr__``), which slows every attribute read, so a graph of one walk does not.
+    """
+
+    __slots__ = ("_held",)
+
+    def __init__(self, net: LendingNet, fields: _Fields, parts: tuple, size: int, budget: int):
+        self.__dict__.update(net=net, complete=True)
+        for name, value in (("_fields", fields), ("_layout", _layout(net)), ("_held", (parts, size, budget))):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        """``_packs``, ``_keys`` or ``edges`` before the product is walked: the product's, walked now."""
+        if name not in ("_packs", "_keys", "edges"):
+            raise AttributeError(name)
+        self._product()
+        return getattr(self, name)
+
+    def _product(self) -> None:
+        """Keep the lists and edges of the whole walk under the held budget (``_explored``), as
+        ``explore`` walks a net it does not split: the product of the parts (README, "The product")."""
+        whole = _explored(self.net, self._held[2])
+        object.__setattr__(self, "_packs", whole._packs)
+        object.__setattr__(self, "_keys", whole._keys)
+        self.__dict__["edges"] = whole.edges
+
+    def __len__(self) -> int:
+        """The product's node count, read off the parts without walking it."""
+        return self._held[1]
+
+
 def _out(edges: tuple[tuple[int, TransitionId, int], ...], i: int) -> tuple[tuple[int, TransitionId, int], ...]:
     """The edges out of state ``i``: one slice of ``edges``, which are listed by source."""
     first = bisect_left(edges, i, key=itemgetter(0))
@@ -366,10 +411,33 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
 
     Successors are expanded in sorted transition order, so repeated calls
     enumerate identical nodes and edges.  ``complete`` is False when the node
-    budget ran out before the closure was reached.  It is the walk of every
-    row of the layout, the whole net.
+    budget ran out before the closure was reached.
+
+    A net with four or more components (``_components``) of two or more
+    transitions each is split (README, "A split graph"): its components are
+    walked in one ``_walk`` call, and when every walk is complete and the
+    product of their state counts is within ``budget``, the graph holds the
+    walks (``_SplitGraph``) and its length is that product; its lists,
+    ``edges`` and nodes are the product's, walked on first read.  Otherwise,
+    and for every other net, it is the walk of every row of the layout, the
+    whole net (``_explored``), so an incomplete graph keeps ``budget`` states.
     """
     _check_budget(budget)
+    # Four components of two rows need eight rows: a smaller net is not split at all.
+    if len(_layout(net).steps) >= 8 and sum([len(rows) > 1 for rows in _components(net)]) >= 4:
+        components = _components(net)
+        fields, walks = _walk(net, [(rows, None) for rows in components], (), budget)
+        # The walks go on only past a complete one, so only the last can be incomplete.
+        if len(walks) == len(components) and walks[-1][3]:
+            size = prod([len(walk[0]) for walk in walks])
+            if size <= budget:
+                parts = tuple([ReachGraph(net, fields, walk) if len(walk[0]) > 1 else None for walk in walks])
+                return _SplitGraph(net, fields, parts, size, budget)
+    return _explored(net, budget)
+
+
+def _explored(net: LendingNet, budget: int) -> ReachGraph:
+    """The graph of the walk of every row of the layout, the whole net: the product, walked at once."""
     fields, [walk] = _walk(net, [(_layout(net).steps, None)], (), budget)
     return ReachGraph(net, fields, walk)
 
@@ -799,17 +867,73 @@ def _credits(net: LendingNet, node: Node) -> frozenset[Atom]:
 
 
 def _configurations(net: LendingNet, graph: ReachGraph,
-                    credit_free: bool) -> Iterator[tuple[frozenset[Atom], frozenset[Atom]]]:
+                    credit_free: bool) -> Iterable[tuple[frozenset[Atom], frozenset[Atom]]]:
     """The done set and credits, by ``net``'s labels, of each state of ``graph``, or of each
     credit-free state (``_credit_free_states``) when ``credit_free``.  The labels are read once
     per call (``_reading``), and the sets off the states' ints, as ``_done_set`` and ``_credits``
-    read a node's: no node is built."""
-    credits, _, lift, masks = _reading(net, graph._layout, graph._fields)
+    read a node's: no node is built.
+
+    Of a graph that holds its parts (``_held``), they are the product of its parts' sets: a
+    product state's done set and credits are the disjoint unions of its parts' (README, "The
+    product"), and a part that kept only its root adds none."""
+    held = _held(net, graph)
+    if held is None:
+        return _state_configurations(net, graph, credit_free, _reading(net, graph._layout, graph._fields))
+    reading = _reading(net, graph._layout, graph._fields)
+    product = {(frozenset(), frozenset())}
+    for part in held:
+        if part is not None:
+            sets = set(_state_configurations(net, part, credit_free, reading))
+            product = {(done | more, credits | owed) for done, credits in product for more, owed in sets}
+    return product
+
+
+def _state_configurations(net: LendingNet, graph: ReachGraph, credit_free: bool,
+                          reading: tuple) -> Iterator[tuple[frozenset[Atom], frozenset[Atom]]]:
+    """``_configurations`` of each state of ``graph``'s lists, by ``reading``, ``net``'s labels read
+    over its packing (``_reading``)."""
+    credits, _, lift, masks = reading
     if credit_free:
         return ((_labels(key + lift, masks), frozenset()) for _, key in _credit_free_states(net, graph))
     owed = graph._fields.owed
     return ((_labels(key + lift, masks), _labels(owed(packed), credits))
             for packed, key in zip(graph._packs, graph._keys))
+
+
+def _held(net: LendingNet, graph: ReachGraph) -> tuple | None:
+    """The component walks ``graph`` holds (``_SplitGraph``) when read with ``net``'s labels, or None
+    when the product is read: ``graph`` holds none, is not a graph of ``net`` itself, or has its
+    product built already, whose nodes a caller may hold."""
+    if not isinstance(graph, _SplitGraph) or graph.net is not net or "edges" in vars(graph):
+        return None
+    return graph._held[0]
+
+
+def _held_parts(net: LendingNet, graph: ReachGraph,
+                split: Callable[[], Sequence[tuple[tuple, frozenset]]]) -> list[tuple[ReachGraph, frozenset]] | None:
+    """The component walks ``graph`` holds (``_held``), each with its share of the goal split
+    ``split()`` (``_parts``), called only for such a graph, as the goal checks read them; None
+    when the product is read, as it also is when the goals do not split.
+
+    A walk that kept only its root is dropped when the root is a goal state of its share: the
+    root is credit-free, no initial count being below 0, and its done set is empty, so the root
+    is a goal state exactly when the share holds the empty set.  Otherwise the walk stays, as a
+    one-state graph with no goal state.
+    """
+    held = _held(net, graph)
+    if held is None:
+        return None
+    parts = split()
+    if len(parts) != len(held):
+        return None
+    reads = []
+    for part, (_, share) in zip(held, parts):
+        if part is None:
+            if frozenset() in share:
+                continue
+            part = ReachGraph(net, graph._fields, ([graph._fields.root], [0], [], True))
+        reads.append((part, share))
+    return reads
 
 
 def _credit_free_states(net: LendingNet, graph: ReachGraph) -> list[tuple[int, int]]:
@@ -836,7 +960,14 @@ def _done_test(net: LendingNet, layout: _Layout, fields: _Fields, goals: Iterabl
     grants is never met.
     """
     _, _, lift, masks = _reading(net, layout, fields)
-    every, tests = sum(masks.values()), []
+    return _key_test(lift, masks, sum(masks.values()), goals, covering)
+
+
+def _key_test(lift: int, masks: Mapping[Atom, int], every: int, goals: Iterable[frozenset[Atom]],
+              covering: bool) -> Callable[[int], bool]:
+    """``_done_test`` from the read of the labels, ``lift`` and ``masks`` (``_reading``), and ``every``,
+    the sum of the masks."""
+    tests = []
     for goal in goals:
         if goal <= masks.keys():
             need = [masks[a] for a in goal]
@@ -865,13 +996,61 @@ def _goal_states(net: LendingNet, graph: ReachGraph, goals: Iterable[frozenset[A
     return (i for i, key in _credit_free_states(net, graph) if done(key))
 
 
-def _covering_walks(net: LendingNet, goals: Iterable[frozenset[Atom]], budget: int) -> tuple[Node | None, bool]:
-    """Agreement without a graph: each part of the goal split (``_parts``) walked up to its first
-    credit-free state whose done set covers a set of its share, in one ``_walk`` call.
+def _goal_reads(net: LendingNet, reads: Sequence[tuple[ReachGraph, Iterable[frozenset[Atom]]]],
+                covering: bool) -> list[list[int]]:
+    """The goal states (``_goal_states``) of each ``(graph, goals)`` of ``reads``, graphs of one
+    packing, listed in one pass: ``net``'s labels are read once for them all (``_reading``)."""
+    if not reads:
+        return []
+    _, _, lift, masks = _reading(net, reads[0][0]._layout, reads[0][0]._fields)
+    every, found = sum(masks.values()), []
+    for graph, goals in reads:
+        done = _key_test(lift, masks, every, goals, covering)
+        found.append([i for i, key in _credit_free_states(net, graph) if done(key)])
+    return found
 
-    When every part has one, returns their product node, the start counts plus
-    each part's change and the sum of their keys (README, "The agreement
-    witness"), and True; otherwise None and whether the last walk was complete.
+
+def _goal_targets(net: LendingNet, reads: Sequence[tuple[ReachGraph, Iterable[frozenset[Atom]]]],
+                  covering: bool) -> list[tuple[ReachGraph, Callable[[], list[int]]]]:
+    """``_first_stuck``'s parts for ``reads``: each graph with its goal states, listed for all of
+    them in one pass (``_goal_reads``) on the first read, which ``_first_stuck`` makes only when
+    every graph is complete."""
+    found = []
+
+    def targets(k: int) -> list[int]:
+        if not found:
+            found.extend(_goal_reads(net, reads, covering))
+        return found[k]
+
+    return [(graph, partial(targets, k)) for k, (graph, _) in enumerate(reads)]
+
+
+def _joined(fields: _Fields, layout: _Layout, ends: Iterable[tuple[int, int]]) -> Node:
+    """The product node of one state ``(packed, key)`` per part, every other part at its root: the
+    root counts plus each part's change and the sum of their keys (README, "The agreement witness")."""
+    packed, key = fields.root, 0
+    for end_packed, end_key in ends:
+        packed, key = packed + end_packed - fields.root, key + end_key
+    return Node(packed, key, fields, layout)
+
+
+def _covering_join(net: LendingNet, graph: ReachGraph, reads: Iterable[tuple[ReachGraph, frozenset]]) -> Node | None:
+    """Agreement on a graph that holds its parts, read as ``reads`` (``_held_parts``): the join
+    (``_joined``) of each part's first credit-free state whose done set covers a set of its share,
+    or None when some part has none."""
+    found = _goal_reads(net, reads, True)
+    if not all(found):
+        return None
+    return _joined(graph._fields, graph._layout,
+                   [(part._packs[states[0]], part._keys[states[0]]) for (part, _), states in zip(reads, found)])
+
+
+def _covering_walks(net: LendingNet, parts: Sequence[tuple[tuple, frozenset]], budget: int) -> tuple[Node | None, bool]:
+    """Agreement without a graph: each part of the goal split ``parts`` (``_parts``) walked up to its
+    first credit-free state whose done set covers a set of its share, in one ``_walk`` call.
+
+    When every part has one, returns their product node (``_joined``) and True;
+    otherwise None and whether the last walk was complete.
     """
     layout = _layout(net)
     fields = _fields(layout, layout.start, budget)
@@ -881,12 +1060,11 @@ def _covering_walks(net: LendingNet, goals: Iterable[frozenset[Atom]], budget: i
         covers = _done_test(net, layout, fields, share, True)
         return lambda packed, key: (packed + add) & mask == mask and covers(key)
 
-    parts = [(rows, flag(share)) for rows, share in _parts(net, goals)]
-    _, walks = _walk(net, parts, (), budget)
+    flagged = [(rows, flag(share)) for rows, share in parts]
+    _, walks = _walk(net, flagged, (), budget)
     # The walks go on only past one that ends at a flagged state, so only the last walk's end is left to test.
-    if len(walks) == len(parts) and (not parts or parts[-1][1](walks[-1][0][-1], walks[-1][1][-1])):
-        packed = fields.root + sum([packs[-1] - fields.root for packs, *_ in walks])
-        return Node(packed, sum([keys[-1] for _, keys, *_ in walks]), fields, layout), True
+    if len(walks) == len(flagged) and (not flagged or flagged[-1][1](walks[-1][0][-1], walks[-1][1][-1])):
+        return _joined(fields, layout, [(packs[-1], keys[-1]) for packs, keys, *_ in walks]), True
     return None, walks[-1][3]
 
 
@@ -934,7 +1112,7 @@ def weakly_terminates(
     _check_budget(budget)
     goal = _goal_fn(net, goal)
     if graph is None:
-        graph = explore(net, budget)
+        graph = _explored(net, budget)
     return _first_stuck(
         [(graph, lambda: compress(range(len(graph)), map(goal, graph.nodes)))],
         f"exploration budget {len(graph)} exhausted",
@@ -990,7 +1168,8 @@ def trace_set(net: LendingNet, budget: int = DEFAULT_BUDGET) -> tuple[frozenset[
     completeness flag; the flag drops when either the exploration or the word
     enumeration hit the budget.
     """
-    graph = explore(net, budget)
+    _check_budget(budget)
+    graph = _explored(net, budget)
     complete = graph.complete
     # A search of its own: it walks (node, word) pairs of the built graph, not the net.
     steps: list[list[tuple[Atom | None, int]]] = [[] for _ in graph._keys]

@@ -11,7 +11,7 @@ by mask (``analysis._goal_states``): they build no node but the one they report.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,12 +19,15 @@ from .analysis import (
     Node,
     ReachGraph,
     _configurations,
+    _covering_join,
     _covering_walks,
     _credits,
     _done_set,
     _first_stuck,
     _fires_at_most_once,
     _goal_states,
+    _goal_targets,
+    _held_parts,
     _parts,
     _walk,
     explore,
@@ -42,6 +45,7 @@ from .nets import (
     Verdict,
     _Canonical,
     _check_budget,
+    _kept,
     is_correctly_labeled,
 )
 
@@ -185,28 +189,31 @@ def compose_contract_nets(first: ContractNet, second: ContractNet) -> ContractNe
     return ContractNet(net=oplus(left, right), **terms)
 
 
+def _goal_split(cn: ContractNet) -> list[tuple[tuple, frozenset]]:
+    """The goal split of ``cn`` (``analysis._parts``), split once per contract net and kept with it."""
+    return _kept(cn, "_parts", lambda: _parts(cn.net, cn.goals))
+
+
 def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, covering: bool) -> Verdict:
     """Whether every state can reach a credit-free state whose done set is a goal set or,
-    ``covering``, covers one (``analysis._goal_states``), read per component without a ``graph``."""
+    ``covering``, covers one (``analysis._goal_states``), read per component of the goal split
+    without a ``graph``, and on the component walks a ``graph`` holds (``analysis._held_parts``)."""
     def stuck_detail(stuck: Node) -> str:
         cfg = configuration(cn, stuck)
         return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
 
-    def targets(graph: ReachGraph, goals: frozenset) -> Callable:
-        return lambda: _goal_states(cn.net, graph, goals, covering)
-
     _check_budget(budget)
     if graph is None:
-        parts = _parts(cn.net, cn.goals)
+        parts = _goal_split(cn)
         fields, walked = _walk(cn.net, [(rows, None) for rows, _ in parts], (), budget)
-        walks = [ReachGraph(cn.net, fields, walk) for walk in walked]
-        shares = [share for _, share in parts]
+        reads = [(ReachGraph(cn.net, fields, walk), share) for walk, (_, share) in zip(walked, parts)]
     else:
-        walks, shares = [graph], [cn.goals]
-        if not graph.complete:
-            budget = len(graph)
-    return _first_stuck([(g, targets(g, share)) for g, share in zip(walks, shares)],
-                        f"exploration budget {budget} exhausted", stuck_detail)
+        reads = _held_parts(cn.net, graph, lambda: _goal_split(cn))
+        if reads is None:
+            reads = [(graph, cn.goals)]
+            if not graph.complete:
+                budget = len(graph)
+    return _first_stuck(_goal_targets(cn.net, reads, covering), f"exploration budget {budget} exhausted", stuck_detail)
 
 
 def weakly_terminates_in(
@@ -216,7 +223,8 @@ def weakly_terminates_in(
 ) -> Verdict:
     """Every node must be able to reach an honored node whose done set is a goal set.
 
-    Without a ``graph`` the net is decided one independent component at a time.
+    Without a ``graph`` the net is decided one independent component at a time, and so is a
+    graph that holds its component walks (``analysis._held_parts``).
     """
     return _all_can_reach(cn, budget, graph, covering=False)
 
@@ -240,11 +248,14 @@ def agreement_reachable(
     This is the net-side agreement check: reachability of a covering honored configuration,
     with the node found as witness, whose ``describe()`` is the detail, built on first read.
     Without a ``graph`` each component's walk stops at its first credit-free state whose done
-    set covers a goal set of its share (``_parts``), and the witness joins them.
+    set covers a goal set of its share (``_parts``), and the witness joins them; on a graph that
+    holds its component walks, their first such states are joined alike (``_covering_join``).
     """
     _check_budget(budget)
     if graph is None:
-        witness, complete = _covering_walks(cn.net, cn.goals, budget)
+        witness, complete = _covering_walks(cn.net, _goal_split(cn), budget)
+    elif (reads := _held_parts(cn.net, graph, lambda: _goal_split(cn))) is not None:
+        witness, complete = _covering_join(cn.net, graph, reads), True
     else:
         found = next(_goal_states(cn.net, graph, cn.goals, covering=True), None)
         witness, complete = None if found is None else graph._node(found), graph.complete

@@ -34,18 +34,19 @@ in turn from one shared root.  A component is a tuple of the layout's rows.
 A row keeps its index in the layout, so each state a component's walk keeps
 is the product node with every other component at its root.  ``explore``
 splits a net of four or more components of two or more rows each the same
-way: its graph holds the component walks, the contract checks and
-configuration readers read them (``_held_parts``, ``_configurations``), and
-the product, the one-part walk of every row, is walked when its lists or
-edges are first read.  Every other graph is that one-part walk.  The README,
-"How independent components are decided", proves the answers equal those of
-the product graph.  Every ``Node`` is read off a walk's states, or joined from
-walks' last states (``_covering_walks``), and shares its net's ``_Layout``,
-the one table the net keeps besides its components, both in its instance
-dict (``nets._kept``).  This module is the one reader of the layout: the goal
-split (``_parts``), the label reads (``_reading``, ``_credits``, ``_done_set``)
-and the goal reads (``_goal_states``) are here, and other modules pass nets,
-graphs and nodes.
+way: its graph holds every component walk as a graph, and the product, the
+one-part walk of every row, is walked when its lists or edges are first read.
+Every other graph is that one-part walk.  The contract checks read a graph as
+a list of parts, each with its goals (``_held_parts``): the walks it holds
+with their shares of the goal split, or else the graph itself with every
+goal.  The README, "How independent components are decided", proves the
+answers equal those of the product graph.  Every ``Node`` is read off a
+walk's states, or joined from parts' states (``_joined``), and shares its
+net's ``_Layout``, the one table the net keeps besides its components, both
+in its instance dict (``nets._kept``).  This module is the one reader of the
+layout: the goal split (``_parts``), the label reads (``_reading``,
+``_credits``, ``_done_set``) and the goal reads (``_goal_states``) are here,
+and other modules pass nets, graphs and nodes.
 
 Each edge fires one more transition than its source, so breadth-first order
 is topological: ``src < dst`` for every edge.  A walk lists a node's edges
@@ -77,7 +78,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress, takewhile
 from math import prod
 from operator import itemgetter, mul
@@ -273,8 +273,8 @@ class ReachGraph:
     walk writes each state's edges as it expands it, in state order, so every edge leads to a
     later node and a node's out-edges are one slice of ``edges``.  ``nodes`` is built on first
     read.  The lists are slots, so the instance dict holds only the graph's fields and what its
-    readers keep (``nets._kept``).  A graph of a split net holds its component walks instead
-    (``_SplitGraph``).
+    readers keep (``nets._kept``), which a copy or pickle (``__reduce__``) leaves out.  A graph of
+    a split net holds its component walks instead (``_SplitGraph``).
     """
 
     __slots__ = ("_packs", "_keys", "_fields", "_layout", "__dict__")
@@ -287,6 +287,9 @@ class ReachGraph:
         self.__dict__.update(net=net, edges=tuple(edges), complete=complete)
         for name, value in zip(self.__slots__, (packs, keys, fields, _layout(net))):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return ReachGraph, (self.net, self._fields, (self._packs, self._keys, self.edges, self.complete))
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -341,12 +344,12 @@ class _SplitGraph(ReachGraph):
     """The complete graph ``explore`` gives a split net: it holds the net's component walks and not
     yet their product (README, "A split graph").
 
-    ``_held`` is ``(parts, size, budget)``: per component its walk as a graph, or None when the
-    walk kept only the root, the product's node count, and the budget.  The product's lists and
-    ``edges``, and so its nodes, are walked under that budget on their first read (``_product``),
-    once, and the graph then reads as the one the whole walk gives.  The parts are a slot, so the
-    instance dict holds what a ``ReachGraph``'s does.  Only this class looks up a missing
-    attribute (``__getattr__``), which slows every attribute read, so a graph of one walk does not.
+    ``_held`` is ``(parts, size, budget)``: per component its walk as a graph, the product's node
+    count, and the budget.  The product's lists and ``edges``, and so its nodes, are walked under
+    that budget on their first read (``_product``), once, and the graph then reads as the one the
+    whole walk gives.  The parts are a slot, so the instance dict holds what a ``ReachGraph``'s
+    does.  Only this class looks up a missing attribute (``__getattr__``), which slows every
+    attribute read, so a graph of one walk does not.  A copy holds the parts, not the product.
     """
 
     __slots__ = ("_held",)
@@ -355,6 +358,9 @@ class _SplitGraph(ReachGraph):
         self.__dict__.update(net=net, complete=True)
         for name, value in (("_fields", fields), ("_layout", _layout(net)), ("_held", (parts, size, budget))):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return _SplitGraph, (self.net, self._fields, *self._held)
 
     def __getattr__(self, name: str):
         """``_packs``, ``_keys`` or ``edges`` before the product is walked: the product's, walked now."""
@@ -416,9 +422,10 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
     A net with four or more components (``_components``) of two or more
     transitions each is split (README, "A split graph"): its components are
     walked in one ``_walk`` call, and when every walk is complete and the
-    product of their state counts is within ``budget``, the graph holds the
-    walks (``_SplitGraph``) and its length is that product; its lists,
-    ``edges`` and nodes are the product's, walked on first read.  Otherwise,
+    product of their state counts is within ``budget``, the graph holds each
+    walk as a graph (``_SplitGraph``), one that kept only its root too, and
+    its length is that product; its lists, ``edges`` and nodes are the
+    product's, walked on first read.  Otherwise,
     and for every other net, it is the walk of every row of the layout, the
     whole net (``_explored``), so an incomplete graph keeps ``budget`` states.
     """
@@ -431,8 +438,7 @@ def explore(net: LendingNet, budget: int = DEFAULT_BUDGET) -> ReachGraph:
         if len(walks) == len(components) and walks[-1][3]:
             size = prod([len(walk[0]) for walk in walks])
             if size <= budget:
-                parts = tuple([ReachGraph(net, fields, walk) if len(walk[0]) > 1 else None for walk in walks])
-                return _SplitGraph(net, fields, parts, size, budget)
+                return _SplitGraph(net, fields, tuple([ReachGraph(net, fields, walk) for walk in walks]), size, budget)
     return _explored(net, budget)
 
 
@@ -875,16 +881,15 @@ def _configurations(net: LendingNet, graph: ReachGraph,
 
     Of a graph that holds its parts (``_held``), they are the product of its parts' sets: a
     product state's done set and credits are the disjoint unions of its parts' (README, "The
-    product"), and a part that kept only its root adds none."""
+    product")."""
     held = _held(net, graph)
     if held is None:
         return _state_configurations(net, graph, credit_free, _reading(net, graph._layout, graph._fields))
     reading = _reading(net, graph._layout, graph._fields)
     product = {(frozenset(), frozenset())}
     for part in held:
-        if part is not None:
-            sets = set(_state_configurations(net, part, credit_free, reading))
-            product = {(done | more, credits | owed) for done, credits in product for more, owed in sets}
+        sets = set(_state_configurations(net, part, credit_free, reading))
+        product = {(done | more, credits | owed) for done, credits in product for more, owed in sets}
     return product
 
 
@@ -909,31 +914,15 @@ def _held(net: LendingNet, graph: ReachGraph) -> tuple | None:
     return graph._held[0]
 
 
-def _held_parts(net: LendingNet, graph: ReachGraph,
-                split: Callable[[], Sequence[tuple[tuple, frozenset]]]) -> list[tuple[ReachGraph, frozenset]] | None:
-    """The component walks ``graph`` holds (``_held``), each with its share of the goal split
-    ``split()`` (``_parts``), called only for such a graph, as the goal checks read them; None
-    when the product is read, as it also is when the goals do not split.
-
-    A walk that kept only its root is dropped when the root is a goal state of its share: the
-    root is credit-free, no initial count being below 0, and its done set is empty, so the root
-    is a goal state exactly when the share holds the empty set.  Otherwise the walk stays, as a
-    one-state graph with no goal state.
-    """
+def _held_parts(net: LendingNet, graph: ReachGraph, goals: Iterable[frozenset[Atom]],
+                split: Callable[[], Sequence[tuple[tuple, frozenset]]]) -> list[tuple[ReachGraph, Iterable]]:
+    """``graph`` as the goal checks read it, a list of ``(part, goals)`` pairs: the component walks
+    it holds (``_held``), each with its share of the goal split ``split()`` (``_parts``), called
+    only for such a graph, when the goals split into as many shares; else ``graph`` with ``goals``."""
     held = _held(net, graph)
-    if held is None:
-        return None
-    parts = split()
-    if len(parts) != len(held):
-        return None
-    reads = []
-    for part, (_, share) in zip(held, parts):
-        if part is None:
-            if frozenset() in share:
-                continue
-            part = ReachGraph(net, graph._fields, ([graph._fields.root], [0], [], True))
-        reads.append((part, share))
-    return reads
+    if held is not None and len(parts := split()) == len(held):
+        return [(part, share) for part, (_, share) in zip(held, parts)]
+    return [(graph, goals)]
 
 
 def _credit_free_states(net: LendingNet, graph: ReachGraph) -> list[tuple[int, int]]:
@@ -960,14 +949,7 @@ def _done_test(net: LendingNet, layout: _Layout, fields: _Fields, goals: Iterabl
     grants is never met.
     """
     _, _, lift, masks = _reading(net, layout, fields)
-    return _key_test(lift, masks, sum(masks.values()), goals, covering)
-
-
-def _key_test(lift: int, masks: Mapping[Atom, int], every: int, goals: Iterable[frozenset[Atom]],
-              covering: bool) -> Callable[[int], bool]:
-    """``_done_test`` from the read of the labels, ``lift`` and ``masks`` (``_reading``), and ``every``,
-    the sum of the masks."""
-    tests = []
+    every, tests = sum(masks.values()), []
     for goal in goals:
         if goal <= masks.keys():
             need = [masks[a] for a in goal]
@@ -996,35 +978,6 @@ def _goal_states(net: LendingNet, graph: ReachGraph, goals: Iterable[frozenset[A
     return (i for i, key in _credit_free_states(net, graph) if done(key))
 
 
-def _goal_reads(net: LendingNet, reads: Sequence[tuple[ReachGraph, Iterable[frozenset[Atom]]]],
-                covering: bool) -> list[list[int]]:
-    """The goal states (``_goal_states``) of each ``(graph, goals)`` of ``reads``, graphs of one
-    packing, listed in one pass: ``net``'s labels are read once for them all (``_reading``)."""
-    if not reads:
-        return []
-    _, _, lift, masks = _reading(net, reads[0][0]._layout, reads[0][0]._fields)
-    every, found = sum(masks.values()), []
-    for graph, goals in reads:
-        done = _key_test(lift, masks, every, goals, covering)
-        found.append([i for i, key in _credit_free_states(net, graph) if done(key)])
-    return found
-
-
-def _goal_targets(net: LendingNet, reads: Sequence[tuple[ReachGraph, Iterable[frozenset[Atom]]]],
-                  covering: bool) -> list[tuple[ReachGraph, Callable[[], list[int]]]]:
-    """``_first_stuck``'s parts for ``reads``: each graph with its goal states, listed for all of
-    them in one pass (``_goal_reads``) on the first read, which ``_first_stuck`` makes only when
-    every graph is complete."""
-    found = []
-
-    def targets(k: int) -> list[int]:
-        if not found:
-            found.extend(_goal_reads(net, reads, covering))
-        return found[k]
-
-    return [(graph, partial(targets, k)) for k, (graph, _) in enumerate(reads)]
-
-
 def _joined(fields: _Fields, layout: _Layout, ends: Iterable[tuple[int, int]]) -> Node:
     """The product node of one state ``(packed, key)`` per part, every other part at its root: the
     root counts plus each part's change and the sum of their keys (README, "The agreement witness")."""
@@ -1034,15 +987,17 @@ def _joined(fields: _Fields, layout: _Layout, ends: Iterable[tuple[int, int]]) -
     return Node(packed, key, fields, layout)
 
 
-def _covering_join(net: LendingNet, graph: ReachGraph, reads: Iterable[tuple[ReachGraph, frozenset]]) -> Node | None:
-    """Agreement on a graph that holds its parts, read as ``reads`` (``_held_parts``): the join
-    (``_joined``) of each part's first credit-free state whose done set covers a set of its share,
-    or None when some part has none."""
-    found = _goal_reads(net, reads, True)
-    if not all(found):
-        return None
-    return _joined(graph._fields, graph._layout,
-                   [(part._packs[states[0]], part._keys[states[0]]) for (part, _), states in zip(reads, found)])
+def _covering_join(net: LendingNet, graph: ReachGraph, reads: Iterable[tuple[ReachGraph, Iterable]]) -> Node | None:
+    """Agreement on ``graph`` read as ``reads`` (``_held_parts``): the join (``_joined``) of each
+    part's first credit-free state whose done set covers a set of its goals (``_goal_states``), or
+    None when some part has none."""
+    ends = []
+    for part, goals in reads:
+        i = next(_goal_states(net, part, goals, True), None)
+        if i is None:
+            return None
+        ends.append((part._packs[i], part._keys[i]))
+    return _joined(graph._fields, graph._layout, ends)
 
 
 def _covering_walks(net: LendingNet, parts: Sequence[tuple[tuple, frozenset]], budget: int) -> tuple[Node | None, bool]:
@@ -1155,7 +1110,7 @@ def urgent_for_done_set(
     if not wanted <= net.alphabet:
         raise NetStructureError(f"done atoms outside the alphabet: {sorted(wanted - net.alphabet)}")
     if graph is None:
-        graph = explore(net, budget)
+        graph = _explored(net, budget)
     done = _done_test(net, graph._layout, graph._fields, [wanted], covering=False)
     chosen = [i for i, key in enumerate(graph._keys) if done(key)]
     return _urgent(net.transition_labels, graph._fields.owe, [(graph._packs, graph.edges, graph.complete, chosen)])

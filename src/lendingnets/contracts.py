@@ -4,9 +4,11 @@ A contract net adds to a lending net an ownership map from atoms to
 participants, the set of participants actually bound by the net, and a
 family of goal sets of atoms.  Its shape is constrained so that every node
 of the reachability graph reads back as a pair (done atoms, atoms in debt):
-the configuration of the node.  The checks on a graph read only its
-credit-free states, those where no labeled place owes, and their done sets,
-by mask (``analysis._goal_states``): they build no node but the one they report.
+the configuration of the node.  The checks on a graph read it as a list of
+parts, each with its goals (``analysis._held_parts``), and read only the
+parts' credit-free states, those where no labeled place owes, and their done
+sets, by mask (``analysis._goal_states``): they build no node but the one
+they report.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .analysis import (
     _first_stuck,
     _fires_at_most_once,
     _goal_states,
-    _goal_targets,
     _held_parts,
     _parts,
     _walk,
@@ -197,7 +198,7 @@ def _goal_split(cn: ContractNet) -> list[tuple[tuple, frozenset]]:
 def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, covering: bool) -> Verdict:
     """Whether every state can reach a credit-free state whose done set is a goal set or,
     ``covering``, covers one (``analysis._goal_states``), read per component of the goal split
-    without a ``graph``, and on the component walks a ``graph`` holds (``analysis._held_parts``)."""
+    without a ``graph``, and on the parts a ``graph`` reads as (``analysis._held_parts``)."""
     def stuck_detail(stuck: Node) -> str:
         cfg = configuration(cn, stuck)
         return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
@@ -208,12 +209,10 @@ def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, cover
         fields, walked = _walk(cn.net, [(rows, None) for rows, _ in parts], (), budget)
         reads = [(ReachGraph(cn.net, fields, walk), share) for walk, (_, share) in zip(walked, parts)]
     else:
-        reads = _held_parts(cn.net, graph, lambda: _goal_split(cn))
-        if reads is None:
-            reads = [(graph, cn.goals)]
-            if not graph.complete:
-                budget = len(graph)
-    return _first_stuck(_goal_targets(cn.net, reads, covering), f"exploration budget {budget} exhausted", stuck_detail)
+        reads, budget = _held_parts(cn.net, graph, cn.goals, lambda: _goal_split(cn)), len(graph)
+    targets = [(part, lambda part=part, goals=goals: _goal_states(cn.net, part, goals, covering))
+               for part, goals in reads]
+    return _first_stuck(targets, f"exploration budget {budget} exhausted", stuck_detail)
 
 
 def weakly_terminates_in(
@@ -223,8 +222,8 @@ def weakly_terminates_in(
 ) -> Verdict:
     """Every node must be able to reach an honored node whose done set is a goal set.
 
-    Without a ``graph`` the net is decided one independent component at a time, and so is a
-    graph that holds its component walks (``analysis._held_parts``).
+    The net is decided one independent component at a time, and so is a graph that holds its
+    component walks (``analysis._held_parts``); any other graph is the one part.
     """
     return _all_can_reach(cn, budget, graph, covering=False)
 
@@ -248,17 +247,16 @@ def agreement_reachable(
     This is the net-side agreement check: reachability of a covering honored configuration,
     with the node found as witness, whose ``describe()`` is the detail, built on first read.
     Without a ``graph`` each component's walk stops at its first credit-free state whose done
-    set covers a goal set of its share (``_parts``), and the witness joins them; on a graph that
-    holds its component walks, their first such states are joined alike (``_covering_join``).
+    set covers a goal set of its share (``_parts``), and the witness joins them; a graph's parts
+    (``analysis._held_parts``), its component walks or the graph itself, have their first such
+    states joined alike (``_covering_join``).
     """
     _check_budget(budget)
     if graph is None:
         witness, complete = _covering_walks(cn.net, _goal_split(cn), budget)
-    elif (reads := _held_parts(cn.net, graph, lambda: _goal_split(cn))) is not None:
-        witness, complete = _covering_join(cn.net, graph, reads), True
     else:
-        found = next(_goal_states(cn.net, graph, cn.goals, covering=True), None)
-        witness, complete = None if found is None else graph._node(found), graph.complete
+        reads = _held_parts(cn.net, graph, cn.goals, lambda: _goal_split(cn))
+        witness, complete = _covering_join(cn.net, graph, reads), graph.complete
     if witness is not None:
         return Verdict._on_read(Outcome.HOLDS, None, witness.describe)
     if complete:

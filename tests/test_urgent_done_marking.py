@@ -91,7 +91,7 @@ def test_one_walk_of_the_smaller_net(monkeypatch):
     """pairs(4) after a0, a1: 7 states kept by the component walks, against 225 nodes for the recompiled net."""
     kept, explored = [], []
     walk = lendingnets.analysis._walk
-    explore = lendingnets.analysis.explore
+    explore = lendingnets.analysis._explored
 
     def counting_walk(*args, **kwargs):
         # Only the component walk counts, not the walk of ``explore``.
@@ -106,7 +106,7 @@ def test_one_walk_of_the_smaller_net(monkeypatch):
         return graph
 
     monkeypatch.setattr(lendingnets.analysis, "_walk", counting_walk)
-    monkeypatch.setattr(lendingnets.analysis, "explore", counting_explore)
+    monkeypatch.setattr(lendingnets.analysis, "_explored", counting_explore)
     c = pairs_contract(4)
     assert urgent_via_net(c, {"a0", "a1"}) == frozenset({"b0", "b1", "a2", "a3"})
     assert kept == [7] and explored == []

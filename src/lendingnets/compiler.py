@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .analysis import _consumed_part, _urgent_at_root
-from .compose import oplus, trace_equivalent, widen_alphabet
+from .compose import oplus, trace_equivalent
 from .contracts import ContractNet, agreement_reachable
 from .logic import HornClause, PCLContract, _owned, compose_contracts, with_facts
 from .nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict, _check_budget, _kept
@@ -66,8 +66,9 @@ def compile_contract(c: PCLContract, prune: bool = False) -> ContractNet:
     return _kept(c, "_compiled", lambda: _compile(c, c.atoms()))
 
 
-def _compile(c: PCLContract, extra: frozenset[Atom]) -> ContractNet:
-    """The contract net of ``c`` with the delivery places of each clause's body and of ``extra``."""
+def _compile(c: PCLContract, extra: frozenset[Atom], alphabet: frozenset[Atom] | None = None) -> ContractNet:
+    """The contract net of ``c`` with the delivery places of each clause's body and of ``extra``,
+    over ``alphabet`` (by default ``c.atoms()``)."""
     clauses = sorted(c.clauses, key=HornClause.sort_key)
     tids = [clause_tid(cl) for cl in clauses]
     heads = sorted({cl.head for cl in clauses})
@@ -97,7 +98,7 @@ def _compile(c: PCLContract, extra: frozenset[Atom]) -> ContractNet:
         transition_labels={tid: cl.head for cl, tid in zip(clauses, tids)},
         initial={star_pid(a): 1 for a in heads},
         lending=lending,
-        alphabet=c.atoms(),
+        alphabet=c.atoms() if alphabet is None else alphabet,
     )
     return ContractNet(net=net, participants=c.participants, ownership=c.ownership, goals=c.goals)
 
@@ -171,11 +172,16 @@ def compile_compose_commutes(
     HOLDS at once when the two nets have the same consumed part: their runs,
     and so their words, are the same (README, "Compositionality from the
     consumed parts").  Otherwise their words are listed (``trace_equivalent``).
-    Every compilation of a contract has the same consumed part, so the pruned
-    ones are compared, not the full ones, which are quadratic in size.
+    Every compilation of a contract has the same consumed part, and the
+    consumed part of an ``oplus`` depends on its operands' alone: it adds
+    only arcs from transitions to places and drops only places no transition
+    consumes.  So the consumed-places nets are compared, linear in size: the
+    composition's, and each side's compiled over the joint alphabet, which
+    is not the side's own, so the side keeps no net.
     """
-    joint = compile_contract(compose_contracts(first, second), prune=True).net
-    left, right = widen_alphabet([compile_contract(first, prune=True).net, compile_contract(second, prune=True).net])
+    union = first.atoms() | second.atoms()
+    joint = _urgency_net(compose_contracts(first, second)).net
+    left, right = (_compile(side, frozenset(), union).net for side in (first, second))
     return _same_traces(joint, oplus(left, right), budget)
 
 

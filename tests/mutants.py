@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 
 ANALYSIS, CONTRACTS, NETS = "src/lendingnets/analysis.py", "src/lendingnets/contracts.py", "src/lendingnets/nets.py"
+COMPILER, COMPOSE = "src/lendingnets/compiler.py", "src/lendingnets/compose.py"
 
 MUTANTS = (
     Mutant("id-screen-backslash", NETS, '"\\\\" not in joined and ', "",
@@ -47,7 +48,7 @@ MUTANTS = (
     Mutant("argv-value-starting-with-dash", "src/lendingnets/cli.py",
            'if i == len(argv) or argv[i][:1] == "-":', "if i == len(argv):",
            "the plain argv screen takes an option as the value of the one before it"),
-    Mutant("included-on-incomplete-left", "src/lendingnets/compose.py",
+    Mutant("included-on-incomplete-left", COMPOSE,
            "    if left_done and not missing:", "    if not missing:",
            "trace inclusion holds though the left listing is incomplete"),
     Mutant("urgency-without-closure", ANALYSIS,
@@ -100,6 +101,44 @@ MUTANTS = (
            "reads, budget = _held_parts(cn.net, graph, cn.goals, lambda: _goal_split(cn)), len(graph)",
            "reads = _held_parts(cn.net, graph, cn.goals, lambda: _goal_split(cn))",
            "an incomplete graph's INCONCLUSIVE names the budget passed, not the states it kept"),
+    Mutant("compile-ignores-alphabet", COMPILER,
+           "alphabet=c.atoms() if alphabet is None else alphabet,", "alphabet=c.atoms(),",
+           "each side of the commutation check keeps its own alphabet, so their oplus raises"),
+    Mutant("commutation-sides-compiled-in-full", COMPILER,
+           "left, right = (_compile(side, frozenset(), union).net", "left, right = (_compile(side, union, union).net",
+           "the sides are compiled with every delivery place: the same verdicts from quadratic nets"),
+    Mutant("commutation-joint-pruned", COMPILER,
+           "joint = _urgency_net(compose_contracts(first, second)).net",
+           "joint = compile_contract(compose_contracts(first, second), prune=True).net",
+           "the composition is compiled with its heads' delivery places: the same verdicts from a quadratic net"),
+    Mutant("commutation-over-first-alphabet", COMPILER,
+           "union = first.atoms() | second.atoms()", "union = first.atoms()",
+           "the sides are compiled over the first side's alphabet, not the composition's"),
+    Mutant("consumed-part-without-alphabet", ANALYSIS,
+           "        net.alphabet,\n        layout.places,", "        layout.places,",
+           "nets over different alphabets pass as equal, past trace_equivalent's one-universe check"),
+    Mutant("consumed-part-without-start", ANALYSIS,
+           "        layout.start,\n        {(layout.labels[k]", "        {(layout.labels[k]",
+           "nets that differ only in their initial counts pass as trace equivalent"),
+    Mutant("consumed-part-without-guard", ANALYSIS,
+           "frozenset(pre), frozenset(guard), frozenset(post)", "frozenset(pre), frozenset(post)",
+           "nets that differ only in which inputs lend pass as trace equivalent"),
+    Mutant("oplus-drops-consumed-places", COMPOSE,
+           "if s not in consumed and atom in granted}", "if atom in granted}",
+           "oplus drops a consumed place whose label the partner grants, not only a sink"),
+    Mutant("walk-root-counted-per-part", ANALYSIS,
+           "budget -= len(packs) - 1", "budget -= len(packs)",
+           "the component walks count their shared root once per part"),
+    Mutant("walk-budget-edge", ANALYSIS,
+           "if len(packs) >= budget:", "if len(packs) > budget:",
+           "a walk keeps one state more than its budget"),
+    Mutant("covering-walks-cut-short-read-complete", ANALYSIS,
+           "return None, walks[-1][3]", "return None, True",
+           "agreement without a graph FAILS where a walk the budget cut short leaves it INCONCLUSIVE"),
+    Mutant("urgency-reads-incomplete-walks", ANALYSIS,
+           "        if not complete:\n            raise IncompleteExplorationError(\"urgency",
+           "        if False:\n            raise IncompleteExplorationError(\"urgency",
+           "urgency answers from walks the budget cut short"),
 )
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -257,10 +257,14 @@ class Node:
         return frozenset(compress(self._layout.transitions, self._vector))
 
     def describe(self) -> str:
-        marking, fired = self._read()
-        marks = ", ".join(f"{p}={n}" for p, n in marking) or "empty"
-        fires = ", ".join(t if n == 1 else f"{t}x{n}" for t, n in fired) or "none"
-        return f"marking [{marks}] fired [{fires}]"
+        return _described(*self._read())
+
+
+def _described(marking: Iterable[tuple[PlaceId, int]], fired: Iterable[tuple[TransitionId, int]]) -> str:
+    """``Node.describe``'s text of a node's ``marking`` and ``fired`` pairs."""
+    marks = ", ".join(f"{p}={n}" for p, n in marking) or "empty"
+    fires = ", ".join(t if n == 1 else f"{t}x{n}" for t, n in fired) or "none"
+    return f"marking [{marks}] fired [{fires}]"
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -13,9 +13,9 @@ every other one and writes every usage, help and error text.  The parser and
 the table are built once per process: ``parse_args`` fills a fresh namespace
 on each call, and nothing writes to either.
 
-``check wt`` and ``check agreement`` decide a contract on its consumed-places
-net (``compiler._urgency_net``); only a failing ``check wt`` compiles the full
-net, whose stuck node its detail names.
+``check wt`` and ``check agreement`` decide a contract once, on its consumed-places
+net (``compiler._urgency_net``); a failing ``check wt`` names its stuck node as the
+full net reads it (``compiler._full_text``), so no check compiles the full net.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .analysis import trace_set, urgent_for_done_set, weakly_terminates
-from .compiler import _urgency_net, compile_contract
+from .compiler import _full_text, _urgency_net, compile_contract
 from .compose import compose_many, widen_alphabet
 from .dot import export_dot
 from .errors import DocumentError, IncompleteExplorationError, ToolkitError
@@ -41,7 +41,7 @@ from .formats import (
     serialize_contract,
     serialize_net,
 )
-from .contracts import agreement_reachable, weakly_terminates_in
+from .contracts import _all_can_reach, agreement_reachable
 from .logic import admits_agreement, bounded_proof_traces, compose_contracts, urgent_logic
 from .nets import DEFAULT_BUDGET, Outcome, Verdict, _check_budget
 
@@ -263,9 +263,7 @@ def cmd_check_wt(args) -> int:
     if kind == "net":
         verdict = weakly_terminates(doc.net, doc.goal_like(), args.budget)
     else:
-        verdict = weakly_terminates_in(_urgency_net(doc), args.budget)
-        if verdict.outcome is Outcome.FAILS:  # the stuck node's text lists the full net's sink places
-            verdict = weakly_terminates_in(compile_contract(doc), args.budget)
+        verdict = _all_can_reach(_urgency_net(doc), args.budget, None, False, functools.partial(_full_text, doc))
     return _answer(f"weak termination: {verdict.outcome.value}", verdict)
 
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .analysis import _consumed_part, _urgent_at_root
+from .analysis import Node, _consumed_part, _described, _urgent_at_root
 from .compose import oplus, trace_equivalent
-from .contracts import ContractNet, agreement_reachable
+from .contracts import ContractNet, _agreement, configuration
 from .logic import HornClause, PCLContract, _owned, compose_contracts, with_facts
 from .nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict, _check_budget, _kept
 
@@ -117,11 +117,20 @@ def extend_with_facts(c: PCLContract, atoms: Iterable[Atom]) -> PCLContract:
 def agreement_via_net(c: PCLContract, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide agreement on the compiled net: reach an honored covering node.
 
-    Each independent component of the net is searched alone up to its first
-    honored state covering its part of the goals; the witness joins those
-    states (README, "How independent components are decided").
+    Each independent component of ``_urgency_net(c)`` is searched alone up to its first
+    honored state covering its part of the goals; the witness joins those states (README,
+    "How independent components are decided"), and ``_full_text`` names it.
     """
-    return agreement_reachable(compile_contract(c), budget)
+    return _agreement(_urgency_net(c), budget, None, lambda node: _full_text(c, node))
+
+
+def _full_text(c: PCLContract, node: Node) -> str:
+    """``compile_contract(c)``'s ``describe()`` of ``node``, a node of ``_urgency_net(c)``: a sink ``x@t``,
+    x not in clause t's body, is fed by every x-headed transition, and x is granted at most once, so
+    it holds 1 when x is done, else 0 (README, "Compositionality from the consumed parts")."""
+    done = configuration(_urgency_net(c), node).done
+    sinks = {delivery_pid(x, cl): 1 for cl in c.clauses for x in done - cl.body}
+    return _described(sorted({**dict(node.marking), **sinks}.items()), node.fired)
 
 
 def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_BUDGET) -> frozenset[Atom]:
@@ -151,9 +160,9 @@ def _urgency_net(c: PCLContract) -> ContractNet:
     """A contract net of ``c`` whose walks decide it, kept in ``c``'s instance dict.
 
     Every walk reads only the consumed part, the same in every compilation of
-    ``c``, so any kept net will do; only a node's ``describe()`` also lists the
-    sink places.  Otherwise only the consumed places are built, since the full
-    net is quadratic in size, and that net is kept.
+    ``c``, so any kept net will do, and ``_full_text`` gives a node's text as
+    the full net reads it.  Otherwise only the consumed places are built, since
+    the full net is quadratic in size, and that net is kept.
     """
     kept = vars(c)
     for name in ("_urgency_net", "_pruned", "_compiled"):

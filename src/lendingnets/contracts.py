@@ -13,7 +13,7 @@ they report.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -195,13 +195,14 @@ def _goal_split(cn: ContractNet) -> list[tuple[tuple, frozenset]]:
     return _kept(cn, "_parts", lambda: _parts(cn.net, cn.goals))
 
 
-def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, covering: bool) -> Verdict:
-    """Whether every state can reach a credit-free state whose done set is a goal set or,
-    ``covering``, covers one (``analysis._goal_states``), read per component of the goal split
-    without a ``graph``, and on the parts a ``graph`` reads as (``analysis._held_parts``)."""
+def _all_can_reach(cn: ContractNet, budget: int, graph: ReachGraph | None, covering: bool,
+                   describe: Callable[[Node], str] = lambda node: node.describe()) -> Verdict:
+    """Whether every state can reach a credit-free state whose done set is a goal set or, ``covering``,
+    covers one (``analysis._goal_states``), read per component of the goal split without a ``graph``, and
+    on the parts a ``graph`` reads as (``analysis._held_parts``); a stuck node's text is ``describe(node)``."""
     def stuck_detail(stuck: Node) -> str:
         cfg = configuration(cn, stuck)
-        return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {stuck.describe()}"
+        return f"stuck at done={sorted(cfg.done)} credits={sorted(cfg.credits)}: {describe(stuck)}"
 
     _check_budget(budget)
     if graph is None:
@@ -251,6 +252,12 @@ def agreement_reachable(
     (``analysis._held_parts``), its component walks or the graph itself, have their first such
     states joined alike (``_covering_join``).
     """
+    return _agreement(cn, budget, graph)
+
+
+def _agreement(cn: ContractNet, budget: int, graph: ReachGraph | None,
+               describe: Callable[[Node], str] = lambda node: node.describe()) -> Verdict:
+    """``agreement_reachable``, with the witness's text ``describe(witness)``."""
     _check_budget(budget)
     if graph is None:
         witness, complete = _covering_walks(cn.net, _goal_split(cn), budget)
@@ -258,7 +265,7 @@ def agreement_reachable(
         reads = _held_parts(cn.net, graph, cn.goals, lambda: _goal_split(cn))
         witness, complete = _covering_join(cn.net, graph, reads), graph.complete
     if witness is not None:
-        return Verdict._on_read(Outcome.HOLDS, None, witness.describe)
+        return Verdict._on_read(Outcome.HOLDS, None, lambda: describe(witness))
     if complete:
         return Verdict.fails(detail="no honored node covers a goal set")
     return Verdict.inconclusive(f"exploration budget {budget if graph is None else len(graph)} exhausted")

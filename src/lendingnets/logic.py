@@ -137,9 +137,9 @@ class PCLContract(_Canonical):
     builds from the contract, each on first use (``nets._kept``):
     ``_compiled`` and ``_pruned``, the contract nets of ``compile_contract``
     without and with ``prune``, and ``_urgency_net``, the consumed-places net
-    that net-side urgency, ``lpn check`` and the commutation check (on the
-    composition) compile when neither is kept.  None takes part in ``==``,
-    ``hash`` or ``repr``.
+    that net-side urgency, ``agreement_via_net``, ``lpn check`` and the
+    commutation check (on the composition) decide on when neither is kept.
+    None takes part in ``==``, ``hash`` or ``repr``.
     """
 
     clauses: frozenset[HornClause] = frozenset()

@@ -1,8 +1,13 @@
 """The ``lpn check`` handlers as they were before a contract was decided on
 its consumed-places net, kept as the oracle for that route.
 
-Copied unchanged apart from their imports: both compile the full net of a
-contract, one delivery place per atom and clause.
+Copied unchanged apart from their imports.  ``cmd_check_wt`` compiles the
+full net of a contract, one delivery place per atom and clause, and names a
+stuck node as that net reads it.  ``cmd_check_agreement`` calls
+``agreement_via_net``, which compiled the full net when it was copied and
+now walks the consumed-places net too; the texts it prints, of FAILS and
+INCONCLUSIVE, name no node, and ``test_check_route.py`` checks
+``agreement_via_net`` against ``agreement_reachable`` on the full compile.
 """
 
 from __future__ import annotations

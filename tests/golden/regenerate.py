@@ -109,6 +109,9 @@ def commands() -> list[list[str]]:
         ["check", "wt", large, "--budget", "201"],
         ["check", "agreement", large, "--via", "net", "--budget", "200"],
     ]
+    # That contract with a clause granting c, which no goal holds: its stuck
+    # text lists the full net's sink places, named by the sink rule.
+    cases += [["check", "wt", "tests/golden/pairs100_stuck.pcl"]]
     return cases
 
 

@@ -1,13 +1,14 @@
-"""The budgets of net-side urgency, of agreement without a graph and of the whole-net walks,
-pinned at their edges.
+"""The budgets of net-side urgency, of agreement and covering weak termination without a graph
+and of the whole-net walks, pinned at their edges.
 
 Urgency and agreement walk the independent components of the net in one
 ``_walk`` call.  The walks share one root state, so the budget counts it
 once plus each component's further states (README, "How independent
 components are decided").  ``pairs_contract(3)`` has three components of
 three states each from the initial marking: the root, a credit taken, and
-both atoms granted.  ``weakly_terminates`` and ``urgent_for_done_set`` walk
-the whole net, whose 27 states are the product of the three.  For each
+both atoms granted.  ``weakly_terminates``, ``urgent_for_done_set`` and
+``honored_done_sets`` walk the whole net, whose 27 states are the product of
+the three.  For each
 search the least budget at which it decides is found, its answer is asserted
 there, and one state less must leave it undecided.
 """
@@ -21,8 +22,11 @@ from lendingnets import (
     PCLContract,
     agreement_reachable,
     compile_contract,
+    honored_done_sets,
     urgent_via_net,
     weakly_terminates,
+    weakly_terminates_covering,
+    weakly_terminates_in,
 )
 from lendingnets.analysis import urgent_for_done_set
 from lendingnets.compiler import _urgency_net
@@ -35,6 +39,7 @@ def least_budget(decides) -> int:
 
 
 def urgent_decides(urgent, *args):
+    """``decides(budget)``: whether ``urgent(*args, budget)`` answers without raising ``IncompleteExplorationError``."""
     def decides(budget):
         try:
             urgent(*args, budget)
@@ -106,3 +111,26 @@ def test_net_weak_termination_at_its_least_budget():
     assert weakly_terminates(net, honored, 27).outcome is Outcome.HOLDS
     short = weakly_terminates(net, honored, 26)
     assert short.outcome is Outcome.INCONCLUSIVE and short.detail == "exploration budget 26 exhausted"
+
+
+def test_covering_weak_termination_without_a_graph_at_its_least_budget():
+    """Only a0 is wanted: every state can reach one whose done set covers {a0}, though none has it exactly."""
+    c = pairs_contract(3)
+    cn = _urgency_net(PCLContract(clauses=c.clauses, participants=c.participants, ownership=c.ownership,
+                                  goals=[{"a0"}]))
+    decides = lambda budget: weakly_terminates_covering(cn, budget).outcome is not Outcome.INCONCLUSIVE
+    assert least_budget(decides) == 7
+    assert weakly_terminates_covering(cn, 7).outcome is Outcome.HOLDS
+    assert weakly_terminates_in(cn, 7).outcome is Outcome.FAILS
+    short = weakly_terminates_covering(cn, 6)
+    assert short.outcome is Outcome.INCONCLUSIVE and short.detail == "exploration budget 6 exhausted"
+
+
+def test_honored_done_sets_without_a_graph_at_its_least_budget():
+    """Each handshake is honored before its credit or after both its atoms: eight done sets."""
+    cn = _urgency_net(pairs_contract(3))
+    assert least_budget(urgent_decides(honored_done_sets, cn)) == 27
+    want = {frozenset().union(*({f"a{j}", f"b{j}"} for j in range(3) if mask >> j & 1)) for mask in range(8)}
+    assert honored_done_sets(cn, 27) == want
+    with pytest.raises(IncompleteExplorationError, match="configurations need a complete reachability graph"):
+        honored_done_sets(cn, 26)

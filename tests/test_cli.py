@@ -303,13 +303,16 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_a_detail_that_cannot_be_built_exits_4_before_the_verdict_line(self, monkeypatch, capsys):
-        """A verdict builds its detail on first read; the line is printed only after that read."""
+        """A verdict builds its detail on first read; the line is printed only after that read.
+        A ``.pcl``'s stuck node is described by the sink rule, a ``.lpn``'s by ``Node.describe``."""
+        from lendingnets import cli
         from lendingnets.analysis import Node
 
-        def broken(node):
+        def broken(*args):
             raise RuntimeError("no text")
 
         monkeypatch.setattr(Node, "describe", broken)
+        monkeypatch.setattr(cli, "_full_text", broken)
         code, out, err = run(capsys, "check", "wt", TOY_PARTS[0])
         assert (code, out, err) == (4, "", "internal error: RuntimeError: no text\n")
 

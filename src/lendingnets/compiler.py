@@ -128,9 +128,9 @@ def _full_text(c: PCLContract, node: Node) -> str:
     """``compile_contract(c)``'s ``describe()`` of ``node``, a node of ``_urgency_net(c)``: a sink ``x@t``,
     x not in clause t's body, is fed by every x-headed transition, and x is granted at most once, so
     it holds 1 when x is done, else 0 (README, "Compositionality from the consumed parts")."""
-    done = configuration(_urgency_net(c), node).done
-    sinks = {delivery_pid(x, cl): 1 for cl in c.clauses for x in done - cl.body}
-    return _described(sorted({**dict(node.marking), **sinks}.items()), node.fired)
+    done, marking = configuration(_urgency_net(c), node).done, dict(node.marking)
+    marking.update((f"{x}@{tid}", 1) for cl in c.clauses for tid in (clause_tid(cl),) for x in done - cl.body)
+    return _described(((p, marking[p]) for p in sorted(marking)), node.fired)
 
 
 def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_BUDGET) -> frozenset[Atom]:

@@ -53,11 +53,10 @@ def oplus(left: LendingNet, right: LendingNet) -> LendingNet:
     places = (left.places | right.places) - gone
     flow = {(x, y) for x, y in left.flow | right.flow if x not in gone and y not in gone}
     for src, dst in ((left, right), (right, left)):
-        surviving: dict[str, list[str]] = {}
-        for s, atom in dst.place_labels.items():
-            if s in places:
-                surviving.setdefault(atom, []).append(s)
-        flow.update((t, s) for t, atom in src.transition_labels.items() for s in surviving.get(atom, ()))
+        for t, atom in src.transition_labels.items():
+            for s, place_atom in dst.place_labels.items():
+                if place_atom == atom and s in places:
+                    flow.add((t, s))
     return LendingNet(
         places=places,
         transitions=left.transitions | right.transitions,

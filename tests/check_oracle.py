@@ -1,13 +1,12 @@
 """The ``lpn check`` handlers as they were before a contract was decided on
 its consumed-places net, kept as the oracle for that route.
 
-Copied unchanged apart from their imports.  ``cmd_check_wt`` compiles the
-full net of a contract, one delivery place per atom and clause, and names a
-stuck node as that net reads it.  ``cmd_check_agreement`` calls
-``agreement_via_net``, which compiled the full net when it was copied and
-now walks the consumed-places net too; the texts it prints, of FAILS and
-INCONCLUSIVE, name no node, and ``test_check_route.py`` checks
-``agreement_via_net`` against ``agreement_reachable`` on the full compile.
+Copied unchanged apart from their imports and one call: both compile the
+full net of a contract, one delivery place per atom and clause, and name a
+node as that net reads it.  ``cmd_check_agreement`` calls
+``agreement_reachable(compile_contract(doc), ...)``, the body
+``agreement_via_net`` had when it was copied, so that it stays a walk of the
+full compile now that ``agreement_via_net`` walks the consumed-places net.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import sys
 
 from lendingnets.analysis import weakly_terminates
 from lendingnets.cli import _NET_ANSWER, EXIT_ERROR, EXIT_FAILS, EXIT_OK, _answer, _read_document
-from lendingnets.compiler import agreement_via_net, compile_contract
-from lendingnets.contracts import weakly_terminates_in
+from lendingnets.compiler import compile_contract
+from lendingnets.contracts import agreement_reachable, weakly_terminates_in
 from lendingnets.logic import admits_agreement
 from lendingnets.nets import Outcome
 
@@ -41,7 +40,7 @@ def cmd_check_agreement(args) -> int:
         print(f"agreement (logic): {'true' if answer else 'false'}")
         return EXIT_OK if answer else EXIT_FAILS
     logical = admits_agreement(doc) if args.via == "both" else None
-    verdict = agreement_via_net(doc, args.budget)
+    verdict = agreement_reachable(compile_contract(doc), args.budget)
     if args.via == "net" or verdict.outcome is Outcome.INCONCLUSIVE:
         return _answer(f"agreement (net): {_NET_ANSWER[verdict.outcome]}", verdict)
     net_answer = verdict.outcome is Outcome.HOLDS

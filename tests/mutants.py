@@ -140,10 +140,10 @@ MUTANTS = (
            "        if False:\n            raise IncompleteExplorationError(\"urgency",
            "urgency answers from walks the budget cut short"),
     Mutant("sink-rule-every-atom", COMPILER,
-           "for x in done - cl.body}", "for x in c.atoms() - cl.body}",
+           "for x in done - cl.body)", "for x in c.atoms() - cl.body)",
            "the full net's text marks a sink of every atom, granted or not"),
     Mutant("sink-rule-own-body", COMPILER,
-           "for x in done - cl.body}", "for x in done}",
+           "for x in done - cl.body)", "for x in done)",
            "the full net's text also sets a clause's own body places, consumed ones among them, to 1"),
     Mutant("stuck-text-plain-describe", "src/lendingnets/cli.py",
            "False, functools.partial(_full_text, doc))", "False)",
@@ -151,9 +151,6 @@ MUTANTS = (
     Mutant("agreement-text-plain-describe", COMPILER,
            "budget, None, lambda node: _full_text(c, node))", "budget, None)",
            "agreement_via_net's witness text is the consumed-places net's, without the sink places"),
-    Mutant("oplus-arcs-to-dropped-sinks", COMPOSE,
-           "            if s in places:\n", "            if True:\n",
-           "oplus indexes the partner's dropped sinks too and adds arcs to places it removed"),
 )
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -27,7 +27,6 @@ from lendingnets import (
     trace_equivalent,
     widen_alphabet,
 )
-from lendingnets.compiler import _compile
 
 from fixtures import (
     circular_lending_net,
@@ -40,7 +39,6 @@ from fixtures import (
     handshake_strict_b,
 )
 from generators import compatible_contract_pair, random_net
-from oplus_oracle import pairwise_oplus
 
 
 def giver(prefix: str, gives: str, consumer: bool = False) -> LendingNet:
@@ -173,26 +171,6 @@ class TestOplusStructure:
             left = random_net(rng, "l")
             right = random_net(rng, "r")
             assert oplus(left, right) == oplus(right, left)
-
-    def test_indexed_cross_arcs_equal_the_pairwise_loop(self):
-        """``oplus`` equals the loop that paired every labeled transition with every labeled place of the
-        partner (``oplus_oracle``): on random nets, and on compiled contract pairs over one alphabet, full
-        (with sinks to drop) and of consumed places alone, each side compiled as the commutation check does."""
-        rng = random.Random(0x0B)
-        pairs = [(random_net(rng, "l"), random_net(rng, "r")) for _ in range(80)]
-        for _ in range(60):
-            first, second = compatible_contract_pair(rng)
-            union = first.atoms() | second.atoms()
-            pairs.append(widen_alphabet([compile_contract(first).net, compile_contract(second).net]))
-            pairs.append(tuple(_compile(side, frozenset(), union).net for side in (first, second)))
-        crossed = dropped = 0
-        for left, right in pairs:
-            composed = oplus(left, right)
-            assert composed == pairwise_oplus(left, right), (left, right)
-            assert composed.flow == pairwise_oplus(left, right).flow
-            crossed += bool(composed.flow - left.flow - right.flow)
-            dropped += bool((left.places | right.places) - composed.places)
-        assert crossed >= 60 and dropped >= 30, (crossed, dropped)
 
     def test_associative_on_fixture_triple(self):
         x, y, z = handshake_strict_a(), handshake_strict_b(), handshake_lending_a()

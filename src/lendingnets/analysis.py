@@ -92,6 +92,7 @@ from .nets import (
     TransitionId,
     Verdict,
     _check_budget,
+    _consumed,
     _kept,
 )
 
@@ -107,6 +108,8 @@ class _Layout:
     counts each done atom sets (``_done_marking``), built on first use.  ``marking``
     reads the other places by the state equation, from the net's ``initial`` counts and
     transitions' postsets ``post``: the layout is kept with the net, so it holds no reference to it.
+    A net whose sinks are deferred (``nets._deferred``) shares its consumed net's layout but for
+    ``post``, its own outputs, which build the sinks on first read (``nets._Sinks``).
     """
 
     initial: Mapping[PlaceId, int]
@@ -621,10 +624,22 @@ def _urgent(labels: Mapping[TransitionId, Atom], owe: tuple[int, int], parts: It
 
 
 def _layout(net: LendingNet) -> _Layout:
-    """The layout of the nodes walked on ``net``, with its rows, built once per net and kept with it."""
+    """The layout of the nodes walked on ``net``, with its rows, built once per net and kept with it.
+
+    A net whose sinks are deferred reads its consumed net's (``nets._consumed``), with the rows and
+    the packings shared, and its own outputs for a node's sinks.
+    """
     layout = vars(net).get("_layout")
     if layout is not None:  # read before a builder is made: every walk's set-up reads it
         return layout
+    consumed = _consumed(net)
+    if consumed is not net:
+        def share() -> _Layout:
+            s = _layout(consumed)
+            return _Layout(s.initial, net._post, s.places, s.at, s.start, s.transitions, s.labels, s.owing, s.once,
+                           s.steps, s.tables, s.marks)
+
+        return _kept(net, "_layout", share)
 
     def build() -> _Layout:
         places = tuple(sorted(frozenset().union(*net._pre.values())))
@@ -695,7 +710,9 @@ def _consumed_part(net: LendingNet) -> tuple:
 
 
 def _components(net: LendingNet) -> tuple[tuple, ...]:
-    """The independent components of ``net`` (``_split``), split once per net and kept with it."""
+    """The independent components of ``net`` (``_split``), split once per net and kept with it, or with
+    its consumed net when its sinks are deferred (``nets._consumed``): their rows are the same."""
+    net = _consumed(net)
     return _kept(net, "_components", lambda: tuple(_split(net)))
 
 
@@ -838,7 +855,8 @@ def _reading(net: LendingNet, layout: _Layout,
              fields: _Fields) -> tuple[dict[Atom, int], tuple[int, int], int, dict[Atom, int]]:
     """``(credits, free, lift, masks)``: how ``net``'s labels read the states of a walk packed by
     ``fields`` over ``layout``, the one place they meet.  For the layout's own net (its layout is
-    the one kept on ``net``, ``_layout``) it is built once per ``_Fields`` and kept there.
+    the one kept on ``net``, ``_layout``) it is built once per ``_Fields`` and kept there, and the
+    labels are read on its consumed net (``nets._consumed``), so a deferred sink is not built.
 
     ``credits`` maps each label that ``net`` puts on a place that can owe (``owing``) to the top
     bits of those places' count fields: a state's credits are the labels whose mask its owed read
@@ -854,7 +872,8 @@ def _reading(net: LendingNet, layout: _Layout,
     if own and fields.reading is not None:
         return fields.reading
     top, credits, masks = fields.width - 1, {}, {}
-    labeled = [(net.place_labels[p], fields.units[k]) for p, k in layout.owing.items() if p in net.place_labels]
+    place_labels = (_consumed(net) if own else net).place_labels
+    labeled = [(place_labels[p], fields.units[k]) for p, k in layout.owing.items() if p in place_labels]
     for label, unit in labeled:
         credits[label] = credits.get(label, 0) | unit << top
     free = fields.owe
@@ -1030,15 +1049,16 @@ def _covering_walks(net: LendingNet, parts: Sequence[tuple[tuple, frozenset]], b
 def _done_marking(net: LendingNet, layout: _Layout, done: Iterable[Atom]) -> tuple[tuple[int, int], ...]:
     """The done marking of ``done`` (README, "How net-side urgency works") as a ``_walk`` start, the
     ``(k, n)`` counts it sets: 1 on each place labeled with a done atom, 0 on each place ``net`` marks
-    that a transition labeled with one consumes.  What each label sets is kept per net (``marks``)."""
+    that a transition labeled with one consumes.  What each label sets is kept per net (``marks``),
+    read off the layout and the labels of the consumed net (``nets._consumed``)."""
     if layout.marks is None:
-        marks = {}
+        marks, place_labels = {}, _consumed(net).place_labels
         for k, p in enumerate(layout.places):
-            if p in net.place_labels:
-                marks.setdefault(net.place_labels[p], []).append((k, 1))
+            if p in place_labels:
+                marks.setdefault(place_labels[p], []).append((k, 1))
         for k, _, _, pre, _ in layout.steps:
             if layout.labels[k] is not None:
-                spent = [(j, 0) for j in pre if net.initial.get(layout.places[j], 0) >= 1]
+                spent = [(j, 0) for j in pre if layout.start[j] >= 1]
                 marks.setdefault(layout.labels[k], []).extend(spent)
         layout.marks = marks
     return tuple({k: n for a in done for k, n in layout.marks.get(a, ())}.items())

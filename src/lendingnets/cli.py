@@ -16,6 +16,8 @@ on each call, and nothing writes to either.
 ``check wt`` and ``check agreement`` decide a contract once, on its consumed-places
 net (``compiler._urgency_net``); a failing ``check wt`` names its stuck node as the
 full net reads it (``compiler._full_text``), so no check compiles the full net.
+``compile`` and ``dot`` print every place, so they compile the whole net at once
+(``compiler._whole``), with no consumed-places net first.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .analysis import trace_set, urgent_for_done_set, weakly_terminates
-from .compiler import _full_text, _urgency_net, compile_contract
+from .compiler import _full_text, _urgency_net, _whole
 from .compose import compose_many, widen_alphabet
 from .dot import export_dot
 from .errors import DocumentError, IncompleteExplorationError, ToolkitError
@@ -228,7 +230,7 @@ def cmd_compile(args) -> int:
     if kind != "contract":
         print("compile expects a contract document", file=sys.stderr)
         return EXIT_ERROR
-    compiled = compile_contract(doc, prune=args.prune)
+    compiled = _whole(doc, args.prune)
     _emit(serialize_net(contract_net_document(compiled)), args.output)
     return EXIT_OK
 
@@ -320,7 +322,7 @@ def cmd_dot(args) -> int:
     kind, doc = _read_document(args.file)
     name = Path(args.file).stem
     if kind == "contract":
-        text = export_dot(compile_contract(doc), name=name)
+        text = export_dot(_whole(doc), name=name)
     else:
         text = export_dot(doc.net, name=name)
     _emit(text, args.output)

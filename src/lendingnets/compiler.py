@@ -14,12 +14,16 @@ full net has all of them and ``prune`` keeps those of the clause heads and of
 each clause's own body.  So every compilation of a contract has the same
 consumed part: the places some transition consumes (the control places and
 each clause's body delivery places), the transitions and the arcs and labels
-among them.  ``compile_contract`` compiles a contract once per ``prune``
-flag and keeps the net with the contract.  Net-side urgency reads only the
-consumed part: it walks the components of a compilation that is already
-kept, or else compiles and keeps a net of the body delivery places alone,
-and starts each done set's walk from that set's marking, set by label
-(``analysis._done_marking``).  Compiling a composition and composing the
+among them.  Every walk reads only that part, so a contract's consumed-places
+net is compiled once and kept with it (``_urgency_net``): net-side urgency,
+``agreement_via_net`` and ``lpn check`` decide on it, and urgency starts each
+done set's walk from that set's marking, set by label
+(``analysis._done_marking``).  ``compile_contract`` keeps one net per
+``prune`` flag with the contract, which shares that net's consumed part, its
+layout and its components, and builds its sinks, the delivery places no
+transition consumes, on the first read that lists them (``nets._deferred``).
+``lpn compile`` and ``lpn dot``, which print every place, compile the whole
+net at once (``_whole``).  Compiling a composition and composing the
 compilations give nets with the same consumed part, which decides their
 traces without listing a word.
 """
@@ -27,12 +31,13 @@ traces without listing a word.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import partial
 
 from .analysis import Node, _consumed_part, _described, _urgent_at_root
 from .compose import oplus, trace_equivalent
 from .contracts import ContractNet, _agreement, configuration
 from .logic import HornClause, PCLContract, _owned, compose_contracts, with_facts
-from .nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict, _check_budget, _kept
+from .nets import DEFAULT_BUDGET, Atom, LendingNet, Verdict, _check_budget, _deferred, _kept
 
 
 def clause_tid(clause: HornClause) -> str:
@@ -60,16 +65,44 @@ def compile_contract(c: PCLContract, prune: bool = False) -> ContractNet:
     clause heads and of its own clause's body, the ones some transition
     touches, which changes nothing observable.  Each contract is compiled
     once per ``prune`` flag: the net is kept in its instance dict.
+
+    The net's consumed part is the consumed-places net's (``_urgency_net``),
+    compiled once per contract, and shared with it, as are its layout and
+    components.  The sinks, the delivery places no transition consumes, are
+    built by this compile loop through the validating constructor on the
+    first read that lists them (``nets._deferred``), and no walk reads them.
     """
-    if prune:
-        return _kept(c, "_pruned", lambda: _compile(c, frozenset(cl.head for cl in c.clauses)))
-    return _kept(c, "_compiled", lambda: _compile(c, c.atoms()))
+    extra = _delivered(c, prune)
+
+    def deferred() -> ContractNet:
+        net = _deferred(_urgency_net(c).net, partial(_net, c.clauses, extra, c.atoms()))
+        return ContractNet(net=net, participants=c.participants, ownership=c.ownership, goals=c.goals)
+
+    return _kept(c, "_pruned" if prune else "_compiled", deferred)
+
+
+def _delivered(c: PCLContract, prune: bool) -> frozenset[Atom]:
+    """The atoms every transition of ``compile_contract(c, prune)`` has a delivery place for."""
+    return frozenset(cl.head for cl in c.clauses) if prune else c.atoms()
+
+
+def _whole(c: PCLContract, prune: bool = False) -> ContractNet:
+    """``compile_contract(c, prune)`` with every place built at once, not kept: for a reader of every
+    place (``lpn compile``, ``lpn dot``), which would build the sinks at once anyway."""
+    return _compile(c, _delivered(c, prune))
 
 
 def _compile(c: PCLContract, extra: frozenset[Atom], alphabet: frozenset[Atom] | None = None) -> ContractNet:
     """The contract net of ``c`` with the delivery places of each clause's body and of ``extra``,
     over ``alphabet`` (by default ``c.atoms()``)."""
-    clauses = sorted(c.clauses, key=HornClause.sort_key)
+    net = _net(c.clauses, extra, c.atoms() if alphabet is None else alphabet)
+    return ContractNet(net=net, participants=c.participants, ownership=c.ownership, goals=c.goals)
+
+
+def _net(theory: Iterable[HornClause], extra: frozenset[Atom], alphabet: frozenset[Atom]) -> LendingNet:
+    """The net of the clauses of ``theory`` with the delivery places of each clause's body and of
+    ``extra``, over ``alphabet``."""
+    clauses = sorted(theory, key=HornClause.sort_key)
     tids = [clause_tid(cl) for cl in clauses]
     heads = sorted({cl.head for cl in clauses})
 
@@ -90,7 +123,7 @@ def _compile(c: PCLContract, extra: frozenset[Atom], alphabet: frozenset[Atom] |
                 lending.append(pid)
     flow += [(tid, pid) for cl, tid in zip(clauses, tids) for pid in delivered.get(cl.head, ())]
 
-    net = LendingNet(
+    return LendingNet(
         places=frozenset(place_labels).union(map(star_pid, heads)),
         transitions=tids,
         flow=flow,
@@ -98,9 +131,8 @@ def _compile(c: PCLContract, extra: frozenset[Atom], alphabet: frozenset[Atom] |
         transition_labels={tid: cl.head for cl, tid in zip(clauses, tids)},
         initial={star_pid(a): 1 for a in heads},
         lending=lending,
-        alphabet=c.atoms() if alphabet is None else alphabet,
+        alphabet=alphabet,
     )
-    return ContractNet(net=net, participants=c.participants, ownership=c.ownership, goals=c.goals)
 
 
 def extend_with_facts(c: PCLContract, atoms: Iterable[Atom]) -> PCLContract:
@@ -121,6 +153,7 @@ def agreement_via_net(c: PCLContract, budget: int = DEFAULT_BUDGET) -> Verdict:
     honored state covering its part of the goals; the witness joins those states (README,
     "How independent components are decided"), and ``_full_text`` names it.
     """
+    _check_budget(budget)
     return _agreement(_urgency_net(c), budget, None, lambda node: _full_text(c, node))
 
 
@@ -153,21 +186,18 @@ def urgent_via_net(c: PCLContract, done: Iterable[Atom], budget: int = DEFAULT_B
     holds it, holding one token.  No place is named and no marking is built.
     """
     done = _owned(c, done)
+    _check_budget(budget)
     return _urgent_at_root(_urgency_net(c).net, budget, done)
 
 
 def _urgency_net(c: PCLContract) -> ContractNet:
-    """A contract net of ``c`` whose walks decide it, kept in ``c``'s instance dict.
+    """The consumed-places net of ``c``, whose walks decide it, kept in ``c``'s instance dict.
 
     Every walk reads only the consumed part, the same in every compilation of
-    ``c``, so any kept net will do, and ``_full_text`` gives a node's text as
-    the full net reads it.  Otherwise only the consumed places are built, since
-    the full net is quadratic in size, and that net is kept.
+    ``c``, so only the consumed places are built, since the full net is
+    quadratic in size, and ``_full_text`` gives a node's text as the full net
+    reads it.  Every ``compile_contract(c, prune)`` shares this net's consumed part.
     """
-    kept = vars(c)
-    for name in ("_urgency_net", "_pruned", "_compiled"):
-        if name in kept:
-            return kept[name]
     return _kept(c, "_urgency_net", lambda: _compile(c, frozenset()))
 
 
@@ -188,6 +218,7 @@ def compile_compose_commutes(
     composition's, and each side's compiled over the joint alphabet, which
     is not the side's own, so the side keeps no net.
     """
+    _check_budget(budget)
     union = first.atoms() | second.atoms()
     joint = _urgency_net(compose_contracts(first, second)).net
     left, right = (_compile(side, frozenset(), union).net for side in (first, second))

@@ -135,11 +135,12 @@ class PCLContract(_Canonical):
     Besides ``_canon``, the instance dict keeps ``_atoms``, the atoms that
     ``atoms`` returns, read once by the validation, and what the compiler
     builds from the contract, each on first use (``nets._kept``):
-    ``_compiled`` and ``_pruned``, the contract nets of ``compile_contract``
-    without and with ``prune``, and ``_urgency_net``, the consumed-places net
-    that net-side urgency, ``agreement_via_net``, ``lpn check`` and the
-    commutation check (on the composition) decide on when neither is kept.
-    None takes part in ``==``, ``hash`` or ``repr``.
+    ``_urgency_net``, the consumed-places net that net-side urgency,
+    ``agreement_via_net``, ``lpn check`` and the commutation check (on the
+    composition) decide on, and ``_compiled`` and ``_pruned``, the contract
+    nets of ``compile_contract`` without and with ``prune``, which share its
+    consumed part and build their sinks when read (``nets._deferred``).
+    None takes part in ``==``, ``hash``, ``repr``, a copy or a pickle.
     """
 
     clauses: frozenset[HornClause] = frozenset()

@@ -8,11 +8,15 @@ that lends drives that place's count negative, recording a debt.  A marking
 is honored when no place is in debt.
 
 Nets, contracts and contract nets are equal when their fields are: each
-compares and hashes a sorted key built on first comparison.  What the
-modules above derive from one of these immutable values (its compiled net,
-a net's consumed-places table and components, a graph's nodes, node index
-and credit-free states) is built once and kept in the value's instance dict
-(``_kept``).
+compares and hashes a sorted key built on first comparison, and a copy or
+pickle carries the fields alone.  What the modules above derive from one of
+these immutable values (its compiled net, a net's consumed-places table and
+components, a graph's nodes, node index and credit-free states) is built
+once and kept in the value's instance dict (``_kept``).
+
+A net may have its sinks, the places no transition consumes, built on first
+read (``_deferred``): the walks read only the other places, and a compiled
+contract has many more sinks than consumed places.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import re
 from collections import Counter, deque
 from collections.abc import Callable, Collection, Iterable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 
@@ -156,7 +160,8 @@ def _kept(owner, name: str, build: Callable[[], object]):
 
 
 class _Canonical:
-    """Equality and hash by ``_canon``, a cached property each subclass defines."""
+    """Equality and hash by ``_canon``, a cached property each subclass defines.  A copy or pickle
+    (``__reduce__``) carries the dataclass fields alone, and none of what the instance dict keeps."""
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -165,6 +170,9 @@ class _Canonical:
 
     def __hash__(self):
         return hash(self._canon)
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f.name) for f in fields(self)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +187,9 @@ class LendingNet(_Canonical):
 
     The arcs are indexed once, by transition: ``_pre`` and ``_post`` map each transition, and
     nothing else, to its input and its output places.  A compiled contract has many more places
-    than transitions, so a place keeps no arc table of its own (``preset``, ``postset``).
+    than transitions, so a place keeps no arc table of its own (``preset``, ``postset``).  A net
+    made by ``_deferred`` builds ``places``, ``flow``, ``place_labels``, ``lending`` and ``_post``,
+    the fields that list its sinks, on the first read of one of them (``_Listed``).
     """
 
     places: frozenset[PlaceId] = frozenset()
@@ -297,6 +307,73 @@ class LendingNet(_Canonical):
     def with_alphabet(self, atoms: Iterable[Atom]) -> "LendingNet":
         """Same net over a (usually wider) alphabet."""
         return replace(self, alphabet=frozenset(_not_one_string(atoms, "atom")))
+
+
+class _Sinks(Mapping):
+    """A ``_deferred`` net's ``_post`` until its sinks are built: the transitions' outputs of the net
+    ``build()`` gives, built through the validating constructor on the first read, once, and kept
+    (``net``).  It holds no reference to the deferred net, so the net's layout can keep it."""
+
+    __slots__ = ("_build", "_net")
+
+    def __init__(self, build: Callable[[], LendingNet]):
+        self._build, self._net = build, None
+
+    def net(self) -> LendingNet:
+        if self._net is None:
+            self._net, self._build = self._build(), None
+        return self._net
+
+    def __getitem__(self, transition: TransitionId) -> frozenset[PlaceId]:
+        return self.net()._post[transition]
+
+    def __iter__(self):
+        return iter(self.net()._post)
+
+    def __len__(self) -> int:
+        return len(self.net()._post)
+
+
+class _Listed:
+    """A field of ``LendingNet`` that lists the sinks.  A net reads it from its instance dict, ahead of
+    this class attribute; a ``_deferred`` net lacks it there until the first read of one, which
+    takes every field and the arc tables of the net its ``_Sinks`` builds."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, net, owner=None):
+        if net is None:
+            return self
+        kept = vars(net)
+        whole = vars(kept["_post"].net())
+        kept.update([(name, whole[name]) for name in (*_FIELDS, "_pre", "_post")])
+        return kept[self.name]
+
+
+_FIELDS = tuple([f.name for f in fields(LendingNet)])
+for _name in ("places", "flow", "place_labels", "lending"):
+    setattr(LendingNet, _name, _Listed(_name))
+
+
+def _deferred(consumed: LendingNet, build: Callable[[], LendingNet]) -> LendingNet:
+    """The net ``build()`` gives, whose consumed part, the places some transition consumes with the
+    transitions and the arcs and labels among them, is ``consumed``'s: ``build()`` adds only sinks,
+    places no transition consumes, and the arcs into them.  Its transitions, their labels and input
+    places, its initial marking and its alphabet are ``consumed``'s, and the rest is built on the
+    first read that lists a sink (``_Listed``, ``_Sinks``), by ``build()``: the ordinary validating
+    constructor.  The walks read ``consumed`` (``_consumed``), so they build no sink."""
+    net, kept = object.__new__(LendingNet), vars(consumed)
+    vars(net).update(transitions=kept["transitions"], transition_labels=kept["transition_labels"],
+                     initial=kept["initial"], alphabet=kept["alphabet"], _pre=kept["_pre"], _post=_Sinks(build),
+                     _consumed=consumed)
+    return net
+
+
+def _consumed(net: LendingNet) -> LendingNet:
+    """A net with ``net``'s consumed part and labels on its consumed places, read without building a
+    sink: the consumed net of a ``_deferred`` net, else ``net`` itself."""
+    return vars(net).get("_consumed", net)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ MUTANTS = (
            "reads = _held_parts(cn.net, graph, cn.goals, lambda: _goal_split(cn))",
            "an incomplete graph's INCONCLUSIVE names the budget passed, not the states it kept"),
     Mutant("compile-ignores-alphabet", COMPILER,
-           "alphabet=c.atoms() if alphabet is None else alphabet,", "alphabet=c.atoms(),",
+           "c.atoms() if alphabet is None else alphabet)", "c.atoms())",
            "each side of the commutation check keeps its own alphabet, so their oplus raises"),
     Mutant("commutation-sides-compiled-in-full", COMPILER,
            "left, right = (_compile(side, frozenset(), union).net", "left, right = (_compile(side, union, union).net",
@@ -151,6 +151,26 @@ MUTANTS = (
     Mutant("agreement-text-plain-describe", COMPILER,
            "budget, None, lambda node: _full_text(c, node))", "budget, None)",
            "agreement_via_net's witness text is the consumed-places net's, without the sink places"),
+    Mutant("built-sinks-lose-lending", COMPILER,
+           "            if cl.contractual:\n                lending.append(pid)",
+           "            if cl.contractual and atom in cl.body:\n                lending.append(pid)",
+           "a sink of a contractual clause loses its lending flag when the sinks are built"),
+    Mutant("deferred-node-reads-consumed-post", ANALYSIS,
+           "return _Layout(s.initial, net._post, ", "return _Layout(s.initial, s.post, ",
+           "a compiled net's node reads its sinks with the consumed net's outputs, so its x@t=1 sinks vanish"),
+    Mutant("reading-builds-the-sinks", ANALYSIS,
+           "place_labels = (_consumed(net) if own else net).place_labels", "place_labels = net.place_labels",
+           "the deciders read a compiled net's place labels, which builds its sinks"),
+    Mutant("components-split-per-net", ANALYSIS,
+           '    net = _consumed(net)\n    return _kept(net, "_components"', '    return _kept(net, "_components"',
+           "a compiled net splits its components again instead of sharing its consumed net's"),
+    Mutant("pickles-carry-kept-values", NETS,
+           "    def __reduce__(self):\n        return type(self), tuple([getattr(self, f.name) for f in fields(self)])\n",
+           "",
+           "a pickled contract carries its compiled nets, their layouts and sort keys"),
+    Mutant("urgency-budget-read-after-compile", COMPILER,
+           "    done = _owned(c, done)\n    _check_budget(budget)\n", "    done = _owned(c, done)\n",
+           "urgent_via_net compiles and keeps the contract's net before it rejects a budget of 0"),
 )
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -10,7 +10,8 @@ both atoms granted.  ``weakly_terminates``, ``urgent_for_done_set`` and
 ``honored_done_sets`` walk the whole net, whose 27 states are the product of
 the three.  For each
 search the least budget at which it decides is found, its answer is asserted
-there, and one state less must leave it undecided.
+there, and one state less must leave it undecided.  A budget below 1 is
+rejected before anything is compiled.
 """
 
 import pytest
@@ -20,7 +21,10 @@ from lendingnets import (
     MarkingPredicate,
     Outcome,
     PCLContract,
+    ToolkitError,
     agreement_reachable,
+    agreement_via_net,
+    compile_compose_commutes,
     compile_contract,
     honored_done_sets,
     urgent_via_net,
@@ -134,3 +138,20 @@ def test_honored_done_sets_without_a_graph_at_its_least_budget():
     assert honored_done_sets(cn, 27) == want
     with pytest.raises(IncompleteExplorationError, match="configurations need a complete reachability graph"):
         honored_done_sets(cn, 26)
+
+
+BAD_BUDGET = {
+    "urgent_via_net": lambda c: urgent_via_net(c, (), 0),
+    "agreement_via_net": lambda c: agreement_via_net(c, 0),
+    # Composing a contract with itself binds its participants twice: the budget is read first.
+    "compile_compose_commutes": lambda c: compile_compose_commutes(c, c, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BUDGET))
+def test_a_budget_of_0_is_rejected_before_anything_is_compiled(name):
+    c = pairs_contract(2)
+    with pytest.raises(ToolkitError) as info:
+        BAD_BUDGET[name](c)
+    assert (type(info.value), str(info.value)) == (ToolkitError, "budget must be at least 1, got 0")
+    assert "_urgency_net" not in vars(c)

@@ -8,6 +8,8 @@ alone on ``pairs100_stuck.pcl``, whose stuck text lists about 400 sink
 places.  ``agreement_via_net``, which walks the same net and renders its
 witness by the same rule, is checked against ``agreement_reachable`` on the
 full compile, and no check builds a net with a place no transition consumes.
+Nor does any walk or decider on ``compile_contract(c)``, whose sinks are built
+only when read.
 """
 
 import contextlib
@@ -27,8 +29,14 @@ from lendingnets import (
     compile_contract,
     compiler,
     compose_contracts,
+    explore,
+    honored_done_sets,
     parse_contract,
+    reachable_configurations,
     serialize_contract,
+    urgent_via_net,
+    weakly_terminates_covering,
+    weakly_terminates_in,
 )
 from lendingnets.nets import DEFAULT_BUDGET
 
@@ -89,15 +97,17 @@ def test_checks_print_what_the_full_compile_printed(name, texts, budgets, tmp_pa
 
 
 def test_a_holding_check_never_calls_compile_contract(monkeypatch):
+    """Neither ``compile_contract`` nor the whole compile of ``lpn compile`` and ``lpn dot`` runs."""
     calls = []
-    compile_contract = compiler.compile_contract
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return compile_contract(*args, **kwargs)
+    def counting(compile_net):
+        def count(*args, **kwargs):
+            calls.append(args)
+            return compile_net(*args, **kwargs)
+        return count
 
-    monkeypatch.setattr(cli, "compile_contract", counting)
-    monkeypatch.setattr(compiler, "compile_contract", counting)
+    monkeypatch.setattr(cli, "_whole", counting(compiler._whole))
+    monkeypatch.setattr(compiler, "compile_contract", counting(compiler.compile_contract))
     for path in ("pairs12.pcl", "pairs100.pcl"):
         for command in COMMANDS:
             assert outputs([*command, str(GOLDEN / path)])[2] == 0
@@ -124,17 +134,28 @@ def test_agreement_via_net_gives_the_verdict_of_the_full_compile(budget):
     assert holding >= 10
 
 
-def test_no_check_builds_a_net_with_a_sink_place(monkeypatch):
-    """Every net built while ``lpn check`` and ``agreement_via_net`` decide a contract, stuck or not,
-    has only places some transition consumes: no full or pruned compile."""
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """Every net the validating constructor builds, in order."""
+    nets = []
     post_init = LendingNet.__post_init__
 
     def counting(net):
         post_init(net)
-        built.append(net)
+        nets.append(net)
 
     monkeypatch.setattr(LendingNet, "__post_init__", counting)
+    return nets
+
+
+def sinks(net: LendingNet) -> list[str]:
+    """The places of ``net`` that no transition consumes."""
+    return sorted(net.places - {p for t in net.transitions for p in net.preset(t)})
+
+
+def test_no_check_builds_a_net_with_a_sink_place(built):
+    """Every net built while ``lpn check`` and ``agreement_via_net`` decide a contract, stuck or not,
+    has only places some transition consumes: no full or pruned compile."""
     paths = [GOLDEN / name for name in ("disjoint_stuck.pcl", "pairs6.pcl", "pairs12.pcl", "pairs100_stuck.pcl")]
     paths += sorted((GOLDEN.parent.parent / "samples").glob("*.pcl"))
     codes = set()
@@ -146,5 +167,26 @@ def test_no_check_builds_a_net_with_a_sink_place(monkeypatch):
         agreement_via_net(c).detail
     assert codes >= {0, 1} and built
     for net in built:
-        consumed = {p for t in net.transitions for p in net.preset(t)}
-        assert net.places <= consumed, sorted(net.places - consumed)
+        assert sinks(net) == []
+
+
+def decided():
+    rng = random.Random(4503)
+    return [pairs_contract(n) for n in range(1, 7)] + [settled_pairs(n) for n in range(1, 7)] + [
+        credit_ring(n, side) for n, side in ((1, None), (2, None), (3, 0), (4, 2), (6, 3))] + [
+        random_contract(rng) for _ in range(300)]
+
+
+def test_no_decider_builds_the_sinks_of_a_compiled_net(built):
+    """The walks and deciders on ``compile_contract(c)`` build no net with a sink, with or without a
+    graph, and leave the compiled net's own sinks unbuilt (``nets._deferred``)."""
+    for c in decided():
+        cn = compile_contract(c)
+        graph = explore(cn.net)
+        for check in (agreement_reachable, weakly_terminates_in, weakly_terminates_covering):
+            check(cn).outcome, check(cn, graph=graph).outcome
+        honored_done_sets(cn), honored_done_sets(cn, graph=graph), reachable_configurations(cn, graph=graph)
+        for done in (frozenset(), frozenset(sorted(c.ownership)[:1]), frozenset(c.ownership)):
+            urgent_via_net(c, done)
+        assert "places" not in vars(cn.net), c
+    assert len(built) == len(decided()) and [net for net in built if sinks(net)] == []

@@ -3,16 +3,19 @@
 ``compile_contract(c, prune)`` keeps its net in ``c``'s instance dict, one
 per ``prune`` flag; a net keeps one table, its layout (``_layout``: the
 consumed places, the transitions and their rows), and its components, and
-no other derived table; urgency walks whichever compilation of ``c`` is kept, since
-every compilation has the same consumed part, and compiles the
-consumed-places net only when none is.  Answers must not depend on what was
+no other derived table.  Every compilation has the same consumed part, so a
+contract is compiled once, to its consumed-places net, which urgency walks:
+each ``compile_contract`` net shares it, with its layout and components, and
+builds its own sinks only when they are read.  Answers must not depend on what was
 compiled first, kept values must stay out of ``==``, ``hash`` and ``repr``,
-and none may keep its owner alive.  A graph's node index is keyed by fired
+and none may keep its owner alive, or be copied or pickled with it.  A graph's node index is keyed by fired
 pairs, so building it builds no marking.
 """
 
+import copy
 import gc
 import itertools
+import pickle
 import random
 import weakref
 from dataclasses import fields, replace
@@ -32,6 +35,7 @@ from lendingnets import (
     weakly_terminates_in,
 )
 from lendingnets.analysis import _Layout, _urgent_at_root
+from lendingnets.compiler import _urgency_net
 from lendingnets.nets import DEFAULT_BUDGET
 
 from compile_oracle import full_compile
@@ -77,9 +81,9 @@ def test_compile_contract_returns_one_object_per_contract_and_flag(compiled):
     assert compile_contract(c) is full and compile_contract(c, False) is full
     assert compile_contract(c, prune=True) is pruned and compile_contract(c, True) is pruned
     assert pruned is not full and pruned == full  # every atom of pairs(n) is a head
-    assert len(compiled) == 2
+    assert len(compiled) == 1  # the consumed-places net, which both share
     other = compile_contract(twin)
-    assert other is not full and other == full and len(compiled) == 3
+    assert other is not full and other == full and len(compiled) == 2
 
 
 @pytest.mark.parametrize("prune", [False, True])
@@ -90,7 +94,7 @@ def test_urgency_after_compile_contract_compiles_nothing(compiled, prune):
         for done in owned_subsets(c):
             urgent_via_net(c, done)
         assert compiled == []
-        assert compile_contract(c, prune=prune) is cn and "_urgency_net" not in vars(c)
+        assert compile_contract(c, prune=prune) is cn and vars(cn.net)["_consumed"] is _urgency_net(c).net
 
 
 ORDERS = {
@@ -130,7 +134,7 @@ def test_each_net_is_tabulated_once_across_the_checks(monkeypatch):
         for done in owned_subsets(c):
             urgent_via_net(c, done)
     explore(cn.net)
-    assert len(tabulated) == 1 and tabulated[0] is cn.net
+    assert len(tabulated) == 1 and tabulated[0] is _urgency_net(c).net
 
 
 def test_a_net_keeps_its_layout_and_components_and_no_other_table():
@@ -145,7 +149,12 @@ def test_a_net_keeps_its_layout_and_components_and_no_other_table():
     weakly_terminates_in(cn, graph=graph)
     # The adjacency maps and the sort key are the net's own, not tables derived for the walks.
     own = {f.name for f in fields(cn.net)} | {"_pre", "_post", "_canon"}
-    assert set(vars(cn.net)) - own == {"_layout", "_components"}
+    consumed = _urgency_net(c).net
+    assert set(vars(consumed)) - own == {"_layout", "_components"}
+    # The compiled net's sinks are deferred: it keeps the consumed net, and a layout that shares its rows.
+    assert set(vars(cn.net)) - own == {"_layout", "_consumed"}
+    layout, shared = vars(cn.net)["_layout"], vars(consumed)["_layout"]
+    assert layout.steps is shared.steps and layout.tables is shared.tables
 
 
 def test_kept_values_leave_equality_hash_and_repr_alone():
@@ -231,3 +240,17 @@ def test_a_node_of_another_net_with_the_same_firings_is_not_found():
         graph.index_of(node)
     with pytest.raises(NetStructureError, match="does not belong"):
         graph.out_edges(explore(compile_contract(pairs_contract(7)).net).nodes[-1])
+
+
+def test_copies_and_pickles_carry_the_fields_alone():
+    c = pairs_contract(30)
+    size = len(pickle.dumps(c))
+    cn = compile_contract(c, prune=True)
+    urgent_via_net(c, {"a0"})
+    agreement_reachable(cn, graph=explore(cn.net))
+    assert len(pickle.dumps(c)) == size
+    for value in (c, cn, cn.net, _urgency_net(c), _urgency_net(c).net):
+        fresh = type(value)(*[getattr(value, f.name) for f in fields(value)])
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert vars(clone).keys() == vars(fresh).keys(), type(value)
+            assert type(clone) is type(value) and clone == value and value == clone

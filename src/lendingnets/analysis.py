@@ -78,6 +78,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, takewhile
 from math import prod
 from operator import itemgetter, mul
@@ -91,6 +92,7 @@ from .nets import (
     PlaceId,
     TransitionId,
     Verdict,
+    _OnRead,
     _check_budget,
     _consumed,
     _kept,
@@ -109,7 +111,7 @@ class _Layout:
     reads the other places by the state equation, from the net's ``initial`` counts and
     transitions' postsets ``post``: the layout is kept with the net, so it holds no reference to it.
     A net whose sinks are deferred (``nets._deferred``) shares its consumed net's layout but for
-    ``post``, its own outputs, which build the sinks on first read (``nets._Sinks``).
+    ``post``, its own outputs: the builder of its sinks (``nets._Sinks``), which builds them once.
     """
 
     initial: Mapping[PlaceId, int]
@@ -352,41 +354,29 @@ class _SplitGraph(ReachGraph):
     yet their product (README, "A split graph").
 
     ``_held`` is ``(parts, size, budget)``: per component its walk as a graph, the product's node
-    count, and the budget.  The product's lists and ``edges``, and so its nodes, are walked under
-    that budget on their first read (``_product``), once, and the graph then reads as the one the
-    whole walk gives.  The parts are a slot, so the instance dict holds what a ``ReachGraph``'s
-    does.  Only this class looks up a missing attribute (``__getattr__``), which slows every
-    attribute read, so a graph of one walk does not.  A copy holds the parts, not the product.
+    count, and the budget.  The product's lists and ``edges``, and so its nodes, are those of the
+    whole walk under that budget (``_explored``), walked on the first read of one of them, once
+    (``nets._OnRead``), and the graph then reads as the one the whole walk gives.  Only this class
+    declares them so: a graph of one walk reads its lists from its slots.  A copy holds the parts,
+    not the product.
     """
 
     __slots__ = ("_held",)
 
     def __init__(self, net: LendingNet, fields: _Fields, parts: tuple, size: int, budget: int):
-        self.__dict__.update(net=net, complete=True)
+        self.__dict__.update(net=net, complete=True, _product=partial(_explored, net, budget))
         for name, value in (("_fields", fields), ("_layout", _layout(net)), ("_held", (parts, size, budget))):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return _SplitGraph, (self.net, self._fields, *self._held)
 
-    def __getattr__(self, name: str):
-        """``_packs``, ``_keys`` or ``edges`` before the product is walked: the product's, walked now."""
-        if name not in ("_packs", "_keys", "edges"):
-            raise AttributeError(name)
-        self._product()
-        return getattr(self, name)
-
-    def _product(self) -> None:
-        """Keep the lists and edges of the whole walk under the held budget (``_explored``), as
-        ``explore`` walks a net it does not split: the product of the parts (README, "The product")."""
-        whole = _explored(self.net, self._held[2])
-        object.__setattr__(self, "_packs", whole._packs)
-        object.__setattr__(self, "_keys", whole._keys)
-        self.__dict__["edges"] = whole.edges
-
     def __len__(self) -> int:
         """The product's node count, read off the parts without walking it."""
         return self._held[1]
+
+
+_OnRead.declare(_SplitGraph, "_product", "_packs", "_keys", "edges")
 
 
 def _out(edges: tuple[tuple[int, TransitionId, int], ...], i: int) -> tuple[tuple[int, TransitionId, int], ...]:

@@ -20,8 +20,9 @@ net is compiled once and kept with it (``_urgency_net``): net-side urgency,
 done set's walk from that set's marking, set by label
 (``analysis._done_marking``).  ``compile_contract`` keeps one net per
 ``prune`` flag with the contract, which shares that net's consumed part, its
-layout and its components, and builds its sinks, the delivery places no
-transition consumes, on the first read that lists them (``nets._deferred``).
+layout and its components.  Its sinks, the delivery places no transition
+consumes, are a group of fields built on the first read that lists them
+(``nets._deferred``, ``nets._OnRead``).
 ``lpn compile`` and ``lpn dot``, which print every place, compile the whole
 net at once (``_whole``).  Compiling a composition and composing the
 compilations give nets with the same consumed part, which decides their

@@ -14,9 +14,11 @@ these immutable values (its compiled net, a net's consumed-places table and
 components, a graph's nodes, node index and credit-free states) is built
 once and kept in the value's instance dict (``_kept``).
 
-A net may have its sinks, the places no transition consumes, built on first
-read (``_deferred``): the walks read only the other places, and a compiled
-contract has many more sinks than consumed places.
+Work a value may never need is put off by one mechanism (``_OnRead``): a
+group of its attributes is built on the first read of any of them.  A
+verdict's text, a split graph's product and a compiled net's sinks
+(``_deferred``), the places that no transition consumes and no walk reads,
+are such groups.
 """
 
 from __future__ import annotations
@@ -95,16 +97,49 @@ class Outcome(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-class _Detail:
-    """``detail`` of a ``Verdict._on_read`` verdict: the first read runs its builder and keeps the text."""
+class _OnRead:
+    """One attribute of a group built on first read, declared on a class by ``declare``.
 
-    def __get__(self, verdict, owner=None) -> str:
-        if verdict is None:
-            return ""
-        kept = vars(verdict)
-        text = kept["detail"] = kept["_build"]()
-        kept.pop("_build", None)
-        return text
+    Until the group is built, the owner's instance dict holds its builder under ``key``, and the
+    builder gives the owner as it would be built at once.  The first read of any name of the group
+    runs it, once, copies every name of the group from what it gives into the instance dict, where
+    reads find them ahead of this non-data descriptor, and drops the builder.  A builder that raises
+    stays, to raise again on the next read.  An owner built at once holds the names itself.
+    """
+
+    def __init__(self, key: str, names: tuple[str, ...], name: str):
+        self.key, self.names, self.name = key, names, name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        kept = vars(instance)
+        built = kept[self.key]()
+        del kept[self.key]
+        kept.update([(name, getattr(built, name)) for name in self.names])
+        return kept[self.name]
+
+    @classmethod
+    def declare(cls, owner: type, key: str, *names: str) -> None:
+        for name in names:
+            setattr(owner, name, cls(key, names, name))
+
+
+class _Canonical:
+    """Equality and hash by ``_canon``, a cached property each subclass defines.  A copy or pickle
+    (``__reduce__``, which ``Verdict`` shares) carries the dataclass fields alone, read through any
+    group built on first read, and none of what the instance dict keeps."""
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._canon == other._canon
+
+    def __hash__(self):
+        return hash(self._canon)
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f.name) for f in fields(self)])
 
 
 @dataclass(frozen=True)
@@ -114,22 +149,22 @@ class Verdict:
     A budget that runs out yields INCONCLUSIVE; incompleteness is never silently reported as
     falsity.  ``witness`` carries a counterexample for FAILS verdicts (a node, place, or
     transition depending on the check).  ``detail`` is its text; a check that describes a node
-    builds it, and so the node's marking, on first read (``==``, ``hash`` and ``repr`` read it).
+    builds it, and so the node's marking, on first read (``_OnRead``; ``==``, ``hash`` and ``repr``
+    read it).
     """
 
     outcome: Outcome
     witness: object = None
-    detail: str = _Detail()
+    detail: str = ""
 
     @classmethod
     def _on_read(cls, outcome: Outcome, witness: object, build: Callable[[], str]) -> "Verdict":
         """A verdict whose ``detail`` is ``build()``, run on first read; ``build`` should hold no graph."""
         verdict = object.__new__(cls)
-        vars(verdict).update(outcome=outcome, witness=witness, _build=build)
+        vars(verdict).update(outcome=outcome, witness=witness, _build=lambda: cls(outcome, witness, build()))
         return verdict
 
-    def __reduce__(self):
-        return type(self), (self.outcome, self.witness, self.detail)
+    __reduce__ = _Canonical.__reduce__
 
     @staticmethod
     def holds(detail: str = "") -> "Verdict":
@@ -142,6 +177,9 @@ class Verdict:
     @staticmethod
     def inconclusive(detail: str = "") -> "Verdict":
         return Verdict(Outcome.INCONCLUSIVE, None, detail)
+
+
+_OnRead.declare(Verdict, "_build", "detail")
 
 
 def _kept(owner, name: str, build: Callable[[], object]):
@@ -159,22 +197,6 @@ def _kept(owner, name: str, build: Callable[[], object]):
     return value
 
 
-class _Canonical:
-    """Equality and hash by ``_canon``, a cached property each subclass defines.  A copy or pickle
-    (``__reduce__``) carries the dataclass fields alone, and none of what the instance dict keeps."""
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._canon == other._canon
-
-    def __hash__(self):
-        return hash(self._canon)
-
-    def __reduce__(self):
-        return type(self), tuple([getattr(self, f.name) for f in fields(self)])
-
-
 @dataclass(frozen=True, eq=False)
 class LendingNet(_Canonical):
     """Immutable lending Petri net.
@@ -188,8 +210,8 @@ class LendingNet(_Canonical):
     The arcs are indexed once, by transition: ``_pre`` and ``_post`` map each transition, and
     nothing else, to its input and its output places.  A compiled contract has many more places
     than transitions, so a place keeps no arc table of its own (``preset``, ``postset``).  A net
-    made by ``_deferred`` builds ``places``, ``flow``, ``place_labels``, ``lending`` and ``_post``,
-    the fields that list its sinks, on the first read of one of them (``_Listed``).
+    made by ``_deferred`` builds ``places``, ``flow``, ``place_labels``, ``lending``, ``_pre`` and
+    ``_post``, which list its sinks, on the first read of one of them (``_OnRead``).
     """
 
     places: frozenset[PlaceId] = frozenset()
@@ -310,50 +332,32 @@ class LendingNet(_Canonical):
 
 
 class _Sinks(Mapping):
-    """A ``_deferred`` net's ``_post`` until its sinks are built: the transitions' outputs of the net
-    ``build()`` gives, built through the validating constructor on the first read, once, and kept
-    (``net``).  It holds no reference to the deferred net, so the net's layout can keep it."""
+    """A ``_deferred`` net's ``_post`` until its sinks are built, and the builder of its fields that
+    list them (``_OnRead``).  Called, it gives the net ``build()`` builds through the validating
+    constructor, built once and kept; read as a mapping, that net's transitions' outputs, which
+    the net's layout reads.  It holds no reference to the deferred net, so the layout can keep it."""
 
     __slots__ = ("_build", "_net")
 
     def __init__(self, build: Callable[[], LendingNet]):
         self._build, self._net = build, None
 
-    def net(self) -> LendingNet:
+    def __call__(self) -> LendingNet:
         if self._net is None:
             self._net, self._build = self._build(), None
         return self._net
 
     def __getitem__(self, transition: TransitionId) -> frozenset[PlaceId]:
-        return self.net()._post[transition]
+        return self()._post[transition]
 
     def __iter__(self):
-        return iter(self.net()._post)
+        return iter(self()._post)
 
     def __len__(self) -> int:
-        return len(self.net()._post)
+        return len(self()._post)
 
 
-class _Listed:
-    """A field of ``LendingNet`` that lists the sinks.  A net reads it from its instance dict, ahead of
-    this class attribute; a ``_deferred`` net lacks it there until the first read of one, which
-    takes every field and the arc tables of the net its ``_Sinks`` builds."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __get__(self, net, owner=None):
-        if net is None:
-            return self
-        kept = vars(net)
-        whole = vars(kept["_post"].net())
-        kept.update([(name, whole[name]) for name in (*_FIELDS, "_pre", "_post")])
-        return kept[self.name]
-
-
-_FIELDS = tuple([f.name for f in fields(LendingNet)])
-for _name in ("places", "flow", "place_labels", "lending"):
-    setattr(LendingNet, _name, _Listed(_name))
+_OnRead.declare(LendingNet, "_post", "places", "flow", "place_labels", "lending", "_pre", "_post")
 
 
 def _deferred(consumed: LendingNet, build: Callable[[], LendingNet]) -> LendingNet:
@@ -361,8 +365,8 @@ def _deferred(consumed: LendingNet, build: Callable[[], LendingNet]) -> LendingN
     transitions and the arcs and labels among them, is ``consumed``'s: ``build()`` adds only sinks,
     places no transition consumes, and the arcs into them.  Its transitions, their labels and input
     places, its initial marking and its alphabet are ``consumed``'s, and the rest is built on the
-    first read that lists a sink (``_Listed``, ``_Sinks``), by ``build()``: the ordinary validating
-    constructor.  The walks read ``consumed`` (``_consumed``), so they build no sink."""
+    first read that lists a sink (``_Sinks``), by ``build()``: the ordinary validating constructor.
+    The walks read ``consumed`` (``_consumed``), so they build no sink."""
     net, kept = object.__new__(LendingNet), vars(consumed)
     vars(net).update(transitions=kept["transitions"], transition_labels=kept["transition_labels"],
                      initial=kept["initial"], alphabet=kept["alphabet"], _pre=kept["_pre"], _post=_Sinks(build),

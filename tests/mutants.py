@@ -39,12 +39,16 @@ class Mutant(NamedTuple):
 
 ANALYSIS, CONTRACTS, NETS = "src/lendingnets/analysis.py", "src/lendingnets/contracts.py", "src/lendingnets/nets.py"
 COMPILER, COMPOSE = "src/lendingnets/compiler.py", "src/lendingnets/compose.py"
+FORMATS = "src/lendingnets/formats.py"
 
 MUTANTS = (
     Mutant("id-screen-backslash", NETS, '"\\\\" not in joined and ', "",
            "the id screen lets a backslash through, which a net document cannot write back"),
-    Mutant("verdict-text-not-kept", NETS, 'text = kept["detail"] = kept["_build"]()', 'text = kept["_build"]()',
-           "a verdict's text is built on every read, and the second read finds no builder"),
+    Mutant("verdict-text-not-kept", NETS,
+           "        kept.update([(name, getattr(built, name)) for name in self.names])\n        return kept[self.name]",
+           "        return getattr(built, self.name)",
+           "a verdict's text, like every group built on first read, is built on every read, and the second read "
+           "finds no builder"),
     Mutant("argv-value-starting-with-dash", "src/lendingnets/cli.py",
            'if i == len(argv) or argv[i][:1] == "-":', "if i == len(argv):",
            "the plain argv screen takes an option as the value of the one before it"),
@@ -171,6 +175,29 @@ MUTANTS = (
     Mutant("urgency-budget-read-after-compile", COMPILER,
            "    done = _owned(c, done)\n    _check_budget(budget)\n", "    done = _owned(c, done)\n",
            "urgent_via_net compiles and keeps the contract's net before it rejects a budget of 0"),
+    Mutant("on-read-builder-dropped-first", NETS,
+           "        built = kept[self.key]()\n        del kept[self.key]\n", "        built = kept.pop(self.key)()\n",
+           "a group's builder is dropped before it runs, so one that raises is lost and the next read finds none"),
+    Mutant("on-read-keeps-only-the-name-read", NETS,
+           "        del kept[self.key]\n        kept.update([(name, getattr(built, name)) for name in self.names])\n",
+           "        kept[self.name] = getattr(built, self.name)\n",
+           "a group keeps only the name read and its builder, so reading another name of it builds again"),
+    Mutant("internal-error-exits-fails", "src/lendingnets/cli.py",
+           "{exc}\", file=sys.stderr)\n        return EXIT_INTERNAL", "{exc}\", file=sys.stderr)\n        return EXIT_FAILS",
+           "an internal error exits 1 and reads as a negative verdict"),
+    Mutant("goal-fields-swapped", FORMATS,
+           '"=0": "zero", ">=1": "positive"', '"=0": "positive", ">=1": "zero"',
+           "a goal line's =0 and >=1 constraints are read and written as each other"),
+    Mutant("net-document-goals-unsorted", FORMATS,
+           "canonical = tuple(sorted(set(self.goals), key=_predicate_key))", "canonical = tuple(dict.fromkeys(self.goals))",
+           "a net document's goals keep their given order, so equal goal sets compare unequal and print apart"),
+    Mutant("proof-traces-budget-edge", "src/lendingnets/logic.py",
+           "            if kept >= budget:", "            if kept > budget:",
+           "bounded_proof_traces keeps one prefix more than its budget"),
+    Mutant("validate-skips-unlabeled-lending", CONTRACTS,
+           "        if p not in net.place_labels:\n            out.append(Violation(\"a\", p, f\"lending",
+           "        if False:\n            out.append(Violation(\"a\", p, f\"lending",
+           "validate passes a contract net with an unlabeled lending place"),
 )
 
 ROOT = Path(__file__).resolve().parents[1]
